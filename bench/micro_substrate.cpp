@@ -7,9 +7,9 @@
 // --benchmark_out=...) so CI records the gossip-kernel perf trajectory
 // per PR. `--quick` runs the aggregate-phase, large-fleet sharded-gossip,
 // exchange-codec, fleet-checkpoint, scenario/harvest, kernel-layer GEMM,
-// and Conv2d grids at a short min-time — the mode the CI Release job
-// uses; the GEMM/Conv/Gossip rows feed the bench regression gate
-// (tools/check_bench_regression.py).
+// Conv2d, local-step and 16-node full-round rows at a short min-time —
+// the mode the CI Release job uses; the GEMM/Conv/Gossip rows feed the
+// bench regression gate (tools/check_bench_regression.py).
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
@@ -66,7 +66,7 @@ using GemmFn = void (*)(std::size_t, std::size_t, std::size_t,
                         std::span<const float>, std::span<const float>,
                         std::span<float>, float);
 
-template <GemmFn kGemm>
+template <GemmFn kGemm, bool kHalfZeroA = false>
 void BM_GemmShape(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto k = static_cast<std::size_t>(state.range(1));
@@ -76,6 +76,9 @@ void BM_GemmShape(benchmark::State& state) {
   util::Rng rng(12);
   rng.fill_normal(a, 0.0f, 1.0f);
   rng.fill_normal(b, 0.0f, 1.0f);
+  if (kHalfZeroA) {
+    for (float& v : a) v = rng.bernoulli(0.5) ? 0.0f : v;
+  }
   for (auto _ : state) {
     kGemm(m, k, n, a, b, c, 0.0f);
     benchmark::DoNotOptimize(c.data());
@@ -112,6 +115,31 @@ BENCHMARK(BM_GemmShape<tensor::gemm_tn>)
 BENCHMARK(BM_GemmShape<tensor::gemm_tn_ref>)
     ->Name("BM_GemmTNRef")
     ->Apply(GemmTNShapes);
+
+// Compact-MLP backward shapes with A half exact zeros, as behind a ReLU:
+// the blocked kernel (nearly every A sliver on the blend microkernel)
+// against the reference loop, which gemm_nn / gemm_tn dispatch such an A
+// to. Runs under --quick.
+//
+//   tn {32, 16, 64}: compact CIFAR Linear(64->32) backward dW, batch 16
+//   tn {48, 16, 64}: compact FEMNIST Linear(64->48) backward dW
+//   nn {16, 62, 48}: compact FEMNIST Linear(48->62) backward dX shape
+void GemmSparseTNShapes(benchmark::internal::Benchmark* bench) {
+  bench->Args({32, 16, 64})->Args({48, 16, 64});
+}
+
+BENCHMARK(BM_GemmShape<tensor::gemm_tn_blocked, true>)
+    ->Name("BM_GemmTNSparseBlocked")
+    ->Apply(GemmSparseTNShapes);
+BENCHMARK(BM_GemmShape<tensor::gemm_tn_ref, true>)
+    ->Name("BM_GemmTNSparseRef")
+    ->Apply(GemmSparseTNShapes);
+BENCHMARK(BM_GemmShape<tensor::gemm_nn_blocked, true>)
+    ->Name("BM_GemmNNSparseBlocked")
+    ->Args({16, 62, 48});
+BENCHMARK(BM_GemmShape<tensor::gemm_nn_ref, true>)
+    ->Name("BM_GemmNNSparseRef")
+    ->Args({16, 62, 48});
 
 // ---------------------------------------------------------------------------
 // Conv2d forward/backward: im2col + GEMM vs the retained direct loop, on
@@ -600,13 +628,28 @@ BENCHMARK(BM_FaultedGossipRound)
     ->Args({64, 1})
     ->Unit(benchmark::kMillisecond);
 
+// One local SGD step of batch 16 on a compact MLP, as the sweeps run it:
+// Arg(0) the CIFAR model (64->32->10), Arg(1) the FEMNIST one
+// (64->48->62). Runs under --quick.
 void BM_LocalSgdStep(benchmark::State& state) {
-  data::CifarSynConfig config;
-  config.nodes = 1;
-  config.samples_per_node = 128;
-  config.test_pool = 10;
-  auto dataset = data::make_cifar_synthetic(config);
-  auto model = nn::make_compact_cifar_model(config.feature_dim);
+  const bool femnist = state.range(0) != 0;
+  data::FederatedData dataset;
+  if (femnist) {
+    data::FemnistSynConfig config;
+    config.nodes = 1;
+    config.mean_samples_per_node = 128;
+    config.test_pool = 10;
+    dataset = data::make_femnist_synthetic(config);
+  } else {
+    data::CifarSynConfig config;
+    config.nodes = 1;
+    config.samples_per_node = 128;
+    config.test_pool = 10;
+    dataset = data::make_cifar_synthetic(config);
+  }
+  const std::size_t features = dataset.train.feature_dim();
+  auto model = femnist ? nn::make_compact_femnist_model(features)
+                       : nn::make_compact_cifar_model(features);
   util::Rng rng(3);
   nn::initialize(model, rng);
   sim::Node node(0, model, dataset.node_view(0), nn::SgdOptions{0.1f}, 7);
@@ -614,7 +657,7 @@ void BM_LocalSgdStep(benchmark::State& state) {
     benchmark::DoNotOptimize(node.train_local(1, 16));
   }
 }
-BENCHMARK(BM_LocalSgdStep);
+BENCHMARK(BM_LocalSgdStep)->Arg(0)->Arg(1);
 
 void BM_FullRound(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
@@ -746,7 +789,7 @@ int main(int argc, char** argv) {
   }
   if (quick) {
     args.insert(args.begin() + 1,
-                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Blocked|Ref)|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_FaultedGossip");
+                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Sparse)?(Blocked|Ref)|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_FaultedGossip|BM_LocalSgdStep|BM_FullRound/16");
     args.insert(args.begin() + 1, "--benchmark_min_time=0.05");
   }
   const bool has_out =

@@ -185,18 +185,17 @@ void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
   std::span<float> grad_w{grads_.data(), out_c_ * patch};
   float* grad_b = grads_.data() + out_c_ * patch;
 
-  grad_input.zero();
+  const bool need_input = !grad_input.empty();  // see Layer::backward
+  if (need_input) grad_input.zero();
   colr_.resize(ohw * patch);
   gout_t_.resize(ohw * out_c_);
 
   const auto in = input.data();
   const auto gout = grad_output.data();
-  const auto gin = grad_input.data();
 
   for (std::size_t b = 0; b < batch; ++b) {
     const float* image = in.data() + b * in_sz;
     const float* gout_plane = gout.data() + b * out_sz;
-    float* gin_image = gin.data() + b * in_sz;
 
     // Bias gradient: the direct loop's (oc, oy, ox) order and g == 0 skip.
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
@@ -221,7 +220,10 @@ void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
                     std::span<const float>{colr_.data(), ohw * patch}, grad_w,
                     /*beta=*/1.0f);
 
-    backward_input_image(g, out_c_, gout_plane, weights.data(), gin_image);
+    if (need_input) {
+      backward_input_image(g, out_c_, gout_plane, weights.data(),
+                           grad_input.raw() + b * in_sz);
+    }
   }
 }
 
@@ -286,10 +288,10 @@ void Conv2d::backward_direct(const Tensor& input, const Tensor& grad_output,
   float* grad_w = grads_.data();
   float* grad_b = grads_.data() + out_c_ * in_c_ * k_ * k_;
 
-  grad_input.zero();
+  const bool need_input = !grad_input.empty();  // see Layer::backward
+  if (need_input) grad_input.zero();
   const auto in = input.data();
   const auto gout = grad_output.data();
-  const auto gin = grad_input.data();
 
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
@@ -301,7 +303,9 @@ void Conv2d::backward_direct(const Tensor& input, const Tensor& grad_output,
           grad_b[oc] += g;
           for (std::size_t ic = 0; ic < in_c_; ++ic) {
             const float* in_plane = in.data() + ((b * in_c_ + ic) * h) * w;
-            float* gin_plane = gin.data() + ((b * in_c_ + ic) * h) * w;
+            float* gin_plane =
+                need_input ? grad_input.raw() + ((b * in_c_ + ic) * h) * w
+                           : nullptr;
             const float* kernel = weights + ((oc * in_c_ + ic) * k_) * k_;
             float* gkernel = grad_w + ((oc * in_c_ + ic) * k_) * k_;
             for (std::size_t ky = 0; ky < k_; ++ky) {
@@ -317,7 +321,7 @@ void Conv2d::backward_direct(const Tensor& input, const Tensor& grad_output,
                 const std::size_t idx = static_cast<std::size_t>(iy) * w +
                                         static_cast<std::size_t>(ix);
                 gkernel[ky * k_ + kx] += g * in_plane[idx];
-                gin_plane[idx] += g * kernel[ky * k_ + kx];
+                if (need_input) gin_plane[idx] += g * kernel[ky * k_ + kx];
               }
             }
           }

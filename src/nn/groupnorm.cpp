@@ -96,6 +96,7 @@ void GroupNorm::backward(const Tensor& input, const Tensor& grad_output,
   const auto in = input.data();
   const auto gout = grad_output.data();
   const auto gin = grad_input.data();
+  const bool need_input = !grad_input.empty();  // see Layer::backward
 
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t g = 0; g < groups_; ++g) {
@@ -103,8 +104,9 @@ void GroupNorm::backward(const Tensor& input, const Tensor& grad_output,
       const float inv_std = inv_std_[b * groups_ + g];
       const double n = static_cast<double>(group_size);
 
-      // First pass: accumulate the two group-level reductions of the
-      // normalisation backward formula plus the affine-parameter grads.
+      // First pass: the affine-parameter grads plus, when the input
+      // gradient is needed, the two group-level reductions of the
+      // normalisation backward formula.
       double sum_dxhat = 0.0;
       double sum_dxhat_xhat = 0.0;
       for (std::size_t cg = 0; cg < chans_per_group; ++cg) {
@@ -114,15 +116,18 @@ void GroupNorm::backward(const Tensor& input, const Tensor& grad_output,
         for (std::size_t i = 0; i < spatial; ++i) {
           const float xhat = (in[plane + i] - mu) * inv_std;
           const float dy = gout[plane + i];
-          const float dxhat = dy * gamma[c];
-          sum_dxhat += dxhat;
-          sum_dxhat_xhat += static_cast<double>(dxhat) * xhat;
+          if (need_input) {
+            const float dxhat = dy * gamma[c];
+            sum_dxhat += dxhat;
+            sum_dxhat_xhat += static_cast<double>(dxhat) * xhat;
+          }
           dgamma += static_cast<double>(dy) * xhat;
           dbeta += dy;
         }
         grad_gamma[c] += static_cast<float>(dgamma);
         grad_beta[c] += static_cast<float>(dbeta);
       }
+      if (!need_input) continue;
 
       // Second pass: dx = inv_std * (dxhat - mean(dxhat) - xhat*mean(dxhat*xhat)).
       const float mean_dxhat = static_cast<float>(sum_dxhat / n);

@@ -115,7 +115,12 @@ class Layer {
   virtual void forward(const Tensor& input, Tensor& output) = 0;
 
   /// Accumulates parameter gradients and writes grad wrt input.
-  /// Contract: called after forward() on the same `input`.
+  /// Contract: called after forward() on the same `input`. `grad_input` is
+  /// either sized like `input`, with unspecified contents that the layer
+  /// overwrites, or empty, meaning "not needed": the caller is the front
+  /// of a model, where nothing reads the input gradient. Parameter layers
+  /// then skip the input-gradient work; Sequential::backward never calls a
+  /// parameter-free layer that way (it skips such layers at the front).
   virtual void backward(const Tensor& input, const Tensor& grad_output,
                         Tensor& grad_input) = 0;
 

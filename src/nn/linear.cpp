@@ -51,8 +51,10 @@ void Linear::backward(const Tensor& input, const Tensor& grad_output,
     const float* row = grad_output.raw() + i * out_;
     for (std::size_t j = 0; j < out_; ++j) grad_b[j] += row[j];
   }
-  // dX[B, in] = dY[B, out] * W[out, in]
-  tensor::gemm_nn(batch, out_, in_, grad_output.data(), w, grad_input.data());
+  // dX[B, in] = dY[B, out] * W[out, in], unless not needed (empty).
+  if (!grad_input.empty()) {
+    tensor::gemm_nn(batch, out_, in_, grad_output.data(), w, grad_input.data());
+  }
 }
 
 std::unique_ptr<Layer> Linear::clone() const {

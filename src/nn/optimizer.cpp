@@ -14,11 +14,10 @@ void SgdOptimizer::step(Sequential& model) {
   }
 
   std::size_t offset = 0;
-  auto params = model.parameter_spans();
-  auto grads = model.gradient_spans();
-  for (std::size_t s = 0; s < params.size(); ++s) {
-    auto p = params[s];
-    auto g = grads[s];
+  for (std::size_t l = 0; l < model.num_layers(); ++l) {
+    Layer& layer = model.layer(l);
+    const std::span<float> p = layer.parameters();
+    const std::span<const float> g = layer.gradients();
     for (std::size_t i = 0; i < p.size(); ++i) {
       float grad = g[i] + wd * p[i];
       if (mu != 0.0f) {

@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "tensor/ops.hpp"
-
 namespace skiptrain::nn {
 
 Sequential::Sequential(Sequential&& other) noexcept
@@ -109,16 +107,24 @@ const Tensor& Sequential::forward(const Tensor& input) {
 
 void Sequential::backward(const Tensor& input, const Tensor& grad_logits) {
   assert(activations_.size() == layers_.size());
-  // Walk layers in reverse; grad buffers are allocated per call. The model
-  // sizes involved (10^3..10^5 floats) make this allocation negligible
-  // relative to the matrix math.
-  Tensor grad_out = Tensor(grad_logits.shape());
-  tensor::copy(grad_logits.data(), grad_out.data());
-
-  for (std::size_t i = layers_.size(); i-- > 0;) {
+  // Nothing reads the gradient wrt the model input, so backprop stops at
+  // the first parameter layer: the parameter-free layers in front of it
+  // are skipped, and it gets an empty grad_input ("not needed", see
+  // Layer::backward).
+  std::size_t first = 0;
+  while (first < layers_.size() && layers_[first]->parameter_count() == 0) {
+    ++first;
+  }
+  // Gradient buffers are local to the call: kept per model, they would
+  // cost every node replica of a fleet its own copy, and kept per thread,
+  // a CNN's would outlive the pass and raise peak RSS.
+  Tensor grad_out;
+  for (std::size_t i = layers_.size(); i-- > first;) {
     const Tensor& layer_input = (i == 0) ? input : activations_[i - 1];
-    Tensor grad_in(layer_input.shape());
-    layers_[i]->backward(layer_input, grad_out, grad_in);
+    Tensor grad_in = i > first ? Tensor(layer_input.shape()) : Tensor();
+    layers_[i]->backward(layer_input,
+                         i + 1 == layers_.size() ? grad_logits : grad_out,
+                         grad_in);
     grad_out = std::move(grad_in);
   }
 }
@@ -154,22 +160,6 @@ void Sequential::get_gradients(std::span<float> out) const {
 void Sequential::apply_parameter_delta(std::span<const float> delta) {
   assert(delta.size() == num_parameters());
   for (std::size_t i = 0; i < arena_.size(); ++i) arena_[i] -= delta[i];
-}
-
-std::vector<std::span<float>> Sequential::parameter_spans() {
-  std::vector<std::span<float>> spans;
-  for (auto& layer : layers_) {
-    if (!layer->parameters().empty()) spans.push_back(layer->parameters());
-  }
-  return spans;
-}
-
-std::vector<std::span<float>> Sequential::gradient_spans() {
-  std::vector<std::span<float>> spans;
-  for (auto& layer : layers_) {
-    if (!layer->gradients().empty()) spans.push_back(layer->gradients());
-  }
-  return spans;
 }
 
 Sequential Sequential::clone() const {

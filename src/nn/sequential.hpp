@@ -9,7 +9,7 @@
 // Layer-view contract: layers VIEW spans of the arena instead of owning
 // storage. add(), clone() into a new object, bind_parameter_arena() and
 // attach_parameter_arena() re-lay the arena and therefore invalidate every
-// span previously obtained from parameters()/parameter_spans()/weights().
+// span previously obtained from parameters()/parameter_arena()/weights().
 // Spans stay valid across forward/backward/optimizer steps and across
 // moves of the Sequential itself.
 #pragma once
@@ -51,8 +51,9 @@ class Sequential {
   /// Buffers are retained across calls and resized when the batch changes.
   const Tensor& forward(const Tensor& input);
 
-  /// Backpropagates `grad_logits` through every layer, accumulating
-  /// parameter gradients. Must follow a forward() on the same input.
+  /// Backpropagates `grad_logits` down to the first parameter layer,
+  /// accumulating parameter gradients; the gradient wrt the model input is
+  /// never computed. Must follow a forward() on the same input.
   void backward(const Tensor& input, const Tensor& grad_logits);
 
   void zero_grad();
@@ -92,10 +93,6 @@ class Sequential {
   /// Applies `update[i]` to parameter i: p -= update. Used by optimizers
   /// operating on the flat view.
   void apply_parameter_delta(std::span<const float> delta);
-
-  /// Per-layer parameter/gradient spans (skips parameter-free layers).
-  std::vector<std::span<float>> parameter_spans();
-  std::vector<std::span<float>> gradient_spans();
 
   /// Deep copy of layers and parameters. The copy owns its arena.
   [[nodiscard]] Sequential clone() const;

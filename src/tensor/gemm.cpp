@@ -1,8 +1,9 @@
 // Blocked, packed GEMM kernels (see gemm.hpp for the bit-identity
 // contract). The public gemm_nn/gemm_nt/gemm_tn entry points of
 // tensor/ops.hpp dispatch between the seed reference loops (tiny shapes,
-// degenerate dims) and the blocked kernels below; both produce bitwise
-// identical C, so the dispatch threshold is a pure performance knob.
+// degenerate dims, and for nn/tn an A that is a quarter or more zeros) and
+// the blocked kernels below; both produce bitwise identical C, so the
+// dispatch thresholds are pure performance knobs.
 //
 // Kernel structure: B panels and A blocks are both repacked into
 // register-tile-wide slivers (kNR and kMR contiguous strips per k step),
@@ -452,6 +453,26 @@ void gemm_nt_blocked(std::size_t m, std::size_t k, std::size_t n,
 /// knob.
 constexpr std::size_t kBlockedMinVolume = 32 * 1024;
 
+/// gemm_nn / gemm_tn take the reference loop once at least 1/kRefZeroShare
+/// of A is exact zeros. Past a few zeros nearly every kMR sliver holds one,
+/// so every tile runs the blend microkernel at full cost, while the
+/// reference loop skips each zero multiplier's whole row update. At the
+/// compact-MLP backward shapes the reference loop won from a 15% zero
+/// share up, whether the zeros were scattered or whole dead units; below
+/// 10% the winner depends on where they sit (crossover table in README,
+/// "Performance"). A quarter leaves margin above that; post-ReLU gradients
+/// are about half zeros, weights and im2col patches have none. Both paths
+/// are bitwise identical, so this is purely a perf knob.
+constexpr std::size_t kRefZeroShare = 4;
+
+/// True when at least 1/kRefZeroShare of the `count` entries of A are
+/// exact zeros (-0.0f included, as in the reference loops' skip test).
+bool zero_heavy(std::span<const float> a, std::size_t count) {
+  std::size_t zeros = 0;
+  for (std::size_t i = 0; i < count; ++i) zeros += a[i] == 0.0f ? 1 : 0;
+  return zeros * kRefZeroShare >= count;
+}
+
 }  // namespace
 
 const GemmTuning& gemm_tuning() {
@@ -459,33 +480,10 @@ const GemmTuning& gemm_tuning() {
   return tuning;
 }
 
-// ---------------------------------------------------------------------------
-// Public entry points (declared in tensor/ops.hpp)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Telemetry tap at the dispatch layer: call and MAC volume, not timing —
-/// per-call spans would dwarf the work at training's small shapes.
-void note_gemm(std::size_t m, std::size_t k, std::size_t n) {
-  static const obs::Counter calls = obs::counter("gemm.calls");
-  static const obs::Counter macs = obs::counter("gemm.macs");
-  calls.add(1);
-  macs.add(static_cast<std::uint64_t>(m) * k * n);
-}
-
-}  // namespace
-
-void gemm_nn(std::size_t m, std::size_t k, std::size_t n,
-             std::span<const float> a, std::span<const float> b,
-             std::span<float> c, float beta) {
-  assert(a.size() >= m * k && b.size() >= k * n && c.size() >= m * n);
-  note_gemm(m, k, n);
-  // k == 0 must still apply beta to C — the reference handles it.
-  if (k == 0 || n < 8 || m * k * n < kBlockedMinVolume) {
-    gemm_nn_ref(m, k, n, a, b, c, beta);
-    return;
-  }
+void gemm_nn_blocked(std::size_t m, std::size_t k, std::size_t n,
+                     std::span<const float> a, std::span<const float> b,
+                     std::span<float> c, float beta) {
+  assert(k > 0 && a.size() >= m * k && b.size() >= k * n && c.size() >= m * n);
   gemm_cacc_blocked(
       m, k, n, b, c, beta,
       [&a, k](std::size_t ic, std::size_t pc, std::size_t mc, std::size_t kc,
@@ -494,33 +492,84 @@ void gemm_nn(std::size_t m, std::size_t k, std::size_t n,
       });
 }
 
-void gemm_nt(std::size_t m, std::size_t k, std::size_t n,
-             std::span<const float> a, std::span<const float> b,
-             std::span<float> c, float beta) {
-  assert(a.size() >= m * k && b.size() >= n * k && c.size() >= m * n);
-  note_gemm(m, k, n);
-  if (k == 0 || n < 4 || k > 65536 || m * k * n < kBlockedMinVolume) {
-    gemm_nt_ref(m, k, n, a, b, c, beta);
-    return;
-  }
-  gemm_nt_blocked(m, k, n, a, b, c, beta);
-}
-
-void gemm_tn(std::size_t m, std::size_t k, std::size_t n,
-             std::span<const float> a, std::span<const float> b,
-             std::span<float> c, float beta) {
-  assert(a.size() >= k * m && b.size() >= k * n && c.size() >= m * n);
-  note_gemm(m, k, n);
-  if (k == 0 || n < 8 || m * k * n < kBlockedMinVolume) {
-    gemm_tn_ref(m, k, n, a, b, c, beta);
-    return;
-  }
+void gemm_tn_blocked(std::size_t m, std::size_t k, std::size_t n,
+                     std::span<const float> a, std::span<const float> b,
+                     std::span<float> c, float beta) {
+  assert(k > 0 && a.size() >= k * m && b.size() >= k * n && c.size() >= m * n);
   gemm_cacc_blocked(
       m, k, n, b, c, beta,
       [&a, m](std::size_t ic, std::size_t pc, std::size_t mc, std::size_t kc,
               float* dst, std::uint8_t* zeros) {
         pack_a_cols(a.data(), m, ic, pc, mc, kc, dst, zeros);
       });
+}
+
+// ---------------------------------------------------------------------------
+// Public entry points (declared in tensor/ops.hpp)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Telemetry tap at the dispatch layer: call and MAC volume and how many
+/// calls the reference loops served, not timing — per-call spans would
+/// dwarf the work at training's small shapes.
+void note_gemm(std::size_t m, std::size_t k, std::size_t n, bool ref) {
+  static const obs::Counter calls = obs::counter("gemm.calls");
+  static const obs::Counter ref_calls = obs::counter("gemm.ref_calls");
+  static const obs::Counter macs = obs::counter("gemm.macs");
+  calls.add(1);
+  if (ref) ref_calls.add(1);
+  macs.add(static_cast<std::uint64_t>(m) * k * n);
+}
+
+/// Dispatch rule shared by the C-accumulating variants. k == 0 must still
+/// apply beta to C, which only the reference loops do.
+bool cacc_takes_ref(std::size_t m, std::size_t k, std::size_t n,
+                    std::span<const float> a) {
+  return k == 0 || n < 8 || m * k * n < kBlockedMinVolume ||
+         zero_heavy(a, m * k);
+}
+
+}  // namespace
+
+void gemm_nn(std::size_t m, std::size_t k, std::size_t n,
+             std::span<const float> a, std::span<const float> b,
+             std::span<float> c, float beta) {
+  assert(a.size() >= m * k && b.size() >= k * n && c.size() >= m * n);
+  const bool ref = cacc_takes_ref(m, k, n, a);
+  note_gemm(m, k, n, ref);
+  if (ref) {
+    gemm_nn_ref(m, k, n, a, b, c, beta);
+  } else {
+    gemm_nn_blocked(m, k, n, a, b, c, beta);
+  }
+}
+
+void gemm_nt(std::size_t m, std::size_t k, std::size_t n,
+             std::span<const float> a, std::span<const float> b,
+             std::span<float> c, float beta) {
+  assert(a.size() >= m * k && b.size() >= n * k && c.size() >= m * n);
+  const bool ref =
+      k == 0 || n < 4 || k > 65536 || m * k * n < kBlockedMinVolume;
+  note_gemm(m, k, n, ref);
+  if (ref) {
+    gemm_nt_ref(m, k, n, a, b, c, beta);
+  } else {
+    gemm_nt_blocked(m, k, n, a, b, c, beta);
+  }
+}
+
+void gemm_tn(std::size_t m, std::size_t k, std::size_t n,
+             std::span<const float> a, std::span<const float> b,
+             std::span<float> c, float beta) {
+  assert(a.size() >= k * m && b.size() >= k * n && c.size() >= m * n);
+  const bool ref = cacc_takes_ref(m, k, n, a);
+  note_gemm(m, k, n, ref);
+  if (ref) {
+    gemm_tn_ref(m, k, n, a, b, c, beta);
+  } else {
+    gemm_tn_blocked(m, k, n, a, b, c, beta);
+  }
 }
 
 }  // namespace skiptrain::tensor

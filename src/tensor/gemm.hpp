@@ -65,4 +65,18 @@ void gemm_tn_ref(std::size_t m, std::size_t k, std::size_t n,
                  std::span<const float> a, std::span<const float> b,
                  std::span<float> c, float beta = 0.0f);
 
+// ---------------------------------------------------------------------------
+// Blocked kernels without the dispatch, so tests and benchmarks can reach
+// them on inputs the dispatch sends to the reference loops (e.g. A with
+// many zeros). Require k > 0: with k == 0 they leave C unscaled.
+// ---------------------------------------------------------------------------
+
+void gemm_nn_blocked(std::size_t m, std::size_t k, std::size_t n,
+                     std::span<const float> a, std::span<const float> b,
+                     std::span<float> c, float beta = 0.0f);
+
+void gemm_tn_blocked(std::size_t m, std::size_t k, std::size_t n,
+                     std::span<const float> a, std::span<const float> b,
+                     std::span<float> c, float beta = 0.0f);
+
 }  // namespace skiptrain::tensor

@@ -1,8 +1,9 @@
 // Bit-identity of the blocked GEMM kernels against the retained seed
 // loops (gemm_*_ref). The contract is exact: for every input — including
-// degenerate dims, non-square panels, every beta case, zero-heavy A (the
+// degenerate dims, non-square panels, every beta case, A with zeros (the
 // skip-zero branch), and NaN-poisoned C with beta == 0 — the blocked
-// kernels must produce bitwise identical C.
+// kernels must produce bitwise identical C, whether reached through the
+// dispatching entry points or directly.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -33,8 +35,11 @@ void expect_bitwise_equal(const std::vector<float>& got,
 }
 
 /// Runs all three variants at (m, k, n) x beta in {0, 1, 0.5} and compares
-/// blocked vs reference bitwise. `sparsify` zeroes a fraction of A to
-/// exercise the skip-zero-multiplier branch.
+/// dispatched and blocked vs reference bitwise. `sparsify` zeroes every
+/// 8th entry of A: enough that nearly every packed A sliver holds a zero
+/// (the blend microkernel that reproduces the skip-zero-multiplier
+/// branch), yet below the share at which gemm_nn / gemm_tn dispatch to
+/// the reference loop.
 void check_shape(std::size_t m, std::size_t k, std::size_t n,
                  std::uint64_t seed, bool sparsify) {
   util::Rng rng(seed);
@@ -43,7 +48,7 @@ void check_shape(std::size_t m, std::size_t k, std::size_t n,
   if (!a.empty()) rng.fill_normal(a, 0.0f, 1.0f);
   if (!b.empty()) rng.fill_normal(b, 0.0f, 1.0f);
   if (sparsify) {
-    for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
+    for (std::size_t i = 0; i < a.size(); i += 8) a[i] = 0.0f;
   }
   std::vector<float> c_init(m * n);
   if (!c_init.empty()) rng.fill_normal(c_init, 0.0f, 1.0f);
@@ -54,6 +59,11 @@ void check_shape(std::size_t m, std::size_t k, std::size_t n,
       gemm_nn(m, k, n, a, b, c, beta);
       gemm_nn_ref(m, k, n, a, b, ref, beta);
       expect_bitwise_equal(c, ref, "gemm_nn", m, k, n, beta);
+      if (k > 0) {
+        c = c_init;
+        gemm_nn_blocked(m, k, n, a, b, c, beta);
+        expect_bitwise_equal(c, ref, "gemm_nn_blocked", m, k, n, beta);
+      }
     }
     {
       std::vector<float> c = c_init, ref = c_init;
@@ -66,6 +76,11 @@ void check_shape(std::size_t m, std::size_t k, std::size_t n,
       gemm_tn(m, k, n, a, b, c, beta);
       gemm_tn_ref(m, k, n, a, b, ref, beta);
       expect_bitwise_equal(c, ref, "gemm_tn", m, k, n, beta);
+      if (k > 0) {
+        c = c_init;
+        gemm_tn_blocked(m, k, n, a, b, c, beta);
+        expect_bitwise_equal(c, ref, "gemm_tn_blocked", m, k, n, beta);
+      }
     }
   }
 }
@@ -102,6 +117,75 @@ TEST(GemmBlocked, NonSquarePanelsCrossBlockBoundaries) {
 TEST(GemmBlocked, ZeroHeavyAPreservesSkipBranch) {
   check_shape(48, 96, 40, 11, true);
   check_shape(33, tensor::gemm_tuning().kc + 5, 37, 12, true);
+}
+
+using Gemm = void (*)(std::size_t, std::size_t, std::size_t,
+                      std::span<const float>, std::span<const float>,
+                      std::span<float>, float);
+
+std::uint64_t ref_calls() {
+  return obs::snapshot().counter_value("gemm.ref_calls");
+}
+
+TEST(GemmBlocked, ZeroShareDispatchStraddlesThreshold) {
+  // gemm_nn / gemm_tn send an A that is at least a quarter exact zeros to
+  // the reference loop. On either side of that share, C must carry the
+  // reference's bits — with NaN and +-Inf in B, where the skip decides
+  // whether 0 * NaN reaches C — and gemm.ref_calls pins the path taken.
+  // (m, k, n) is the compact CIFAR MLP's dW shape: large enough for the
+  // blocked path.
+  constexpr std::size_t m = 32, k = 16, n = 64, count = m * k;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  struct Variant {
+    const char* name;
+    Gemm dispatched, ref, blocked;
+  };
+  const Variant variants[] = {
+      {"gemm_nn", gemm_nn, gemm_nn_ref, gemm_nn_blocked},
+      {"gemm_tn", gemm_tn, gemm_tn_ref, gemm_tn_blocked}};
+  for (const std::size_t zeros :
+       {std::size_t{0}, count / 4 - 1, count / 4, count / 4 + 1, count}) {
+    util::Rng rng(700 + zeros);
+    std::vector<float> a(count), b(k * n), c_init(m * n);
+    rng.fill_normal(a, 0.0f, 1.0f);
+    rng.fill_normal(b, 0.0f, 1.0f);
+    rng.fill_normal(c_init, 0.0f, 1.0f);
+    const std::vector<std::size_t> at =
+        rng.sample_without_replacement(count, zeros);
+    for (std::size_t i = 0; i < zeros; ++i) {
+      a[at[i]] = (i % 2 == 0) ? 0.0f : -0.0f;  // -0.0f is a zero too
+    }
+    // One non-finite B entry per column, so no C element sums two of them.
+    b[3 * n + 5] = nan;
+    b[7 * n + 20] = inf;
+    b[11 * n + 41] = -inf;
+    const bool want_ref = zeros * 4 >= count;
+
+    for (const Variant& v : variants) {
+      for (const float beta : {0.0f, 1.0f, 0.5f}) {
+        std::vector<float> c = c_init, ref = c_init, blocked = c_init;
+        const std::uint64_t before = ref_calls();
+        v.dispatched(m, k, n, a, b, c, beta);
+        EXPECT_EQ(ref_calls() - before, want_ref ? 1u : 0u)
+            << v.name << " zeros=" << zeros;
+        v.ref(m, k, n, a, b, ref, beta);
+        v.blocked(m, k, n, a, b, blocked, beta);
+        expect_bitwise_equal(c, ref, v.name, m, k, n, beta);
+        expect_bitwise_equal(blocked, ref, v.name, m, k, n, beta);
+      }
+      // beta == 0 never reads C, so NaN poison must not reach the result.
+      std::vector<float> c(m * n, nan), blocked(m * n, nan), ref = c_init;
+      v.dispatched(m, k, n, a, b, c, 0.0f);
+      v.blocked(m, k, n, a, b, blocked, 0.0f);
+      v.ref(m, k, n, a, b, ref, 0.0f);
+      expect_bitwise_equal(c, ref, v.name, m, k, n, 0.0f);
+      expect_bitwise_equal(blocked, ref, v.name, m, k, n, 0.0f);
+    }
+  }
+  obs::set_enabled(was_enabled);
 }
 
 TEST(GemmBlocked, LongAccumulationFuzz) {

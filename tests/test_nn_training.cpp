@@ -1,12 +1,20 @@
 // End-to-end single-model training: the nn substrate must actually learn.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
+#include "nn/activations.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/groupnorm.hpp"
 #include "nn/init.hpp"
+#include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/pool.hpp"
+#include "obs/registry.hpp"
 #include "util/rng.hpp"
 
 namespace skiptrain::nn {
@@ -172,6 +180,119 @@ TEST(Training, OptimizerResetStateClearsMomentum) {
   opt.reset_state();  // must not crash and must keep training sane
   const double loss = train_epochs(model, opt, features, labels, 20);
   EXPECT_LT(loss, 1.0);
+}
+
+/// The seed's full per-layer backward: every layer runs, layer 0's input
+/// gradient included, into fresh zeroed buffers. Returns the flat
+/// parameter gradients it accumulates from zero.
+std::vector<float> full_backward_gradients(Sequential& model,
+                                           const tensor::Tensor& input,
+                                           const tensor::Tensor& grad_logits) {
+  model.zero_grad();
+  std::vector<tensor::Tensor> activations(model.num_layers());
+  const tensor::Tensor* current = &input;
+  for (std::size_t i = 0; i < model.num_layers(); ++i) {
+    activations[i] =
+        tensor::Tensor(model.layer(i).output_shape(current->shape()));
+    model.layer(i).forward(*current, activations[i]);
+    current = &activations[i];
+  }
+  tensor::Tensor grad_out = grad_logits;
+  for (std::size_t i = model.num_layers(); i-- > 0;) {
+    const tensor::Tensor& layer_input = i == 0 ? input : activations[i - 1];
+    tensor::Tensor grad_in(layer_input.shape());
+    model.layer(i).backward(layer_input, grad_out, grad_in);
+    grad_out = std::move(grad_in);
+  }
+  std::vector<float> grads(model.num_parameters());
+  model.get_gradients(grads);
+  return grads;
+}
+
+/// Sequential::backward's parameter gradients must be bitwise those of the
+/// full backward, although it never computes the model-input gradient.
+void expect_backward_matches_full(Sequential model, tensor::Shape input_shape,
+                                  std::size_t classes, std::uint64_t seed) {
+  util::Rng rng(seed);
+  initialize(model, rng);
+  tensor::Tensor input(input_shape);
+  rng.fill_normal(input.data(), 0.0f, 1.0f);
+  std::vector<std::int32_t> labels(input_shape[0]);
+  for (auto& label : labels) {
+    label = static_cast<std::int32_t>(rng.uniform_int(classes));
+  }
+  model.zero_grad();
+  const tensor::Tensor& logits = model.forward(input);
+  tensor::Tensor grad_logits(logits.shape());
+  softmax_cross_entropy(logits, labels, grad_logits);
+  model.backward(input, grad_logits);
+  std::vector<float> got(model.num_parameters());
+  model.get_gradients(got);
+
+  const std::vector<float> want =
+      full_backward_gradients(model, input, grad_logits);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << "parameter " << i << " of " << got.size();
+  }
+}
+
+TEST(Backward, CompactMlpsMatchFullBackward) {
+  expect_backward_matches_full(make_compact_cifar_model(64), {16, 64}, 10, 21);
+  expect_backward_matches_full(make_compact_femnist_model(64), {16, 64}, 62,
+                               22);
+}
+
+TEST(Backward, CifarCnnMatchesFullBackwardOnBothConvPaths) {
+  expect_backward_matches_full(make_cifar_cnn(), {2, 3, 32, 32}, 10, 23);
+  Sequential direct = make_cifar_cnn();
+  for (std::size_t i = 0; i < direct.num_layers(); ++i) {
+    if (auto* conv = dynamic_cast<Conv2d*>(&direct.layer(i))) {
+      conv->set_algorithm(Conv2dAlgo::kDirect);
+    }
+  }
+  expect_backward_matches_full(std::move(direct), {2, 3, 32, 32}, 10, 23);
+}
+
+TEST(Backward, ParameterFreeAndGroupNormFrontsMatchFullBackward) {
+  Sequential flatten_first;
+  flatten_first.emplace<Flatten>();
+  flatten_first.emplace<Linear>(48, 16);
+  flatten_first.emplace<ReLU>();
+  flatten_first.emplace<Linear>(16, 5);
+  expect_backward_matches_full(std::move(flatten_first), {4, 3, 4, 4}, 5, 24);
+
+  Sequential norm_first;
+  norm_first.emplace<ReLU>();
+  norm_first.emplace<GroupNorm>(2, 4);
+  norm_first.emplace<Flatten>();
+  norm_first.emplace<Linear>(36, 3);
+  expect_backward_matches_full(std::move(norm_first), {3, 4, 3, 3}, 3, 25);
+}
+
+TEST(Backward, CompactMlpStepMakesFiveGemmCalls) {
+  // Forward: two gemm_nt. Backward: the output layer's dW and dX, then
+  // the first layer's dW only — its dX (the model-input gradient) is
+  // skipped.
+  util::Rng rng(26);
+  Sequential model = make_compact_cifar_model(64);
+  initialize(model, rng);
+  tensor::Tensor features({16, 64});
+  rng.fill_normal(features.data(), 0.0f, 1.0f);
+  std::vector<std::int32_t> labels(16);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<std::int32_t>(i % 10);
+  }
+  SgdOptimizer opt({0.1f, 0.0f, 0.0f});
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t before = obs::snapshot().counter_value("gemm.calls");
+  train_epochs(model, opt, features, labels, 1);
+  const std::uint64_t after = obs::snapshot().counter_value("gemm.calls");
+  obs::set_enabled(was_enabled);
+  EXPECT_EQ(after - before, 5u);
 }
 
 TEST(Loss, GradientIsSoftmaxMinusOnehotOverBatch) {
