@@ -143,19 +143,30 @@ BENCHMARK(BM_GemmShape<tensor::gemm_nn_ref, true>)
 
 // ---------------------------------------------------------------------------
 // Conv2d forward/backward: im2col + GEMM vs the retained direct loop, on
-// GN-LeNet conv2 (32->32, 5x5, pad 2, 16x16 input; arg is the batch).
-// Runs under --quick for the CI bench gate.
+// the GN-LeNet convs (5x5, pad 2). Args: batch, algorithm and, for the
+// backward's three-arg rows, the conv (1..3); the two-arg rows run conv2
+// (32->32, 16x16 input). conv1's backward skips the input gradient, as
+// the model's first layer does in training. Runs under --quick for the CI
+// bench gate.
 // ---------------------------------------------------------------------------
 
+struct ConvShape {
+  std::size_t in_c, out_c, side;
+};
+constexpr ConvShape kLeNetConvs[] = {{3, 32, 32}, {32, 32, 16}, {32, 64, 8}};
+
 struct ConvBench {
-  nn::Conv2d conv{32, 32, 5, 1, 2};
+  nn::Conv2d conv;
   tensor::Tensor input;
   tensor::Tensor output;
   tensor::Tensor grad_out;
   tensor::Tensor grad_in;
 
-  explicit ConvBench(std::size_t batch, nn::Conv2dAlgo algo)
-      : input({batch, 32, 16, 16}) {
+  ConvBench(std::size_t batch, nn::Conv2dAlgo algo, std::size_t layer = 2)
+      : conv(kLeNetConvs[layer - 1].in_c, kLeNetConvs[layer - 1].out_c, 5, 1,
+             2),
+        input({batch, kLeNetConvs[layer - 1].in_c, kLeNetConvs[layer - 1].side,
+               kLeNetConvs[layer - 1].side}) {
     conv.set_algorithm(algo);
     util::Rng rng(13);
     rng.fill_normal(conv.parameters(), 0.0f, 0.5f);
@@ -163,7 +174,7 @@ struct ConvBench {
     const auto out_shape = conv.output_shape(input.shape());
     output = tensor::Tensor(out_shape);
     grad_out = tensor::Tensor(out_shape);
-    grad_in = tensor::Tensor(input.shape());
+    if (layer != 1) grad_in = tensor::Tensor(input.shape());
     rng.fill_normal(grad_out.data(), 0.0f, 1.0f);
     conv.forward(input, output);
   }
@@ -179,23 +190,42 @@ void BM_Conv2dFwd(benchmark::State& state) {
   state.SetLabel(state.range(1) == 1 ? "direct" : "im2col");
 }
 
-void BM_Conv2dBwd(benchmark::State& state) {
+void run_conv_backward(benchmark::State& state, std::size_t layer) {
   ConvBench bench(static_cast<std::size_t>(state.range(0)),
-                  static_cast<nn::Conv2dAlgo>(state.range(1)));
+                  static_cast<nn::Conv2dAlgo>(state.range(1)), layer);
   for (auto _ : state) {
     bench.conv.zero_grad();
     bench.conv.backward(bench.input, bench.grad_out, bench.grad_in);
+    benchmark::DoNotOptimize(bench.conv.gradients().data());
     benchmark::DoNotOptimize(bench.grad_in.raw());
+    benchmark::ClobberMemory();
   }
   state.SetLabel(state.range(1) == 1 ? "direct" : "im2col");
+}
+
+void BM_Conv2dBwd(benchmark::State& state) { run_conv_backward(state, 2); }
+
+void BM_Conv2dBwdLayer(benchmark::State& state) {
+  run_conv_backward(state, static_cast<std::size_t>(state.range(2)));
 }
 
 void ConvAlgoGrid(benchmark::internal::Benchmark* bench) {
   bench->Args({8, static_cast<std::int64_t>(nn::Conv2dAlgo::kIm2col)})
       ->Args({8, static_cast<std::int64_t>(nn::Conv2dAlgo::kDirect)});
 }
+
+void ConvLayerGrid(benchmark::internal::Benchmark* bench) {
+  for (const std::int64_t layer : {3, 1}) {
+    bench->Args({8, static_cast<std::int64_t>(nn::Conv2dAlgo::kIm2col), layer})
+        ->Args({8, static_cast<std::int64_t>(nn::Conv2dAlgo::kDirect), layer});
+  }
+}
 BENCHMARK(BM_Conv2dFwd)->Apply(ConvAlgoGrid)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Conv2dBwd)->Apply(ConvAlgoGrid)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Conv2dBwdLayer)
+    ->Name("BM_Conv2dBwd")
+    ->Apply(ConvLayerGrid)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AggregationStep(benchmark::State& state) {
   // One node's Metropolis-Hastings aggregation over `degree` neighbors

@@ -24,8 +24,11 @@ void ReLU::backward(const Tensor& input, const Tensor& grad_output,
   const auto in = input.data();
   const auto gout = grad_output.data();
   const auto gin = grad_input.data();
+  // Load unconditionally, then select: a load under the condition is
+  // control flow the vectorizer rejects.
   for (std::size_t i = 0; i < in.size(); ++i) {
-    gin[i] = in[i] > 0.0f ? gout[i] : 0.0f;
+    const float g = gout[i];
+    gin[i] = in[i] > 0.0f ? g : 0.0f;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/registry.hpp"
 #include "tensor/ops.hpp"
@@ -84,6 +85,91 @@ void Conv2d::backward(const Tensor& input, const Tensor& grad_output,
 // im2col + GEMM path
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Per-thread scratch of the im2col path, shared by every Conv2d the
+/// thread runs: each call rebuilds what it reads, so nothing carries over
+/// between calls, and a fleet of model replicas costs one set per worker
+/// thread rather than one per layer per node.
+struct ConvScratch {
+  std::vector<float> col;     // [patch x out_hw]: forward, and dX's
+  std::vector<float> colr;    // [out_hw x patch]: dW
+  std::vector<float> gout_t;  // [out_hw x out_c]: dW
+  std::vector<float> wflip;   // [in_c x out_c*k*k]: dX
+  std::vector<float> lifted;  // dilated, cropped gradient planes: dX
+};
+
+thread_local ConvScratch t_scratch;
+
+/// Grow-only: layers of different shapes share the buffers, and a
+/// shrink-then-grow resize would re-zero the tail.
+float* grow(std::vector<float>& buf, std::size_t floats) {
+  if (buf.size() < floats) buf.resize(floats);
+  return buf.data();
+}
+
+/// The input gradient as a forward convolution over the output-gradient
+/// planes: kernel flipped and its channel axes swapped, stride 1, output
+/// h x w. Stride s becomes a gradient plane dilated by s (zeros between
+/// entries); padding becomes k-1-pad, or a crop by pad-(k-1) when
+/// pad >= k. Only stride 1 with pad < k reads the gradient in place.
+struct TransposedConv {
+  ConvGeometry geom;  // in_c = out_c, h x w = the lifted plane
+  std::size_t crop = 0;
+  bool lifted = false;
+};
+
+TransposedConv transposed_conv(const ConvGeometry& g, std::size_t out_c) {
+  TransposedConv t;
+  t.crop = g.pad >= g.k ? g.pad + 1 - g.k : 0;
+  t.lifted = g.stride != 1 || t.crop != 0;
+  t.geom.in_c = out_c;
+  t.geom.k = g.k;
+  t.geom.pad = g.k - 1 + t.crop - g.pad;
+  t.geom.h = g.h + 2 * g.pad + 1 - g.k - 2 * t.crop;
+  t.geom.w = g.w + 2 * g.pad + 1 - g.k - 2 * t.crop;
+  t.geom.oh = g.h;
+  t.geom.ow = g.w;
+  return t;
+}
+
+/// wflip[ic][(oc, a, b)] = w[oc][ic][k-1-a][k-1-b]: the A operand of the
+/// input-gradient GEMM.
+void flip_kernel(std::size_t out_c, std::size_t in_c, std::size_t kk,
+                 const float* __restrict__ w, float* __restrict__ wflip) {
+  for (std::size_t oc = 0; oc < out_c; ++oc) {
+    for (std::size_t ic = 0; ic < in_c; ++ic) {
+      const float* __restrict__ src = w + (oc * in_c + ic) * kk;
+      float* __restrict__ dst = wflip + (ic * out_c + oc) * kk;
+      for (std::size_t t = 0; t < kk; ++t) dst[t] = src[kk - 1 - t];
+    }
+  }
+}
+
+/// Writes one image's gradient planes, dilated by the stride and cropped
+/// by t.crop on every side, into `lifted` ([out_c x t.geom.h x t.geom.w]).
+void lift_gradient(const ConvGeometry& g, const TransposedConv& t,
+                   const float* __restrict__ gout_plane,
+                   float* __restrict__ lifted) {
+  const ConvGeometry& lg = t.geom;
+  std::fill(lifted, lifted + lg.in_c * lg.h * lg.w, 0.0f);
+  for (std::size_t oc = 0; oc < lg.in_c; ++oc) {
+    const float* __restrict__ gp = gout_plane + oc * g.out_hw();
+    float* __restrict__ dst = lifted + oc * lg.h * lg.w;
+    for (std::size_t oy = 0; oy < g.oh; ++oy) {
+      const std::size_t y = oy * g.stride;
+      if (y < t.crop || y - t.crop >= lg.h) continue;
+      for (std::size_t ox = 0; ox < g.ow; ++ox) {
+        const std::size_t x = ox * g.stride;
+        if (x < t.crop || x - t.crop >= lg.w) continue;
+        dst[(y - t.crop) * lg.w + (x - t.crop)] = gp[oy * g.ow + ox];
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void Conv2d::forward_im2col(const Tensor& input, Tensor& output) {
   const std::size_t batch = input.dim(0);
   const ConvGeometry g = geometry(input.dim(2), input.dim(3));
@@ -91,9 +177,8 @@ void Conv2d::forward_im2col(const Tensor& input, Tensor& output) {
   const std::size_t ohw = g.out_hw();
   const std::size_t in_sz = in_c_ * g.h * g.w;
   const std::size_t out_sz = out_c_ * ohw;
-  // A 1x1/stride-1/no-pad conv's patch matrix IS the input plane.
-  const bool pointwise = k_ == 1 && stride_ == 1 && pad_ == 0;
-  if (!pointwise) col_.resize(patch * ohw);
+  const bool pointwise = g.patches_are_image();
+  float* col_buf = pointwise ? nullptr : grow(t_scratch.col, patch * ohw);
 
   const std::span<const float> weights{params_.data(), out_c_ * patch};
   const float* bias = params_.data() + out_c_ * patch;
@@ -103,8 +188,8 @@ void Conv2d::forward_im2col(const Tensor& input, Tensor& output) {
     const float* image = in.data() + b * in_sz;
     const float* col = image;
     if (!pointwise) {
-      im2col_kmajor(g, image, col_.data());
-      col = col_.data();
+      im2col_kmajor(g, image, col_buf);
+      col = col_buf;
     }
     float* out_plane = out.data() + b * out_sz;
     // acc starts at the bias (the direct loop's first term), then the
@@ -118,60 +203,6 @@ void Conv2d::forward_im2col(const Tensor& input, Tensor& output) {
   }
 }
 
-namespace {
-
-/// Input-gradient kernel: the direct loop nest with the bounds hoisted
-/// into clipped (ky, kx) ranges — the same surviving iterations in the
-/// same order, so it is bitwise identical to the seed loop by
-/// construction.
-void backward_input_image(const ConvGeometry& g, std::size_t out_c,
-                          const float* __restrict__ gout_plane,
-                          const float* __restrict__ weights,
-                          float* __restrict__ gin_image) {
-  const std::size_t kk = g.k * g.k;
-  const std::size_t patch = g.in_c * kk;
-  for (std::size_t oc = 0; oc < out_c; ++oc) {
-    const float* __restrict__ gp = gout_plane + oc * g.out_hw();
-    const float* __restrict__ wk = weights + oc * patch;
-    for (std::size_t oy = 0; oy < g.oh; ++oy) {
-      const std::ptrdiff_t iy0 = static_cast<std::ptrdiff_t>(oy * g.stride) -
-                                 static_cast<std::ptrdiff_t>(g.pad);
-      const KernelRange yr = clipped_kernel_range(g.k, g.h, iy0);
-      const std::size_t ky_lo = yr.lo;
-      const std::size_t ky_hi = yr.hi;
-      if (ky_lo >= ky_hi) continue;
-      for (std::size_t ox = 0; ox < g.ow; ++ox) {
-        const float gval = gp[oy * g.ow + ox];
-        if (gval == 0.0f) continue;
-        const std::ptrdiff_t ix0 = static_cast<std::ptrdiff_t>(ox * g.stride) -
-                                   static_cast<std::ptrdiff_t>(g.pad);
-        const KernelRange xr = clipped_kernel_range(g.k, g.w, ix0);
-        const std::size_t kx_lo = xr.lo;
-        const std::size_t kx_hi = xr.hi;
-        if (kx_lo >= kx_hi) continue;
-        for (std::size_t ic = 0; ic < g.in_c; ++ic) {
-          float* __restrict__ gin_plane = gin_image + ic * g.h * g.w;
-          const float* __restrict__ w_ic = wk + ic * kk;
-          for (std::size_t ky = ky_lo; ky < ky_hi; ++ky) {
-            const float* __restrict__ wrow = w_ic + ky * g.k;
-            float* __restrict__ grow =
-                gin_plane +
-                static_cast<std::size_t>(iy0 + static_cast<std::ptrdiff_t>(ky)) *
-                    g.w +
-                static_cast<std::size_t>(ix0 +
-                                         static_cast<std::ptrdiff_t>(kx_lo));
-            const float* __restrict__ wseg = wrow + kx_lo;
-            const std::size_t span = kx_hi - kx_lo;
-            for (std::size_t t = 0; t < span; ++t) grow[t] += gval * wseg[t];
-          }
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
 void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
                              Tensor& grad_input) {
   const std::size_t batch = input.dim(0);
@@ -181,14 +212,33 @@ void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
   const std::size_t in_sz = in_c_ * g.h * g.w;
   const std::size_t out_sz = out_c_ * ohw;
 
-  const std::span<const float> weights{params_.data(), out_c_ * patch};
   std::span<float> grad_w{grads_.data(), out_c_ * patch};
   float* grad_b = grads_.data() + out_c_ * patch;
 
+  float* colr = grow(t_scratch.colr, ohw * patch);
+  float* gout_t = grow(t_scratch.gout_t, ohw * out_c_);
+
+  // Input gradient: gin[b] = wflip [in_c x out_c*k*k] * the transposed
+  // conv's patch matrix [out_c*k*k x h*w]. Its patch index (oc, a, b) is,
+  // per input pixel, the direct loop's (oc, oy, ox) order, so the GEMM
+  // adds the same terms in the same order; the padding, dilation and
+  // g == 0 slots the direct loop skips add w * 0 (see conv2d.hpp).
   const bool need_input = !grad_input.empty();  // see Layer::backward
-  if (need_input) grad_input.zero();
-  colr_.resize(ohw * patch);
-  gout_t_.resize(ohw * out_c_);
+  const TransposedConv tc = transposed_conv(g, out_c_);
+  const std::size_t tpatch = tc.geom.patch();
+  float* wflip = nullptr;
+  float* lifted = nullptr;
+  float* col_buf = nullptr;
+  if (need_input) {
+    wflip = grow(t_scratch.wflip, in_c_ * tpatch);
+    flip_kernel(out_c_, in_c_, k_ * k_, params_.data(), wflip);
+    if (tc.lifted) {
+      lifted = grow(t_scratch.lifted, out_c_ * tc.geom.h * tc.geom.w);
+    }
+    if (!tc.geom.patches_are_image()) {
+      col_buf = grow(t_scratch.col, tpatch * tc.geom.out_hw());
+    }
+  }
 
   const auto in = input.data();
   const auto gout = grad_output.data();
@@ -213,16 +263,29 @@ void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
     // gemm_tn accumulates the shared (position) dimension outermost and
     // ascending, and its skip-zero branch is exactly the direct loop's
     // g == 0 skip.
-    transpose(out_c_, ohw, gout_plane, gout_t_.data());
-    im2row_posmajor(g, image, colr_.data());
+    transpose(out_c_, ohw, gout_plane, gout_t);
+    im2row_posmajor(g, image, colr);
     tensor::gemm_tn(out_c_, ohw, patch,
-                    std::span<const float>{gout_t_.data(), ohw * out_c_},
-                    std::span<const float>{colr_.data(), ohw * patch}, grad_w,
+                    std::span<const float>{gout_t, ohw * out_c_},
+                    std::span<const float>{colr, ohw * patch}, grad_w,
                     /*beta=*/1.0f);
 
     if (need_input) {
-      backward_input_image(g, out_c_, gout_plane, weights.data(),
-                           grad_input.raw() + b * in_sz);
+      const float* plane = gout_plane;
+      if (tc.lifted) {
+        lift_gradient(g, tc, gout_plane, lifted);
+        plane = lifted;
+      }
+      const float* col = plane;
+      if (col_buf != nullptr) {
+        im2col_kmajor(tc.geom, plane, col_buf);
+        col = col_buf;
+      }
+      tensor::gemm_nn(in_c_, tpatch, tc.geom.out_hw(),
+                      std::span<const float>{wflip, in_c_ * tpatch},
+                      std::span<const float>{col, tpatch * tc.geom.out_hw()},
+                      std::span<float>{grad_input.raw() + b * in_sz, in_sz},
+                      /*beta=*/0.0f);
     }
   }
 }

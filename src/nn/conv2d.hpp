@@ -5,24 +5,26 @@
 // Two algorithms compute identical results:
 //   * kDirect — the seed seven-deep loop nest, retained as the reference
 //     (forward_direct / backward_direct).
-//   * kIm2col (default) — forward and the weight gradient are lowered to
-//     the blocked GEMM kernels over patch matrices whose k-dimension is
-//     ordered (ic, ky, kx), i.e. the direct loop's accumulation order; the
-//     input gradient runs the direct loop nest with hoisted bounds. A
-//     per-layer scratch arena holds the patch matrices, so steady-state
-//     batches allocate nothing.
+//   * kIm2col (default) — forward, the weight gradient and the input
+//     gradient are all lowered to the blocked GEMM kernels over patch
+//     matrices whose k-dimension is the direct loop's accumulation order:
+//     (ic, ky, kx) for forward and dW; for dX, the transposed convolution
+//     (flipped kernel over the output gradient, dilated by the stride)
+//     with patch index (oc, a, b), i.e. per input pixel the direct loop's
+//     (oc, oy, ox). Per-thread scratch, shared by every layer and model
+//     replica the thread runs, holds the patch matrices and the flipped
+//     kernel, so steady-state batches allocate nothing.
 //
 // Bit-identity contract: for inputs free of ±Inf/NaN where no parameter
 // or accumulator is an exact (signed) zero at a divergence point, im2col
 // results equal the direct loops bit for bit — the only op-sequence
-// differences are `acc += w * 0` terms for padding slots the direct loop
-// skips (exact for any nonzero finite accumulator) and the GEMM's
-// skip-zero-multiplier branch (a zero weight or gradient contributes not
-// even a sign flip). tests/test_conv_im2col.cpp enforces this bitwise on
-// fuzzed shapes, including zero-heavy gradients.
+// differences are `acc += w * 0` terms for padding, dilation and g == 0
+// slots the direct loop skips (exact for any nonzero finite accumulator,
+// and for the input gradient's, which starts at +0 and so can never
+// become -0) and the GEMM's skip-zero-multiplier branch (a zero weight or
+// gradient contributes not even a sign flip). tests/test_conv_im2col.cpp
+// enforces this bitwise on fuzzed shapes, including zero-heavy gradients.
 #pragma once
-
-#include <vector>
 
 #include "nn/im2col.hpp"
 #include "nn/layer.hpp"
@@ -75,14 +77,8 @@ class Conv2d final : public ParamLayer {
   std::size_t stride_;
   std::size_t pad_;
   Conv2dAlgo algo_ = Conv2dAlgo::kAuto;
-
-  // Per-layer scratch (each simulated node owns its model clone, so no
-  // cross-thread sharing): patch matrices and the transposed gradient
-  // plane, grown once and reused across batch images and rounds.
-  std::vector<float> col_;     // [patch x out_hw]   (forward)
-  std::vector<float> colr_;    // [out_hw x patch]   (backward dW)
-  std::vector<float> gout_t_;  // [out_hw x out_c]   (backward dW)
-  // ParamLayer::params_ holds the weights then the bias.
+  // ParamLayer::params_ holds the weights then the bias; the im2col
+  // path's scratch is per thread (conv2d.cpp).
 };
 
 }  // namespace skiptrain::nn

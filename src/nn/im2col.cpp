@@ -7,6 +7,23 @@ namespace skiptrain::nn {
 
 namespace {
 
+/// Clipped kernel-offset range for one output position: the ko in
+/// [lo, hi) with 0 <= base + ko < in_extent, where base = o*stride - pad.
+struct KernelRange {
+  std::size_t lo;
+  std::size_t hi;  // exclusive; lo >= hi means no valid offset
+};
+
+KernelRange clipped_kernel_range(std::size_t k, std::size_t in_extent,
+                                 std::ptrdiff_t base) {
+  const std::size_t lo =
+      base < 0 ? static_cast<std::size_t>(-base) : std::size_t{0};
+  const auto room = static_cast<std::size_t>(
+      std::max<std::ptrdiff_t>(0, static_cast<std::ptrdiff_t>(in_extent) -
+                                      base));
+  return {lo, std::min(k, room)};
+}
+
 /// Valid output-position range for kernel offset ko on an extent of
 /// `in_extent`: positions o with 0 <= o*stride + ko - pad < in_extent,
 /// clamped to [0, out_extent).

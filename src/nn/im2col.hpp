@@ -5,32 +5,17 @@
 // so running the lowered GEMM with the repo's order-preserving kernels
 // reproduces the direct convolution bitwise (see conv2d.hpp for the exact
 // contract). Out-of-bounds (padding) slots are stored as 0.0f.
+//
+// The same im2col_kmajor builds the input gradient's patches: run over
+// the output-gradient planes (out_c channels) with the flipped kernel, a
+// stride-1 convolution whose patch index is (oc, a, b) with a = k-1-ky,
+// b = k-1-kx — per input pixel, the direct backward loop's (oc, oy, ox)
+// order.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 
 namespace skiptrain::nn {
-
-/// Clipped kernel-offset range for one output position: the ko in
-/// [lo, hi) with 0 <= base + ko < in_extent, where base = o*stride - pad.
-/// Shared by the patch builders and the input-gradient kernel so the
-/// direct and lowered paths clip identically.
-struct KernelRange {
-  std::size_t lo;
-  std::size_t hi;  // exclusive; lo >= hi means no valid offset
-};
-
-[[nodiscard]] inline KernelRange clipped_kernel_range(std::size_t k,
-                                                      std::size_t in_extent,
-                                                      std::ptrdiff_t base) {
-  const std::size_t lo =
-      base < 0 ? static_cast<std::size_t>(-base) : std::size_t{0};
-  const auto room = static_cast<std::size_t>(
-      std::max<std::ptrdiff_t>(0, static_cast<std::ptrdiff_t>(in_extent) -
-                                      base));
-  return {lo, std::min(k, room)};
-}
 
 /// Geometry of one conv application on an h x w input image.
 struct ConvGeometry {
@@ -47,10 +32,15 @@ struct ConvGeometry {
   [[nodiscard]] std::size_t patch() const { return in_c * k * k; }
   /// Output positions per channel plane.
   [[nodiscard]] std::size_t out_hw() const { return oh * ow; }
+  /// A 1x1/stride-1/no-pad conv's patch matrix IS the input image.
+  [[nodiscard]] bool patches_are_image() const {
+    return k == 1 && stride == 1 && pad == 0;
+  }
 };
 
-/// col[κ][pos] (patch-major, [patch() x out_hw()]): the forward GEMM's B
-/// operand. Interior segments are copied contiguously; padding is zeroed.
+/// col[κ][pos] (patch-major, [patch() x out_hw()]): the B operand of the
+/// forward and input-gradient GEMMs. Interior segments are copied
+/// contiguously; padding is zeroed.
 void im2col_kmajor(const ConvGeometry& g, const float* image, float* col);
 
 /// colr[pos][κ] (position-major, [out_hw() x patch()]): the dW GEMM's B

@@ -5,8 +5,10 @@
 // gradients must all match bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "nn/conv2d.hpp"
@@ -81,9 +83,15 @@ void check_case(const ConvCase& cc, std::uint64_t seed,
   expect_bits_equal(lowered.gradients(), direct.gradients(), "grad_params");
 
   // Second backward without zero_grad: gradient accumulation (beta == 1
-  // into existing grads) must stay bit-identical too.
+  // into existing grads) must stay bit-identical too. A forward in between
+  // leaves the shared patch scratch holding forward data, and grad_input
+  // is NaN-poisoned, so every element must be rewritten from this call.
+  lowered.forward(input, out_b);
+  std::fill(gin_b.data().begin(), gin_b.data().end(),
+            std::numeric_limits<float>::quiet_NaN());
   direct.backward(input, gout, gin_a);
   lowered.backward(input, gout, gin_b);
+  expect_bits_equal(gin_b.data(), gin_a.data(), "grad_input accumulated");
   expect_bits_equal(lowered.gradients(), direct.gradients(),
                     "grad_params accumulated");
 }
@@ -111,6 +119,16 @@ TEST(ConvIm2col, UnitAndDegenerateDims) {
   check_case({3, 4, 6, 1, 1, 0, 8, 8}, 33, 0.3);  // pointwise, batch > 1
   check_case({1, 1, 2, 3, 1, 1, 1, 1}, 34, 0.0);  // input smaller than kernel
   check_case({1, 2, 1, 3, 2, 2, 2, 3}, 35, 0.5);
+}
+
+TEST(ConvIm2col, PaddingAtLeastKernel) {
+  // pad >= k: the input gradient's transposed conv crops the gradient
+  // plane instead of padding it negatively.
+  check_case({2, 2, 3, 1, 1, 1, 4, 5}, 41, 0.0);
+  check_case({1, 3, 2, 1, 1, 1, 1, 1}, 42, 0.5);
+  check_case({2, 2, 3, 3, 2, 3, 5, 6}, 43, 0.3);
+  check_case({1, 1, 2, 2, 3, 3, 4, 2}, 44, 0.0);
+  check_case({1, 2, 2, 1, 2, 2, 3, 3}, 45, 0.5);
 }
 
 TEST(ConvIm2col, FuzzedShapes) {

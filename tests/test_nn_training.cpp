@@ -295,6 +295,27 @@ TEST(Backward, CompactMlpStepMakesFiveGemmCalls) {
   EXPECT_EQ(after - before, 5u);
 }
 
+TEST(Backward, CifarCnnStepMakesNineteenGemmCalls) {
+  // Batch 2, one GEMM per image and pass: forward 3 convs x 2 + the
+  // Linear's gemm_nt; backward the Linear's dW and dX, then per image each
+  // conv's dW and conv2/conv3's dX (conv1's dX, the model-input gradient,
+  // is skipped): 7 + 2 + 2 x (3 + 2) = 19.
+  util::Rng rng(27);
+  Sequential model = make_cifar_cnn();
+  initialize(model, rng);
+  tensor::Tensor features({2, 3, 32, 32});
+  rng.fill_normal(features.data(), 0.0f, 1.0f);
+  const std::vector<std::int32_t> labels{3, 7};
+  SgdOptimizer opt({0.1f, 0.0f, 0.0f});
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t before = obs::snapshot().counter_value("gemm.calls");
+  train_epochs(model, opt, features, labels, 1);
+  const std::uint64_t after = obs::snapshot().counter_value("gemm.calls");
+  obs::set_enabled(was_enabled);
+  EXPECT_EQ(after - before, 19u);
+}
+
 TEST(Loss, GradientIsSoftmaxMinusOnehotOverBatch) {
   tensor::Tensor logits({2, 3});
   logits.at(0, 0) = 1.0f;
