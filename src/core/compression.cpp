@@ -2,59 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "util/rng.hpp"
 
 namespace skiptrain::core {
-
-SparseModel sparsify_topk(std::span<const float> params, std::size_t k) {
-  SparseModel message;
-  message.dim = params.size();
-  if (k == 0) return message;
-  k = std::min(k, params.size());
-
-  std::vector<std::uint32_t> order(params.size());
-  std::iota(order.begin(), order.end(), 0u);
-  // Partial selection by |value| descending, index ascending on ties.
-  std::nth_element(order.begin(), order.begin() + static_cast<long>(k - 1),
-                   order.end(), [&](std::uint32_t a, std::uint32_t b) {
-                     const float ma = std::abs(params[a]);
-                     const float mb = std::abs(params[b]);
-                     if (ma != mb) return ma > mb;
-                     return a < b;
-                   });
-  order.resize(k);
-  std::sort(order.begin(), order.end());
-
-  message.indices = std::move(order);
-  message.values.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    message.values[i] = params[message.indices[i]];
-  }
-  return message;
-}
-
-std::size_t effective_params(const SparseModel& message) {
-  return static_cast<std::size_t>(
-      std::llround(static_cast<double>(message.wire_bytes()) / 4.0));
-}
-
-void accumulate_sparse_difference(const SparseModel& message,
-                                  std::span<const float> base,
-                                  std::span<float> out, float weight) {
-  if (base.size() != message.dim || out.size() != message.dim) {
-    throw std::invalid_argument(
-        "accumulate_sparse_difference: dimension mismatch");
-  }
-  for (std::size_t i = 0; i < message.indices.size(); ++i) {
-    const std::uint32_t c = message.indices[i];
-    assert(c < message.dim);
-    out[c] += weight * (message.values[i] - base[c]);
-  }
-}
 
 std::vector<std::uint32_t> shared_round_mask(std::uint64_t seed,
                                              std::size_t round,
@@ -65,20 +17,6 @@ std::vector<std::uint32_t> shared_round_mask(std::uint64_t seed,
   std::vector<std::uint32_t> mask(picks.begin(), picks.end());
   std::sort(mask.begin(), mask.end());
   return mask;
-}
-
-void accumulate_masked_difference(std::span<const std::uint32_t> mask,
-                                  std::span<const float> theirs,
-                                  std::span<const float> base,
-                                  std::span<float> out, float weight) {
-  if (theirs.size() != base.size() || base.size() != out.size()) {
-    throw std::invalid_argument(
-        "accumulate_masked_difference: dimension mismatch");
-  }
-  for (const std::uint32_t c : mask) {
-    assert(c < base.size());
-    out[c] += weight * (theirs[c] - base[c]);
-  }
 }
 
 void gather_masked(std::span<const std::uint32_t> mask,

@@ -1,16 +1,17 @@
-// Sparsified model exchange (related-work axis, paper §6: Sparse-Push,
+// Masked sparse exchange (related-work axis, paper §6: Sparse-Push,
 // Alistarh et al., Dhasade et al. "Get More for Less").
 //
-// Instead of the full parameter vector, a node broadcasts only its top-k
-// coordinates by magnitude. A receiver treats the missing coordinates as
-// "no update from this neighbor" — i.e. it substitutes its own values —
-// which turns the Metropolis-Hastings aggregation into
+// Instead of the full parameter vector, every node shares only the k
+// coordinates of a round-shared random mask. A receiver treats the other
+// coordinates as "no update from this neighbor" — i.e. it keeps its own
+// values — which turns the Metropolis-Hastings aggregation into
 //
-//   x_i ← x_i + Σ_j W_ij · Σ_{c ∈ topk(x_j)} (x_j[c] − x_i[c]) e_c .
+//   x_i ← x_i + Σ_j W_ij · Σ_{c ∈ mask_t} (x_j[c] − x_i[c]) e_c .
 //
 // With k = dim this is exactly the dense aggregation; with k << dim the
-// wire volume drops to ~2k/dim of the dense exchange (index + value per
-// coordinate). The ablation bench measures the accuracy cost.
+// wire volume drops to k/dim of the dense exchange (every node derives
+// the mask from the seed, so no indices travel). bench/ablation_compression
+// measures the accuracy cost.
 #pragma once
 
 #include <cstdint>
@@ -18,44 +19,6 @@
 #include <vector>
 
 namespace skiptrain::core {
-
-/// A sparsified model message: parallel (coordinate, value) arrays sorted
-/// by coordinate, plus the dense dimension for validation.
-struct SparseModel {
-  std::vector<std::uint32_t> indices;
-  std::vector<float> values;
-  std::size_t dim = 0;
-
-  /// Wire bytes per transmitted value: 4 (float32, the default), 2 (fp16)
-  /// or ~1 (int8) when the message's values are additionally quantized by
-  /// an exchange codec (see quant/codec.hpp). Indices always cost 4 bytes.
-  std::size_t value_bytes = 4;
-
-  std::size_t nnz() const { return indices.size(); }
-
-  /// Bytes on the wire: 4 per index + value_bytes per value.
-  std::size_t wire_bytes() const { return nnz() * (4 + value_bytes); }
-};
-
-/// Selects the k largest-magnitude coordinates of `params` (all of them
-/// when k >= dim). Deterministic: magnitude ties resolve to the lower
-/// coordinate.
-[[nodiscard]] SparseModel sparsify_topk(std::span<const float> params,
-                                        std::size_t k);
-
-/// Effective parameter count for the energy model: the message's wire
-/// bytes expressed in 4-byte dense-parameter units (rounded to nearest —
-/// flooring would bill tiny messages at zero). With the default 4-byte
-/// values this is exactly 2k; with quantized values it shrinks to
-/// k·(4 + value_bytes)/4.
-[[nodiscard]] std::size_t effective_params(const SparseModel& message);
-
-/// Applies `weight * (message − base)` onto `out` at the message's
-/// coordinates: the incremental form of sparse aggregation derived above.
-/// `base` and `out` may alias.
-void accumulate_sparse_difference(const SparseModel& message,
-                                  std::span<const float> base,
-                                  std::span<float> out, float weight);
 
 /// Round-shared random coordinate mask: k distinct coordinates of [0, dim)
 /// drawn deterministically from (seed, round), identical across nodes.
@@ -70,21 +33,15 @@ void accumulate_sparse_difference(const SparseModel& message,
 [[nodiscard]] std::vector<std::uint32_t> shared_round_mask(
     std::uint64_t seed, std::size_t round, std::size_t dim, std::size_t k);
 
-/// Sparse aggregation over an explicit mask:
-/// out[c] += weight * (theirs[c] - base[c]) for every c in mask.
-void accumulate_masked_difference(std::span<const std::uint32_t> mask,
-                                  std::span<const float> theirs,
-                                  std::span<const float> base,
-                                  std::span<float> out, float weight);
-
 /// Gathers the mask coordinates of a dense plane row into a compact array:
 /// staged[i] = row[mask[i]]. staged.size() must equal mask.size().
 void gather_masked(std::span<const std::uint32_t> mask,
                    std::span<const float> row, std::span<float> staged);
 
-/// Staged form of accumulate_masked_difference: both parties' masked
-/// coordinates have been gathered (gather_masked) into compact pre-update
-/// snapshots, so the receiver can aggregate IN PLACE on its plane row —
+/// The masked aggregation above over staged operands: both parties'
+/// masked coordinates have been gathered (gather_masked) into compact
+/// pre-update snapshots, so the receiver can aggregate IN PLACE on its
+/// plane row —
 ///   out[mask[i]] += weight * (theirs_staged[i] - mine_staged[i]) —
 /// touching only k coordinates instead of copying the dense row first.
 /// `out` may alias the row `mine_staged` was gathered from.

@@ -38,7 +38,8 @@ class EnergyAccountant {
   void record_exchange(std::size_t node);
 
   /// Same, but for a compressed exchange whose wire volume corresponds to
-  /// `effective_params` dense parameters (see core::effective_params).
+  /// `effective_params` dense parameters (a masked exchange bills k/dim
+  /// of the model, rounded to nearest).
   void record_exchange(std::size_t node, std::size_t effective_params);
 
   /// What record_training(node) WOULD bill — the scenario engine quotes

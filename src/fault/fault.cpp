@@ -3,6 +3,7 @@
 #include <bit>
 #include <stdexcept>
 
+#include "fault/frame.hpp"
 #include "util/rng.hpp"
 
 namespace skiptrain::fault {
@@ -190,6 +191,27 @@ std::uint64_t corrupt_bit_index(std::uint64_t seed, std::uint64_t round,
       draw(seed, kBitTag, round, util::hash_combine(src, dst));
   auto index = static_cast<std::uint64_t>(u * static_cast<double>(bits));
   return index >= bits ? bits - 1 : index;
+}
+
+bool deliver(const FaultPlan& plan, std::uint64_t seed, std::uint64_t round,
+             std::uint64_t src, std::uint64_t dst,
+             std::span<const std::uint8_t> frame, FaultStats& stats) {
+  ++stats.attempted_deliveries;
+  const LinkDraw fate = link_draw(plan, seed, round, src, dst);
+  if (fate.drop) {
+    ++stats.dropped;
+    return false;
+  }
+  if (fate.duplicate) ++stats.duplicated;
+  // CRC32C detects every single-bit error, so a flipped frame cannot pass
+  // — but the receiver still runs the check rather than assume.
+  if (fate.corrupt &&
+      !verify_frame(frame, corrupt_bit_index(seed, round, src, dst,
+                                             frame.size()))) {
+    ++stats.corrupt;
+    return false;
+  }
+  return true;
 }
 
 }  // namespace skiptrain::fault

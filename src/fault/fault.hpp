@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace skiptrain::fault {
@@ -88,6 +89,15 @@ struct FaultStats {
   std::uint64_t corrupt = 0;               // rejected by CRC check
   std::uint64_t duplicated = 0;            // delivered twice, absorbed
   std::uint64_t crash_down_rounds = 0;     // node-rounds in crash outages
+
+  FaultStats& operator+=(const FaultStats& other) {
+    attempted_deliveries += other.attempted_deliveries;
+    dropped += other.dropped;
+    corrupt += other.corrupt;
+    duplicated += other.duplicated;
+    crash_down_rounds += other.crash_down_rounds;
+    return *this;
+  }
 };
 
 /// Parses the spec grammar above. "" and "none" yield a disabled plan.
@@ -134,5 +144,17 @@ struct LinkDraw {
                                               std::uint64_t src,
                                               std::uint64_t dst,
                                               std::uint64_t frame_bytes);
+
+/// Both engines' per-edge delivery of sender `src`'s round-`round` wire
+/// frame (fault/frame.hpp) to `dst`: draws the link's fate, tallies it
+/// into `stats`, and on a corrupt draw runs the receiver's CRC32C check
+/// over the frame as received (seed-derived bit flipped, checked in
+/// place). True when the receiver accepts the frame; a duplicate is only
+/// counted, since receivers aggregate each (sender, round) image once.
+[[nodiscard]] bool deliver(const FaultPlan& plan, std::uint64_t seed,
+                           std::uint64_t round, std::uint64_t src,
+                           std::uint64_t dst,
+                           std::span<const std::uint8_t> frame,
+                           FaultStats& stats);
 
 }  // namespace skiptrain::fault

@@ -1,5 +1,6 @@
 #include "fault/frame.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "fault/crc32c.hpp"
@@ -79,12 +80,35 @@ void encode_frame(const quant::QuantizedRow& row,
 }
 
 bool verify_frame(std::span<const std::uint8_t> frame) {
+  return verify_frame(frame, frame.size() * 8);
+}
+
+bool verify_frame(std::span<const std::uint8_t> frame,
+                  std::uint64_t flipped_bit) {
   if (frame.size() < kFrameHeaderBytes) return false;
+  // Byte `at` arrives XORed with `mask`; at == size means no flip.
+  const std::size_t at = std::min<std::uint64_t>(flipped_bit / 8, frame.size());
+  const auto mask = static_cast<std::uint8_t>(1U << (flipped_bit % 8));
+  const auto received = [&](std::size_t i) {
+    return static_cast<std::uint8_t>(i == at ? frame[i] ^ mask : frame[i]);
+  };
+  std::uint8_t head[kFrameHeaderBytes];
+  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) head[i] = received(i);
   std::uint32_t header[3];
-  std::memcpy(header, frame.data(), sizeof(header));
+  std::memcpy(header, head, sizeof(header));
   if (header[0] != kFrameMagic) return false;
   if (frame.size() - kFrameHeaderBytes != header[1]) return false;
-  return crc32c(frame.data() + kFrameHeaderBytes, header[1]) == header[2];
+  // Payload CRC in three runs: up to the cut, the received byte there,
+  // and the rest.
+  const std::size_t cut = std::max(at, kFrameHeaderBytes);
+  std::uint32_t crc = crc32c_update(
+      kCrc32cInit, frame.data() + kFrameHeaderBytes, cut - kFrameHeaderBytes);
+  if (cut < frame.size()) {
+    const std::uint8_t byte = received(cut);
+    crc = crc32c_update(crc, &byte, 1);
+    crc = crc32c_update(crc, frame.data() + cut + 1, frame.size() - cut - 1);
+  }
+  return crc32c_finish(crc) == header[2];
 }
 
 bool decode_frame(std::span<const std::uint8_t> frame, std::size_t max_dim,

@@ -49,6 +49,12 @@ void encode_frame(const quant::QuantizedRow& row,
 /// Header + CRC check only (no deserialization).
 [[nodiscard]] bool verify_frame(std::span<const std::uint8_t> frame);
 
+/// The same check over `frame` as received with bit `flipped_bit`
+/// (frame-wide, 0-based; out of range = no flip) inverted in flight —
+/// what verify_frame returns after flip_bit, computed in place.
+[[nodiscard]] bool verify_frame(std::span<const std::uint8_t> frame,
+                                std::uint64_t flipped_bit);
+
 /// Flips bit `bit_index` (frame-wide, 0-based) in place.
 void flip_bit(std::span<std::uint8_t> frame, std::uint64_t bit_index);
 

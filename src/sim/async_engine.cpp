@@ -41,15 +41,13 @@ AsyncGossipEngine::AsyncGossipEngine(const nn::Sequential& prototype,
   const std::size_t dim = prototype.num_parameters();
   models_ = plane::RowArena(n, dim);
   outbox_ = plane::RowArena(n, dim);
-  if (config_.exchange_codec != quant::Codec::kIdentity) {
+  config_.faults.validate();
+  row_wire_bytes_ = quant::exact_row_wire_bytes(config_.exchange_codec, dim);
+  if (config_.exchange_codec != quant::Codec::kIdentity ||
+      config_.faults.link_faults()) {
     codec_ = quant::make_codec(config_.exchange_codec, config_.seed);
   }
-  row_wire_bytes_ = quant::exact_row_wire_bytes(config_.exchange_codec, dim);
-  config_.faults.validate();
   if (config_.faults.link_faults()) {
-    if (codec_ == nullptr) {
-      fault_codec_ = quant::make_codec(quant::Codec::kIdentity, config_.seed);
-    }
     row_wire_bytes_ += fault::kFrameOverheadBytes;
   }
   nodes_.reserve(n);
@@ -168,15 +166,7 @@ void AsyncGossipEngine::save_state(ckpt::ImageWriter& writer) const {
   // scenario-free image layout is unchanged, and the aux_bits identity
   // check guarantees reader and writer agree on this section's presence.
   if (scenario_ != nullptr) scenario_->save_state(writer);
-  // Fault tallies are simulation state (the counts feed the summary CSV);
-  // the draws themselves are stateless and need nothing here.
-  if (config_.faults.enabled) {
-    writer.u64(fault_stats_.attempted_deliveries);
-    writer.u64(fault_stats_.dropped);
-    writer.u64(fault_stats_.corrupt);
-    writer.u64(fault_stats_.duplicated);
-    writer.u64(fault_stats_.crash_down_rounds);
-  }
+  if (config_.faults.enabled) detail::write_fault_stats(writer, fault_stats_);
 }
 
 void AsyncGossipEngine::restore_state(ckpt::ImageReader& reader) {
@@ -228,13 +218,7 @@ void AsyncGossipEngine::restore_state(ckpt::ImageReader& reader) {
   }
   for (auto& node : nodes_) detail::read_node_state(reader, *node);
   if (scenario_ != nullptr) scenario_->restore_state(reader);
-  if (config_.faults.enabled) {
-    fault_stats_.attempted_deliveries = reader.u64();
-    fault_stats_.dropped = reader.u64();
-    fault_stats_.corrupt = reader.u64();
-    fault_stats_.duplicated = reader.u64();
-    fault_stats_.crash_down_rounds = reader.u64();
-  }
+  if (config_.faults.enabled) detail::read_fault_stats(reader, fault_stats_);
 
   activations_ = static_cast<std::size_t>(activations);
   trainings_ = static_cast<std::size_t>(trainings);
@@ -328,14 +312,17 @@ void AsyncGossipEngine::activate(std::size_t node) {
 
   // 4. Push the merged model: ONE copy into this node's outbox row, then
   // flag the delivery at every neighbor (they read the row on merge).
-  // With a codec, the outbox carries the encoded payload and the row
-  // holds its decode — the staging-boundary image all receivers merge.
+  // A lossy codec's outbox row holds the decode of the encoded payload —
+  // the wire image all receivers merge.
   accountant_.record_exchange(node);
   wire_bytes_ += row_wire_bytes_;
   {
     static const obs::Counter wire = obs::counter("wire.bytes");
     wire.add(row_wire_bytes_);
   }
+  const bool lossy = config_.exchange_codec != quant::Codec::kIdentity;
+  const bool link_active = config_.faults.link_faults();
+  if (!lossy) tensor::copy(mine, outbox_.row(node));
   if (codec_ != nullptr) {
     // The event loop is serial, so the per-sender round id is stable: use
     // the node's local round as the dither stream.
@@ -343,57 +330,25 @@ void AsyncGossipEngine::activate(std::size_t node) {
     phase_start = obs::now_ns();
     codec_->begin_round(t);
     codec_->encode(mine, wire_scratch_);
-    codec_->decode(wire_scratch_, outbox_.row(node));
+    if (lossy) codec_->decode(wire_scratch_, outbox_.row(node));
+    // One frame per push; every directed link draws its fate against it.
+    if (link_active) fault::encode_frame(wire_scratch_, frame_scratch_);
     obs::note_phase(phase_stats_, obs::Phase::kEncode, phase_start);
     phase_start = obs::now_ns();
-  } else {
-    tensor::copy(mine, outbox_.row(node));
-  }
-  const bool link_active = config_.faults.link_faults();
-  if (link_active) {
-    // Frame the pushed payload once; every directed link draws its fate
-    // against this frame. Without an exchange codec the identity fallback
-    // packs the float32 row (decode is bit-exact, so receivers keep
-    // merging the outbox row directly).
-    if (codec_ == nullptr) {
-      fault_codec_->begin_round(t);
-      fault_codec_->encode(mine, wire_scratch_);
-    }
-    fault::encode_frame(wire_scratch_, frame_scratch_);
   }
   for (const std::size_t peer : neighbors) {
+    // A duplicate lands in the mailbox slot the first copy already
+    // flagged — absorbed by construction, only counted.
+    if (link_active &&
+        !fault::deliver(config_.faults, config_.seed, t, node, peer,
+                        frame_scratch_, fault_stats_)) {
+      continue;
+    }
     // Find this node's slot at the peer (neighbor lists are sorted).
     const auto& peer_neighbors = topology_.neighbors(peer);
     const auto it = std::lower_bound(peer_neighbors.begin(),
                                      peer_neighbors.end(), node);
-    const auto slot =
-        static_cast<std::size_t>(it - peer_neighbors.begin());
-    if (link_active) {
-      ++fault_stats_.attempted_deliveries;
-      const fault::LinkDraw draw =
-          fault::link_draw(config_.faults, config_.seed, t, node, peer);
-      if (draw.drop) {
-        ++fault_stats_.dropped;
-        continue;
-      }
-      // A duplicate lands in the mailbox slot the first copy already
-      // flagged — absorbed by construction, only counted.
-      if (draw.duplicate) ++fault_stats_.duplicated;
-      if (draw.corrupt) {
-        // In-flight bit flip on this receiver's copy; CRC32C detects
-        // every single-bit error, so the check cannot pass — but the
-        // receiver still runs it rather than assume.
-        std::vector<std::uint8_t> tampered(frame_scratch_);
-        fault::flip_bit(tampered,
-                        fault::corrupt_bit_index(config_.seed, t, node, peer,
-                                                 tampered.size()));
-        if (!fault::verify_frame(tampered)) {
-          ++fault_stats_.corrupt;
-          continue;
-        }
-      }
-    }
-    fresh_[peer][slot] = 1;
+    fresh_[peer][static_cast<std::size_t>(it - peer_neighbors.begin())] = 1;
   }
   obs::note_phase(phase_stats_, obs::Phase::kGossip, phase_start);
 

@@ -185,20 +185,17 @@ class AsyncGossipEngine {
   plane::RowArena outbox_;
   std::vector<std::vector<char>> fresh_;
 
-  // Quantized pushes (non-identity codec only): a push encodes the model
-  // into the wire payload and materializes its decode into the sender's
-  // outbox row, so every receiver merges the identical decoded image
-  // without re-running the codec. The event loop is serial and nothing
-  // reads a payload after its decode, so ONE scratch buffer serves every
-  // sender (per-sender payloads would hold ~n·dim dead wire bytes).
+  // The wire codec: the configured codec, or the identity codec when link
+  // faults alone need pushes in QuantizedRow form for framing; null on the
+  // float32 fast path. A push encodes the model into wire_scratch_; a
+  // lossy codec materializes its decode into the sender's outbox row, so
+  // every receiver merges the identical decoded image without re-running
+  // the codec, and frame_scratch_ holds the payload's CRC32C frame under
+  // link faults. The event loop is serial and nothing reads a payload
+  // after the push, so ONE scratch pair serves every sender (per-sender
+  // payloads would hold ~n·dim dead wire bytes).
   std::unique_ptr<quant::RowCodec> codec_;
   quant::QuantizedRow wire_scratch_;
-
-  // Fault-plan wire staging (link faults only): the identity fallback
-  // codec packs float32 pushes into wire_scratch_ when no exchange codec
-  // is configured, and frame_scratch_ holds the pushed payload's CRC32C
-  // frame (the event loop is serial, so one buffer serves every sender).
-  std::unique_ptr<quant::RowCodec> fault_codec_;
   std::vector<std::uint8_t> frame_scratch_;
   fault::FaultStats fault_stats_;
 

@@ -35,14 +35,29 @@ RoundEngine::RoundEngine(const nn::Sequential& prototype,
     throw std::invalid_argument("RoundEngine: accountant size != nodes");
   }
 
-  if (config_.exchange_codec != quant::Codec::kIdentity) {
+  // Exchange staging. Each exchange ships a dense row or, masked, the k
+  // staged values; row_wire_bytes_ is its exact footprint at the SIMULATED
+  // dim (the energy bill stays on the paper's model size; this tally is
+  // what the codec actually ships).
+  config_.faults.validate();
+  const bool lossy = config_.exchange_codec != quant::Codec::kIdentity;
+  const bool link_active = config_.faults.link_faults();
+  const std::size_t stage_dim =
+      config_.sparse_exchange_k == 0 ? plane_.dim() : staged_.dim();
+  row_wire_bytes_ =
+      quant::exact_row_wire_bytes(config_.exchange_codec, stage_dim);
+  if (lossy || link_active) {
+    // Without an exchange codec, framing still needs rows in QuantizedRow
+    // form: the identity codec packs them, and since its decode is
+    // bit-exact, receivers keep reading the staged rows themselves.
     codec_ = quant::make_codec(config_.exchange_codec, config_.seed);
     wire_rows_.resize(n);
-    if (config_.sparse_exchange_k == 0) {
-      decoded_ = plane::RowArena(n, plane_.dim());
-    } else {
-      staged_decoded_ = plane::RowArena(staged_.rows(), staged_.dim());
-    }
+  }
+  if (lossy) decoded_ = plane::RowArena(n, stage_dim);
+  if (link_active) {
+    frames_.resize(n);
+    link_stats_.resize(n);
+    row_wire_bytes_ += fault::kFrameOverheadBytes;
   }
 
   const nn::SgdOptions sgd{config_.learning_rate, 0.0f, 0.0f};
@@ -56,29 +71,6 @@ RoundEngine::RoundEngine(const nn::Sequential& prototype,
   }
   train_flags_.assign(n, 0);
   local_losses_.assign(n, 0.0);
-
-  // Exact per-exchange wire footprint of one row at the SIMULATED dim
-  // (the energy bill stays on the paper's model size; this tally is what
-  // the codec actually ships). Masked exchanges ship the k staged values.
-  row_wire_bytes_ = quant::exact_row_wire_bytes(
-      config_.exchange_codec,
-      config_.sparse_exchange_k == 0 ? plane_.dim() : staged_.dim());
-
-  config_.faults.validate();
-  if (config_.faults.link_faults()) {
-    // Framed exchanges: every row ships as a CRC32C frame. The identity
-    // fallback codec exists only to pack float32 rows into QuantizedRow
-    // form for framing — its decode is bit-exact, so receivers consume
-    // the plane/staging rows directly and the no-codec values are
-    // untouched.
-    if (codec_ == nullptr) {
-      fault_codec_ = quant::make_codec(quant::Codec::kIdentity, config_.seed);
-      wire_rows_.resize(n);
-    }
-    frames_.resize(n);
-    link_tally_.resize(n);
-    row_wire_bytes_ += fault::kFrameOverheadBytes;
-  }
 
   if (config_.scenario.enabled) {
     // Battery/harvest magnitudes scale from each node's own per-round
@@ -191,261 +183,120 @@ RoundEngine::RoundOutcome RoundEngine::run_round() {
   });
   obs::note_phase(phase_stats_, obs::Phase::kTrain, phase_start);
 
-  // Phase 3+4 — exchange & aggregate.
-  if (config_.sparse_exchange_k == 0) {
-    if (link_active) {
-      // Lossy dense gossip: every row crosses the wire as a CRC32C frame
-      // and every directed link draws its fate independently, so the
-      // difference form runs unconditionally — per delivered frame,
-      //   x_i^t += W_ij (x̂_j^{t-1/2} - x_i^{t-1/2}),
-      // and a dropped or CRC-rejected frame simply contributes nothing
-      // (its weight mass reverts to self, rows still sum to 1). The
-      // framed payload is a lossless serialization of the encoded row,
-      // so delivered values are read from the once-per-sender decode
-      // (identity codec: the plane row itself) — bit-identical to
-      // decoding the frame, without per-link decode work.
-      phase_start = obs::now_ns();
-      quant::RowCodec& enc = codec_ != nullptr ? *codec_ : *fault_codec_;
-      enc.begin_round(t);
-      const plane::ConstMatrixView current = plane_.current().view();
-      util::parallel_for(0, n, [&](std::size_t j) {
-        link_tally_[j] = LinkTally{};
-        if (any_down && !alive_flags_[j]) return;
-        enc.encode(current.row(j), wire_rows_[j]);
-        if (codec_ != nullptr) codec_->decode(wire_rows_[j], decoded_.row(j));
-        fault::encode_frame(wire_rows_[j], frames_[j]);
-      });
-      obs::note_phase(phase_stats_, obs::Phase::kEncode, phase_start);
-      phase_start = obs::now_ns();
-      util::parallel_for(0, n, [&](std::size_t i) {
-        const auto mine = current.row(i);
-        const auto out = plane_.back().row(i);
-        tensor::copy(mine, out);
-        if (any_down && !alive_flags_[i]) return;
-        LinkTally& tally = link_tally_[i];
-        for (const auto& entry : mixing_.neighbor_weights(i)) {
-          const std::size_t j = entry.neighbor;
-          if (any_down && !alive_flags_[j]) continue;
-          ++tally.attempted;
-          const fault::LinkDraw draw =
-              fault::link_draw(config_.faults, config_.seed, t, j, i);
-          if (draw.drop) {
-            ++tally.dropped;
-            continue;
-          }
-          if (draw.duplicate) ++tally.duplicated;  // absorbed: see below
-          if (draw.corrupt) {
-            // In-flight bit flip on this receiver's copy of the frame.
-            // CRC32C detects every single-bit error, so the check cannot
-            // pass — but the receiver still runs it rather than assume.
-            std::vector<std::uint8_t> tampered(frames_[j]);
-            fault::flip_bit(tampered,
-                            fault::corrupt_bit_index(config_.seed, t, j, i,
-                                                     tampered.size()));
-            if (!fault::verify_frame(tampered)) {
-              ++tally.corrupt;
-              continue;
-            }
-          }
-          // Duplicates deliver the identical round-t frame twice; the
-          // receiver aggregates each (sender, round) image once, so the
-          // second copy changes nothing and is only counted.
-          const auto theirs =
-              codec_ != nullptr ? decoded_.row(j) : current.row(j);
-          const float w = entry.weight;
-          for (std::size_t k = 0; k < out.size(); ++k) {
-            out[k] += w * (theirs[k] - mine[k]);
-          }
-        }
-      });
-      plane_.flip();
-    } else if (any_down) {
-      // Churn-masked dense aggregation in difference form:
-      //   x_i^t = x_i^{t-1/2} + Σ_{alive j ∈ N(i)} W_ij (x_j^{t-1/2} - x_i^{t-1/2})
-      // A dead neighbor's weight mass reverts to x_i (lazy self-loop
-      // renormalization, rows still sum to 1), a dead node's own row is
-      // carried verbatim, and the self term is exact by construction —
-      // codecs only ever supply NEIGHBOR images, so no post-hoc self
-      // correction is needed. Writes go to back(), then one flip.
-      if (codec_ != nullptr) {
-        phase_start = obs::now_ns();
-        codec_->begin_round(t);
-        util::parallel_for(0, n, [&](std::size_t i) {
-          if (!alive_flags_[i]) return;
-          codec_->encode(plane_.current().row(i), wire_rows_[i]);
-          codec_->decode(wire_rows_[i], decoded_.row(i));
-        });
-        obs::note_phase(phase_stats_, obs::Phase::kEncode, phase_start);
+  // Phase 3+4 — exchange & aggregate: stage → encode → deliver → aggregate.
+  const bool sparse = config_.sparse_exchange_k != 0;
+  const bool lossy = config_.exchange_codec != quant::Codec::kIdentity;
+  const auto up = [&](std::size_t i) { return !any_down || alive_flags_[i]; };
+
+  // Stage: what each sender ships. Masked exchanges gather the k
+  // coordinates of a mask every node derives from the shared seed, so
+  // receivers can update in place while reading only pre-update values.
+  phase_start = obs::now_ns();
+  if (sparse) {
+    round_mask_ = core::shared_round_mask(config_.seed, t, dim,
+                                          config_.sparse_exchange_k);
+    plane::gather_masked_rows(plane_.current().view(), round_mask_,
+                              staged_.view());
+  }
+  const plane::ConstMatrixView sent =
+      sparse ? staged_.view() : plane_.current().view();
+
+  // Encode: once per up sender. Receivers consume the decoded wire image
+  // x̂_j of a lossy codec; a frame is a lossless serialization of the
+  // encoded row, so reading the once-per-sender decode (identity: the
+  // staged row itself) is bit-identical to decoding each delivered frame.
+  plane::ConstMatrixView received = sent;
+  if (codec_ != nullptr) {
+    obs::note_phase(phase_stats_, obs::Phase::kGossip, phase_start);
+    phase_start = obs::now_ns();
+    codec_->begin_round(t);
+    util::parallel_for(0, n, [&](std::size_t j) {
+      if (!up(j)) return;
+      codec_->encode(sent.row(j), wire_rows_[j]);
+      if (lossy) codec_->decode(wire_rows_[j], decoded_.row(j));
+      if (link_active) fault::encode_frame(wire_rows_[j], frames_[j]);
+    });
+    if (lossy) received = decoded_.view();
+    obs::note_phase(phase_stats_, obs::Phase::kEncode, phase_start);
+    phase_start = obs::now_ns();
+  }
+
+  // Deliver: edge j → i carries j's image iff j is up and, under link
+  // faults, its frame survives the draw and the CRC check. Tallies are
+  // per RECEIVER (disjoint parallel writes), folded serially below.
+  std::fill(link_stats_.begin(), link_stats_.end(), fault::FaultStats{});
+  const auto delivered = [&](std::size_t j, std::size_t i) {
+    return up(j) &&
+           (!link_active || fault::deliver(config_.faults, config_.seed, t,
+                                           j, i, frames_[j], link_stats_[i]));
+  };
+
+  // Aggregate. Every form computes
+  //   x_i^t = x_i^{t-1/2} + Σ_{delivered j} W_ij (x̂_j^{t-1/2} - x_i^{t-1/2})
+  // with a down node's row carried verbatim and an undelivered neighbor's
+  // weight mass left on x_i (rows still sum to 1). A node's own values
+  // never cross the wire, so its self term stays exact.
+  if (sparse) {
+    // Masked: only the k masked coordinates of a row change, in place.
+    util::parallel_for(0, n, [&](std::size_t i) {
+      if (!up(i)) return;
+      const auto row = plane_.current().row(i);
+      const auto mine = staged_.row(i);
+      for (const auto& entry : mixing_.neighbor_weights(i)) {
+        if (!delivered(entry.neighbor, i)) continue;
+        core::accumulate_staged_difference(round_mask_,
+                                           received.row(entry.neighbor), mine,
+                                           row, entry.weight);
       }
-      phase_start = obs::now_ns();
-      const plane::ConstMatrixView current = plane_.current().view();
-      util::parallel_for(0, n, [&](std::size_t i) {
-        const auto mine = current.row(i);
-        const auto out = plane_.back().row(i);
-        tensor::copy(mine, out);
-        if (!alive_flags_[i]) return;
-        for (const auto& entry : mixing_.neighbor_weights(i)) {
-          if (!alive_flags_[entry.neighbor]) continue;
-          const auto theirs = codec_ != nullptr
-                                  ? decoded_.row(entry.neighbor)
-                                  : current.row(entry.neighbor);
-          const float w = entry.weight;
-          for (std::size_t k = 0; k < out.size(); ++k) {
-            out[k] += w * (theirs[k] - mine[k]);
-          }
+    });
+  } else if (link_active || any_down) {
+    // Dense difference form into back(), whenever an edge can be lost:
+    // lossy links take it every round, even when every edge delivered.
+    const plane::ConstMatrixView current = plane_.current().view();
+    util::parallel_for(0, n, [&](std::size_t i) {
+      const auto mine = current.row(i);
+      const auto out = plane_.back().row(i);
+      tensor::copy(mine, out);
+      if (!up(i)) return;
+      for (const auto& entry : mixing_.neighbor_weights(i)) {
+        if (!delivered(entry.neighbor, i)) continue;
+        const auto theirs = received.row(entry.neighbor);
+        const float w = entry.weight;
+        for (std::size_t k = 0; k < out.size(); ++k) {
+          out[k] += w * (theirs[k] - mine[k]);
         }
-      });
-      plane_.flip();
-    } else if (codec_ == nullptr) {
-      // Dense: one blocked kernel current() → back(), then flip; reads
-      // touch only x^{t-1/2}, writes only x^t.
-      phase_start = obs::now_ns();
-      plane::apply_mixing(mixing_, plane_);
-    } else {
-      // Dense quantized: every row crosses the wire encoded, so receivers
-      // mix the DECODED image x̂_j, not x_j. Encode+decode per sender
-      // (parallel; codecs are stateless per row), then run the blocked
-      // kernel over the decoded staging plane:
-      //   x_i^t = W_ii x_i^{t-1/2} + Σ_{j≠i} W_ij x̂_j^{t-1/2}.
-      phase_start = obs::now_ns();
-      codec_->begin_round(t);
-      util::parallel_for(0, n, [&](std::size_t i) {
-        codec_->encode(plane_.current().row(i), wire_rows_[i]);
-        codec_->decode(wire_rows_[i], decoded_.row(i));
-      });
-      obs::note_phase(phase_stats_, obs::Phase::kEncode, phase_start);
-      phase_start = obs::now_ns();
-      plane::apply_mixing_from(mixing_, decoded_.view(), plane_);
-      // The kernel billed the self contribution at x̂_i, but a node's own
-      // model never crosses the wire — restore the exact self term. After
-      // the flip, back() still holds the pre-exchange x^{t-1/2}.
+      }
+    });
+    plane_.flip();
+  } else {
+    // Full delivery: one blocked (dense mixing) or row-sharded (sparse
+    // topology) kernel current() → back(), then flip:
+    //   x_i^t = W_ii x̂_i^{t-1/2} + Σ_{j≠i} W_ij x̂_j^{t-1/2}.
+    plane::apply_mixing_from(mixing_, received, plane_);
+    if (lossy) {
+      // The kernel billed the self contribution at x̂_i; restore the exact
+      // self term. After the flip, back() still holds x^{t-1/2}.
       const plane::ConstMatrixView exact = plane_.back().view();
       util::parallel_for(0, n, [&](std::size_t i) {
         const float self_w = mixing_.self_weight(i);
         const auto mine = exact.row(i);
-        const auto approx = decoded_.row(i);
+        const auto approx = received.row(i);
         const auto out = plane_.current().row(i);
         for (std::size_t k = 0; k < out.size(); ++k) {
           out[k] += self_w * (mine[k] - approx[k]);
         }
       });
     }
+  }
+  if (!sparse) {
     // The flip moved x^t to the other buffer; repoint every model's layer
     // views at its new row (pointer swap, no copies).
     for (std::size_t i = 0; i < n; ++i) {
       nodes_[i]->model().attach_parameter_arena(plane_.current().row(i));
     }
-    obs::note_phase(phase_stats_, obs::Phase::kGossip, phase_start);
-  } else {
-    // Sparse: all nodes exchange the same k random coordinates this round
-    // (mask derived from the shared seed). Since W rows sum to 1:
-    //   x_i^t = x_i^{t-1/2} + Σ_j W_ij Σ_{c ∈ mask_t} (x_j[c] - x_i[c]) e_c.
-    // Stage the masked coordinates of every row, then update rows in place
-    // — only k coordinates per node change, so no dense copy is needed.
-    phase_start = obs::now_ns();
-    round_mask_ = core::shared_round_mask(config_.seed, t, dim,
-                                          config_.sparse_exchange_k);
-    plane::gather_masked_rows(plane_.current().view(), round_mask_,
-                              staged_.view());
-    obs::note_phase(phase_stats_, obs::Phase::kGossip, phase_start);
-    if (link_active) {
-      // Lossy sparse gossip: the k staged values are framed per sender,
-      // then each directed link draws drop/corrupt/dup exactly as in the
-      // dense path; the staged difference form already skips absent
-      // contributions, so a lost frame needs no special handling.
-      phase_start = obs::now_ns();
-      quant::RowCodec& enc = codec_ != nullptr ? *codec_ : *fault_codec_;
-      enc.begin_round(t);
-      util::parallel_for(0, n, [&](std::size_t j) {
-        link_tally_[j] = LinkTally{};
-        if (any_down && !alive_flags_[j]) return;
-        enc.encode(staged_.row(j), wire_rows_[j]);
-        if (codec_ != nullptr) {
-          codec_->decode(wire_rows_[j], staged_decoded_.row(j));
-        }
-        fault::encode_frame(wire_rows_[j], frames_[j]);
-      });
-      obs::note_phase(phase_stats_, obs::Phase::kEncode, phase_start);
-      phase_start = obs::now_ns();
-      const plane::RowArena& theirs_pool =
-          codec_ != nullptr ? staged_decoded_ : staged_;
-      util::parallel_for(0, n, [&](std::size_t i) {
-        if (any_down && !alive_flags_[i]) return;
-        const auto row = plane_.current().row(i);
-        const auto mine_staged = staged_.row(i);
-        LinkTally& tally = link_tally_[i];
-        for (const auto& entry : mixing_.neighbor_weights(i)) {
-          const std::size_t j = entry.neighbor;
-          if (any_down && !alive_flags_[j]) continue;
-          ++tally.attempted;
-          const fault::LinkDraw draw =
-              fault::link_draw(config_.faults, config_.seed, t, j, i);
-          if (draw.drop) {
-            ++tally.dropped;
-            continue;
-          }
-          if (draw.duplicate) ++tally.duplicated;
-          if (draw.corrupt) {
-            std::vector<std::uint8_t> tampered(frames_[j]);
-            fault::flip_bit(tampered,
-                            fault::corrupt_bit_index(config_.seed, t, j, i,
-                                                     tampered.size()));
-            if (!fault::verify_frame(tampered)) {
-              ++tally.corrupt;
-              continue;
-            }
-          }
-          core::accumulate_staged_difference(round_mask_, theirs_pool.row(j),
-                                             mine_staged, row, entry.weight);
-        }
-      });
-      obs::note_phase(phase_stats_, obs::Phase::kGossip, phase_start);
-    } else {
-      if (codec_ != nullptr) {
-        // Sparse+quant composition: the k masked values are what crosses
-        // the wire, so they are what gets encoded. Receivers read the
-        // decoded image of a neighbor's staged values but keep their OWN
-        // values exact (a node never quantizes against itself).
-        phase_start = obs::now_ns();
-        codec_->begin_round(t);
-        util::parallel_for(0, n, [&](std::size_t i) {
-          if (any_down && !alive_flags_[i]) return;
-          codec_->encode(staged_.row(i), wire_rows_[i]);
-          codec_->decode(wire_rows_[i], staged_decoded_.row(i));
-        });
-        obs::note_phase(phase_stats_, obs::Phase::kEncode, phase_start);
-      }
-      phase_start = obs::now_ns();
-      const plane::RowArena& theirs_pool =
-          codec_ != nullptr ? staged_decoded_ : staged_;
-      util::parallel_for(0, n, [&](std::size_t i) {
-        // Churn mask: a down node neither sends nor receives, and dead
-        // neighbors drop out of the sum — the difference form keeps the
-        // row normalized (skipped mass stays on x_i) with no extra work.
-        if (any_down && !alive_flags_[i]) return;
-        const auto row = plane_.current().row(i);
-        const auto mine_staged = staged_.row(i);
-        for (const auto& entry : mixing_.neighbor_weights(i)) {
-          if (any_down && !alive_flags_[entry.neighbor]) continue;
-          core::accumulate_staged_difference(round_mask_,
-                                             theirs_pool.row(entry.neighbor),
-                                             mine_staged, row, entry.weight);
-        }
-      });
-      obs::note_phase(phase_stats_, obs::Phase::kGossip, phase_start);
-    }
   }
-
-  if (link_active) {
-    // Per-receiver tallies were written disjointly in parallel; fold them
-    // into the lifetime stats serially so the totals are order-free.
-    for (const LinkTally& tally : link_tally_) {
-      fault_stats_.attempted_deliveries += tally.attempted;
-      fault_stats_.dropped += tally.dropped;
-      fault_stats_.corrupt += tally.corrupt;
-      fault_stats_.duplicated += tally.duplicated;
-    }
-  }
+  obs::note_phase(phase_stats_, obs::Phase::kGossip, phase_start);
+  for (const fault::FaultStats& stats : link_stats_) fault_stats_ += stats;
 
   double loss_sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -508,17 +359,7 @@ void RoundEngine::save_state(ckpt::ImageWriter& writer) const {
   // unchanged; the aux_bits identity check above guarantees a reader only
   // expects this section when the writer produced it.
   if (scenario_ != nullptr) scenario_->save_state(writer);
-  // Fault tallies are simulation state (they feed the summary CSV), so a
-  // resumed run must carry them forward; the draws themselves are
-  // stateless and need nothing here. Gated on the plan (which is part of
-  // the aux_bits identity), so fault-free images are unchanged.
-  if (config_.faults.enabled) {
-    writer.u64(fault_stats_.attempted_deliveries);
-    writer.u64(fault_stats_.dropped);
-    writer.u64(fault_stats_.corrupt);
-    writer.u64(fault_stats_.duplicated);
-    writer.u64(fault_stats_.crash_down_rounds);
-  }
+  if (config_.faults.enabled) detail::write_fault_stats(writer, fault_stats_);
 }
 
 void RoundEngine::restore_state(ckpt::ImageReader& reader) {
@@ -529,13 +370,7 @@ void RoundEngine::restore_state(ckpt::ImageReader& reader) {
   reader.f32_blob(plane_.current().view().flat());
   for (auto& node : nodes_) detail::read_node_state(reader, *node);
   if (scenario_ != nullptr) scenario_->restore_state(reader);
-  if (config_.faults.enabled) {
-    fault_stats_.attempted_deliveries = reader.u64();
-    fault_stats_.dropped = reader.u64();
-    fault_stats_.corrupt = reader.u64();
-    fault_stats_.duplicated = reader.u64();
-    fault_stats_.crash_down_rounds = reader.u64();
-  }
+  if (config_.faults.enabled) detail::read_fault_stats(reader, fault_stats_);
   round_ = static_cast<std::size_t>(round);
 }
 

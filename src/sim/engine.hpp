@@ -3,24 +3,30 @@
 // Executes the skeleton shared by D-PSGD, SkipTrain, SkipTrain-constrained
 // and Greedy (Algorithm 2 of the paper): per round t,
 //
-//   1. decide   — ask the RoundScheduler which nodes train (serial, cheap,
-//                 and where all energy accounting happens so the
-//                 accountant needs no locking);
-//   2. train    — selected nodes run E local SGD steps in parallel,
-//                 producing x_i^{t-1/2}; non-training nodes keep x_i^{t-1};
-//   3. exchange — every node shares x^{t-1/2} with its neighbors
-//                 (modelled as reading the peer's plane row);
-//   4. aggregate— x_i^t = Σ_j W_ji x_j^{t-1/2}, double-buffered so reads
-//                 and writes never alias.
+//   1. decide    — liveness (scenario churn, crash outages) and the
+//                  RoundScheduler's train decision, serially, with all
+//                  energy accounting so the accountant needs no locking;
+//   2. train     — selected nodes run E local SGD steps in parallel,
+//                  producing x_i^{t-1/2}; non-training nodes keep x_i^{t-1};
+//
+// then one exchange pipeline for every codec, mask, scenario and fault plan:
+//
+//   3. stage     — each up sender's plane row, or the k coordinates of a
+//                  round-shared mask gathered into a compact pool;
+//   4. encode    — one pass per up sender through the wire codec: decoded
+//                  only when lossy, CRC32C-framed only under link faults;
+//   5. deliver   — edge j → i carries j's image iff j is up and, under
+//                  link faults, its frame survives fault::deliver;
+//   6. aggregate — x_i^t = x_i^{t-1/2} + Σ_{delivered j} W_ij (x̂_j - x_i):
+//                  in place on the masked coordinates, into the back buffer
+//                  when an edge can be lost, otherwise as the blocked (or
+//                  row-sharded) kernel x_i^t = Σ_j W_ji x̂_j^{t-1/2}.
 //
 // Storage: all n models live as rows of one contiguous ParameterPlane and
 // each node's nn::Sequential views its row directly, so training writes
-// x^{t-1/2} in place and the aggregate phase is a single blocked
-// plane-to-plane kernel (plane::apply_mixing) — no get_parameters /
-// set_parameters copies anywhere in the per-round path. The sparse
-// (masked) exchange instead stages the k masked coordinates of every row
-// into a compact pool and updates rows in place, reading only staged
-// pre-update values.
+// x^{t-1/2} in place and dense aggregation writes x^t into the back
+// buffer, then flips — no get_parameters / set_parameters copies anywhere
+// in the per-round path.
 //
 // Determinism: per-node RNG streams + counter-based scheduler draws +
 // column-block-owned aggregation make the result independent of
@@ -68,11 +74,9 @@ struct EngineConfig {
   /// the mask is derived from the shared seed, so no indices travel).
   std::size_t sparse_exchange_k = 0;
 
-  /// Wire format of exchanged rows (quant/codec.hpp). kIdentity keeps the
-  /// float32 fast path bit-for-bit (no staging copy); other codecs
-  /// encode each outgoing row and decode at the staging boundary, so
-  /// receivers aggregate exactly what crossed the wire. Composes with
-  /// sparse_exchange_k: the k masked values are what gets quantized.
+  /// Wire format of exchanged rows (quant/codec.hpp). Receivers aggregate
+  /// exactly what crossed the wire; their own values stay exact. Composes
+  /// with sparse_exchange_k: the k masked values are what gets quantized.
   /// NOTE: the caller is responsible for billing at the matching wire
   /// volume by building the accountant's CommModel via
   /// quant::comm_model_for(exchange_codec).
@@ -87,18 +91,16 @@ struct EngineConfig {
   /// Energy-harvesting/churn scenario (scenario/scenario.hpp). Disabled
   /// (the default) keeps every pre-scenario code path — and its bytes —
   /// untouched. Enabled, each node pays its battery for training and
-  /// exchange; a down node's model freezes in place and it is masked out
-  /// of the aggregation until recharge. Rounds where every node is up
-  /// still run the blocked fast-path kernels bit-identically.
+  /// exchange; a down node's model freezes in place and it neither sends
+  /// nor receives until recharge.
   scenario::ScenarioConfig scenario{};
 
   /// Deterministic fault plan (fault/fault.hpp). Disabled (the default)
   /// keeps every pre-fault code path — and its bytes — untouched. With
-  /// link faults, every exchanged row ships as a CRC32C-framed wire
-  /// payload; drops and CRC-rejected corruptions degrade through the
-  /// masked-aggregation difference form (lost neighbor mass reverts to
-  /// self). With crash faults, seed-derived crash-restart outages mark
-  /// nodes down exactly like scenario churn.
+  /// link faults, every exchanged row ships as a CRC32C frame, and a
+  /// dropped or CRC-rejected frame's neighbor mass reverts to self. With
+  /// crash faults, seed-derived crash-restart outages mark nodes down
+  /// exactly like scenario churn.
   fault::FaultPlan faults{};
 };
 
@@ -196,14 +198,14 @@ class RoundEngine {
   // Compact [n × k] staging pool for the masked sparse exchange.
   plane::RowArena staged_;
 
-  // Quantized-exchange staging (allocated only for non-identity codecs):
-  // wire_rows_[i] is sender i's encoded payload; decoded_ (dense) or
-  // staged_decoded_ (masked) holds its decode — the values every receiver
-  // actually consumes.
+  // The wire codec: the configured codec, or the identity codec when link
+  // faults alone need rows in QuantizedRow form for framing; null on the
+  // float32 fast path. wire_rows_[j] is sender j's encoded payload and,
+  // for a lossy codec only, decoded_ (shaped like the stage: dense rows
+  // or k masked values) holds its decode — the values receivers consume.
   std::unique_ptr<quant::RowCodec> codec_;
   std::vector<quant::QuantizedRow> wire_rows_;
   plane::RowArena decoded_;
-  plane::RowArena staged_decoded_;
 
   std::vector<std::unique_ptr<Node>> nodes_;
   std::size_t round_ = 0;
@@ -220,21 +222,12 @@ class RoundEngine {
   std::unique_ptr<scenario::FleetScenario> scenario_;
   std::vector<char> alive_flags_;
 
-  // Fault-plan wire staging (allocated only when link faults are active):
+  // Link-fault staging (allocated only when link faults are active):
   // frames_[j] is sender j's CRC32C-framed payload this round;
-  // fault_codec_ supplies the identity RowCodec when no exchange codec is
-  // configured (framing needs a QuantizedRow either way). link_tally_ is
-  // per-RECEIVER (disjoint parallel writes), folded into fault_stats_
-  // serially at the end of each round.
-  std::unique_ptr<quant::RowCodec> fault_codec_;
+  // link_stats_[i] is receiver i's tally this round (disjoint parallel
+  // writes), folded into fault_stats_ serially at the end of each round.
   std::vector<std::vector<std::uint8_t>> frames_;
-  struct LinkTally {
-    std::uint64_t attempted = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t corrupt = 0;
-    std::uint64_t duplicated = 0;
-  };
-  std::vector<LinkTally> link_tally_;
+  std::vector<fault::FaultStats> link_stats_;
   fault::FaultStats fault_stats_;
 
   // Telemetry (observational only; excluded from save_state/restore_state

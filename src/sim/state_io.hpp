@@ -14,6 +14,7 @@
 
 #include "ckpt/io.hpp"
 #include "energy/accountant.hpp"
+#include "fault/fault.hpp"
 #include "quant/codec.hpp"
 #include "sim/node.hpp"
 
@@ -148,6 +149,29 @@ inline void read_accountant(ckpt::ImageReader& reader,
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(std::string("fleet image: ") + e.what());
   }
+}
+
+/// Fault tallies are simulation state (they feed the summary CSV), so a
+/// resumed run carries them forward; the draws themselves are stateless.
+/// Both engines append them last, only when the fault plan — which is
+/// part of the identity aux bits — is enabled, so fault-free images keep
+/// their layout.
+inline void write_fault_stats(ckpt::ImageWriter& writer,
+                              const fault::FaultStats& stats) {
+  writer.u64(stats.attempted_deliveries);
+  writer.u64(stats.dropped);
+  writer.u64(stats.corrupt);
+  writer.u64(stats.duplicated);
+  writer.u64(stats.crash_down_rounds);
+}
+
+inline void read_fault_stats(ckpt::ImageReader& reader,
+                             fault::FaultStats& stats) {
+  stats.attempted_deliveries = reader.u64();
+  stats.dropped = reader.u64();
+  stats.corrupt = reader.u64();
+  stats.duplicated = reader.u64();
+  stats.crash_down_rounds = reader.u64();
 }
 
 inline void write_node_state(ckpt::ImageWriter& writer, const Node& node) {

@@ -1,6 +1,7 @@
+// Masked sparse exchange through RoundEngine: full-k equivalence to the
+// dense exchange, wire-fraction billing, and consensus under sync rounds.
 #include <gtest/gtest.h>
 
-#include "core/compression.hpp"
 #include "core/scheduler.hpp"
 #include "data/synthetic.hpp"
 #include "energy/accountant.hpp"
@@ -12,97 +13,6 @@
 
 namespace skiptrain::core {
 namespace {
-
-TEST(SparsifyTopK, SelectsLargestMagnitudes) {
-  const std::vector<float> params{0.1f, -5.0f, 2.0f, -0.5f, 3.0f};
-  const SparseModel message = sparsify_topk(params, 2);
-  EXPECT_EQ(message.dim, 5u);
-  ASSERT_EQ(message.nnz(), 2u);
-  // Top-2 by |.|: indices 1 (-5) and 4 (3), sorted by coordinate.
-  EXPECT_EQ(message.indices[0], 1u);
-  EXPECT_EQ(message.indices[1], 4u);
-  EXPECT_FLOAT_EQ(message.values[0], -5.0f);
-  EXPECT_FLOAT_EQ(message.values[1], 3.0f);
-  EXPECT_EQ(message.wire_bytes(), 16u);
-}
-
-TEST(SparsifyTopK, FullKEqualsIdentity) {
-  const std::vector<float> params{1.0f, 2.0f, 3.0f};
-  const SparseModel message = sparsify_topk(params, 10);
-  ASSERT_EQ(message.nnz(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(message.indices[i], i);
-    EXPECT_FLOAT_EQ(message.values[i], params[i]);
-  }
-}
-
-TEST(SparsifyTopK, ZeroKIsEmpty) {
-  const std::vector<float> params{1.0f, 2.0f};
-  const SparseModel message = sparsify_topk(params, 0);
-  EXPECT_EQ(message.nnz(), 0u);
-  EXPECT_EQ(message.wire_bytes(), 0u);
-}
-
-TEST(SparsifyTopK, DeterministicOnTies) {
-  const std::vector<float> params{1.0f, -1.0f, 1.0f, 1.0f};
-  const SparseModel a = sparsify_topk(params, 2);
-  const SparseModel b = sparsify_topk(params, 2);
-  EXPECT_EQ(a.indices, b.indices);
-  // Ties resolve to lower coordinates.
-  EXPECT_EQ(a.indices[0], 0u);
-  EXPECT_EQ(a.indices[1], 1u);
-}
-
-TEST(AccumulateSparseDifference, AppliesWeightedDelta) {
-  const std::vector<float> sender{10.0f, 0.0f, 20.0f};
-  const SparseModel message = sparsify_topk(sender, 2);  // coords 0 and 2
-  const std::vector<float> base{1.0f, 2.0f, 3.0f};
-  std::vector<float> out = base;
-  accumulate_sparse_difference(message, base, out, 0.5f);
-  EXPECT_FLOAT_EQ(out[0], 1.0f + 0.5f * (10.0f - 1.0f));
-  EXPECT_FLOAT_EQ(out[1], 2.0f);  // untouched coordinate
-  EXPECT_FLOAT_EQ(out[2], 3.0f + 0.5f * (20.0f - 3.0f));
-}
-
-TEST(AccumulateSparseDifference, DimensionMismatchThrows) {
-  const SparseModel message = sparsify_topk(std::vector<float>{1.0f, 2.0f}, 1);
-  std::vector<float> wrong(3, 0.0f);
-  EXPECT_THROW(
-      accumulate_sparse_difference(message, wrong, wrong, 1.0f),
-      std::invalid_argument);
-}
-
-TEST(EffectiveParams, TwoPerCoordinate) {
-  const SparseModel message = sparsify_topk(std::vector<float>(100, 1.0f), 25);
-  EXPECT_EQ(effective_params(message), 50u);
-}
-
-TEST(SparseModel, WireBytesGeneralizeOverValueBytes) {
-  // Quantized top-k composition: 4-byte index + 1-2-byte value.
-  SparseModel message = sparsify_topk(std::vector<float>(100, 1.0f), 10);
-  EXPECT_EQ(message.value_bytes, 4u);  // float32 default
-  EXPECT_EQ(message.wire_bytes(), 80u);
-  message.value_bytes = 2;  // fp16 values
-  EXPECT_EQ(message.wire_bytes(), 60u);
-  EXPECT_EQ(effective_params(message), 15u);
-  message.value_bytes = 1;  // int8 values
-  EXPECT_EQ(message.wire_bytes(), 50u);
-  EXPECT_EQ(effective_params(message), 13u);  // 12.5 rounds up, not down
-}
-
-TEST(EffectiveParams, RoundsToNearestNotDown) {
-  // k=1 at 4-byte values is exactly 2 dense params; at 1-byte values the
-  // 1.25-param message must not floor to 1 (the llround regression).
-  SparseModel message = sparsify_topk(std::vector<float>{3.0f, 1.0f}, 1);
-  EXPECT_EQ(effective_params(message), 2u);
-  message.value_bytes = 1;
-  EXPECT_EQ(effective_params(message), 1u);  // 1.25 -> 1
-  SparseModel three = sparsify_topk(std::vector<float>{3.0f, 1.0f, 2.0f}, 3);
-  three.value_bytes = 2;
-  EXPECT_EQ(effective_params(three), 5u);  // 4.5 -> 5 (round half up)
-}
-
-// --- Engine integration -----------------------------------------------------
 
 struct CompressionFixture {
   data::FederatedData data;

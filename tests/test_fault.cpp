@@ -249,12 +249,15 @@ TEST(WireFrame, EverySingleBitFlipIsRejected) {
   ASSERT_TRUE(fault::verify_frame(frame));
   quant::QuantizedRow decoded;
   for (std::uint64_t bit = 0; bit < frame.size() * 8; ++bit) {
+    // The in-place check a receiver runs must agree with the flipped copy.
+    EXPECT_FALSE(fault::verify_frame(frame, bit)) << "bit " << bit;
     fault::flip_bit(frame, bit);
     EXPECT_FALSE(fault::verify_frame(frame)) << "bit " << bit;
     EXPECT_FALSE(fault::decode_frame(frame, 16, decoded)) << "bit " << bit;
     fault::flip_bit(frame, bit);  // restore
   }
   EXPECT_TRUE(fault::verify_frame(frame));
+  EXPECT_TRUE(fault::verify_frame(frame, frame.size() * 8));  // no flip
 }
 
 TEST(WireFrame, TruncationsAndGarbageAreRejectedNotThrown) {
@@ -480,27 +483,49 @@ TEST(FaultedEngine, DuplicateDeliveriesAreIdempotent) {
 }
 
 TEST(FaultedEngine, TotalLossRevertsEveryNodeToSelf) {
-  // drop:1.0 loses every message: with all neighbor mass reverting to
-  // self, gossip must be a no-op — each node trains alone.
+  // drop:1.0 loses every message, and corrupt:1.0 flips a bit in every
+  // frame, which each receiver's CRC check must reject: either way all
+  // neighbor mass reverts to self, gossip is a no-op and each node trains
+  // alone — so the two plans leave identical bytes. Dense and masked
+  // sparse exchanges of the sync engine, and the async engine's pushes.
   Fixture fixture(6, 2);
   const core::DpsgdScheduler scheduler;
-  sim::EngineConfig config;
-  config.faults = fault::make_plan("drop:1.0");
-  sim::RoundEngine isolated = fixture.make_engine(scheduler, config);
-  isolated.run_rounds(4);
-  EXPECT_EQ(isolated.fault_stats().dropped,
-            isolated.fault_stats().attempted_deliveries);
+  const auto expect_all = [](const fault::FaultStats& stats,
+                             std::uint64_t fault::FaultStats::*outcome) {
+    EXPECT_GT(stats.attempted_deliveries, 0u);
+    EXPECT_EQ(stats.*outcome, stats.attempted_deliveries);
+  };
+  for (const std::size_t sparse_k : {std::size_t{0}, std::size_t{7}}) {
+    SCOPED_TRACE("sparse_k=" + std::to_string(sparse_k));
+    sim::EngineConfig config;
+    config.sparse_exchange_k = sparse_k;
+    config.faults = fault::make_plan("drop:1.0");
+    sim::RoundEngine dropped = fixture.make_engine(scheduler, config);
+    dropped.run_rounds(4);
+    expect_all(dropped.fault_stats(), &fault::FaultStats::dropped);
 
-  // An explicitly disconnected run: same training, no aggregation. The
-  // masked difference form with every link down reduces to exactly this.
-  sim::RoundEngine loner = fixture.make_engine(scheduler, config);
-  {
-    // Same engine type and plan — just re-run to confirm determinism of
-    // the fully-degraded path itself.
-    loner.run_rounds(4);
+    config.faults = fault::make_plan("corrupt:1.0");
+    sim::RoundEngine corrupted = fixture.make_engine(scheduler, config);
+    corrupted.run_rounds(4);
+    expect_all(corrupted.fault_stats(), &fault::FaultStats::corrupt);
+    EXPECT_EQ(corrupted.fault_stats().attempted_deliveries,
+              dropped.fault_stats().attempted_deliveries);
     EXPECT_TRUE(
-        bytes_equal(isolated.node_parameters(), loner.node_parameters()));
+        bytes_equal(dropped.node_parameters(), corrupted.node_parameters()));
   }
+
+  sim::AsyncConfig async_config;
+  async_config.faults = fault::make_plan("drop:1.0");
+  sim::AsyncGossipEngine dropped = fixture.make_async(scheduler, async_config);
+  dropped.run_until(8.0);
+  expect_all(dropped.fault_stats(), &fault::FaultStats::dropped);
+  async_config.faults = fault::make_plan("corrupt:1.0");
+  sim::AsyncGossipEngine corrupted =
+      fixture.make_async(scheduler, async_config);
+  corrupted.run_until(8.0);
+  expect_all(corrupted.fault_stats(), &fault::FaultStats::corrupt);
+  EXPECT_TRUE(
+      bytes_equal(dropped.node_parameters(), corrupted.node_parameters()));
 }
 
 TEST(FaultedEngine, AsyncEngineDegradesAndResumesBitExactly) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "core/compression.hpp"
@@ -235,6 +236,17 @@ struct EngineFixture {
   }
 };
 
+/// Reference masked aggregation over dense rows (the pre-staging sparse
+/// path): out[c] += weight * (theirs[c] - base[c]) for every c in mask.
+void accumulate_masked_difference(std::span<const std::uint32_t> mask,
+                                  std::span<const float> theirs,
+                                  std::span<const float> base,
+                                  std::span<float> out, float weight) {
+  for (const std::uint32_t c : mask) {
+    out[c] += weight * (theirs[c] - base[c]);
+  }
+}
+
 /// Sync-only scheduler isolates the aggregation step.
 class SyncOnlyScheduler final : public core::RoundScheduler {
  public:
@@ -281,8 +293,8 @@ TEST(PlaneEngine, SparseRoundBitIdenticalToReferenceMaskedPath) {
   for (std::size_t i = 0; i < params.size(); ++i) {
     std::vector<float> expected = snapshot[i];
     for (const auto& entry : fixture.mixing.neighbor_weights(i)) {
-      core::accumulate_masked_difference(mask, snapshot[entry.neighbor],
-                                         snapshot[i], expected, entry.weight);
+      accumulate_masked_difference(mask, snapshot[entry.neighbor],
+                                   snapshot[i], expected, entry.weight);
     }
     const auto row = params[i];
     for (std::size_t c = 0; c < row.size(); ++c) {
@@ -367,7 +379,7 @@ TEST(Staging, StagedDifferenceMatchesMaskedDifferenceInPlace) {
   const auto mask = core::shared_round_mask(5, 3, dim, 9);
 
   std::vector<float> expected = mine;
-  core::accumulate_masked_difference(mask, theirs, mine, expected, 0.3f);
+  accumulate_masked_difference(mask, theirs, mine, expected, 0.3f);
 
   // Staged form updates `mine` in place, reading only staged snapshots.
   std::vector<float> mine_staged(mask.size()), theirs_staged(mask.size());
