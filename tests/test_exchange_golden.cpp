@@ -6,7 +6,8 @@
 // pins the FNV-1a-64 of the final parameter bytes, the fault tallies, the
 // exact wire-byte count and the bit pattern of the billed communication
 // energy, so any refactor of the exchange code must reproduce all of them
-// bit for bit.
+// bit for bit. A second table pins the bytes of saved fleet images, so a
+// refactor of the image format must keep them too.
 //
 // On a mismatch the test prints the actual row in table syntax; an
 // intended behaviour change updates the row in the same commit.
@@ -15,9 +16,12 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "ckpt/fleet_image.hpp"
 #include "core/scheduler.hpp"
 #include "data/synthetic.hpp"
 #include "energy/accountant.hpp"
@@ -234,6 +238,67 @@ TEST(ExchangeGolden, RoundEngineMatrix) {
       EXPECT_GT(engine.fault_stats().crash_down_rounds, 0u);
     }
     expect_golden(observe(c.label, engine), kSyncGoldens);
+  }
+}
+
+// --- fleet-image bytes ------------------------------------------------------
+
+/// FNV-1a-64 of a saved RoundEngine image's file bytes: pins the whole
+/// on-disk layout (identity prefix with its aux bits, plane blob,
+/// accountant, scenario section, per-node state and the trailing
+/// fault-stats section) on top of the state it encodes.
+struct ImageCase {
+  SyncCase run;
+  std::uint64_t file_fnv;
+};
+
+// clang-format off
+const ImageCase kImageCases[] = {
+    {{"image-dense-clean", kId, 0, "", false, false}, 0x45c0f977127e14dbULL},
+    {{"image-sparse-churn-lossy-int8", kInt8, 241, kLossy, true, false}, 0x2964d2c0900d50a4ULL},
+};
+// clang-format on
+
+TEST(ExchangeGolden, FleetImageBytes) {
+  const Fixture fixture;
+  const core::SkipTrainScheduler scheduler(2, 1);
+  const std::string path = testing::TempDir() + "exchange_golden.sktf";
+  for (const ImageCase& c : kImageCases) {
+    SCOPED_TRACE(c.run.label);
+    sim::EngineConfig config;
+    config.local_steps = 2;
+    config.batch_size = 8;
+    config.seed = kSeed;
+    config.exchange_codec = c.run.codec;
+    config.sparse_exchange_k = c.run.sparse_k;
+    config.faults = fault::make_plan(c.run.faults);
+    if (c.run.churn) config.scenario = early_churn();
+    sim::RoundEngine engine(fixture.prototype, fixture.data, fixture.mixing,
+                            scheduler, fixture.make_accountant(c.run.codec),
+                            config);
+    engine.run_rounds(kRounds);
+    if (c.run.churn) {
+      EXPECT_GT(engine.scenario()->down_steps_total(), 0u);
+    }
+    if (config.faults.link_faults()) {
+      EXPECT_GT(engine.fault_stats().dropped, 0u);
+    }
+    ckpt::save_fleet_image(engine, path);
+
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    ASSERT_FALSE(bytes.empty());
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char byte : bytes) {
+      hash ^= static_cast<unsigned char>(byte);
+      hash *= 0x100000001b3ULL;
+    }
+    char actual[32];
+    std::snprintf(actual, sizeof(actual), "0x%016llxULL",
+                  static_cast<unsigned long long>(hash));
+    EXPECT_EQ(hash, c.file_fnv) << "actual " << actual << " over "
+                                << bytes.size() << " bytes";
   }
 }
 
