@@ -192,7 +192,9 @@ TEST(FaultDraws, CrashOutagesLastCrashRounds) {
       ++run_length;
       any_outage = true;
     } else {
-      if (run_length != 0) EXPECT_GE(run_length, 4u);
+      if (run_length != 0) {
+        EXPECT_GE(run_length, 4u);
+      }
       run_length = 0;
     }
   }
