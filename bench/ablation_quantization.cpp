@@ -6,9 +6,6 @@
 // the full accuracy-vs-energy frontier one codec knob opens.
 #include "common.hpp"
 
-#include "graph/topology.hpp"
-#include "sim/engine.hpp"
-
 int main(int argc, char** argv) {
   using namespace skiptrain;
   util::ArgParser args("ablation_quantization",
@@ -22,21 +19,13 @@ int main(int argc, char** argv) {
       "energy model bills wire bytes; fp32 dense = the paper's setting");
 
   const bench::Workbench wb = bench::make_cifar_bench(args);
-  const sim::RunOptions base = bench::options_from_flags(args, wb);
-  const auto degree = static_cast<std::size_t>(args.get_int("degree"));
-  const std::size_t n = wb.data.num_nodes();
+  sim::RunOptions options = bench::options_from_flags(args, wb);
+  options.algorithm = sim::Algorithm::kSkipTrain;
+  options.degree = static_cast<std::size_t>(args.get_int("degree"));
+  std::tie(options.gamma_train, options.gamma_sync) =
+      bench::tuned_gammas(options.degree);
+  options.eval_every = options.total_rounds;  // score the final round only
   const std::size_t dim = wb.model.num_parameters();
-
-  util::Rng topo_rng(util::hash_combine(base.seed, 0x70700000ULL));
-  const graph::Topology topology =
-      graph::make_random_regular(n, degree, topo_rng);
-  const graph::MixingMatrix mixing =
-      graph::MixingMatrix::metropolis_hastings(topology);
-  const auto [gamma_train, gamma_sync] = bench::tuned_gammas(degree);
-  const core::SkipTrainScheduler scheduler(gamma_train, gamma_sync);
-  const auto& spec = energy::workload_spec(wb.workload);
-  const energy::Fleet fleet = energy::Fleet::even(n, wb.workload);
-  const metrics::Evaluator evaluator(&wb.data.test, base.eval_max_samples);
 
   struct Variant {
     quant::Codec codec;
@@ -54,25 +43,10 @@ int main(int argc, char** argv) {
                             "final acc%", "comm energy Wh",
                             "train energy Wh"});
   for (const Variant& variant : variants) {
-    std::vector<std::size_t> degrees(n);
-    for (std::size_t i = 0; i < n; ++i) degrees[i] = topology.degree(i);
-    energy::EnergyAccountant accountant(
-        fleet, quant::comm_model_for(variant.codec), spec.model_params,
-        std::move(degrees));
-    sim::EngineConfig config;
-    config.local_steps = base.local_steps;
-    config.batch_size = base.batch_size;
-    config.learning_rate = base.learning_rate;
-    config.seed = base.seed;
-    config.sparse_exchange_k = variant.sparse_k;
-    config.exchange_codec = variant.codec;
-    sim::RoundEngine engine(wb.model, wb.data, mixing, scheduler,
-                            std::move(accountant), config);
-    engine.run_rounds(base.total_rounds);
-
-    std::vector<nn::Sequential*> models(n);
-    for (std::size_t i = 0; i < n; ++i) models[i] = &engine.model(i);
-    const double acc = evaluator.evaluate_fleet(models).accuracy.mean;
+    options.exchange_codec = variant.codec;
+    options.sparse_exchange_k = variant.sparse_k;
+    const sim::ExperimentResult result =
+        sim::run_experiment(wb.data, wb.model, options);
 
     const double bpp = quant::wire_bytes_per_param(variant.codec);
     const double mask_fraction =
@@ -86,9 +60,9 @@ int main(int argc, char** argv) {
     }
     table.add_row({label, util::fixed(bpp, 3),
                    util::fixed(mask_fraction * bpp / 4.0, 3),
-                   util::fixed(100.0 * acc, 2),
-                   util::fixed(engine.accountant().total_comm_wh(), 4),
-                   util::fixed(engine.accountant().total_training_wh(), 2)});
+                   util::fixed(100.0 * result.final_mean_accuracy, 2),
+                   util::fixed(result.total_comm_wh, 4),
+                   util::fixed(result.total_training_wh, 2)});
   }
   table.print();
 

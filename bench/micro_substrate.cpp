@@ -26,7 +26,6 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "plane/plane.hpp"
-#include "plane/sharded.hpp"
 
 namespace {
 
@@ -334,8 +333,10 @@ BENCHMARK(BM_AggregatePlaneBlocked)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Large-fleet sharded gossip: the row-sharded kernel on an implicit
-// k-regular topology over a huge-page ShardedPlane. The headline row is
+// Large-fleet sharded gossip: the row-sharded kernel
+// (graph::apply_mixing_sharded, reached through plane::apply_mixing on a
+// sparse MixingRef — the engine's path) on an implicit k-regular topology
+// over a huge-page ParameterPlane. The headline row is
 // n = 100k, dim = 1024 — a fleet whose dense adjacency (10^10 entries)
 // could never be materialized; topology memory stays O(n·k) and the
 // peak_rss_mb counter (getrusage max RSS) documents that the process
@@ -350,18 +351,22 @@ void BM_GossipSharded(benchmark::State& state) {
   const std::size_t k = 6;
   const graph::ImplicitKRegular topology(nodes, k, /*seed=*/91);
   const auto mixing = graph::SparseMixing::metropolis_hastings(topology);
-  plane::ShardedPlane fleet_plane(nodes, dim);
+  const graph::MixingRef mixing_ref(mixing);
+  plane::ParameterPlane fleet_plane(nodes, dim);
   // Deterministic fill, touched in parallel: rng-normal would dominate
   // setup at 10^8 floats, and the values only need to be nonuniform.
   util::parallel_for(0, nodes, [&](std::size_t i) {
-    auto row = fleet_plane.current_row(i);
+    auto row = fleet_plane.current().row(i);
     for (std::size_t j = 0; j < dim; ++j) {
       row[j] = 1e-3f * static_cast<float>((i * 131 + j * 7) % 997);
     }
   });
+  // One untimed round faults the back buffer's pages in, so the timed
+  // rounds measure steady-state gossip rather than first touch.
+  plane::apply_mixing(mixing_ref, fleet_plane);
   for (auto _ : state) {
-    plane::apply_mixing_sharded(mixing, fleet_plane);
-    benchmark::DoNotOptimize(fleet_plane.current_row(0).data());
+    plane::apply_mixing(mixing_ref, fleet_plane);
+    benchmark::DoNotOptimize(fleet_plane.current().row(0).data());
   }
   // Gossip streams (k + 1) row reads plus 1 row write per node.
   state.SetBytesProcessed(

@@ -7,7 +7,6 @@
 #include "ckpt/io.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "sim/async_engine.hpp"
 #include "sim/engine.hpp"
 
 namespace skiptrain::ckpt {
@@ -15,6 +14,19 @@ namespace skiptrain::ckpt {
 namespace {
 
 constexpr char kMagic[4] = {'S', 'K', 'T', 'F'};
+
+/// The engine-kind byte that follows the header. RoundEngine (0) is the
+/// only engine; kind 1 belonged to the retired asynchronous engine.
+constexpr std::uint8_t kKindRoundEngine = 0;
+
+void read_engine_kind(ImageReader& reader, const std::string& what) {
+  const std::uint8_t kind = reader.u8();
+  if (kind != kKindRoundEngine) {
+    throw std::runtime_error("fleet image: " + what +
+                             " has unsupported engine kind " +
+                             std::to_string(kind));
+  }
+}
 
 void write_experiment(ImageWriter& writer, const ExperimentState& state) {
   writer.u64(state.records.size());
@@ -38,8 +50,7 @@ ExperimentState read_experiment(ImageReader& reader) {
 
 /// Writes header + kind/flag bytes + engine payload (+ experiment
 /// section) atomically, each section sealed with its CRC32C.
-template <typename Engine>
-void save_image(const Engine& engine, EngineKind kind,
+void save_image(const sim::RoundEngine& engine,
                 const ExperimentState* experiment, const std::string& path,
                 const IoFaultPolicy* io_faults = nullptr) {
   atomic_write(
@@ -47,7 +58,7 @@ void save_image(const Engine& engine, EngineKind kind,
       [&](std::ostream& out) {
         write_header(out, kMagic, kFleetImageVersion);
         ImageWriter writer(out);
-        writer.u8(static_cast<std::uint8_t>(kind));
+        writer.u8(kKindRoundEngine);
         writer.u8(experiment != nullptr ? 1 : 0);
         // The configuration fingerprint precedes the engine payload so a
         // resume can reject a stale image BEFORE mutating any engine
@@ -70,8 +81,8 @@ void save_image(const Engine& engine, EngineKind kind,
 /// returning false (e.g. a fingerprint mismatch that leaves the payload
 /// unconsumed on purpose). Returns the body's verdict.
 template <typename Body>
-bool load_image(const std::string& path, EngineKind expected_kind,
-                bool want_experiment, Body&& body) {
+bool load_image(const std::string& path, bool want_experiment,
+                Body&& body) {
   OBS_SPAN("ckpt.load");
   static const obs::Counter files = obs::counter("ckpt.files_read");
   static const obs::Counter bytes = obs::counter("ckpt.bytes_read");
@@ -80,11 +91,7 @@ bool load_image(const std::string& path, EngineKind expected_kind,
   const std::uint64_t payload_bytes = read_header(
       in, file_size_bytes(path), kMagic, kFleetImageVersion, path);
   ImageReader reader(in, payload_bytes);
-  const auto kind = static_cast<EngineKind>(reader.u8());
-  if (kind != expected_kind) {
-    throw std::runtime_error("fleet image: " + path +
-                             " holds a different engine kind");
-  }
+  read_engine_kind(reader, path);
   const bool has_experiment = reader.u8() != 0;
   if (want_experiment && !has_experiment) {
     throw std::runtime_error("fleet image: " + path +
@@ -107,13 +114,7 @@ FleetImageInfo probe_fleet_image(std::istream& in, std::uint64_t file_bytes,
       read_header(in, file_bytes, kMagic, kFleetImageVersion, what);
   ImageReader reader(in, payload_bytes);
   FleetImageInfo info;
-  const std::uint8_t kind = reader.u8();
-  if (kind > static_cast<std::uint8_t>(EngineKind::kAsyncGossip)) {
-    throw std::runtime_error("fleet image: " + what +
-                             " has unknown engine kind " +
-                             std::to_string(kind));
-  }
-  info.engine = static_cast<EngineKind>(kind);
+  read_engine_kind(reader, what);
   info.has_experiment = reader.u8() != 0;
   if (info.has_experiment) (void)reader.str();  // configuration fingerprint
   // The prefix checksum makes the probe trustworthy on its own: a torn
@@ -134,11 +135,11 @@ FleetImageInfo probe_fleet_image(const std::string& path) {
 
 void save_fleet_image(const sim::RoundEngine& engine,
                       const std::string& path) {
-  save_image(engine, EngineKind::kRoundEngine, nullptr, path);
+  save_image(engine, nullptr, path);
 }
 
 void restore_fleet_image(sim::RoundEngine& engine, const std::string& path) {
-  (void)load_image(path, EngineKind::kRoundEngine, /*want_experiment=*/false,
+  (void)load_image(path, /*want_experiment=*/false,
                    [&](ImageReader& reader, bool has_experiment,
                        const std::string&) {
                      engine.restore_state(reader);
@@ -154,31 +155,11 @@ void restore_fleet_image(sim::RoundEngine& engine, const std::string& path) {
                    });
 }
 
-void save_fleet_image(const sim::AsyncGossipEngine& engine,
-                      const std::string& path) {
-  save_image(engine, EngineKind::kAsyncGossip, nullptr, path);
-}
-
-void restore_fleet_image(sim::AsyncGossipEngine& engine,
-                         const std::string& path) {
-  (void)load_image(path, EngineKind::kAsyncGossip, /*want_experiment=*/false,
-                   [&](ImageReader& reader, bool has_experiment,
-                       const std::string&) {
-                     engine.restore_state(reader);
-                     reader.check_section_crc(path + " engine payload");
-                     if (has_experiment) {
-                       (void)read_experiment(reader);
-                       reader.check_section_crc(path + " experiment");
-                     }
-                     return true;
-                   });
-}
-
 void save_experiment_image(const sim::RoundEngine& engine,
                            const ExperimentState& experiment,
                            const std::string& path,
                            const IoFaultPolicy* io_faults) {
-  save_image(engine, EngineKind::kRoundEngine, &experiment, path, io_faults);
+  save_image(engine, &experiment, path, io_faults);
 }
 
 bool restore_experiment_image(sim::RoundEngine& engine,
@@ -186,7 +167,7 @@ bool restore_experiment_image(sim::RoundEngine& engine,
                               const std::string& path,
                               const std::string& expected_fingerprint) {
   return load_image(
-      path, EngineKind::kRoundEngine, /*want_experiment=*/true,
+      path, /*want_experiment=*/true,
       [&](ImageReader& reader, bool, const std::string& fingerprint) {
         // A stale image (edited configuration) is rejected here, BEFORE
         // any engine state is touched — the caller starts fresh.

@@ -9,14 +9,14 @@
 // everything mutable about an engine —
 //
 //   header     "SKTF" magic + format version
-//   summary    engine kind, nodes, dim, round/activation counter
+//   summary    engine kind byte (always 0: RoundEngine), nodes, dim,
+//              round counter
 //   fingerprint config seed, exchange codec, sparse k, scheduler name
 //   accountant per-node energy tallies, training counts, budgets
 //   plane blob the [n × dim] parameter matrix, row-arena-contiguous, so
 //              restore is ONE read into the existing RowArena with no
 //              per-row copies (the storage-layout groundwork the
 //              NUMA-sharding roadmap item builds on)
-//   async extras outbox rows, mailbox freshness, pending event queue
 //   node state per-node RNG stream + optimizer momentum buffer
 //   experiment (optional) recorder series + experiment counters, so a
 //              resumed sim::run_experiment emits byte-identical CSVs
@@ -41,7 +41,6 @@
 #include "metrics/recorder.hpp"
 
 namespace skiptrain::sim {
-class AsyncGossipEngine;
 class RoundEngine;
 }  // namespace skiptrain::sim
 
@@ -52,19 +51,15 @@ namespace skiptrain::ckpt {
 /// checksum before a half-parsed payload can reach an engine.
 inline constexpr std::uint32_t kFleetImageVersion = 2;
 
-enum class EngineKind : std::uint8_t {
-  kRoundEngine = 0,
-  kAsyncGossip = 1,
-};
-
 /// Cheap metadata probe (header + summary only; the payload is not
-/// deserialized or validated beyond the header).
+/// deserialized or validated beyond the header). The engine-kind byte
+/// must be 0 (RoundEngine); any other kind, such as an image written by
+/// the retired asynchronous engine (kind 1), is rejected with
+/// std::runtime_error.
 struct FleetImageInfo {
-  EngineKind engine = EngineKind::kRoundEngine;
   std::uint64_t nodes = 0;
   std::uint64_t dim = 0;
-  /// rounds_executed (RoundEngine) or total_activations (async).
-  std::uint64_t round = 0;
+  std::uint64_t round = 0;  ///< RoundEngine::rounds_executed()
   bool has_experiment = false;
 };
 
@@ -86,10 +81,6 @@ struct FleetImageInfo {
 void save_fleet_image(const sim::RoundEngine& engine,
                       const std::string& path);
 void restore_fleet_image(sim::RoundEngine& engine, const std::string& path);
-void save_fleet_image(const sim::AsyncGossipEngine& engine,
-                      const std::string& path);
-void restore_fleet_image(sim::AsyncGossipEngine& engine,
-                         const std::string& path);
 
 /// Experiment-level state carried alongside the engine payload so
 /// sim::run_experiment can resume mid-trial with its recorder intact:

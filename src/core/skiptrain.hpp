@@ -46,7 +46,6 @@
 #include "quant/codec.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/trace.hpp"
-#include "sim/async_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/node.hpp"
 #include "sim/runner.hpp"

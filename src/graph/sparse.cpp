@@ -362,6 +362,37 @@ SparseMixing SparseMixing::metropolis_hastings(const CsrGraph& graph) {
 
 // --- sharded kernel --------------------------------------------------------
 
+namespace {
+
+/// Canonical single-row gossip reduction: out = W_ii·x_i + Σ_j W_ij·x_j
+/// with the exact 3-/2-term op grouping of apply_mixing_blocked (same add
+/// order ⇒ bitwise-identical floats). `half_row(j)` returns node j's
+/// pre-mix row as std::span<const float>.
+template <typename HalfRow>
+void mix_row(const MixingRef& mixing, std::size_t node, HalfRow&& half_row,
+             std::span<float> out) {
+  const auto nbrs = mixing.neighbor_weights(node);
+  const float self_w = mixing.self_weight(node);
+  std::size_t e = 0;
+  if (nbrs.size() >= 2) {
+    tensor::weighted_sum3(self_w, half_row(node), nbrs[0].weight,
+                          half_row(nbrs[0].neighbor), nbrs[1].weight,
+                          half_row(nbrs[1].neighbor), out);
+    e = 2;
+  } else {
+    tensor::scaled_copy(self_w, half_row(node), out);
+  }
+  for (; e + 2 <= nbrs.size(); e += 2) {
+    tensor::axpy2(nbrs[e].weight, half_row(nbrs[e].neighbor),
+                  nbrs[e + 1].weight, half_row(nbrs[e + 1].neighbor), out);
+  }
+  if (e < nbrs.size()) {
+    tensor::axpy(nbrs[e].weight, half_row(nbrs[e].neighbor), out);
+  }
+}
+
+}  // namespace
+
 void apply_mixing_sharded(const MixingRef& mixing,
                           std::span<const float> x_half,
                           std::span<float> x_current, std::size_t dim,

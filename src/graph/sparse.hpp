@@ -30,7 +30,6 @@
 
 #include "graph/mixing.hpp"
 #include "graph/topology.hpp"
-#include "tensor/ops.hpp"
 
 namespace skiptrain::graph {
 
@@ -74,8 +73,7 @@ class ImplicitKRegular {
   void neighbors_into(std::size_t node, std::span<std::size_t> out) const;
 
   /// Explicit Topology with identical adjacency — the bitwise-equivalence
-  /// oracle for tests and the bridge into AsyncGossipEngine, which takes a
-  /// Topology (O(n·k), so still cheap at async-relevant fleet sizes).
+  /// oracle for tests (O(n·k), so cheap at test-sized fleets).
   Topology materialize() const;
 
   /// Stable identity of (n, k, seed) — everything the graph is derived
@@ -193,35 +191,6 @@ struct MixingRef {
     return neighbor_weights(node).size();
   }
 };
-
-/// Canonical single-row gossip reduction: out = W_ii·x_i + Σ_j W_ij·x_j
-/// with the exact 3-/2-term op grouping of apply_mixing_blocked (same add
-/// order ⇒ bitwise-identical floats). `half_row(j)` returns node j's
-/// pre-mix row as std::span<const float>; both sharded kernels (flat plane
-/// and ShardedPlane) call this one template so the grouping can never
-/// drift between them.
-template <typename HalfRow>
-inline void mix_row(const MixingRef& mixing, std::size_t node,
-                    HalfRow&& half_row, std::span<float> out) {
-  const auto nbrs = mixing.neighbor_weights(node);
-  const float self_w = mixing.self_weight(node);
-  std::size_t e = 0;
-  if (nbrs.size() >= 2) {
-    tensor::weighted_sum3(self_w, half_row(node), nbrs[0].weight,
-                          half_row(nbrs[0].neighbor), nbrs[1].weight,
-                          half_row(nbrs[1].neighbor), out);
-    e = 2;
-  } else {
-    tensor::scaled_copy(self_w, half_row(node), out);
-  }
-  for (; e + 2 <= nbrs.size(); e += 2) {
-    tensor::axpy2(nbrs[e].weight, half_row(nbrs[e].neighbor),
-                  nbrs[e + 1].weight, half_row(nbrs[e + 1].neighbor), out);
-  }
-  if (e < nbrs.size()) {
-    tensor::axpy(nbrs[e].weight, half_row(nbrs[e].neighbor), out);
-  }
-}
 
 /// Row-sharded gossip kernel: partitions NODES (not columns) into
 /// contiguous shards farmed out to the thread pool with shard-affine

@@ -1,4 +1,4 @@
-// Per-trial phase accounting shared by both engines and the sweep layer.
+// Per-trial phase accounting shared by the round engine and the sweep layer.
 //
 // A Phase names one of the fixed stages a simulated round passes through;
 // PhaseStats is the plain accumulator (seconds + call counts per phase)
@@ -101,7 +101,7 @@ class PhaseScope {
 struct TrialTelemetry {
   PhaseStats phases;
   std::uint64_t wire_bytes = 0;  // exact codec wire footprint shipped
-  std::uint64_t rounds = 0;      // rounds (or async events) executed
+  std::uint64_t rounds = 0;      // rounds executed
 
   void merge(const TrialTelemetry& other) {
     phases.merge(other.phases);

@@ -56,7 +56,7 @@ struct MatrixView {
 };
 
 /// One owned [rows × dim] matrix whose rows serve as parameter arenas
-/// (model rows, async outboxes, compact staging pools). Rows never
+/// (model rows, compact staging pools, decoded wire images). Rows never
 /// reallocate after construction, so bound layer views stay valid for the
 /// arena's lifetime. Storage sits on a util::AlignedArena: row 0 starts on
 /// a 64-byte boundary, large planes are huge-page backed, and contents are
@@ -65,9 +65,8 @@ struct MatrixView {
 class RowArena {
  public:
   RowArena() = default;
-  RowArena(std::size_t rows, std::size_t dim,
-           util::AlignedArena::Touch touch = util::AlignedArena::Touch::kNone)
-      : rows_(rows), dim_(dim), arena_(rows * dim * sizeof(float), touch) {}
+  RowArena(std::size_t rows, std::size_t dim)
+      : rows_(rows), dim_(dim), arena_(rows * dim * sizeof(float)) {}
 
   std::size_t rows() const { return rows_; }
   std::size_t dim() const { return dim_; }

@@ -69,8 +69,8 @@ struct ScenarioConfig {
   std::string trace_path;  // provenance, for tokens/errors only
   double trace_scale = 1.0;
 
-  // Async engine: a down node polls its battery again after this fraction
-  // of its training duration.
+  // No engine reads it, but config_hash() hashes it: dropping it would
+  // change the checkpoint identity of every scenario image.
   double dormant_wait_factor = 1.0;
 
   /// 64-bit fingerprint over every field (including trace content).
@@ -98,9 +98,8 @@ struct ScenarioConfig {
 [[nodiscard]] std::string scenario_token(const std::string& name);
 
 /// Runtime battery/churn state of a fleet under a ScenarioConfig.
-/// Engines drive it with begin_round (sync: every node steps) or
-/// step_node (async: one node per activation), gate work on alive(), and
-/// pay for work through try_spend().
+/// The engine drives it with begin_round (every node steps once per
+/// round), gates work on alive(), and pays for work through try_spend().
 class FleetScenario {
  public:
   /// `train_round_mwh[i]` is node i's per-round training energy — the
@@ -114,7 +113,7 @@ class FleetScenario {
   /// apply). Synchronous engines call this once at the top of round t.
   void begin_round(std::size_t t);
 
-  /// Advances one node to its local step t (async activation path).
+  /// Advances one node to step t (begin_round's per-node body).
   void step_node(std::size_t node, std::size_t t);
 
   bool alive(std::size_t node) const { return down_[node] == 0; }

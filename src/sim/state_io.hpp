@@ -1,7 +1,6 @@
-// Internal helpers shared by RoundEngine::save_state/restore_state and
-// AsyncGossipEngine::save_state/restore_state: the per-node and
-// accountant sub-payloads of a fleet image are identical for both
-// engines, so both serialize them through these functions.
+// Internal helpers behind RoundEngine::save_state/restore_state: the
+// identity prefix, accountant, fault-stats and per-node sub-payloads of a
+// fleet image.
 //
 // Not part of the public API — include only from engine implementation
 // files. The file-level format (header, engine kind, probing) lives in
@@ -23,18 +22,19 @@ namespace skiptrain::sim::detail {
 /// The construction parameters an engine payload is only valid against —
 /// EVERY config knob that influences future rounds, so a restore into a
 /// differently-configured engine is rejected instead of silently
-/// diverging. Serialized as the payload prefix (with the round counter)
-/// by both engines — one byte layout, one validation path.
+/// diverging. Serialized as the payload prefix (with the round counter) —
+/// one byte layout, one validation path.
 struct EngineIdentity {
   std::uint64_t nodes = 0;
   std::uint64_t dim = 0;
   std::uint64_t seed = 0;
   quant::Codec codec = quant::Codec::kIdentity;
-  std::uint64_t sparse_k = 0;  // 0 for engines without a masked exchange
+  std::uint64_t sparse_k = 0;  // 0 = dense exchange
   std::uint64_t local_steps = 0;
   std::uint64_t batch_size = 0;
   std::uint32_t lr_bits = 0;  // bit pattern of the float learning rate
-  /// Engine-specific extra (async: bit pattern of sync_duration_factor).
+  /// Hash of the remaining identity inputs (scenario, non-dense topology,
+  /// fault plan); 0 when none is active, so older images keep their bytes.
   std::uint64_t aux_bits = 0;
   std::string scheduler;
 };
@@ -153,7 +153,7 @@ inline void read_accountant(ckpt::ImageReader& reader,
 
 /// Fault tallies are simulation state (they feed the summary CSV), so a
 /// resumed run carries them forward; the draws themselves are stateless.
-/// Both engines append them last, only when the fault plan — which is
+/// The engine appends them last, only when the fault plan — which is
 /// part of the identity aux bits — is enabled, so fault-free images keep
 /// their layout.
 inline void write_fault_stats(ckpt::ImageWriter& writer,

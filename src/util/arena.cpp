@@ -1,6 +1,5 @@
 #include "util/arena.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <new>
@@ -9,8 +8,6 @@
 #ifdef __linux__
 #include <sys/mman.h>
 #endif
-
-#include "util/thread_pool.hpp"
 
 namespace skiptrain::util {
 
@@ -22,17 +19,14 @@ std::size_t round_up(std::size_t bytes, std::size_t multiple) {
 
 }  // namespace
 
-AlignedArena::AlignedArena(std::size_t bytes, Touch touch) : touch_(touch) {
-  allocate(bytes, touch);
-}
+AlignedArena::AlignedArena(std::size_t bytes) { allocate(bytes); }
 
 AlignedArena::~AlignedArena() { release(); }
 
 AlignedArena::AlignedArena(AlignedArena&& other) noexcept
     : ptr_(std::exchange(other.ptr_, nullptr)),
       bytes_(std::exchange(other.bytes_, 0)),
-      mapped_(std::exchange(other.mapped_, false)),
-      touch_(other.touch_) {}
+      mapped_(std::exchange(other.mapped_, false)) {}
 
 AlignedArena& AlignedArena::operator=(AlignedArena&& other) noexcept {
   if (this != &other) {
@@ -40,7 +34,6 @@ AlignedArena& AlignedArena::operator=(AlignedArena&& other) noexcept {
     ptr_ = std::exchange(other.ptr_, nullptr);
     bytes_ = std::exchange(other.bytes_, 0);
     mapped_ = std::exchange(other.mapped_, false);
-    touch_ = other.touch_;
   }
   return *this;
 }
@@ -49,10 +42,10 @@ void AlignedArena::ensure(std::size_t bytes) {
   if (bytes <= bytes_) return;
   // Drop before realloc: scratch semantics, and peak RSS stays at one copy.
   release();
-  allocate(bytes, touch_);
+  allocate(bytes);
 }
 
-void AlignedArena::allocate(std::size_t bytes, Touch touch) {
+void AlignedArena::allocate(std::size_t bytes) {
   if (bytes == 0) return;
   const std::size_t rounded = round_up(bytes, kAlignment);
 #ifdef __linux__
@@ -64,23 +57,7 @@ void AlignedArena::allocate(std::size_t bytes, Touch touch) {
       ::madvise(p, rounded, MADV_HUGEPAGE);
       ptr_ = p;
       bytes_ = rounded;
-      mapped_ = true;
-      // Anonymous mappings arrive zeroed; touching just places pages.
-      if (touch == Touch::kSequential) {
-        std::memset(ptr_, 0, rounded);
-      } else if (touch == Touch::kInterleave) {
-        // Chunked parallel first-touch: each worker faults its chunks in,
-        // so on a first-touch NUMA policy the plane's pages spread across
-        // the sockets whose workers will later stream them.
-        const std::size_t chunks =
-            (rounded + kHugeThreshold - 1) / kHugeThreshold;
-        auto* base = static_cast<unsigned char*>(ptr_);
-        parallel_for(0, chunks, [&](std::size_t c) {
-          const std::size_t begin = c * kHugeThreshold;
-          std::memset(base + begin, 0,
-                      std::min(kHugeThreshold, rounded - begin));
-        });
-      }
+      mapped_ = true;  // anonymous mappings arrive zeroed
       return;
     }
     // mmap failure falls through to the aligned_alloc path.

@@ -13,12 +13,8 @@
 //     plane is ~400 MB — ~100k 4 KiB TLB entries vs ~200 huge pages);
 //   - contents are zero-initialized (fresh mmap pages arrive zeroed; the
 //     small-allocation fallback memsets), matching the std::vector
-//     semantics the planes were built on;
-//   - the first-touch policy is explicit: Touch::kSequential faults pages
-//     in from the constructing thread (node-local on a NUMA box),
-//     Touch::kInterleave faults 2 MiB chunks in parallel across the pool
-//     workers so a shared plane's pages spread over the sockets that will
-//     stream it.
+//     semantics the planes were built on. Pages of a large allocation
+//     fault in lazily, wherever they are first used.
 //
 // The arena is move-only and grow-only: ensure() reallocates (discarding
 // contents) only when the requested size exceeds the current capacity —
@@ -31,19 +27,12 @@ namespace skiptrain::util {
 
 class AlignedArena {
  public:
-  /// First-touch policy applied when pages are (re)allocated.
-  enum class Touch {
-    kNone,        ///< lazy: pages fault in wherever they are first used
-    kSequential,  ///< constructing thread touches every page up front
-    kInterleave,  ///< pool workers touch 2 MiB chunks in parallel
-  };
-
   static constexpr std::size_t kAlignment = 64;
-  /// mmap + MADV_HUGEPAGE threshold (also the interleave chunk size).
+  /// mmap + MADV_HUGEPAGE threshold.
   static constexpr std::size_t kHugeThreshold = 2u * 1024u * 1024u;
 
   AlignedArena() = default;
-  explicit AlignedArena(std::size_t bytes, Touch touch = Touch::kNone);
+  explicit AlignedArena(std::size_t bytes);
   ~AlignedArena();
 
   AlignedArena(AlignedArena&& other) noexcept;
@@ -70,13 +59,12 @@ class AlignedArena {
   }
 
  private:
-  void allocate(std::size_t bytes, Touch touch);
+  void allocate(std::size_t bytes);
   void release() noexcept;
 
   void* ptr_ = nullptr;
   std::size_t bytes_ = 0;
   bool mapped_ = false;
-  Touch touch_ = Touch::kNone;
 };
 
 }  // namespace skiptrain::util

@@ -111,24 +111,11 @@ TEST(AlignedArena, MoveTransfersOwnership) {
   EXPECT_TRUE(moved.empty());       // NOLINT(bugprone-use-after-move)
 }
 
-TEST(AlignedArena, TouchPoliciesAllYieldZeroedMemory) {
-  // First-touch policy changes page placement, never contents: every
-  // policy must hand back the same zeroed, aligned block — including
-  // kInterleave, whose chunks are memset in parallel on the pool.
-  for (const auto touch :
-       {AlignedArena::Touch::kNone, AlignedArena::Touch::kSequential,
-        AlignedArena::Touch::kInterleave}) {
-    AlignedArena arena(3 * AlignedArena::kHugeThreshold + 100, touch);
-    EXPECT_TRUE(is_aligned(arena.data()));
-    EXPECT_TRUE(all_zero(arena));
-  }
-}
-
 TEST(RowArena, ArenaBackedRowsAreAlignedAndZeroed) {
   // RowArena now sits on AlignedArena: row 0 starts on a 64-byte
   // boundary and fresh planes read as zero (the std::vector semantics the
   // planes were built on).
-  plane::RowArena rows(5, 33, AlignedArena::Touch::kSequential);
+  plane::RowArena rows(5, 33);
   EXPECT_EQ(rows.rows(), 5u);
   EXPECT_EQ(rows.dim(), 33u);
   EXPECT_TRUE(is_aligned(rows.row(0).data()));

@@ -1,7 +1,7 @@
 // Fleet-image checkpointing: round-trip bit-identity across codecs and
-// schedulers, kill-at-every-round resume equivalence for both engines,
-// the truncated/corrupted-image rejection matrix, and trial-granular
-// sweep resume.
+// schedulers, kill-at-every-round resume equivalence, the
+// truncated/corrupted-image rejection matrix (old asynchronous-engine
+// images included), and trial-granular sweep resume.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -21,7 +21,6 @@
 #include "graph/topology.hpp"
 #include "nn/init.hpp"
 #include "nn/model_zoo.hpp"
-#include "sim/async_engine.hpp"
 #include "sim/engine.hpp"
 #include "sweep/sweep.hpp"
 
@@ -70,19 +69,6 @@ struct Fixture {
     config.batch_size = 4;
     return sim::RoundEngine(prototype, data, mixing, scheduler,
                             make_accountant(config.exchange_codec), config);
-  }
-
-  sim::AsyncGossipEngine make_async(const core::RoundScheduler& scheduler,
-                                    sim::AsyncConfig config = {}) const {
-    config.local_steps = 1;
-    config.batch_size = 4;
-    std::vector<double> seconds(fleet.num_nodes());
-    for (std::size_t i = 0; i < seconds.size(); ++i) {
-      seconds[i] = 1.0 + 0.31 * static_cast<double>(i % 5);
-    }
-    return sim::AsyncGossipEngine(prototype, data, topology, scheduler,
-                                  make_accountant(config.exchange_codec),
-                                  std::move(seconds), config);
   }
 };
 
@@ -242,43 +228,6 @@ TEST(FleetImage, RestoreOverwritesAnEngineThatAlreadyRan) {
   expect_accountants_equal(reference.accountant(), target.accountant());
 }
 
-// --- async engine ----------------------------------------------------------
-
-TEST(FleetImage, AsyncResumeMatchesUninterruptedBitwise) {
-  const std::string path = temp_path("fleet_async.sktf");
-  Fixture fixture(6, 2);
-  const core::SkipTrainScheduler scheduler(2, 1);
-  for (const quant::Codec codec :
-       {quant::Codec::kIdentity, quant::Codec::kInt8Dithered}) {
-    SCOPED_TRACE(quant::codec_token(codec));
-    sim::AsyncConfig config;
-    config.exchange_codec = codec;
-
-    sim::AsyncGossipEngine reference = fixture.make_async(scheduler, config);
-    reference.run_until(20.0);
-
-    for (const double cut : {0.4, 3.7, 11.0, 19.5}) {
-      SCOPED_TRACE("killed at t=" + std::to_string(cut));
-      sim::AsyncGossipEngine victim = fixture.make_async(scheduler, config);
-      victim.run_until(cut);
-      ckpt::save_fleet_image(victim, path);
-
-      sim::AsyncGossipEngine resumed = fixture.make_async(scheduler, config);
-      ckpt::restore_fleet_image(resumed, path);
-      EXPECT_EQ(resumed.total_activations(), victim.total_activations());
-      resumed.run_until(20.0);
-
-      EXPECT_EQ(resumed.total_activations(), reference.total_activations());
-      EXPECT_EQ(resumed.total_trainings(), reference.total_trainings());
-      EXPECT_DOUBLE_EQ(resumed.now(), reference.now());
-      EXPECT_TRUE(bytes_equal(reference.node_parameters(),
-                              resumed.node_parameters()));
-      expect_accountants_equal(reference.accountant(),
-                               resumed.accountant());
-    }
-  }
-}
-
 // --- probe + rejection matrix ----------------------------------------------
 
 TEST(FleetImage, ProbeReportsSummaryWithoutRestoring) {
@@ -290,7 +239,6 @@ TEST(FleetImage, ProbeReportsSummaryWithoutRestoring) {
   ckpt::save_fleet_image(engine, path);
 
   const ckpt::FleetImageInfo info = ckpt::probe_fleet_image(path);
-  EXPECT_EQ(info.engine, ckpt::EngineKind::kRoundEngine);
   EXPECT_EQ(info.nodes, 5u);
   EXPECT_EQ(info.dim, fixture.prototype.num_parameters());
   EXPECT_EQ(info.round, 3u);
@@ -340,10 +288,12 @@ TEST(FleetImage, RejectionMatrix) {
     bytes[4] = static_cast<char>(0x7f);  // version LSB
     expect_rejected(bytes, "unsupported version");
   }
-  {
+  // Engine kind byte: 9 was never assigned; 1 was the retired
+  // asynchronous engine.
+  for (const char kind : {char{9}, char{1}}) {
     std::string bytes = valid;
-    bytes[8] = 9;  // engine kind byte
-    expect_rejected(bytes, "unknown engine kind");
+    bytes[8] = kind;
+    expect_rejected(bytes, "unsupported engine kind");
   }
   // Hostile length prefix: blow up the node count field (first u64 of the
   // engine payload) — must throw, not allocate.
@@ -355,12 +305,7 @@ TEST(FleetImage, RejectionMatrix) {
     expect_rejected(bytes, "hostile node count");
   }
 
-  // Mismatched construction: wrong engine kind, scheduler, seed, shape.
-  {
-    sim::AsyncGossipEngine async_target = fixture.make_async(scheduler);
-    EXPECT_THROW(ckpt::restore_fleet_image(async_target, path),
-                 std::runtime_error);
-  }
+  // Mismatched construction: wrong scheduler, seed, shape.
   {
     const core::SkipTrainScheduler other(1, 2);
     sim::RoundEngine target = fixture.make_engine(other);
@@ -405,6 +350,35 @@ TEST(FleetImage, RejectionMatrix) {
         ckpt::restore_fleet_image(target, temp_path("no_such.sktf")),
         std::runtime_error);
   }
+}
+
+TEST(FleetImage, RetiredAsyncEngineImagesAreRejectedCleanly) {
+  // A small image written by the retired asynchronous engine (engine kind
+  // 1, format v2, 4 nodes). Probing or restoring it must fail with a
+  // clean "unsupported engine kind" error, never crash or half-restore.
+  const std::string path =
+      std::string(SKIPTRAIN_TEST_DATA_DIR) + "/async_image_v2.sktf";
+  const std::string bytes = read_file(path);
+  ASSERT_GT(bytes.size(), 9u);
+  ASSERT_EQ(bytes.substr(0, 4), "SKTF");
+  ASSERT_EQ(bytes[8], 1);  // engine kind byte
+
+  const auto expect_unsupported_kind = [](const auto& action) {
+    try {
+      action();
+      ADD_FAILURE() << "retired engine kind was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported engine kind 1"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_unsupported_kind([&] { (void)ckpt::probe_fleet_image(path); });
+  Fixture fixture(4, 2);
+  const core::SkipTrainScheduler scheduler(2, 1);
+  sim::RoundEngine engine = fixture.make_engine(scheduler);
+  expect_unsupported_kind([&] { ckpt::restore_fleet_image(engine, path); });
+  EXPECT_EQ(engine.rounds_executed(), 0u);  // untouched by the failure
 }
 
 TEST(FleetImage, AtomicWriteKeepsPreviousImageOnFailure) {

@@ -1,5 +1,5 @@
 // Exchange golden matrix: one tiny fixture (8 nodes, compact MLP,
-// SkipTrain Γt=2/Γs=1) driven through every exchange path both engines
+// SkipTrain Γt=2/Γs=1) driven through every exchange path RoundEngine
 // can take — dense and masked-sparse rows, identity and quantized codecs,
 // scenario churn, crash outages, lossy CRC-framed links, and the
 // row-sharded kernel behind an implicit k-regular topology. Each case
@@ -33,7 +33,6 @@
 #include "nn/model_zoo.hpp"
 #include "quant/codec.hpp"
 #include "scenario/scenario.hpp"
-#include "sim/async_engine.hpp"
 #include "sim/engine.hpp"
 
 namespace skiptrain {
@@ -42,7 +41,6 @@ namespace {
 constexpr std::size_t kNodes = 8;
 constexpr std::size_t kDegree = 4;
 constexpr std::size_t kRounds = 6;
-constexpr double kAsyncHorizon = 12.0;
 constexpr std::uint64_t kSeed = 42;
 
 struct Fixture {
@@ -101,8 +99,7 @@ std::uint64_t fnv1a64(plane::ConstMatrixView plane) {
   return hash;
 }
 
-template <typename Engine>
-Golden observe(const std::string& label, const Engine& engine) {
+Golden observe(const std::string& label, const sim::RoundEngine& engine) {
   const fault::FaultStats& stats = engine.fault_stats();
   return Golden{label,
                 fnv1a64(engine.node_parameters()),
@@ -299,71 +296,6 @@ TEST(ExchangeGolden, FleetImageBytes) {
                   static_cast<unsigned long long>(hash));
     EXPECT_EQ(hash, c.file_fnv) << "actual " << actual << " over "
                                 << bytes.size() << " bytes";
-  }
-}
-
-// --- AsyncGossipEngine ------------------------------------------------------
-
-struct AsyncCase {
-  const char* label;
-  quant::Codec codec;
-  const char* faults;
-  bool churn;
-};
-
-constexpr const char* kAsyncLossy = "drop:0.15,corrupt:0.1,dup:0.2,crash:0.05";
-
-const AsyncCase kAsyncCases[] = {
-    {"async-identity", kId, "", false},
-    {"async-int8", kInt8, "", false},
-    {"async-lossy-identity", kId, kAsyncLossy, false},
-    {"async-lossy-int8", kInt8, kAsyncLossy, false},
-    {"async-churn-identity", kId, "", true},
-};
-
-// clang-format off
-const std::vector<Golden> kAsyncGoldens = {
-    {"async-identity", 0x89603d79a5197c4fULL, 0, 0, 0, 0, 0, 964000, 0x3f5ddc5683d549e9ULL},
-    {"async-int8", 0xa44b4ff1d888f112ULL, 0, 0, 0, 0, 0, 271400, 0x3f40cbf0aa27f993ULL},
-    {"async-lossy-identity", 0x819c9711705f2b9aULL, 332, 53, 22, 57, 14, 805847, 0x3f58c8cced6be8dfULL},
-    {"async-lossy-int8", 0xea6b033f3a5c251aULL, 332, 53, 22, 57, 14, 230989, 0x3f3be1e68b1965fcULL},
-    {"async-churn-identity", 0xbb22a5637194a9e8ULL, 0, 0, 0, 0, 0, 886880, 0x3f5b78ca7949587cULL},
-};
-// clang-format on
-
-TEST(ExchangeGolden, AsyncEngineMatrix) {
-  const Fixture fixture;
-  const core::SkipTrainScheduler scheduler(2, 1);
-  std::vector<double> seconds(kNodes);
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    seconds[i] = 1.0 + 0.31 * static_cast<double>(i % 5);
-  }
-  for (const AsyncCase& c : kAsyncCases) {
-    SCOPED_TRACE(c.label);
-    sim::AsyncConfig config;
-    config.local_steps = 2;
-    config.batch_size = 8;
-    config.seed = kSeed;
-    config.exchange_codec = c.codec;
-    config.faults = fault::make_plan(c.faults);
-    if (c.churn) config.scenario = scenario::make_config("churn");
-    sim::AsyncGossipEngine engine(fixture.prototype, fixture.data,
-                                  fixture.topology, scheduler,
-                                  fixture.make_accountant(c.codec), seconds,
-                                  config);
-    engine.run_until(kAsyncHorizon);
-
-    if (c.churn) {
-      EXPECT_GT(engine.scenario()->down_steps_total(), 0u);
-    }
-    if (config.faults.link_faults()) {
-      EXPECT_GT(engine.fault_stats().dropped, 0u);
-      EXPECT_GT(engine.fault_stats().corrupt, 0u);
-    }
-    if (config.faults.crash_faults()) {
-      EXPECT_GT(engine.fault_stats().crash_down_rounds, 0u);
-    }
-    expect_golden(observe(c.label, engine), kAsyncGoldens);
   }
 }
 

@@ -25,7 +25,6 @@
 #include "graph/topology.hpp"
 #include "nn/init.hpp"
 #include "nn/model_zoo.hpp"
-#include "sim/async_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/runner.hpp"
 #include "sweep/sweep.hpp"
@@ -333,19 +332,6 @@ struct Fixture {
     return sim::RoundEngine(prototype, data, mixing, scheduler,
                             make_accountant(config.exchange_codec), config);
   }
-
-  sim::AsyncGossipEngine make_async(const core::RoundScheduler& scheduler,
-                                    sim::AsyncConfig config = {}) const {
-    config.local_steps = 1;
-    config.batch_size = 4;
-    std::vector<double> seconds(fleet.num_nodes());
-    for (std::size_t i = 0; i < seconds.size(); ++i) {
-      seconds[i] = 1.0 + 0.31 * static_cast<double>(i % 5);
-    }
-    return sim::AsyncGossipEngine(prototype, data, topology, scheduler,
-                                  make_accountant(config.exchange_codec),
-                                  std::move(seconds), config);
-  }
 };
 
 bool bytes_equal(plane::ConstMatrixView a, plane::ConstMatrixView b) {
@@ -488,8 +474,8 @@ TEST(FaultedEngine, TotalLossRevertsEveryNodeToSelf) {
   // drop:1.0 loses every message, and corrupt:1.0 flips a bit in every
   // frame, which each receiver's CRC check must reject: either way all
   // neighbor mass reverts to self, gossip is a no-op and each node trains
-  // alone — so the two plans leave identical bytes. Dense and masked
-  // sparse exchanges of the sync engine, and the async engine's pushes.
+  // alone — so the two plans leave identical bytes, for both the dense
+  // and the masked sparse exchange.
   Fixture fixture(6, 2);
   const core::DpsgdScheduler scheduler;
   const auto expect_all = [](const fault::FaultStats& stats,
@@ -515,44 +501,6 @@ TEST(FaultedEngine, TotalLossRevertsEveryNodeToSelf) {
     EXPECT_TRUE(
         bytes_equal(dropped.node_parameters(), corrupted.node_parameters()));
   }
-
-  sim::AsyncConfig async_config;
-  async_config.faults = fault::make_plan("drop:1.0");
-  sim::AsyncGossipEngine dropped = fixture.make_async(scheduler, async_config);
-  dropped.run_until(8.0);
-  expect_all(dropped.fault_stats(), &fault::FaultStats::dropped);
-  async_config.faults = fault::make_plan("corrupt:1.0");
-  sim::AsyncGossipEngine corrupted =
-      fixture.make_async(scheduler, async_config);
-  corrupted.run_until(8.0);
-  expect_all(corrupted.fault_stats(), &fault::FaultStats::corrupt);
-  EXPECT_TRUE(
-      bytes_equal(dropped.node_parameters(), corrupted.node_parameters()));
-}
-
-TEST(FaultedEngine, AsyncEngineDegradesAndResumesBitExactly) {
-  const std::string path = testing::TempDir() + "faulted_async.sktf";
-  Fixture fixture(6, 2);
-  const core::SkipTrainScheduler scheduler(2, 1);
-  sim::AsyncConfig config;
-  config.faults = fault::make_plan("drop:0.15,corrupt:0.1,dup:0.2,crash:0.05");
-
-  sim::AsyncGossipEngine reference = fixture.make_async(scheduler, config);
-  reference.run_until(20.0);
-  EXPECT_GT(reference.fault_stats().attempted_deliveries, 0u);
-  EXPECT_GT(reference.fault_stats().dropped, 0u);
-
-  sim::AsyncGossipEngine victim = fixture.make_async(scheduler, config);
-  victim.run_until(7.3);
-  ckpt::save_fleet_image(victim, path);
-
-  sim::AsyncGossipEngine resumed = fixture.make_async(scheduler, config);
-  ckpt::restore_fleet_image(resumed, path);
-  expect_stats_equal(victim.fault_stats(), resumed.fault_stats());
-  resumed.run_until(20.0);
-  EXPECT_TRUE(
-      bytes_equal(reference.node_parameters(), resumed.node_parameters()));
-  expect_stats_equal(reference.fault_stats(), resumed.fault_stats());
 }
 
 // --- run_experiment + sweep surface ----------------------------------------

@@ -1,7 +1,7 @@
 // Scenario-engine semantics: hostile trace inputs, harvest determinism,
 // battery hysteresis, churn-masked aggregation, and the two determinism
 // contracts (thread-count independence and kill-anywhere resume) with a
-// scenario active in both engines.
+// scenario active.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +25,6 @@
 #include "nn/model_zoo.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/trace.hpp"
-#include "sim/async_engine.hpp"
 #include "sim/engine.hpp"
 #include "sweep/result_sink.hpp"
 #include "util/rng.hpp"
@@ -366,19 +365,6 @@ struct Fixture {
     return sim::RoundEngine(prototype, data, mixing, scheduler,
                             make_accountant(), config);
   }
-
-  sim::AsyncGossipEngine make_async(const core::RoundScheduler& scheduler,
-                                    sim::AsyncConfig config = {}) const {
-    config.local_steps = 1;
-    config.batch_size = 4;
-    std::vector<double> seconds(fleet.num_nodes());
-    for (std::size_t i = 0; i < seconds.size(); ++i) {
-      seconds[i] = 1.0 + 0.31 * static_cast<double>(i % 5);
-    }
-    return sim::AsyncGossipEngine(prototype, data, topology, scheduler,
-                                  make_accountant(), std::move(seconds),
-                                  config);
-  }
 };
 
 bool bytes_equal(plane::ConstMatrixView a, plane::ConstMatrixView b) {
@@ -538,64 +524,6 @@ TEST(ScenarioEngine, ImageFromDifferentScenarioIsRejected) {
   sim::RoundEngine plain_engine = fixture.make_engine(scheduler);
   EXPECT_THROW(ckpt::restore_fleet_image(plain_engine, path),
                std::runtime_error);
-}
-
-// --- async engine ----------------------------------------------------------
-
-TEST(ScenarioAsync, DeadFleetOnlyBurnsDormantActivations) {
-  Fixture fixture(5, 2);
-  const core::DpsgdScheduler scheduler;
-  sim::AsyncConfig config;
-  config.scenario.enabled = true;
-  config.scenario.harvest = HarvestKind::kNone;
-  config.scenario.initial_soc = 0.01;  // below dropout from the start
-  config.scenario.dropout_soc = 0.1;
-  config.scenario.reentry_soc = 0.5;
-
-  sim::AsyncGossipEngine engine = fixture.make_async(scheduler, config);
-  const std::vector<float> before(
-      engine.node_parameters().flat().begin(),
-      engine.node_parameters().flat().end());
-  engine.run_until(40.0);
-  ASSERT_NE(engine.scenario(), nullptr);
-  EXPECT_GT(engine.total_activations(), 0u);
-  EXPECT_EQ(engine.total_trainings(), 0u);
-  EXPECT_EQ(engine.scenario()->down_steps_total(),
-            engine.scenario()->steps_total());
-  // Nothing trained, merged, or pushed: every model froze in place.
-  EXPECT_EQ(std::memcmp(before.data(), engine.node_parameters().flat().data(),
-                        before.size() * sizeof(float)),
-            0);
-  EXPECT_EQ(engine.accountant().total_wh(), 0.0);
-}
-
-TEST(ScenarioAsync, ChurnedResumeMatchesUninterruptedBitwise) {
-  const std::string path = testing::TempDir() + "scenario_async.sktf";
-  Fixture fixture(6, 2);
-  const core::SkipTrainScheduler scheduler(2, 1);
-  sim::AsyncConfig config;
-  config.scenario = scenario::make_config("churn");
-
-  sim::AsyncGossipEngine reference = fixture.make_async(scheduler, config);
-  reference.run_until(30.0);
-  ASSERT_NE(reference.scenario(), nullptr);
-  EXPECT_GT(reference.scenario()->down_steps_total(), 0u);
-
-  for (const double cut : {0.8, 7.3, 21.0}) {
-    SCOPED_TRACE("killed at t=" + std::to_string(cut));
-    sim::AsyncGossipEngine victim = fixture.make_async(scheduler, config);
-    victim.run_until(cut);
-    ckpt::save_fleet_image(victim, path);
-
-    sim::AsyncGossipEngine resumed = fixture.make_async(scheduler, config);
-    ckpt::restore_fleet_image(resumed, path);
-    resumed.run_until(30.0);
-    EXPECT_TRUE(bytes_equal(reference.node_parameters(),
-                            resumed.node_parameters()));
-    EXPECT_EQ(reference.total_trainings(), resumed.total_trainings());
-    EXPECT_EQ(reference.scenario()->down_steps_total(),
-              resumed.scenario()->down_steps_total());
-  }
 }
 
 // --- sweep surface ---------------------------------------------------------

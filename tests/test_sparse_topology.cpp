@@ -1,8 +1,8 @@
 // Implicit/CSR sparse topology layer: spec parsing, bitwise equivalence of
 // the implicit k-regular graph and SparseMixing against the dense
 // materialized oracle, sharded-kernel bit-identity across shard sizes and
-// thread counts, both engines (sync + async) on sparse topologies through
-// checkpoint save/restore, sparse-degree energy billing, the gated CSV
+// thread counts, the engine on sparse topologies through checkpoint
+// save/restore, sparse-degree energy billing, the gated CSV
 // topology column, and hostile CSR-file parsing.
 #include <gtest/gtest.h>
 
@@ -23,8 +23,6 @@
 #include "graph/topology.hpp"
 #include "nn/init.hpp"
 #include "nn/model_zoo.hpp"
-#include "plane/sharded.hpp"
-#include "sim/async_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/runner.hpp"
 #include "sweep/dataset_cache.hpp"
@@ -219,42 +217,6 @@ TEST(ShardedKernel, BitIdenticalToBlockedAcrossShardSizesAndThreads) {
   }
 }
 
-TEST(ShardedPlaneKernel, MatchesFlatShardedKernelBitwise) {
-  const std::size_t n = 30;
-  const std::size_t dim = 257;
-  const std::size_t shard_rows = 7;  // uneven: last shard holds 2 rows
-  const graph::ImplicitKRegular implicit(n, 4, 9);
-  const auto sparse = graph::SparseMixing::metropolis_hastings(implicit);
-
-  plane::ShardedPlane fleet_plane(n, dim, shard_rows);
-  EXPECT_EQ(fleet_plane.num_shards(), 5u);
-  EXPECT_EQ(fleet_plane.rows_in_shard(4), 2u);
-  EXPECT_EQ(fleet_plane.shard_of(13), 1u);
-  EXPECT_EQ(fleet_plane.shard_begin(2), 14u);
-  EXPECT_EQ(fleet_plane.shard_scratch(0).size(), dim);
-
-  std::vector<float> half(n * dim);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto row = fleet_plane.current_row(i);
-    for (std::size_t j = 0; j < dim; ++j) {
-      const float v = 1e-3f * static_cast<float>((i * 131 + j * 7) % 997);
-      row[j] = v;
-      half[i * dim + j] = v;
-    }
-  }
-  std::vector<float> reference(n * dim, -1.0f);
-  graph::apply_mixing_sharded(graph::MixingRef(sparse), half, reference, dim,
-                              0);
-  plane::apply_mixing_sharded(sparse, fleet_plane);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto row = fleet_plane.current_row(i);
-    for (std::size_t j = 0; j < dim; ++j) {
-      ASSERT_EQ(row[j], reference[i * dim + j]) << "node " << i << " coord "
-                                                << j;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Engines on sparse topologies
 // ---------------------------------------------------------------------------
@@ -400,54 +362,6 @@ TEST(SparseEngine, SaveRestoreContinuesBitIdentically) {
   std::istringstream in(bytes);
   ckpt::ImageReader reader(in, bytes.size());
   EXPECT_THROW(wrong_topology.restore_state(reader), std::runtime_error);
-}
-
-TEST(AsyncSparseEngine, MaterializedImplicitSaveRestoreBitIdentical) {
-  SparseEngineFixture fixture;
-  const core::DpsgdScheduler scheduler;
-  sim::AsyncConfig config;
-  config.local_steps = 2;
-  config.batch_size = 8;
-  config.topology_hash = fixture.implicit.config_hash();
-  const std::vector<double> speeds(fixture.fleet.num_nodes(), 1.0);
-  const auto make_async = [&](const sim::AsyncConfig& c) {
-    return sim::AsyncGossipEngine(fixture.prototype, fixture.data,
-                                  fixture.materialized, scheduler,
-                                  fixture.make_accountant(), speeds, c);
-  };
-
-  sim::AsyncGossipEngine straight = make_async(config);
-  straight.run_until(4.0);
-
-  std::stringstream buffer;
-  {
-    ckpt::ImageWriter writer(buffer);
-    straight.save_state(writer);
-  }
-  const std::string bytes = buffer.str();
-
-  sim::AsyncGossipEngine restored = make_async(config);
-  {
-    std::istringstream in(bytes);
-    ckpt::ImageReader reader(in, bytes.size());
-    restored.restore_state(reader);
-  }
-  straight.run_until(8.0);
-  restored.run_until(8.0);
-  EXPECT_EQ(straight.total_activations(), restored.total_activations());
-  for (std::size_t i = 0; i < straight.num_nodes(); ++i) {
-    const auto a = straight.node_parameters()[i];
-    const auto b = restored.node_parameters()[i];
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-        << "node " << i;
-  }
-
-  sim::AsyncConfig wrong = config;
-  wrong.topology_hash = config.topology_hash + 1;
-  sim::AsyncGossipEngine mismatched = make_async(wrong);
-  std::istringstream in(bytes);
-  ckpt::ImageReader reader(in, bytes.size());
-  EXPECT_THROW(mismatched.restore_state(reader), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
