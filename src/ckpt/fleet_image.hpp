@@ -15,8 +15,7 @@
 //   accountant per-node energy tallies, training counts, budgets
 //   plane blob the [n × dim] parameter matrix, row-arena-contiguous, so
 //              restore is ONE read into the existing RowArena with no
-//              per-row copies (the storage-layout groundwork the
-//              NUMA-sharding roadmap item builds on)
+//              per-row copies
 //   node state per-node RNG stream + optimizer momentum buffer
 //   experiment (optional) recorder series + experiment counters, so a
 //              resumed sim::run_experiment emits byte-identical CSVs
