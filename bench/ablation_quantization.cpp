@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
 
   const bench::Workbench wb = bench::make_cifar_bench(args);
   sim::RunOptions options = bench::options_from_flags(args, wb);
-  options.algorithm = sim::Algorithm::kSkipTrain;
   options.degree = static_cast<std::size_t>(args.get_int("degree"));
   std::tie(options.gamma_train, options.gamma_sync) =
       bench::tuned_gammas(options.degree);

@@ -80,9 +80,9 @@ struct FaultPlan {
 };
 
 /// Lifetime delivery/outage telemetry an engine accumulates under a
-/// fault plan (all zero without one). Unlike the engines' phase timing,
+/// fault plan (all zero without one). Unlike the engine's phase timing,
 /// these ARE simulation state — the counts feed the summary CSV — so
-/// engines checkpoint and restore them alongside model state.
+/// the engine checkpoints and restores them alongside model state.
 struct FaultStats {
   std::uint64_t attempted_deliveries = 0;  // (receiver, alive sender) pairs
   std::uint64_t dropped = 0;               // lost in flight
@@ -145,7 +145,7 @@ struct LinkDraw {
                                               std::uint64_t dst,
                                               std::uint64_t frame_bytes);
 
-/// Both engines' per-edge delivery of sender `src`'s round-`round` wire
+/// The round engine's per-edge delivery of sender `src`'s round-`round` wire
 /// frame (fault/frame.hpp) to `dst`: draws the link's fate, tallies it
 /// into `stats`, and on a corrupt draw runs the receiver's CRC32C check
 /// over the frame as received (seed-derived bit flipped, checked in

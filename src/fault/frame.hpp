@@ -8,7 +8,7 @@
 // where the payload is the QuantizedRow's codec id, round, dim and the
 // active codec family's storage vectors. Receivers verify the CRC (and
 // every structural bound) before decoding; a frame whose check fails is
-// treated as a dropped message, which is exactly how the engines degrade
+// treated as a dropped message, which is exactly how the engine degrades
 // for explicit drops — lost neighbor mass reverts to self through the
 // masked-aggregation difference form.
 //

@@ -159,7 +159,7 @@ class SparseMixing {
   std::vector<float> self_weight_;
 };
 
-/// Non-owning handle over either mixing representation. The engines hold
+/// Non-owning handle over either mixing representation. The engine holds
 /// one of these, so every aggregation call site reads identically
 /// (`mixing_.self_weight(i)`, `mixing_.neighbor_weights(i)`) regardless
 /// of which backing store the topology axis selected. Implicit

@@ -75,7 +75,7 @@ struct PhaseStats {
 /// obs::now_ns()): accumulates into `stats`, emits a trace span, and
 /// records into the phase's "phase.<name>.ns" histogram. The flat
 /// counterpart of PhaseScope for sections that don't form a C++ scope —
-/// the engines' interleaved encode/gossip branches use it directly.
+/// the engine's interleaved encode/gossip branches use it directly.
 void note_phase(PhaseStats& stats, Phase phase, std::uint64_t start_ns);
 
 /// Times the enclosing scope as one entry of `phase`: accumulates into

@@ -84,7 +84,7 @@ inline constexpr std::size_t kInt8BlockHeaderBytes = 2 * sizeof(float);
 
 /// Exact bytes one encoded `dim`-value row occupies on the wire, including
 /// partial-block int8 headers — what QuantizedRow::wire_bytes() reports
-/// after an encode, computable without encoding. The engines' telemetry
+/// after an encode, computable without encoding. The engine's telemetry
 /// wire-byte tallies use this (the analytic per-param figure above
 /// amortizes away partial trailing blocks).
 [[nodiscard]] std::size_t exact_row_wire_bytes(Codec codec, std::size_t dim);

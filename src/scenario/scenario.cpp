@@ -62,20 +62,18 @@ void ScenarioConfig::validate() const {
           "scenario: trace_scale must be non-negative");
     }
   }
-  if (dormant_wait_factor <= 0.0 || !std::isfinite(dormant_wait_factor)) {
-    throw std::invalid_argument(
-        "scenario: dormant_wait_factor must be positive");
-  }
 }
 
 std::uint64_t ScenarioConfig::config_hash() const {
   if (!enabled) return 0;
   std::uint64_t hash = util::hash_combine(0x5343454e41524930ULL,  // "SCENARI0"
                                           static_cast<std::uint64_t>(harvest));
+  // The trailing 1.0 stands in for the retired asynchronous engine's
+  // dormant-wait factor, so scenario image identities stay unchanged.
   for (const double value :
        {battery_rounds, initial_soc, dropout_soc, reentry_soc,
         harvest_rounds_mean, period_rounds, weather_noise, panel_spread,
-        trace_scale, dormant_wait_factor}) {
+        trace_scale, 1.0}) {
     hash = util::hash_combine(hash, f64_bits(value));
   }
   if (trace != nullptr) {

@@ -69,10 +69,6 @@ struct ScenarioConfig {
   std::string trace_path;  // provenance, for tokens/errors only
   double trace_scale = 1.0;
 
-  // No engine reads it, but config_hash() hashes it: dropping it would
-  // change the checkpoint identity of every scenario image.
-  double dormant_wait_factor = 1.0;
-
   /// 64-bit fingerprint over every field (including trace content).
   /// Stored in checkpoint identities so an image written under one
   /// scenario can never resume into another.

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,14 +90,18 @@ struct Golden {
   bool operator==(const Golden&) const = default;
 };
 
-std::uint64_t fnv1a64(plane::ConstMatrixView plane) {
+std::uint64_t fnv1a64(std::span<const unsigned char> bytes) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(plane.data);
-  for (std::size_t b = 0; b < plane.rows * plane.dim * sizeof(float); ++b) {
-    hash ^= bytes[b];
+  for (const unsigned char byte : bytes) {
+    hash ^= byte;
     hash *= 0x100000001b3ULL;
   }
   return hash;
+}
+
+std::uint64_t fnv1a64(plane::ConstMatrixView plane) {
+  return fnv1a64({reinterpret_cast<const unsigned char*>(plane.data),
+                  plane.rows * plane.dim * sizeof(float)});
 }
 
 Golden observe(const std::string& label, const sim::RoundEngine& engine) {
@@ -286,11 +291,8 @@ TEST(ExchangeGolden, FleetImageBytes) {
     const std::string bytes{std::istreambuf_iterator<char>(in),
                             std::istreambuf_iterator<char>()};
     ASSERT_FALSE(bytes.empty());
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char byte : bytes) {
-      hash ^= static_cast<unsigned char>(byte);
-      hash *= 0x100000001b3ULL;
-    }
+    const std::uint64_t hash = fnv1a64(
+        {reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size()});
     char actual[32];
     std::snprintf(actual, sizeof(actual), "0x%016llxULL",
                   static_cast<unsigned long long>(hash));

@@ -235,7 +235,7 @@ TEST(Codec, DecodeValidatesPayload) {
 }
 
 TEST(Codec, EncodeDecodeIsThreadCountInvariant) {
-  // The per-row fan-out the engines run must be bit-identical whether it
+  // The per-row fan-out the engine runs must be bit-identical whether it
   // executes serially or on the pool.
   constexpr std::size_t kRows = 16, kDim = 1000;
   std::vector<std::vector<float>> rows(kRows, std::vector<float>(kDim));
