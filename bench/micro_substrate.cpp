@@ -7,9 +7,10 @@
 // --benchmark_out=...) so CI records the gossip-kernel perf trajectory
 // per PR. `--quick` runs the aggregate-phase, large-fleet sharded-gossip,
 // exchange-codec, fleet-checkpoint, scenario/harvest, kernel-layer GEMM,
-// Conv2d, local-step and 16-node full-round rows at a short min-time —
-// the mode the CI Release job uses; the GEMM/Conv/Gossip rows feed the
-// bench regression gate (tools/check_bench_regression.py).
+// Conv2d, local-step, 16-node full-round and 16-node fleet-evaluation rows
+// at a short min-time — the mode the CI Release job uses; the
+// GEMM/Conv/Gossip rows feed the bench regression gate
+// (tools/check_bench_regression.py).
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
@@ -748,21 +749,29 @@ void BM_SpectralGap(benchmark::State& state) {
 }
 BENCHMARK(BM_SpectralGap)->Arg(64)->Arg(256);
 
-void BM_Evaluation(benchmark::State& state) {
+// The per-round fleet evaluation at chaos_256's eval shape: 600 test
+// samples through each of range(0) compact CIFAR MLPs on the global pool,
+// accuracy only. Runs under --quick.
+void BM_EvaluateFleet(benchmark::State& state) {
   data::CifarSynConfig config;
   config.nodes = 2;
   config.samples_per_node = 40;
   config.test_pool = 1200;
   auto dataset = data::make_cifar_synthetic(config);
-  auto model = nn::make_compact_cifar_model(config.feature_dim);
+  std::vector<nn::Sequential> fleet;
+  std::vector<nn::Sequential*> models;
   util::Rng rng(8);
-  nn::initialize(model, rng);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    fleet.push_back(nn::make_compact_cifar_model(config.feature_dim));
+    nn::initialize(fleet.back(), rng);
+  }
+  for (auto& model : fleet) models.push_back(&model);
   const metrics::Evaluator evaluator(&dataset.test, 600);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.evaluate(model).accuracy);
+    benchmark::DoNotOptimize(evaluator.evaluate_fleet(models).accuracy.mean);
   }
 }
-BENCHMARK(BM_Evaluation);
+BENCHMARK(BM_EvaluateFleet)->Arg(16);
 
 void BM_ShardPartition(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
@@ -824,7 +833,7 @@ int main(int argc, char** argv) {
   }
   if (quick) {
     args.insert(args.begin() + 1,
-                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Sparse)?(Blocked|Ref)|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_FaultedGossip|BM_LocalSgdStep|BM_FullRound/16");
+                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Sparse)?(Blocked|Ref)|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_FaultedGossip|BM_LocalSgdStep|BM_FullRound/16|BM_EvaluateFleet/16");
     args.insert(args.begin() + 1, "--benchmark_min_time=0.05");
   }
   const bool has_out =

@@ -8,39 +8,12 @@
 
 namespace skiptrain::metrics {
 
-Evaluator::Evaluator(const data::Dataset* dataset, std::size_t max_samples,
-                     std::size_t batch_size)
-    : dataset_(dataset), batch_size_(batch_size) {
-  if (dataset_ == nullptr || dataset_->size() == 0) {
-    throw std::invalid_argument("Evaluator: empty dataset");
-  }
-  samples_ = (max_samples == 0) ? dataset_->size()
-                                : std::min(max_samples, dataset_->size());
-}
-
-EvalResult Evaluator::evaluate(nn::Sequential& model) const {
-  const data::DatasetView view = data::DatasetView::whole(dataset_);
-  tensor::Tensor batch;
-  std::vector<std::int32_t> labels;
-
-  double weighted_loss = 0.0;
-  double weighted_acc = 0.0;
-  std::size_t done = 0;
-  while (done < samples_) {
-    const std::size_t count = std::min(batch_size_, samples_ - done);
-    view.fill_range(done, count, batch, labels);
-    const tensor::Tensor& logits = model.forward(batch);
-    const nn::LossResult result =
-        nn::softmax_cross_entropy_eval(logits, labels);
-    weighted_loss += result.loss * static_cast<double>(count);
-    weighted_acc += result.accuracy * static_cast<double>(count);
-    done += count;
-  }
-  return EvalResult{weighted_acc / static_cast<double>(samples_),
-                    weighted_loss / static_cast<double>(samples_)};
-}
-
 namespace {
+
+/// Per-thread forward buffers of every evaluation: each forward overwrites
+/// what it reads, so a fleet of models costs one set of eval activations
+/// per worker thread rather than one per node.
+thread_local std::vector<tensor::Tensor> t_activations;
 
 /// Arithmetic mean over rows supplied by any accessor i -> span<const float>.
 template <typename RowFn>
@@ -57,6 +30,59 @@ std::vector<float> mean_of_rows(std::size_t rows, std::size_t dim,
 }
 
 }  // namespace
+
+Evaluator::Evaluator(const data::Dataset* dataset, std::size_t max_samples,
+                     std::size_t batch_size) {
+  if (dataset == nullptr || dataset->size() == 0) {
+    throw std::invalid_argument("Evaluator: empty dataset");
+  }
+  if (batch_size == 0) {
+    throw std::invalid_argument("Evaluator: batch_size must be positive");
+  }
+  samples_ = (max_samples == 0) ? dataset->size()
+                                : std::min(max_samples, dataset->size());
+  const data::DatasetView view = data::DatasetView::whole(dataset);
+  batches_.resize((samples_ + batch_size - 1) / batch_size);
+  for (std::size_t b = 0; b < batches_.size(); ++b) {
+    const std::size_t start = b * batch_size;
+    view.fill_range(start, std::min(batch_size, samples_ - start),
+                    batches_[b].features, batches_[b].labels);
+  }
+}
+
+EvalResult Evaluator::evaluate(nn::Sequential& model) const {
+  double weighted_loss = 0.0;
+  double weighted_acc = 0.0;
+  for (const Batch& batch : batches_) {
+    const tensor::Tensor& logits = model.forward(batch.features, t_activations);
+    const nn::LossResult result =
+        nn::softmax_cross_entropy_eval(logits, batch.labels);
+    const auto count = static_cast<double>(batch.labels.size());
+    weighted_loss += result.loss * count;
+    weighted_acc += result.accuracy * count;
+  }
+  return EvalResult{weighted_acc / static_cast<double>(samples_),
+                    weighted_loss / static_cast<double>(samples_)};
+}
+
+double Evaluator::accuracy(nn::Sequential& model) const {
+  double weighted_acc = 0.0;
+  for (const Batch& batch : batches_) {
+    const tensor::Tensor& logits = model.forward(batch.features, t_activations);
+    const std::size_t classes = logits.numel() / batch.labels.size();
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < batch.labels.size(); ++i) {
+      const std::span<const float> row(logits.raw() + i * classes, classes);
+      if (nn::argmax(row) == static_cast<std::size_t>(batch.labels[i])) {
+        ++correct;
+      }
+    }
+    // The same (correct / count) * count as evaluate(), so no bit moves.
+    const auto count = static_cast<double>(batch.labels.size());
+    weighted_acc += static_cast<double>(correct) / count * count;
+  }
+  return weighted_acc / static_cast<double>(samples_);
+}
 
 EvalResult Evaluator::evaluate_average(
     const nn::Sequential& prototype,
@@ -98,7 +124,7 @@ Evaluator::FleetResult Evaluator::evaluate_fleet(
   FleetResult result;
   result.per_node.assign(models.size(), 0.0);
   util::parallel_for(0, models.size(), [&](std::size_t i) {
-    result.per_node[i] = evaluate(*models[i]).accuracy;
+    result.per_node[i] = accuracy(*models[i]);
   });
   util::RunningStat stat;
   for (const double acc : result.per_node) stat.add(acc);

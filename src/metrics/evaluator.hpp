@@ -19,14 +19,18 @@ struct EvalResult {
 
 class Evaluator {
  public:
-  /// Evaluates against `dataset` (not owned; must outlive the evaluator).
-  /// `max_samples` limits the evaluation sweep (0 = use all samples);
-  /// `batch_size` controls the forward-pass batching.
+  /// Evaluates against the first `max_samples` samples of `dataset`
+  /// (0 = all of them), in batches of `batch_size`. The constructor copies
+  /// those samples into the evaluator's batches once; the dataset is read
+  /// nowhere else, so it need only outlive the constructor call. Throws
+  /// std::invalid_argument on a null or empty dataset or a zero batch size.
   explicit Evaluator(const data::Dataset* dataset, std::size_t max_samples = 0,
                      std::size_t batch_size = 256);
 
-  /// Accuracy/loss of one model. Thread-safe wrt the dataset; the model is
-  /// used mutably (forward activations) and must not be shared.
+  /// Accuracy/loss of one model. The batches are read-only and the forward
+  /// runs in per-thread buffers, so concurrent calls on distinct models are
+  /// safe; the model is still used mutably (layer-side caches such as
+  /// MaxPool2d's argmax) and must not be shared between threads.
   EvalResult evaluate(nn::Sequential& model) const;
 
   /// Accuracy/loss of the model whose parameters are the arithmetic mean
@@ -41,7 +45,9 @@ class Evaluator {
       std::span<const std::vector<float>> node_params) const;
 
   /// Per-node accuracies for a set of models, evaluated in parallel on the
-  /// global thread pool. Returns mean/std summary plus raw accuracies.
+  /// global thread pool. Returns mean/std summary plus raw accuracies; each
+  /// equals evaluate(model).accuracy bit for bit, without the loss. Eval
+  /// activations live in one set of buffers per thread, not per node.
   struct FleetResult {
     util::Summary accuracy;
     std::vector<double> per_node;
@@ -51,9 +57,16 @@ class Evaluator {
   std::size_t samples_used() const { return samples_; }
 
  private:
-  const data::Dataset* dataset_;
-  std::size_t samples_;
-  std::size_t batch_size_;
+  struct Batch {
+    tensor::Tensor features;
+    std::vector<std::int32_t> labels;
+  };
+
+  /// Top-1 accuracy of one model: evaluate() without the loss.
+  double accuracy(nn::Sequential& model) const;
+
+  std::size_t samples_ = 0;
+  std::vector<Batch> batches_;  // consecutive samples [0, samples_)
 };
 
 }  // namespace skiptrain::metrics

@@ -21,6 +21,14 @@ double log_sum_exp(const float* row, std::size_t n) {
 
 }  // namespace
 
+std::size_t argmax(std::span<const float> row) {
+  std::size_t pred = 0;
+  for (std::size_t c = 1; c < row.size(); ++c) {
+    if (row[c] > row[pred]) pred = c;
+  }
+  return pred;
+}
+
 LossResult softmax_cross_entropy(const tensor::Tensor& logits,
                                  std::span<const std::int32_t> labels,
                                  tensor::Tensor& grad_logits) {
@@ -42,15 +50,13 @@ LossResult softmax_cross_entropy(const tensor::Tensor& logits,
     const double lse = log_sum_exp(row, classes);
     total_loss += lse - static_cast<double>(row[label]);
 
-    std::size_t pred = 0;
     for (std::size_t c = 0; c < classes; ++c) {
       const float p =
           static_cast<float>(std::exp(static_cast<double>(row[c]) - lse));
       grad[c] = p * inv_batch;
-      if (row[c] > row[pred]) pred = c;
     }
     grad[label] -= inv_batch;
-    if (pred == label) ++correct;
+    if (argmax({row, classes}) == label) ++correct;
   }
 
   return LossResult{total_loss / static_cast<double>(batch),
@@ -70,11 +76,7 @@ LossResult softmax_cross_entropy_eval(const tensor::Tensor& logits,
     const auto label = static_cast<std::size_t>(labels[b]);
     const double lse = log_sum_exp(row, classes);
     total_loss += lse - static_cast<double>(row[label]);
-    std::size_t pred = 0;
-    for (std::size_t c = 1; c < classes; ++c) {
-      if (row[c] > row[pred]) pred = c;
-    }
-    if (pred == label) ++correct;
+    if (argmax({row, classes}) == label) ++correct;
   }
   return LossResult{total_loss / static_cast<double>(batch),
                     static_cast<double>(correct) / static_cast<double>(batch)};

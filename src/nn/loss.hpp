@@ -24,4 +24,11 @@ LossResult softmax_cross_entropy(const tensor::Tensor& logits,
 LossResult softmax_cross_entropy_eval(const tensor::Tensor& logits,
                                       std::span<const std::int32_t> labels);
 
+/// Top-1 prediction of one logit row: starts at c = 0 and moves on a
+/// strict `>` from c = 1, so the first maximum wins. Every comparison with
+/// NaN is false: a NaN logit past c = 0 is never picked, and a NaN at
+/// c = 0 is never displaced. Every accuracy in the library goes through
+/// this, so the loss and the accuracy-only paths agree.
+std::size_t argmax(std::span<const float> row);
+
 }  // namespace skiptrain::nn

@@ -89,20 +89,23 @@ void Sequential::attach_parameter_arena(std::span<float> arena) {
 }
 
 const Tensor& Sequential::forward(const Tensor& input) {
+  return forward(input, activations_);
+}
+
+const Tensor& Sequential::forward(const Tensor& input,
+                                  std::vector<Tensor>& buffers) {
   if (layers_.empty()) {
     throw std::logic_error("Sequential::forward: model has no layers");
   }
-  activations_.resize(layers_.size());
+  buffers.resize(layers_.size());
   const Tensor* current = &input;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const Shape out_shape = layers_[i]->output_shape(current->shape());
-    if (activations_[i].shape() != out_shape) {
-      activations_[i] = Tensor(out_shape);
-    }
-    layers_[i]->forward(*current, activations_[i]);
-    current = &activations_[i];
+    if (buffers[i].shape() != out_shape) buffers[i] = Tensor(out_shape);
+    layers_[i]->forward(*current, buffers[i]);
+    current = &buffers[i];
   }
-  return activations_.back();
+  return buffers.back();
 }
 
 void Sequential::backward(const Tensor& input, const Tensor& grad_logits) {

@@ -51,6 +51,15 @@ class Sequential {
   /// Buffers are retained across calls and resized when the batch changes.
   const Tensor& forward(const Tensor& input);
 
+  /// The same forward pass into caller-owned `buffers` (buffers[i] = output
+  /// of layer i, resized like the model's own), returning buffers.back().
+  /// The model's own activations are left untouched, so a fleet evaluator
+  /// can run every node through one set of buffers per thread. Layer-side
+  /// caches (MaxPool2d's argmax, GroupNorm's statistics) are still written,
+  /// so in a model with such layers a buffered forward must not sit
+  /// between a forward() and the backward() that consumes it.
+  const Tensor& forward(const Tensor& input, std::vector<Tensor>& buffers);
+
   /// Backpropagates `grad_logits` down to the first parameter layer,
   /// accumulating parameter gradients; the gradient wrt the model input is
   /// never computed. Must follow a forward() on the same input.

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "data/synthetic.hpp"
@@ -127,6 +130,67 @@ TEST(Evaluator, FleetSummary) {
   EXPECT_DOUBLE_EQ(result.per_node[0], 1.0);
   EXPECT_DOUBLE_EQ(result.per_node[1], 0.0);
   EXPECT_NEAR(result.accuracy.stddev, 0.5, 1e-12);
+}
+
+TEST(Evaluator, ZeroBatchSizeThrows) {
+  const data::Dataset dataset = tiny_dataset();
+  EXPECT_THROW(
+      {
+        const Evaluator evaluator(&dataset, 0, 0);
+        (void)evaluator;
+      },
+      std::invalid_argument);
+}
+
+/// The fleet's accuracy-only path must reproduce evaluate()'s accuracy bit
+/// for bit: full and ragged last batches, tied logits (the first maximum
+/// wins), a NaN weight, and a fleet large enough to run on the pool.
+TEST(Evaluator, FleetAccuracyEqualsSingleModelBitwise) {
+  data::CifarSynConfig config;
+  config.nodes = 2;
+  config.samples_per_node = 10;
+  config.test_pool = 1200;  // 600 test samples
+  const data::FederatedData data = data::make_cifar_synthetic(config);
+
+  std::vector<nn::Sequential> fleet;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    fleet.push_back(nn::make_compact_cifar_model(config.feature_dim));
+    util::Rng rng(100 + seed);
+    nn::initialize(fleet.back(), rng);
+  }
+  // All-zero parameters: every logit ties, so every prediction is class 0.
+  fleet.push_back(nn::make_compact_cifar_model(config.feature_dim));
+  fleet.back().set_parameters(
+      std::vector<float>(fleet.back().num_parameters(), 0.0f));
+  const std::size_t tied = fleet.size() - 1;
+  // A NaN in row 3 of the last layer's W: logit 3 is NaN on every sample.
+  fleet.push_back(fleet.front().clone());
+  auto& last = dynamic_cast<nn::Linear&>(
+      fleet.back().layer(fleet.back().num_layers() - 1));
+  last.weights()[3 * last.in_features()] =
+      std::numeric_limits<float>::quiet_NaN();
+
+  std::vector<nn::Sequential*> models;
+  for (auto& model : fleet) models.push_back(&model);
+  std::size_t label_zero = 0;
+  for (std::size_t i = 0; i < 600; ++i) {
+    if (data.test.labels[i] == 0) ++label_zero;
+  }
+
+  for (const std::size_t batch_size : {std::size_t{256}, std::size_t{7}}) {
+    const Evaluator evaluator(&data.test, 600, batch_size);
+    ASSERT_EQ(evaluator.samples_used(), 600u);
+    const auto result = evaluator.evaluate_fleet(models);
+    ASSERT_EQ(result.per_node.size(), fleet.size());
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result.per_node[i]),
+                std::bit_cast<std::uint64_t>(
+                    evaluator.evaluate(*models[i]).accuracy))
+          << "model " << i << ", batch " << batch_size;
+    }
+    EXPECT_DOUBLE_EQ(result.per_node[tied],
+                     static_cast<double>(label_zero) / 600.0);
+  }
 }
 
 TEST(Evaluator, EmptyDatasetThrows) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "nn/activations.hpp"
@@ -8,6 +10,7 @@
 #include "nn/groupnorm.hpp"
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
+#include "nn/loss.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/pool.hpp"
 #include "nn/sequential.hpp"
@@ -273,6 +276,69 @@ TEST(SequentialTest, ForwardShapesThroughCnn) {
   Tensor input({2, 3, 32, 32});
   const Tensor& logits = model.forward(input);
   EXPECT_EQ(logits.shape(), (Shape{2, 10}));
+}
+
+void expect_bitwise_equal(std::span<const float> got,
+                          std::span<const float> want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << "element " << i << " of " << got.size();
+  }
+}
+
+TEST(SequentialTest, BufferedForwardMatchesForwardBitwise) {
+  const auto check = [](Sequential model, const Shape& input_shape) {
+    util::Rng rng(31);
+    initialize(model, rng);
+    Tensor input(input_shape);
+    rng.fill_normal(input.data(), 0.0f, 1.0f);
+    const Tensor plain = model.forward(input);
+    std::vector<Tensor> buffers;
+    const Tensor& buffered = model.forward(input, buffers);
+    EXPECT_EQ(buffers.size(), model.num_layers());
+    EXPECT_EQ(&buffered, &buffers.back());
+    EXPECT_EQ(buffered.shape(), plain.shape());
+    expect_bitwise_equal(buffered.data(), plain.data());
+  };
+  check(make_compact_cifar_model(64), {16, 64});
+  check(make_cifar_cnn(), {2, 3, 32, 32});
+}
+
+TEST(SequentialTest, BufferedForwardLeavesActivationsForBackward) {
+  // forward -> buffered forward (another batch size) -> backward must give
+  // the gradients of forward -> backward: the buffered pass touches none of
+  // the activations the backward reads. (The MLP has no layer-side caches;
+  // see Sequential::forward.)
+  Sequential model = make_compact_cifar_model(64);
+  util::Rng rng(32);
+  initialize(model, rng);
+  Tensor input({16, 64});
+  rng.fill_normal(input.data(), 0.0f, 1.0f);
+  Tensor other({5, 64});
+  rng.fill_normal(other.data(), 0.0f, 1.0f);
+  std::vector<std::int32_t> labels(16);
+  for (auto& label : labels) {
+    label = static_cast<std::int32_t>(rng.uniform_int(10));
+  }
+
+  const Tensor logits = model.forward(input);
+  Tensor grad_logits(logits.shape());
+  softmax_cross_entropy(logits, labels, grad_logits);
+  model.zero_grad();
+  model.backward(input, grad_logits);
+  std::vector<float> want(model.num_parameters());
+  model.get_gradients(want);
+
+  model.zero_grad();
+  model.forward(input);
+  std::vector<Tensor> buffers;
+  model.forward(other, buffers);
+  model.backward(input, grad_logits);
+  std::vector<float> got(model.num_parameters());
+  model.get_gradients(got);
+  expect_bitwise_equal(got, want);
 }
 
 TEST(SequentialTest, EmptyModelThrows) {
