@@ -851,6 +851,9 @@ int main(int argc, char** argv) {
   int argc2 = static_cast<int>(argv2.size());
   benchmark::Initialize(&argc2, argv2.data());
   if (benchmark::ReportUnrecognizedArguments(argc2, argv2.data())) return 1;
+  // The GEMM clone sets every BM_Gemm*/BM_Conv2d* time; name it in the
+  // context block so rows from different hosts can be told apart.
+  benchmark::AddCustomContext("gemm_isa", skiptrain::tensor::gemm_isa());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -6,19 +6,13 @@
 #include <limits>
 
 #include "quant/codec.hpp"
+#include "util/isa.hpp"
 
-// The batch kernels are element-wise exact (no reductions, no FMA — fma
-// is deliberately absent from the clone list so no contraction can change
-// results), so every ISA variant produces identical bits; AVX2 supplies
-// the per-lane variable shifts and rounds the fp16/int8 bodies vectorize
-// with, while the default clone keeps baseline machines working.
-#if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
-    !defined(__clang__) && !defined(__SANITIZE_ADDRESS__)
-#define SKIPTRAIN_VEC_CLONES \
-  __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
-#else
-#define SKIPTRAIN_VEC_CLONES
-#endif
+// The batch kernels are element-wise exact (no reductions, and FP
+// contraction is off project-wide), so every ISA clone produces identical
+// bits; AVX2 supplies the per-lane variable shifts and rounds the fp16/int8
+// bodies vectorize with, while the default clone keeps baseline machines
+// working.
 
 namespace skiptrain::quant {
 
@@ -146,7 +140,7 @@ std::uint16_t fp16_wire_from_float(float value) {
   return half;
 }
 
-SKIPTRAIN_VEC_CLONES
+SKIPTRAIN_CODEC_CLONES
 void fp16_encode(std::span<const float> src, std::uint16_t* dst) {
   const float* __restrict__ in = src.data();
   std::uint16_t* __restrict__ out = dst;
@@ -156,7 +150,7 @@ void fp16_encode(std::span<const float> src, std::uint16_t* dst) {
   }
 }
 
-SKIPTRAIN_VEC_CLONES
+SKIPTRAIN_CODEC_CLONES
 void fp16_encode_wire(std::span<const float> src, std::uint16_t* dst) {
   const float* __restrict__ in = src.data();
   std::uint16_t* __restrict__ out = dst;
@@ -166,7 +160,7 @@ void fp16_encode_wire(std::span<const float> src, std::uint16_t* dst) {
   }
 }
 
-SKIPTRAIN_VEC_CLONES
+SKIPTRAIN_CODEC_CLONES
 void fp16_decode(const std::uint16_t* src, std::span<float> dst) {
   const std::uint16_t* __restrict__ in = src;
   float* __restrict__ out = dst.data();
@@ -190,7 +184,7 @@ void fp16_decode_scalar(const std::uint16_t* src, std::span<float> dst) {
 
 // --- int8 -------------------------------------------------------------------
 
-SKIPTRAIN_VEC_CLONES
+SKIPTRAIN_CODEC_CLONES
 void int8_encode(std::span<const float> row, std::uint8_t* codes, float* lo,
                  float* scale) {
   const float* __restrict__ in = row.data();
@@ -226,7 +220,7 @@ void int8_encode(std::span<const float> row, std::uint8_t* codes, float* lo,
       });
 }
 
-SKIPTRAIN_VEC_CLONES
+SKIPTRAIN_CODEC_CLONES
 void int8_encode_dithered(std::span<const float> row, std::uint64_t stream,
                           std::uint8_t* codes, float* lo, float* scale) {
   const float* __restrict__ in = row.data();
@@ -244,7 +238,7 @@ void int8_encode_dithered(std::span<const float> row, std::uint64_t stream,
       });
 }
 
-SKIPTRAIN_VEC_CLONES
+SKIPTRAIN_CODEC_CLONES
 void int8_decode(std::size_t dim, const std::uint8_t* codes, const float* lo,
                  const float* scale, float* out_ptr) {
   const std::uint8_t* __restrict__ in = codes;
@@ -261,7 +255,7 @@ void int8_decode(std::size_t dim, const std::uint8_t* codes, const float* lo,
   }
 }
 
-SKIPTRAIN_VEC_CLONES
+SKIPTRAIN_CODEC_CLONES
 void int8_decode_dithered(std::size_t dim, const std::uint8_t* codes,
                           const float* lo, const float* scale,
                           std::uint64_t stream, float* out_ptr) {

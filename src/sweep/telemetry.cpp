@@ -11,6 +11,7 @@
 
 #include "ckpt/io.hpp"
 #include "obs/registry.hpp"
+#include "tensor/gemm.hpp"
 
 namespace skiptrain::sweep {
 
@@ -137,6 +138,7 @@ void write_telemetry_json(const std::string& path,
     out << "  \"failures\": " << report.failures << ",\n";
     out << "  \"resumed_trials\": " << report.resumed_trials << ",\n";
     out << "  \"peak_rss_bytes\": " << peak_rss_bytes() << ",\n";
+    out << "  \"gemm_isa\": \"" << tensor::gemm_isa() << "\",\n";
     write_pool(out, "trial_pool", report.trial_pool, report.wall_seconds);
     write_pool(out, "global_pool", global_pool, report.wall_seconds);
 

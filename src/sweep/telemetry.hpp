@@ -13,6 +13,7 @@
 //     "sweep": <grid name>, "wall_seconds": w,
 //     "trials": n, "failures": f, "resumed_trials": r,
 //     "peak_rss_bytes": rss,                     // 0 when unavailable
+//     "gemm_isa": "avx2" | "default",            // GEMM clone that ran
 //     "trial_pool":  {workers, busy_seconds, tasks_executed, utilization},
 //     "global_pool": {workers, busy_seconds, tasks_executed, utilization},
 //     "phases": {"train": {"seconds": s, "calls": c}, ...},

@@ -14,6 +14,14 @@
 // branch-free microkernel, slivers holding zeros (e.g. post-ReLU
 // gradients in gemm_tn) run a blend microkernel whose
 // `acc = av == 0 ? acc : acc + av*b` select reproduces the skip bitwise.
+//
+// ISA dispatch: the six kernels (gemm_*_ref and gemm_*_blocked) carry
+// SKIPTRAIN_GEMM_CLONES (util/isa.hpp), one avx2 and one default clone
+// picked at load time. The packers, tile loads and stores, microkernels and
+// the C-accumulating driver are force-inlined, so each hot loop is compiled
+// inside each clone rather than once at the default target. Neither the expressions nor the loop orders differ between
+// clones, and contraction is off project-wide, so all clones give the same
+// bits.
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
@@ -27,6 +35,7 @@
 #include "obs/registry.hpp"
 #include "tensor/ops.hpp"
 #include "util/arena.hpp"
+#include "util/isa.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -38,6 +47,7 @@ namespace skiptrain::tensor {
 // Reference kernels — the seed loops, verbatim.
 // ---------------------------------------------------------------------------
 
+SKIPTRAIN_GEMM_CLONES
 void gemm_nn_ref(std::size_t m, std::size_t k, std::size_t n,
                  std::span<const float> a, std::span<const float> b,
                  std::span<float> c, float beta) {
@@ -61,6 +71,7 @@ void gemm_nn_ref(std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
+SKIPTRAIN_GEMM_CLONES
 void gemm_nt_ref(std::size_t m, std::size_t k, std::size_t n,
                  std::span<const float> a, std::span<const float> b,
                  std::span<float> c, float beta) {
@@ -90,6 +101,7 @@ void gemm_nt_ref(std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
+SKIPTRAIN_GEMM_CLONES
 void gemm_tn_ref(std::size_t m, std::size_t k, std::size_t n,
                  std::span<const float> a, std::span<const float> b,
                  std::span<float> c, float beta) {
@@ -119,9 +131,9 @@ void gemm_tn_ref(std::size_t m, std::size_t k, std::size_t n,
 
 namespace {
 
-// Register tile sized for the baseline x86-64 (SSE2) target the repo
-// builds for: 4x8 accumulators = 8 vector registers, leaving half the
-// register file for panel loads and broadcasts.
+// Register tile: 4x8 accumulators are 8 SSE2 registers in the default
+// clone, half the register file, and 4 of the 16 ymm registers in the avx2
+// clone. One tile for every clone keeps one operation order per element.
 constexpr std::size_t kMR = 4;  // microkernel register-tile rows
 constexpr std::size_t kNR = 8;  // microkernel register-tile columns
 
@@ -174,6 +186,7 @@ thread_local PackScratch t_scratch;
 
 /// Packs `depth` rows x nc columns of row-major storage starting at src
 /// (row stride ld) into kNR-column slivers.
+[[gnu::always_inline]] inline
 void pack_b_slivers(const float* __restrict__ src, std::size_t ld,
                     std::size_t depth, std::size_t nc,
                     float* __restrict__ dst) {
@@ -196,6 +209,7 @@ void pack_b_slivers(const float* __restrict__ src, std::size_t ld,
 /// Packs A[ic..ic+mc, pc..pc+kc] of a row-major [m, k] matrix (lda == k)
 /// into kMR-row slivers, recording per sliver whether it holds any exact
 /// zero (selects the skip-preserving microkernel).
+[[gnu::always_inline]] inline
 void pack_a_rows(const float* __restrict__ a, std::size_t lda, std::size_t ic,
                  std::size_t pc, std::size_t mc, std::size_t kc,
                  float* __restrict__ dst, std::uint8_t* __restrict__ zeros) {
@@ -218,6 +232,7 @@ void pack_a_rows(const float* __restrict__ a, std::size_t lda, std::size_t ic,
 
 /// Packs A[pc..pc+kc, ic..ic+mc] of a row-major [k, m] matrix (lda == m —
 /// the gemm_tn layout) into kMR-row slivers with zero flags.
+[[gnu::always_inline]] inline
 void pack_a_cols(const float* __restrict__ a, std::size_t lda, std::size_t ic,
                  std::size_t pc, std::size_t mc, std::size_t kc,
                  float* __restrict__ dst, std::uint8_t* __restrict__ zeros) {
@@ -244,6 +259,7 @@ void pack_a_cols(const float* __restrict__ a, std::size_t lda, std::size_t ic,
 // ---------------------------------------------------------------------------
 
 template <bool kFull>
+[[gnu::always_inline]] inline
 void load_c_tile(float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
                  const float* __restrict__ c, std::size_t ldc, float beta,
                  bool first_block) {
@@ -266,6 +282,7 @@ void load_c_tile(float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
 }
 
 template <bool kFull>
+[[gnu::always_inline]] inline
 void store_c_tile(const float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
                   float* __restrict__ c, std::size_t ldc) {
   const std::size_t rows = kFull ? kMR : mr;
@@ -278,6 +295,7 @@ void store_c_tile(const float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
 /// C-accumulating tile for gemm_nn / gemm_tn, zero-free A sliver: the
 /// reference skip branch can never fire, so the plain fused loop is
 /// bitwise identical and fully vectorizable.
+[[gnu::always_inline]] inline
 void micro_cacc_fast(std::size_t kc, const float* __restrict__ ap,
                      const float* __restrict__ bp, float* __restrict__ c,
                      std::size_t ldc, float beta, bool first_block) {
@@ -299,6 +317,7 @@ void micro_cacc_fast(std::size_t kc, const float* __restrict__ ap,
 /// bitwise the reference's skip (an av of exactly zero contributes not
 /// even a sign flip), and if-converts to a vector blend.
 template <bool kFull>
+[[gnu::always_inline]] inline
 void micro_cacc_guard(std::size_t mr, std::size_t nr, std::size_t kc,
                       const float* __restrict__ ap,
                       const float* __restrict__ bp, float* __restrict__ c,
@@ -324,6 +343,7 @@ void micro_cacc_guard(std::size_t mr, std::size_t nr, std::size_t kc,
 /// extent (p ascending — the reference op sequence), combined with beta
 /// only at the end. No zero skip: the reference dot loop has none.
 template <bool kFull>
+[[gnu::always_inline]] inline
 void micro_nt(std::size_t mr, std::size_t nr, std::size_t k,
               const float* __restrict__ ap, const float* __restrict__ bp,
               float* __restrict__ c, std::size_t ldc, float beta) {
@@ -356,6 +376,7 @@ void micro_nt(std::size_t mr, std::size_t nr, std::size_t k,
 /// Shared driver for the two C-accumulating variants; PackA packs the
 /// (ic, pc, mc, kc) block of A into slivers + zero flags.
 template <typename PackA>
+[[gnu::always_inline]] inline
 void gemm_cacc_blocked(std::size_t m, std::size_t k, std::size_t n,
                        std::span<const float> b, std::span<float> c,
                        float beta, PackA&& pack_a) {
@@ -400,6 +421,7 @@ void gemm_cacc_blocked(std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
+SKIPTRAIN_GEMM_CLONES
 void gemm_nt_blocked(std::size_t m, std::size_t k, std::size_t n,
                      std::span<const float> a, std::span<const float> b,
                      std::span<float> c, float beta) {
@@ -480,6 +502,17 @@ const GemmTuning& gemm_tuning() {
   return tuning;
 }
 
+const char* gemm_isa() {
+#if SKIPTRAIN_ISA_CLONES
+  // The feature test the target_clones resolver makes.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") ? "avx2" : "default";
+#else
+  return "default";
+#endif
+}
+
+SKIPTRAIN_GEMM_CLONES
 void gemm_nn_blocked(std::size_t m, std::size_t k, std::size_t n,
                      std::span<const float> a, std::span<const float> b,
                      std::span<float> c, float beta) {
@@ -492,6 +525,7 @@ void gemm_nn_blocked(std::size_t m, std::size_t k, std::size_t n,
       });
 }
 
+SKIPTRAIN_GEMM_CLONES
 void gemm_tn_blocked(std::size_t m, std::size_t k, std::size_t n,
                      std::span<const float> a, std::span<const float> b,
                      std::span<float> c, float beta) {

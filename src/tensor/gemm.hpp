@@ -19,13 +19,20 @@
 //     with beta — the same op sequence as the reference inner loop.
 //
 // Every accumulation is written in the same `acc += a * b` expression
-// shape as the reference loops, so FP contraction (when a target enables
-// FMA) applies to both sides identically.
+// shape as the reference loops. FP contraction is pinned off project-wide
+// (-ffp-contract=off in CMakeLists.txt), so no build fuses a product and
+// its sum into an FMA, whatever -march it targets.
 //
 // What the blocked kernels add is purely locality and ILP: B panels are
 // packed into dense aligned scratch sized from L1/L2 (measured once at
 // startup), the microkernel holds a 4x8 register tile, and restrict-
 // qualified unit-stride inner loops let the compiler vectorize.
+//
+// ISA clones: the reference and blocked kernels are each compiled twice,
+// for avx2 and for baseline x86-64, and the CPU picks the clone at load
+// time (gemm_isa() names it). Both clones run the same operations in the
+// same order for every output element, so every clone gives identical
+// bits, and the contract above holds across hosts.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +51,11 @@ struct GemmTuning {
 
 /// Process-wide tuning derived from L1d/L2 at first use.
 [[nodiscard]] const GemmTuning& gemm_tuning();
+
+/// The clone the GEMM kernels run in this process: "avx2" on an AVX2 host
+/// of a build with ISA clones (util/isa.hpp), otherwise "default". Both
+/// give identical bits; only the speed differs.
+[[nodiscard]] const char* gemm_isa();
 
 // ---------------------------------------------------------------------------
 // Reference kernels: the seed loops, kept for verification and as the

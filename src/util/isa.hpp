@@ -1,0 +1,37 @@
+// Runtime ISA dispatch for the vectorized kernels (GCC target_clones).
+//
+// A function marked with one of the clone macros below is compiled once per
+// listed target, and an IFUNC resolver picks the clone at load time from
+// the CPU's feature bits: one binary runs on baseline x86-64 and uses wider
+// vectors where the host has them. No option, variable or build switch
+// selects a clone; the CPU does.
+//
+// Every clone must produce the bits of the default clone. The project
+// builds with -ffp-contract=off (CMakeLists.txt), so no clone fuses a * b + c
+// into an FMA, and each kernel keeps one operation order per output element
+// whatever the vector width.
+//
+// The macros expand to nothing, leaving one default-target function, off
+// x86-64 ELF, under Clang, and under AddressSanitizer and ThreadSanitizer.
+// The dynamic loader runs IFUNC resolvers during relocation, before a
+// sanitizer runtime has initialised, and an instrumented resolver crashes
+// there; sanitizer builds therefore run, and instrument, the default clone.
+#pragma once
+
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
+    !defined(__clang__) && !defined(__SANITIZE_ADDRESS__) &&        \
+    !defined(__SANITIZE_THREAD__)
+#define SKIPTRAIN_ISA_CLONES 1
+/// Codec batch kernels (quant/kernels.cpp). The x86-64-v4 clone is the
+/// fastest there: fp16_encode of 4810 values takes 3.7 us against 11 us for
+/// the avx2 clone.
+#define SKIPTRAIN_CODEC_CLONES \
+  __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
+/// GEMM kernels (tensor/gemm.cpp). No x86-64-v4 clone: the 4x8 register
+/// tile built for it ran the blocked kernels 7-8x slower than for avx2.
+#define SKIPTRAIN_GEMM_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define SKIPTRAIN_ISA_CLONES 0
+#define SKIPTRAIN_CODEC_CLONES
+#define SKIPTRAIN_GEMM_CLONES
+#endif

@@ -6,16 +6,21 @@
 // dispatching entry points or directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "nn/conv2d.hpp"
+#include "nn/model_zoo.hpp"
 #include "obs/registry.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
+#include "util/isa.hpp"
 #include "util/rng.hpp"
 
 namespace skiptrain::tensor {
@@ -231,6 +236,152 @@ TEST(GemmBlocked, BetaZeroNeverReadsCAnyVariantAnyPath) {
     gemm_tn_ref(m, k, n, a, b, c, 0.0f);
     for (const float v : c) ASSERT_FALSE(std::isnan(v)) << "gemm_tn_ref";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Cross-ISA oracle. The seed loops once more, compiled in this test TU,
+// which has no ISA clones and so runs at the baseline target. The public
+// kernels run the library's avx2 clone on an AVX2 host (gemm_isa() says
+// which), so equal bits here mean every clone computes what the baseline
+// loops compute, at the shapes the benchmark workloads run.
+// ---------------------------------------------------------------------------
+
+void seed_nn(std::size_t m, std::size_t k, std::size_t n, const float* a,
+             const float* b, float* c, float beta) {
+  for (std::size_t i = 0; i < m; ++i) {
+    float* ci = c + i * n;
+    if (beta == 0.0f) {
+      std::fill(ci, ci + n, 0.0f);
+    } else if (beta != 1.0f) {
+      for (std::size_t j = 0; j < n; ++j) ci[j] *= beta;
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+      const float aip = a[i * k + p];
+      if (aip == 0.0f) continue;
+      for (std::size_t j = 0; j < n; ++j) ci[j] += aip * b[p * n + j];
+    }
+  }
+}
+
+void seed_nt(std::size_t m, std::size_t k, std::size_t n, const float* a,
+             const float* b, float* c, float beta) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < k; ++p) acc += a[i * k + p] * b[j * k + p];
+      c[i * n + j] = beta == 0.0f ? acc : beta * c[i * n + j] + acc;
+    }
+  }
+}
+
+void seed_tn(std::size_t m, std::size_t k, std::size_t n, const float* a,
+             const float* b, float* c, float beta) {
+  if (beta == 0.0f) {
+    std::fill(c, c + m * n, 0.0f);
+  } else if (beta != 1.0f) {
+    for (std::size_t i = 0; i < m * n; ++i) c[i] *= beta;
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t i = 0; i < m; ++i) {
+      const float api = a[p * m + i];
+      if (api == 0.0f) continue;
+      for (std::size_t j = 0; j < n; ++j) c[i * n + j] += api * b[p * n + j];
+    }
+  }
+}
+
+using SeedGemm = void (*)(std::size_t, std::size_t, std::size_t, const float*,
+                         const float*, float*, float);
+
+struct CrossIsaVariant {
+  const char* name;
+  SeedGemm seed;
+  Gemm dispatched;
+  Gemm blocked;  // nullptr for nt, whose blocked kernel is internal
+};
+
+const CrossIsaVariant kNN{"gemm_nn", seed_nn, gemm_nn, gemm_nn_blocked};
+const CrossIsaVariant kNT{"gemm_nt", seed_nt, gemm_nt, nullptr};
+const CrossIsaVariant kTN{"gemm_tn", seed_tn, gemm_tn, gemm_tn_blocked};
+
+struct OracleShape {
+  const CrossIsaVariant* variant;
+  std::size_t m, k, n;
+};
+
+/// The GEMMs the four benchmark workloads run: the compact-MLP forward
+/// (nt), weight gradient (tn) and input gradient (nn), the fleet
+/// evaluation batch, and for each GN-LeNet convolution its forward (nn),
+/// weight gradient (tn) and input gradient (nn), with the shapes
+/// Conv2d::backward_im2col derives from the layer's geometry.
+std::vector<OracleShape> workload_shapes() {
+  std::vector<OracleShape> shapes = {
+      {&kNT, 16, 64, 32}, {&kNT, 16, 64, 48}, {&kNT, 16, 48, 62},
+      {&kNT, 600, 64, 32}, {&kTN, 32, 16, 64}, {&kTN, 48, 16, 64},
+      {&kNN, 16, 62, 48}};
+  nn::Sequential lenet = nn::make_cifar_cnn();
+  tensor::Shape shape = {1, 3, 32, 32};
+  for (std::size_t i = 0; i < lenet.num_layers(); ++i) {
+    const nn::Layer& layer = lenet.layer(i);
+    const tensor::Shape out = layer.output_shape(shape);
+    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&layer)) {
+      const std::size_t kk = conv->kernel_size() * conv->kernel_size();
+      const std::size_t patch = conv->in_channels() * kk;
+      const std::size_t ohw = out[2] * out[3];
+      shapes.push_back({&kNN, conv->out_channels(), patch, ohw});
+      shapes.push_back({&kTN, conv->out_channels(), ohw, patch});
+      shapes.push_back({&kNN, conv->in_channels(), conv->out_channels() * kk,
+                        shape[2] * shape[3]});
+    }
+    shape = out;
+  }
+  return shapes;
+}
+
+TEST(GemmCrossIsa, PublicKernelsMatchBaselineSeedLoopsAtWorkloadShapes) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<OracleShape> shapes = workload_shapes();
+  ASSERT_EQ(shapes.size(), 7u + 3u * 3u);  // three GN-LeNet convolutions
+  std::uint64_t seed = 0;
+  for (const auto& [v, m, k, n] : shapes) {
+    // nn / tn run dense and half zero: the dispatch then takes the
+    // blocked kernel and the zero-skipping reference loop respectively,
+    // and the direct blocked call covers the blend microkernel.
+    for (const bool half_zero : {false, true}) {
+      if (half_zero && v->blocked == nullptr) continue;
+      util::Rng rng(8800 + ++seed);
+      std::vector<float> a(m * k), b(k * n), c_init(m * n);
+      rng.fill_normal(a, 0.0f, 1.0f);
+      rng.fill_normal(b, 0.0f, 1.0f);
+      rng.fill_normal(c_init, 0.0f, 1.0f);
+      if (half_zero) {
+        for (std::size_t i = 0; i < a.size(); i += 2) a[i] = 0.0f;
+      }
+      for (const float beta : {0.0f, 1.0f}) {
+        // beta == 0 must never read C: poison it.
+        const std::vector<float> c0 =
+            beta == 0.0f ? std::vector<float>(m * n, nan) : c_init;
+        std::vector<float> want = c0, got = c0;
+        v->seed(m, k, n, a.data(), b.data(), want.data(), beta);
+        v->dispatched(m, k, n, a, b, got, beta);
+        expect_bitwise_equal(got, want, v->name, m, k, n, beta);
+        if (v->blocked != nullptr) {
+          got = c0;
+          v->blocked(m, k, n, a, b, got, beta);
+          expect_bitwise_equal(got, want, v->name, m, k, n, beta);
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmCrossIsa, GemmIsaNamesTheCloneTheCpuSelects) {
+  const std::string isa = gemm_isa();
+#if SKIPTRAIN_ISA_CLONES
+  EXPECT_EQ(isa, __builtin_cpu_supports("avx2") ? "avx2" : "default");
+#else
+  EXPECT_EQ(isa, "default");
+#endif
 }
 
 TEST(GemmTuning, DerivedBlocksAreSane) {

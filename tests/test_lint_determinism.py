@@ -11,8 +11,10 @@ innocent PR.
 """
 
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import unittest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -29,6 +31,7 @@ EXPECTED_FIXTURE_HITS = {
     ("src/obs/bad_atomic.cpp", 15, "atomic-order"),
     ("src/plane/bad_thread.cpp", 7, "raw-thread"),
     ("src/plane/bad_thread.cpp", 12, "omp"),
+    ("src/quant/bad_clone_macro_unpinned.cpp", 6, "fp-contract-pin"),
     ("src/quant/bad_clone_unpinned.cpp", 5, "fp-contract-pin"),
     ("src/sim/bad_rng.cpp", 8, "rng"),
     ("src/sim/bad_rng.cpp", 9, "rng"),
@@ -90,6 +93,30 @@ class LintDeterminismTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         rules = {rule for (_, _, rule) in parse_hits(proc.stdout)}
         self.assertEqual(rules, {"rng", "time-seed"})
+
+    def test_project_wide_pin_covers_every_cloned_tu(self):
+        # -ffp-contract=off in add_compile_options pins every TU, so the
+        # cloned fixtures that lack a per-TU pin come back clean.
+        with tempfile.TemporaryDirectory() as root:
+            shutil.copytree(os.path.join(FIXTURES, "src", "quant"),
+                            os.path.join(root, "src", "quant"))
+            with open(os.path.join(root, "CMakeLists.txt"), "w",
+                      encoding="utf-8") as fh:
+                fh.write("add_compile_options(-Wall -ffp-contract=off)\n")
+            proc = run_linter("--root", root)
+            self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+            with open(os.path.join(root, "CMakeLists.txt"), "w",
+                      encoding="utf-8") as fh:
+                fh.write("add_compile_options(-Wall -Wextra)\n")
+            proc = run_linter("--root", root)
+            self.assertEqual(
+                parse_hits(proc.stdout),
+                {("src/quant/bad_clone_macro_unpinned.cpp", 6,
+                  "fp-contract-pin"),
+                 ("src/quant/bad_clone_unpinned.cpp", 5, "fp-contract-pin"),
+                 ("src/quant/good_clone_pinned.cpp", 5, "fp-contract-pin"),
+                 ("src/quant/good_clone_var_pinned.cpp", 6,
+                  "fp-contract-pin")})
 
     def test_missing_path_is_usage_error(self):
         proc = run_linter("--root", FIXTURES, "no/such/file.cpp")

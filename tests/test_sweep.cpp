@@ -3,11 +3,13 @@
 #include <atomic>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/trace.hpp"
 #include "sweep/sweep.hpp"
+#include "tensor/gemm.hpp"
 
 namespace skiptrain::sweep {
 namespace {
@@ -265,6 +267,9 @@ TEST(SweepRunner, TracingLeavesSummaryCsvByteIdentical) {
   EXPECT_NE(telemetry.find("\"phases\""), std::string::npos);
   EXPECT_NE(telemetry.find("\"train\""), std::string::npos);
   EXPECT_NE(telemetry.find("\"wire_bytes\""), std::string::npos);
+  EXPECT_NE(telemetry.find(std::string("\"gemm_isa\": \"") +
+                           tensor::gemm_isa() + "\""),
+            std::string::npos);
 }
 
 TEST(SweepRunner, IdentityCodecLeavesSummaryCsvByteIdentical) {

@@ -31,9 +31,11 @@ at review time:
                    down and reviewable. Applies to src/ and bench/;
                    tests keep the conservative seq_cst default.
   fp-contract-pin  a TU defining ISA-cloned kernels (target_clones /
-                   __attribute__((target(...)))) must be pinned with
-                   -ffp-contract=off in CMakeLists.txt, or wider-FMA
-                   clones produce different bits than the scalar clone.
+                   __attribute__((target(...))) / the SKIPTRAIN_*_CLONES
+                   macros of util/isa.hpp) must be pinned with
+                   -ffp-contract=off in CMakeLists.txt, project-wide in
+                   add_compile_options or per TU, or wider-FMA clones
+                   produce different bits than the scalar clone.
   float-accum      float-typed accumulators (sum/total/acc...) outside
                    the kernel TUs (tensor/, nn/, quant/ own their
                    accumulation-order story): reductions feeding results
@@ -96,7 +98,9 @@ ATOMIC_METHOD_RE = re.compile(
     r"|fetch_xor|test_and_set|clear|wait"
     r"|compare_exchange_weak|compare_exchange_strong)\s*\(")
 ATOMIC_DECL_RE = re.compile(r"std::atomic(?:_flag)?\s*<[^;>]*>\s+(\w+)\s*[;{=]")
-ISA_CLONE_RE = re.compile(r"target_clones|__attribute__\s*\(\s*\(\s*target\s*\(")
+ISA_CLONE_RE = re.compile(
+    r"target_clones|__attribute__\s*\(\s*\(\s*target\s*\("
+    r"|\bSKIPTRAIN_\w+_CLONES\b")
 FLOAT_ACCUM_RE = re.compile(
     r"\bfloat\s+(\w*(?:sum|total|accum|acc)\w*)\s*[={]", re.IGNORECASE)
 
@@ -207,7 +211,8 @@ def call_args_have_memory_order(ctx: FileContext, line_index: int,
 
 def pinned_fp_contract_files(root: str) -> set[str]:
     """Files named in a CMakeLists.txt set_source_files_properties(...)
-    block that also mentions ffp-contract=off.
+    block that also mentions ffp-contract=off, or {"*"} (every TU) when an
+    add_compile_options(...) block carries the flag project-wide.
 
     One level of variable indirection is resolved: a block referencing
     ${VAR} counts as pinned when some set(VAR ...)/list(APPEND VAR ...)
@@ -226,8 +231,25 @@ def pinned_fp_contract_files(root: str) -> set[str]:
             r"(?:set|list\s*\(\s*APPEND)\s*\(?\s*(\w+)[^)]*ffp-contract=off",
             text)
     }
+
+    def has_flag(block: str) -> bool:
+        return "ffp-contract=off" in block or any(
+            "${" + var + "}" in block for var in flag_vars)
+
+    if any(has_flag(block)
+           for block in call_blocks(text, "add_compile_options")):
+        return {"*"}
     pinned: set[str] = set()
-    for match in re.finditer(r"set_source_files_properties\s*\(", text):
+    for block in call_blocks(text, "set_source_files_properties"):
+        if has_flag(block):
+            pinned.update(re.findall(r"[\w/.+-]+\.(?:cpp|cc)", block))
+    return pinned
+
+
+def call_blocks(text: str, command: str) -> list[str]:
+    """The parenthesised argument text of every `command(...)` call."""
+    blocks = []
+    for match in re.finditer(rf"\b{command}\s*\(", text):
         depth, i = 0, match.end() - 1
         start = i
         while i < len(text):
@@ -238,12 +260,8 @@ def pinned_fp_contract_files(root: str) -> set[str]:
                 if depth == 0:
                     break
             i += 1
-        block = text[start:i]
-        has_flag = "ffp-contract=off" in block or any(
-            "${" + var + "}" in block for var in flag_vars)
-        if has_flag:
-            pinned.update(re.findall(r"[\w/.+-]+\.(?:cpp|cc)", block))
-    return pinned
+        blocks.append(text[start:i])
+    return blocks
 
 
 def last_identifier(expr: str) -> str | None:
@@ -319,7 +337,8 @@ def lint_file(ctx: FileContext, pinned: set[str]) -> list[Violation]:
                           "is seq_cst; spell out the memory order")
 
         if rel.endswith((".cpp", ".cc")):
-            hit = bool(ISA_CLONE_RE.search(code)) and rel not in pinned
+            hit = bool(ISA_CLONE_RE.search(code)) and not (
+                rel in pinned or "*" in pinned)
             check("fp-contract-pin", idx, hit,
                   "TU defines ISA-cloned kernels but CMakeLists.txt does "
                   "not pin it with -ffp-contract=off; wide-FMA clones "
