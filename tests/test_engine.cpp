@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/scheduler.hpp"
 #include "data/synthetic.hpp"
@@ -11,6 +15,7 @@
 #include "graph/mixing.hpp"
 #include "graph/topology.hpp"
 #include "metrics/consensus.hpp"
+#include "metrics/evaluator.hpp"
 #include "nn/init.hpp"
 #include "nn/model_zoo.hpp"
 #include "sim/engine.hpp"
@@ -37,17 +42,27 @@ struct Fixture {
   graph::MixingMatrix mixing;
   energy::Fleet fleet;
 
+  /// `lenet` swaps the MLP for GN-LeNet (nn::make_cifar_cnn) on
+  /// image-shaped 3x32x32 synthetic CIFAR-10.
   explicit Fixture(std::size_t nodes, std::size_t degree,
-                   std::uint64_t seed = 42)
+                   std::uint64_t seed = 42, bool lenet = false)
       : fleet(energy::Fleet::even(nodes, energy::Workload::kCifar10)) {
     data::CifarSynConfig config;
     config.nodes = nodes;
-    config.samples_per_node = 30;
-    config.test_pool = 200;
+    config.samples_per_node = lenet ? 16 : 30;
+    config.test_pool = lenet ? 64 : 200;
     config.seed = seed;
+    if (lenet) config.feature_dim = 3 * 32 * 32;
     data = data::make_cifar_synthetic(config);
 
-    prototype = nn::make_mlp(config.feature_dim, {16}, 10);
+    if (lenet) {
+      for (data::Dataset* split : {&data.train, &data.validation, &data.test}) {
+        split->features.reshape({split->size(), 3, 32, 32});
+      }
+      prototype = nn::make_cifar_cnn();
+    } else {
+      prototype = nn::make_mlp(config.feature_dim, {16}, 10);
+    }
     util::Rng rng(seed);
     nn::initialize(prototype, rng);
 
@@ -335,6 +350,50 @@ TEST(Engine, TrainingChangesParameters) {
     }
   }
   EXPECT_GT(moved, 1e-3);
+}
+
+std::uint64_t fnv1a64(plane::ConstMatrixView plane) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(plane.data);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < plane.rows * plane.dim * sizeof(float); ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::vector<nn::Sequential*> models_of(RoundEngine& engine) {
+  std::vector<nn::Sequential*> models;
+  for (std::size_t i = 0; i < engine.num_nodes(); ++i) {
+    models.push_back(&engine.model(i));
+  }
+  return models;
+}
+
+// Generated before node models lost their gradients, activations and pool
+// routing; the only ctest pin of the CNN training bits (Conv2d, GroupNorm,
+// MaxPool2d, im2col) besides the benchmark's cnn_lenet SHA-256.
+TEST(Engine, GnLenetTrainingGolden) {
+  const Fixture fixture(4, 2, 42, /*lenet=*/true);
+  const core::SkipTrainScheduler scheduler(1, 1);
+  EngineConfig config;
+  config.local_steps = 2;
+  config.batch_size = 4;
+  RoundEngine engine = fixture.make_engine(scheduler, config);
+  engine.run_rounds(2);
+
+  const metrics::Evaluator evaluator(&fixture.data.test, 0, 8);
+  const auto fleet = evaluator.evaluate_fleet(models_of(engine));
+  std::vector<std::uint64_t> accuracy_bits;
+  for (const double acc : fleet.per_node) {
+    accuracy_bits.push_back(std::bit_cast<std::uint64_t>(acc));
+  }
+  EXPECT_EQ(fnv1a64(engine.node_parameters()), 0x38567150e06eb76dULL);
+  // 3/32, 3/32, 2/32 and 3/32 of the 32 test samples.
+  EXPECT_EQ(accuracy_bits,
+            (std::vector<std::uint64_t>{
+                0x3fb8000000000000ULL, 0x3fb8000000000000ULL,
+                0x3fb0000000000000ULL, 0x3fb8000000000000ULL}));
 }
 
 }  // namespace

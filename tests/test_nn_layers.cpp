@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -186,6 +189,122 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   EXPECT_EQ(grad_in.at(1), 4.0f);  // the max position
   EXPECT_EQ(grad_in.at(2), 0.0f);
   EXPECT_EQ(grad_in.at(3), 0.0f);
+}
+
+/// One max-pool routing oracle: an input, the window, and per output
+/// element the flat input index its maximum (and its gradient) comes from.
+struct PoolOracle {
+  const char* label;
+  Shape shape;
+  std::size_t window;
+  std::vector<float> input;
+  std::vector<std::size_t> routes;
+};
+
+/// The route of every output element, read off a backward pass whose
+/// output gradients are distinct and nonzero (windows never overlap).
+std::vector<std::size_t> routes_of(MaxPool2d& pool, const Tensor& input,
+                                   const Tensor& output) {
+  Tensor grad_out(output.shape());
+  for (std::size_t i = 0; i < grad_out.numel(); ++i) {
+    grad_out.at(i) = static_cast<float>(i + 1);
+  }
+  Tensor grad_in(input.shape());
+  pool.backward(input, grad_out, grad_in);
+  std::vector<std::size_t> routes(output.numel(), input.numel());
+  for (std::size_t j = 0; j < grad_in.numel(); ++j) {
+    if (grad_in.at(j) != 0.0f) {
+      routes[static_cast<std::size_t>(grad_in.at(j)) - 1] = j;
+    }
+  }
+  return routes;
+}
+
+/// Checks forward and backward against `oracle`: each output is the input
+/// at its route, bit for bit (NaN and the sign of zero included), and the
+/// input gradient is zero plus each output gradient added at its route.
+/// The second pass's output gradients include -0.0, so a skipped `+=`
+/// (0 + -0 is +0) shows in the bits too.
+void expect_routes(const PoolOracle& oracle) {
+  SCOPED_TRACE(oracle.label);
+  MaxPool2d pool(oracle.window);
+  Tensor input(oracle.shape);
+  ASSERT_EQ(input.numel(), oracle.input.size());
+  std::copy(oracle.input.begin(), oracle.input.end(), input.data().begin());
+  Tensor output(pool.output_shape(oracle.shape));
+  pool.forward(input, output);
+
+  const std::vector<std::size_t> routes = routes_of(pool, input, output);
+  std::string actual;
+  for (const std::size_t r : routes) actual += std::to_string(r) + ", ";
+  ASSERT_EQ(routes, oracle.routes) << "actual routes: {" << actual << "}";
+
+  Tensor grad_out(output.shape());
+  for (std::size_t i = 0; i < grad_out.numel(); ++i) {
+    grad_out.at(i) = i == 0 ? -0.0f : static_cast<float>(i) * 0.5f;
+  }
+  Tensor grad_in(oracle.shape);
+  grad_in.fill(7.0f);  // the layer must overwrite, not accumulate
+  pool.backward(input, grad_out, grad_in);
+
+  std::vector<float> want(input.numel(), 0.0f);
+  for (std::size_t i = 0; i < output.numel(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(output.at(i)),
+              std::bit_cast<std::uint32_t>(input.at(routes[i])))
+        << "output " << i;
+    want[routes[i]] += grad_out.at(i);
+  }
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(grad_in.at(j)),
+              std::bit_cast<std::uint32_t>(want[j]))
+        << "grad_input " << j;
+  }
+}
+
+std::vector<float> small_integers(std::size_t count, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> values(count);
+  for (float& v : values) {
+    v = static_cast<float>(rng.uniform_int(5)) - 2.0f;  // {-2..2}: many ties
+  }
+  return values;
+}
+
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
+// Generated from the argmax-caching implementation (strict `>`, window
+// origin first, row-major scan); any rewrite of the routing must keep them.
+TEST(MaxPoolTest, RoutingOracles) {
+  const std::vector<PoolOracle> oracles = {
+      {"ties", {1, 1, 4, 4}, 2,
+       {1, 7, 2, 2,  //
+        7, 3, 2, 2,  //
+        0, 5, -1, 4,  //
+        5, 5, 4, -1},
+       {1, 2, 9, 11}},
+      {"all-equal", {1, 2, 2, 4}, 2,
+       {3, 3, -1, -1,  //
+        3, 3, -1, -1,  //
+        0, 0, 8, 8,  //
+        0, 0, 8, 8},
+       {0, 2, 8, 10}},
+      {"signed-zeros", {1, 1, 2, 6}, 2,
+       {-0.0f, 0.0f, 0.0f, -0.0f, -0.0f, -0.0f,  //
+        0.0f, 0.0f, -0.0f, -0.0f, 0.0f, -0.0f},
+       {0, 2, 4}},
+      {"nan", {1, 1, 4, 4}, 2,
+       {kNaN, 1, 1, kNaN,  //
+        2, 3, 3, 2,  //
+        5, 4, 6, kNaN,  //
+        kNaN, 5, kNaN, 6},
+       {0, 6, 8, 10}},
+      {"batch-channels", {2, 3, 5, 5}, 2, small_integers(150, 71),
+       {0, 3, 11, 18, 30, 28, 36, 38, 50, 53, 66, 63,  //
+        80, 78, 91, 87, 100, 103, 110, 113, 130, 132, 135, 142}},
+      {"window3", {2, 2, 6, 7}, 3, small_integers(168, 72),
+       {0, 5, 29, 38, 57, 53, 78, 68, 93, 88, 107, 110, 141, 130, 148, 159}},
+  };
+  for (const PoolOracle& oracle : oracles) expect_routes(oracle);
 }
 
 TEST(FlattenTest, ReshapesOnly) {
