@@ -43,7 +43,9 @@ class PayloadReader {
     const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
     if (payload_.size() - pos_ < bytes) return false;
     out.resize(static_cast<std::size_t>(count));
-    std::memcpy(out.data(), payload_.data() + pos_, bytes);
+    // An empty vector's data() may be null, and memcpy with a null
+    // pointer is undefined even for zero bytes.
+    if (bytes != 0) std::memcpy(out.data(), payload_.data() + pos_, bytes);
     pos_ += bytes;
     return true;
   }

@@ -10,11 +10,6 @@ namespace skiptrain::metrics {
 
 namespace {
 
-/// Per-thread forward buffers of every evaluation: each forward overwrites
-/// what it reads, so a fleet of models costs one set of eval activations
-/// per worker thread rather than one per node.
-thread_local std::vector<tensor::Tensor> t_activations;
-
 /// Arithmetic mean over rows supplied by any accessor i -> span<const float>.
 template <typename RowFn>
 std::vector<float> mean_of_rows(std::size_t rows, std::size_t dim,
@@ -51,10 +46,11 @@ Evaluator::Evaluator(const data::Dataset* dataset, std::size_t max_samples,
 }
 
 EvalResult Evaluator::evaluate(nn::Sequential& model) const {
+  std::vector<tensor::Tensor>& buffers = nn::worker_workspace().buffers;
   double weighted_loss = 0.0;
   double weighted_acc = 0.0;
   for (const Batch& batch : batches_) {
-    const tensor::Tensor& logits = model.forward(batch.features, t_activations);
+    const tensor::Tensor& logits = model.forward(batch.features, buffers);
     const nn::LossResult result =
         nn::softmax_cross_entropy_eval(logits, batch.labels);
     const auto count = static_cast<double>(batch.labels.size());
@@ -66,9 +62,10 @@ EvalResult Evaluator::evaluate(nn::Sequential& model) const {
 }
 
 double Evaluator::accuracy(nn::Sequential& model) const {
+  std::vector<tensor::Tensor>& buffers = nn::worker_workspace().buffers;
   double weighted_acc = 0.0;
   for (const Batch& batch : batches_) {
-    const tensor::Tensor& logits = model.forward(batch.features, t_activations);
+    const tensor::Tensor& logits = model.forward(batch.features, buffers);
     const std::size_t classes = logits.numel() / batch.labels.size();
     std::size_t correct = 0;
     for (std::size_t i = 0; i < batch.labels.size(); ++i) {

@@ -28,9 +28,8 @@ class Evaluator {
                      std::size_t batch_size = 256);
 
   /// Accuracy/loss of one model. The batches are read-only and the forward
-  /// runs in per-thread buffers, so concurrent calls on distinct models are
-  /// safe; the model is still used mutably (layer-side caches such as
-  /// MaxPool2d's argmax) and must not be shared between threads.
+  /// runs in the calling thread's nn::Workspace, so concurrent calls on
+  /// distinct models are safe.
   EvalResult evaluate(nn::Sequential& model) const;
 
   /// Accuracy/loss of the model whose parameters are the arithmetic mean
@@ -47,7 +46,7 @@ class Evaluator {
   /// Per-node accuracies for a set of models, evaluated in parallel on the
   /// global thread pool. Returns mean/std summary plus raw accuracies; each
   /// equals evaluate(model).accuracy bit for bit, without the loss. Eval
-  /// activations live in one set of buffers per thread, not per node.
+  /// activations live in each worker's nn::Workspace, not per node.
   struct FleetResult {
     util::Summary accuracy;
     std::vector<double> per_node;

@@ -1,6 +1,6 @@
 #include "nn/groupnorm.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -33,6 +33,21 @@ Shape GroupNorm::output_shape(const Shape& input_shape) const {
   return input_shape;
 }
 
+GroupNorm::Stats GroupNorm::group_stats(const float* values,
+                                        std::size_t count) const {
+  double sum = 0.0, sum_sq = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double v = values[i];
+    sum += v;
+    sum_sq += v * v;
+  }
+  const double n = static_cast<double>(count);
+  const double mu = sum / n;
+  const double var = std::max(0.0, sum_sq / n - mu * mu);
+  return Stats{static_cast<float>(mu),
+               1.0f / std::sqrt(static_cast<float>(var) + eps_)};
+}
+
 void GroupNorm::forward(const Tensor& input, Tensor& output) {
   const std::size_t batch = input.dim(0);
   const std::size_t h = input.dim(2);
@@ -40,9 +55,6 @@ void GroupNorm::forward(const Tensor& input, Tensor& output) {
   const std::size_t spatial = h * w;
   const std::size_t chans_per_group = channels_ / groups_;
   const std::size_t group_size = chans_per_group * spatial;
-
-  mean_.resize(batch * groups_);
-  inv_std_.resize(batch * groups_);
 
   const float* gamma = params_.data();
   const float* beta = params_.data() + channels_;
@@ -52,25 +64,12 @@ void GroupNorm::forward(const Tensor& input, Tensor& output) {
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t g = 0; g < groups_; ++g) {
       const std::size_t base = (b * channels_ + g * chans_per_group) * spatial;
-      double sum = 0.0, sum_sq = 0.0;
-      for (std::size_t i = 0; i < group_size; ++i) {
-        const double v = in[base + i];
-        sum += v;
-        sum_sq += v * v;
-      }
-      const double n = static_cast<double>(group_size);
-      const double mu = sum / n;
-      const double var = std::max(0.0, sum_sq / n - mu * mu);
-      const float inv_std =
-          1.0f / std::sqrt(static_cast<float>(var) + eps_);
-      mean_[b * groups_ + g] = static_cast<float>(mu);
-      inv_std_[b * groups_ + g] = inv_std;
+      const Stats stats = group_stats(in.data() + base, group_size);
 
       for (std::size_t cg = 0; cg < chans_per_group; ++cg) {
         const std::size_t c = g * chans_per_group + cg;
-        const float scale = gamma[c] * inv_std;
-        const float shift =
-            beta[c] - gamma[c] * static_cast<float>(mu) * inv_std;
+        const float scale = gamma[c] * stats.inv_std;
+        const float shift = beta[c] - gamma[c] * stats.mean * stats.inv_std;
         const std::size_t plane = (b * channels_ + c) * spatial;
         for (std::size_t i = 0; i < spatial; ++i) {
           out[plane + i] = scale * in[plane + i] + shift;
@@ -88,7 +87,6 @@ void GroupNorm::backward(const Tensor& input, const Tensor& grad_output,
   const std::size_t spatial = h * w;
   const std::size_t chans_per_group = channels_ / groups_;
   const std::size_t group_size = chans_per_group * spatial;
-  assert(mean_.size() == batch * groups_);
 
   const float* gamma = params_.data();
   float* grad_gamma = grads_.data();
@@ -100,8 +98,11 @@ void GroupNorm::backward(const Tensor& input, const Tensor& grad_output,
 
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t g = 0; g < groups_; ++g) {
-      const float mu = mean_[b * groups_ + g];
-      const float inv_std = inv_std_[b * groups_ + g];
+      const Stats stats = group_stats(
+          in.data() + (b * channels_ + g * chans_per_group) * spatial,
+          group_size);
+      const float mu = stats.mean;
+      const float inv_std = stats.inv_std;
       const double n = static_cast<double>(group_size);
 
       // First pass: the affine-parameter grads plus, when the input

@@ -7,8 +7,6 @@
 // carries no cross-batch running statistics that would leak between nodes.
 #pragma once
 
-#include <vector>
-
 #include "nn/layer.hpp"
 
 namespace skiptrain::nn {
@@ -27,13 +25,18 @@ class GroupNorm final : public ParamLayer {
   std::unique_ptr<Layer> clone() const override;
 
  private:
+  struct Stats {
+    float mean;
+    float inv_std;
+  };
+  /// Mean and 1/sqrt(var + eps) of one group's `count` values; forward and
+  /// backward both call it, so backward sees the forward's exact bits.
+  Stats group_stats(const float* values, std::size_t count) const;
+
   std::size_t groups_;
   std::size_t channels_;
   float eps_;
   // ParamLayer::params_ holds gamma[C] then beta[C].
-  // Cached statistics from the last forward (per batch x group).
-  std::vector<float> mean_;
-  std::vector<float> inv_std_;
 };
 
 }  // namespace skiptrain::nn

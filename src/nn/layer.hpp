@@ -10,11 +10,16 @@
 //   engine hosts thousands of model replicas. This makes whole-model
 //   aggregation a zero-copy operation on contiguous memory, exactly the
 //   view D-PSGD/SkipTrain need.
-// * Gradients stay layer-owned: they are private scratch of the backward
-//   pass and never travel between nodes.
-// * Layers are stateless across samples except for cached forward artifacts
-//   needed by backward (e.g. max-pool argmax masks). Each simulated node
-//   owns its private model clone, so no cross-thread sharing occurs.
+// * Gradients are views too, of a same-sized block. Standalone layers and
+//   models own theirs; a simulated node's replica owns none and attaches
+//   its worker thread's gradient arena only while it trains
+//   (sim::Node::train_local), because gradients are private scratch of a
+//   training step and never travel between nodes.
+// * Layers hold no state besides parameters and gradients: backward
+//   recomputes from its `input` what it needs of the forward (max-pool
+//   routing, group-norm statistics). A forward on another batch therefore
+//   never invalidates a pending backward, and node replicas carry no
+//   per-batch caches.
 // * Batch dimension is always tensor dim 0.
 #pragma once
 
@@ -32,21 +37,25 @@ namespace skiptrain::nn {
 using tensor::Shape;
 using tensor::Tensor;
 
-/// Flat parameter block of a layer: a span view over storage that is either
-/// layer-owned (standalone use, fresh clones) or part of an external arena
-/// (a Sequential's contiguous arena or a plane row). Copying a ParamStorage
-/// copies the *values* into fresh self-owned storage — exactly the
-/// semantics clone() wants.
+/// Flat parameter (or gradient) block of a layer: a span view over storage
+/// that is either layer-owned (standalone use, fresh clones) or part of an
+/// external arena (a Sequential's contiguous arena or a plane row). Copying
+/// a ParamStorage copies the *values* into fresh self-owned storage —
+/// exactly the semantics clone() wants. A block can also be detached: it
+/// keeps its size but views no storage until the next bind or attach.
 class ParamStorage {
  public:
   ParamStorage() = default;
   explicit ParamStorage(std::size_t count)
-      : owned_(count, 0.0f), view_(owned_) {}
+      : count_(count), owned_(count, 0.0f), view_(owned_) {}
 
   ParamStorage(const ParamStorage& other)
-      : owned_(other.view_.begin(), other.view_.end()), view_(owned_) {}
+      : count_(other.count_),
+        owned_(other.view_.begin(), other.view_.end()),
+        view_(owned_) {}
   ParamStorage& operator=(const ParamStorage& other) {
     if (this != &other) {
+      count_ = other.count_;
       owned_.assign(other.view_.begin(), other.view_.end());
       view_ = owned_;
     }
@@ -57,7 +66,9 @@ class ParamStorage {
   ParamStorage(ParamStorage&&) = delete;
   ParamStorage& operator=(ParamStorage&&) = delete;
 
-  std::size_t size() const { return view_.size(); }
+  /// Number of floats in the block, attached or not.
+  std::size_t size() const { return count_; }
+  /// The block's values; empty while detached.
   std::span<float> view() { return view_; }
   std::span<const float> view() const { return view_; }
   float* data() { return view_.data(); }
@@ -77,16 +88,23 @@ class ParamStorage {
   }
 
   /// Repoints the view WITHOUT copying: `storage` must already hold this
-  /// block's values (e.g. the freshly aggregated plane row).
+  /// block's values (e.g. the freshly aggregated plane row), or the caller
+  /// does not need them (a gradient arena about to be zeroed).
   void attach(std::span<float> storage) {
     check_size(storage);
     view_ = storage;
     release_owned();
   }
 
+  /// Drops the storage: view() is empty until the next bind or attach.
+  void detach() {
+    view_ = {};
+    release_owned();
+  }
+
  private:
   void check_size(std::span<float> storage) const {
-    if (storage.size() != view_.size()) {
+    if (storage.size() != count_) {
       throw std::invalid_argument("ParamStorage: storage size mismatch");
     }
   }
@@ -95,6 +113,7 @@ class ParamStorage {
     owned_.shrink_to_fit();
   }
 
+  std::size_t count_ = 0;
   std::vector<float> owned_;  // empty once bound to an external arena
   std::span<float> view_;
 };
@@ -124,7 +143,8 @@ class Layer {
   virtual void backward(const Tensor& input, const Tensor& grad_output,
                         Tensor& grad_input) = 0;
 
-  /// Flat parameter/gradient storage; empty spans for parameter-free layers.
+  /// Flat parameter/gradient storage; empty spans for parameter-free layers
+  /// (and gradients() also while the gradients are detached).
   virtual std::span<float> parameters() { return {}; }
   virtual std::span<const float> parameters() const { return {}; }
   virtual std::span<float> gradients() { return {}; }
@@ -145,30 +165,36 @@ class Layer {
     require_empty(storage);
   }
 
+  /// Repoints gradient storage at `storage` (size parameter_count())
+  /// WITHOUT copying, or detaches it when `storage` is empty: gradients()
+  /// is then empty and backward() must not run until the next attach.
+  virtual void attach_gradients(std::span<float> storage) {
+    require_empty(storage);
+  }
+
   virtual void zero_grad() {}
 
   /// Deep copy (used to instantiate one model per simulated node). The
   /// copy always owns its parameter storage, regardless of how the source
-  /// was bound.
+  /// was bound, and owns zeroed gradients.
   virtual std::unique_ptr<Layer> clone() const = 0;
 
  private:
   static void require_empty(std::span<float> storage) {
     if (!storage.empty()) {
-      throw std::invalid_argument(
-          "Layer::bind_parameters: layer has no parameters");
+      throw std::invalid_argument("Layer: layer has no parameters");
     }
   }
 };
 
 /// Base for layers whose parameters live in one flat ParamStorage block
-/// with same-sized layer-owned gradients; implements the storage plumbing
+/// with a same-sized gradient block; implements the storage plumbing
 /// (views, counts, bind/attach, zero_grad) once.
 class ParamLayer : public Layer {
  public:
   std::span<float> parameters() override { return params_.view(); }
   std::span<const float> parameters() const override { return params_.view(); }
-  std::span<float> gradients() override { return grads_; }
+  std::span<float> gradients() override { return grads_.view(); }
   std::size_t parameter_count() const override { return params_.size(); }
   void bind_parameters(std::span<float> storage) override {
     params_.bind(storage);
@@ -176,16 +202,23 @@ class ParamLayer : public Layer {
   void attach_parameters(std::span<float> storage) override {
     params_.attach(storage);
   }
+  void attach_gradients(std::span<float> storage) override {
+    if (storage.empty()) {
+      grads_.detach();
+    } else {
+      grads_.attach(storage);
+    }
+  }
   void zero_grad() override {
-    std::fill(grads_.begin(), grads_.end(), 0.0f);
+    const std::span<float> grads = grads_.view();
+    std::fill(grads.begin(), grads.end(), 0.0f);
   }
 
  protected:
-  explicit ParamLayer(std::size_t count)
-      : params_(count), grads_(count, 0.0f) {}
+  explicit ParamLayer(std::size_t count) : params_(count), grads_(count) {}
 
   ParamStorage params_;
-  std::vector<float> grads_;
+  ParamStorage grads_;
 };
 
 }  // namespace skiptrain::nn

@@ -1,4 +1,4 @@
-// Optimizers operating on a Sequential's per-layer parameter/gradient spans.
+// Optimizers operating on a Sequential's parameter and gradient arenas.
 // The paper trains with plain SGD (Table 1); momentum and weight decay are
 // provided for completeness and the extension benches.
 #pragma once
@@ -23,8 +23,10 @@ class SgdOptimizer {
   const SgdOptions& options() const { return options_; }
   void set_learning_rate(float lr) { options_.learning_rate = lr; }
 
-  /// Applies one update: p -= lr * (grad + wd * p) [+ momentum buffer].
-  /// The momentum buffer is lazily sized to the model on first use.
+  /// Applies one update: p -= lr * (grad + wd * p) [+ momentum buffer],
+  /// in one pass over the model's parameter and gradient arenas (the
+  /// gradients must be attached). The momentum buffer is lazily sized to
+  /// the model on first use.
   void step(Sequential& model);
 
   /// Clears momentum state (e.g. after a parameter overwrite from

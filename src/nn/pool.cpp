@@ -1,6 +1,5 @@
 #include "nn/pool.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
@@ -27,7 +26,8 @@ Shape MaxPool2d::output_shape(const Shape& input_shape) const {
           input_shape[3] / window_};
 }
 
-void MaxPool2d::forward(const Tensor& input, Tensor& output) {
+template <typename Visit>
+void MaxPool2d::for_each_argmax(const Tensor& input, Visit&& visit) const {
   const std::size_t batch = input.dim(0);
   const std::size_t channels = input.dim(1);
   const std::size_t h = input.dim(2);
@@ -35,9 +35,7 @@ void MaxPool2d::forward(const Tensor& input, Tensor& output) {
   const std::size_t oh = h / window_;
   const std::size_t ow = w / window_;
 
-  argmax_.resize(output.numel());
   const auto in = input.data();
-  const auto out = output.data();
   std::size_t out_idx = 0;
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t c = 0; c < channels; ++c) {
@@ -56,25 +54,29 @@ void MaxPool2d::forward(const Tensor& input, Tensor& output) {
               }
             }
           }
-          out[out_idx] = best;
-          argmax_[out_idx] = best_idx;
-          ++out_idx;
+          visit(out_idx++, best_idx);
         }
       }
     }
   }
 }
 
+void MaxPool2d::forward(const Tensor& input, Tensor& output) {
+  const auto in = input.data();
+  const auto out = output.data();
+  for_each_argmax(input, [&](std::size_t out_idx, std::size_t in_idx) {
+    out[out_idx] = in[in_idx];
+  });
+}
+
 void MaxPool2d::backward(const Tensor& input, const Tensor& grad_output,
                          Tensor& grad_input) {
-  (void)input;
-  assert(argmax_.size() == grad_output.numel());
   grad_input.zero();
   const auto gout = grad_output.data();
   const auto gin = grad_input.data();
-  for (std::size_t i = 0; i < gout.size(); ++i) {
-    gin[argmax_[i]] += gout[i];
-  }
+  for_each_argmax(input, [&](std::size_t out_idx, std::size_t in_idx) {
+    gin[in_idx] += gout[out_idx];
+  });
 }
 
 std::unique_ptr<Layer> MaxPool2d::clone() const {

@@ -1,14 +1,15 @@
 // Spatial pooling and shape adapters.
 #pragma once
 
-#include <vector>
-
 #include "nn/layer.hpp"
 
 namespace skiptrain::nn {
 
 /// Max pooling over [B, C, H, W] with square window and stride == window.
-/// The forward pass records argmax positions for the backward routing.
+/// Each window's maximum is its first maximum in row-major order from the
+/// window origin under strict `>`: ties go to the earlier element, a NaN at
+/// the origin wins and a NaN elsewhere never does. Backward routes each
+/// output gradient to that element, finding it again in `input`.
 class MaxPool2d final : public Layer {
  public:
   explicit MaxPool2d(std::size_t window);
@@ -21,8 +22,12 @@ class MaxPool2d final : public Layer {
   std::unique_ptr<Layer> clone() const override;
 
  private:
+  /// Calls visit(out_index, in_index) for every output element and the
+  /// flat input index of its window's maximum, in output order.
+  template <typename Visit>
+  void for_each_argmax(const Tensor& input, Visit&& visit) const;
+
   std::size_t window_;
-  std::vector<std::size_t> argmax_;  // flat input index per output element
 };
 
 /// Collapses every per-sample dimension into one: [B, ...] -> [B, prod].

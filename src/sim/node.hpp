@@ -1,9 +1,10 @@
 // Per-node simulation state: the private model replica, optimizer, local
-// data shard and RNG stream. One instance per simulated device.
+// data shard and RNG stream. One instance per simulated device. The replica
+// holds only its parameters (a plane row); what a training step writes —
+// batch, activations, gradients — lives in the worker's nn::Workspace.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "data/dataset.hpp"
 #include "nn/optimizer.hpp"
@@ -34,7 +35,9 @@ class Node {
   const nn::SgdOptimizer& optimizer() const { return optimizer_; }
 
   /// Executes E steps of mini-batch SGD on the local shard (Algorithm 2,
-  /// lines 8-10). Returns the mean training loss across the steps.
+  /// lines 8-10) in the calling thread's workspace, attaching its gradient
+  /// arena to the model for the call only. Returns the mean training loss
+  /// across the steps.
   double train_local(std::size_t local_steps, std::size_t batch_size);
 
  private:
@@ -43,10 +46,6 @@ class Node {
   nn::SgdOptimizer optimizer_;
   data::DatasetView data_;
   util::Rng rng_;
-  // Scratch buffers reused across rounds to avoid per-step allocation.
-  tensor::Tensor batch_features_;
-  std::vector<std::int32_t> batch_labels_;
-  tensor::Tensor grad_logits_;
 };
 
 }  // namespace skiptrain::sim

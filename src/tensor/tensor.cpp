@@ -82,4 +82,9 @@ void Tensor::reshape(Shape new_shape) {
   shape_ = std::move(new_shape);
 }
 
+void Tensor::resize(const Shape& shape) {
+  shape_ = shape;
+  data_.resize(shape_numel(shape_));
+}
+
 }  // namespace skiptrain::tensor

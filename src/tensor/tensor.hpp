@@ -54,6 +54,11 @@ class Tensor {
   /// Reinterprets the tensor with a new shape of identical element count.
   void reshape(Shape new_shape);
 
+  /// Gives the tensor `shape`, whose element count may differ, keeping the
+  /// allocation when it is large enough. The contents are unspecified
+  /// afterwards: this is for scratch the next writer overwrites.
+  void resize(const Shape& shape);
+
  private:
   Shape shape_;
   std::vector<float> data_;

@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,58 @@
 #include "nn/init.hpp"
 #include "nn/model_zoo.hpp"
 #include "sim/engine.hpp"
+
+// --- live heap bytes, for the replica-storage test ------------------------
+// Replacing the global operators is binary-wide, so the hook stays cheap: a
+// 16-byte header keeps each block's requested size. The count is per
+// thread, so the test's single-threaded step does not see pool workers
+// freeing their own task state at the same time.
+namespace {
+thread_local std::int64_t t_live_bytes = 0;
+constexpr std::size_t kHeader = 16;  // keeps the default new alignment
+
+void* counted_alloc(std::size_t size) {
+  auto* block = static_cast<unsigned char*>(std::malloc(size + kHeader));
+  if (block == nullptr) throw std::bad_alloc();
+  std::memcpy(block, &size, sizeof(size));
+  t_live_bytes += static_cast<std::int64_t>(size);
+  return block + kHeader;
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  unsigned char* block = static_cast<unsigned char*>(p) - kHeader;
+  std::size_t size = 0;
+  std::memcpy(&size, block, sizeof(size));
+  t_live_bytes -= static_cast<std::int64_t>(size);
+  std::free(block);
+}
+}  // namespace
+
+// Every unaligned form, nothrow included: a sanitizer runtime supplies its
+// own for any form left out, and those would not know about the header.
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace skiptrain::sim {
 namespace {
@@ -394,6 +449,67 @@ TEST(Engine, GnLenetTrainingGolden) {
             (std::vector<std::uint64_t>{
                 0x3fb8000000000000ULL, 0x3fb8000000000000ULL,
                 0x3fb0000000000000ULL, 0x3fb8000000000000ULL}));
+}
+
+/// Trains every node of a fresh engine in `order` on the calling thread,
+/// evaluating each node right after its training so eval batches (5 and 1
+/// samples) and training batches (4) alternate through the same workspace
+/// buffers. Returns the FNV-1a of the plane.
+std::uint64_t train_in_order(const Fixture& fixture,
+                             const std::vector<std::size_t>& order) {
+  const core::SkipTrainScheduler scheduler(1, 1);
+  RoundEngine engine = fixture.make_engine(scheduler);
+  const metrics::Evaluator evaluator(&fixture.data.test, 6, 5);
+  for (const std::size_t node : order) {
+    engine.nodes()[node]->train_local(2, 4);
+    (void)evaluator.evaluate(engine.model(node));
+  }
+  return fnv1a64(engine.node_parameters());
+}
+
+// The workspace carries nothing from one node (or model) to the next: the
+// order nodes train in on one thread never shows in their parameters.
+TEST(Engine, TrainingOrderOnOneThreadIsInvisible) {
+  const Fixture mlp(4, 2);
+  const Fixture lenet(4, 2, 42, /*lenet=*/true);
+  const std::uint64_t mlp_forward = train_in_order(mlp, {0, 1, 2, 3});
+  const std::uint64_t lenet_forward = train_in_order(lenet, {0, 1, 2, 3});
+  // Interleave the two architectures so each reverse-order run finds the
+  // workspace last used by the other model.
+  const std::uint64_t lenet_reverse = train_in_order(lenet, {3, 1, 0, 2});
+  const std::uint64_t mlp_reverse = train_in_order(mlp, {3, 2, 1, 0});
+  EXPECT_EQ(mlp_forward, mlp_reverse);
+  EXPECT_EQ(lenet_forward, lenet_reverse);
+}
+
+// A replica keeps only its parameters (a plane row): no gradients, no
+// activations and no max-pool routing outlive train_local or an eval.
+TEST(Engine, NodeReplicaHoldsOnlyItsParameters) {
+  const Fixture fixture(4, 2, 42, /*lenet=*/true);
+  const core::SkipTrainScheduler scheduler(1, 1);
+  EngineConfig config;
+  config.local_steps = 2;
+  config.batch_size = 4;
+  RoundEngine engine = fixture.make_engine(scheduler, config);
+  engine.run_rounds(2);  // trains on the pool's workers
+  for (std::size_t i = 0; i < engine.num_nodes(); ++i) {
+    nn::Sequential& model = engine.model(i);
+    EXPECT_TRUE(model.gradient_arena().empty());
+    for (std::size_t l = 0; l < model.num_layers(); ++l) {
+      EXPECT_TRUE(model.layer(l).gradients().empty()) << "layer " << l;
+    }
+  }
+
+  // Size this thread's workspace, then train and evaluate another node:
+  // every byte that step allocates is freed again by the time it returns.
+  const metrics::Evaluator evaluator(&fixture.data.test, 0, 8);
+  engine.nodes()[0]->train_local(2, 4);
+  (void)evaluator.evaluate(engine.model(0));
+  const std::int64_t before = t_live_bytes;
+  engine.nodes()[1]->train_local(2, 4);
+  (void)evaluator.evaluate(engine.model(1));
+  EXPECT_EQ(t_live_bytes, before);
+  EXPECT_TRUE(engine.model(1).gradient_arena().empty());
 }
 
 }  // namespace

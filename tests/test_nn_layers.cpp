@@ -416,8 +416,8 @@ TEST(SequentialTest, BufferedForwardMatchesForwardBitwise) {
     const Tensor plain = model.forward(input);
     std::vector<Tensor> buffers;
     const Tensor& buffered = model.forward(input, buffers);
-    EXPECT_EQ(buffers.size(), model.num_layers());
-    EXPECT_EQ(&buffered, &buffers.back());
+    EXPECT_EQ(buffers.size(), model.num_layers() + 2);  // + backward slots
+    EXPECT_EQ(&buffered, &buffers[model.num_layers() - 1]);
     EXPECT_EQ(buffered.shape(), plain.shape());
     expect_bitwise_equal(buffered.data(), plain.data());
   };
@@ -428,35 +428,88 @@ TEST(SequentialTest, BufferedForwardMatchesForwardBitwise) {
 TEST(SequentialTest, BufferedForwardLeavesActivationsForBackward) {
   // forward -> buffered forward (another batch size) -> backward must give
   // the gradients of forward -> backward: the buffered pass touches none of
-  // the activations the backward reads. (The MLP has no layer-side caches;
-  // see Sequential::forward.)
-  Sequential model = make_compact_cifar_model(64);
-  util::Rng rng(32);
-  initialize(model, rng);
-  Tensor input({16, 64});
-  rng.fill_normal(input.data(), 0.0f, 1.0f);
-  Tensor other({5, 64});
-  rng.fill_normal(other.data(), 0.0f, 1.0f);
-  std::vector<std::int32_t> labels(16);
-  for (auto& label : labels) {
-    label = static_cast<std::int32_t>(rng.uniform_int(10));
-  }
+  // the activations the backward reads, and layers keep no state of their
+  // own (GN-LeNet's max-pool routing and group statistics included).
+  const auto check = [](Sequential model, const Shape& input_shape,
+                        const Shape& other_shape) {
+    util::Rng rng(32);
+    initialize(model, rng);
+    Tensor input(input_shape);
+    rng.fill_normal(input.data(), 0.0f, 1.0f);
+    Tensor other(other_shape);
+    rng.fill_normal(other.data(), 0.0f, 1.0f);
+    std::vector<std::int32_t> labels(input_shape[0]);
+    for (auto& label : labels) {
+      label = static_cast<std::int32_t>(rng.uniform_int(10));
+    }
 
-  const Tensor logits = model.forward(input);
-  Tensor grad_logits(logits.shape());
-  softmax_cross_entropy(logits, labels, grad_logits);
-  model.zero_grad();
-  model.backward(input, grad_logits);
+    const Tensor logits = model.forward(input);
+    Tensor grad_logits(logits.shape());
+    softmax_cross_entropy(logits, labels, grad_logits);
+    model.zero_grad();
+    model.backward(input, grad_logits);
+    std::vector<float> want(model.num_parameters());
+    model.get_gradients(want);
+
+    model.zero_grad();
+    model.forward(input);
+    std::vector<Tensor> buffers;
+    model.forward(other, buffers);
+    model.backward(input, grad_logits);
+    std::vector<float> got(model.num_parameters());
+    model.get_gradients(got);
+    expect_bitwise_equal(got, want);
+  };
+  check(make_compact_cifar_model(64), {16, 64}, {5, 64});
+  check(make_cifar_cnn(), {3, 3, 32, 32}, {2, 3, 32, 32});
+}
+
+TEST(SequentialTest, GradientArenaAttachesAndDetaches) {
+  // Gradients accumulated in an attached external arena are the model's
+  // own, bit for bit; detaching leaves no gradient storage anywhere, and a
+  // clone of a detached model owns zeroed gradients again.
+  Sequential model = make_cifar_cnn();
+  util::Rng rng(33);
+  initialize(model, rng);
+  Tensor input({2, 3, 32, 32});
+  rng.fill_normal(input.data(), 0.0f, 1.0f);
+  const std::vector<std::int32_t> labels = {3, 7};
+  const auto step = [&](Sequential& m, std::vector<Tensor>& buffers) {
+    m.zero_grad();
+    const Tensor& logits = m.forward(input, buffers);
+    Tensor grad_logits(logits.shape());
+    softmax_cross_entropy(logits, labels, grad_logits);
+    m.backward(input, grad_logits, buffers);
+  };
+
+  std::vector<Tensor> buffers;
+  step(model, buffers);
   std::vector<float> want(model.num_parameters());
   model.get_gradients(want);
 
-  model.zero_grad();
-  model.forward(input);
-  std::vector<Tensor> buffers;
-  model.forward(other, buffers);
-  model.backward(input, grad_logits);
-  std::vector<float> got(model.num_parameters());
-  model.get_gradients(got);
+  std::vector<float> arena(model.num_parameters(), 5.0f);
+  model.attach_gradient_arena(arena);
+  EXPECT_EQ(model.gradient_arena().data(), arena.data());
+  step(model, buffers);
+  expect_bitwise_equal(arena, want);
+
+  model.attach_gradient_arena({});
+  EXPECT_TRUE(model.gradient_arena().empty());
+  for (std::size_t l = 0; l < model.num_layers(); ++l) {
+    EXPECT_TRUE(model.layer(l).gradients().empty()) << "layer " << l;
+  }
+  EXPECT_THROW(model.attach_gradient_arena(std::span<float>(arena).first(3)),
+               std::invalid_argument);
+
+  Sequential copy = model.clone();
+  ASSERT_EQ(copy.gradient_arena().size(), copy.num_parameters());
+  EXPECT_TRUE(std::all_of(copy.gradient_arena().begin(),
+                          copy.gradient_arena().end(),
+                          [](float g) { return g == 0.0f; }));
+  std::vector<Tensor> copy_buffers;
+  step(copy, copy_buffers);
+  std::vector<float> got(copy.num_parameters());
+  copy.get_gradients(got);
   expect_bitwise_equal(got, want);
 }
 
