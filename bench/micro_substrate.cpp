@@ -5,7 +5,7 @@
 //
 // Results are written to BENCH_aggregate.json (override with
 // --benchmark_out=...) so CI records the gossip-kernel perf trajectory
-// per PR. `--quick` runs the aggregate-phase, large-fleet sharded-gossip,
+// per PR. `--quick` runs the aggregate-phase, large-fleet gossip,
 // exchange-codec, fleet-checkpoint, scenario/harvest, kernel-layer GEMM,
 // Conv2d, local-step, 16-node full-round and 16-node fleet-evaluation rows
 // at a short min-time — the mode the CI Release job uses; the
@@ -252,7 +252,7 @@ BENCHMARK(BM_AggregationStep)->Arg(6)->Arg(8)->Arg(10);
 
 // ---------------------------------------------------------------------------
 // Aggregate phase: the seed engine's scattered row loop (including its
-// get_parameters/set_parameters copies) vs the blocked plane kernel the
+// get_parameters/set_parameters copies) vs the tiled plane kernel the
 // engine now runs. Grid: fleet size x parameter dimension.
 // ---------------------------------------------------------------------------
 
@@ -317,8 +317,9 @@ void BM_AggregatePlaneBlocked(benchmark::State& state) {
     rng.fill_normal(fleet_plane.current().row(i), 0.0f, 1.0f);
   }
   for (auto _ : state) {
-    // The engine's whole aggregate phase: blocked kernel + buffer flip
-    // (model rows re-attach by pointer swap — nothing to copy).
+    // The engine's whole aggregate phase: the tiled kernel (column blocks
+    // at these n ≤ 256 shapes, one task at 16 × 2752) + buffer flip (model
+    // rows re-attach by pointer swap — nothing to copy).
     plane::apply_mixing(mixing, fleet_plane);
     benchmark::DoNotOptimize(fleet_plane.current().row(0).data());
   }
@@ -334,10 +335,10 @@ BENCHMARK(BM_AggregatePlaneBlocked)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Large-fleet sharded gossip: the row-sharded kernel
-// (graph::apply_mixing_sharded, reached through plane::apply_mixing on a
-// sparse MixingRef — the engine's path) on an implicit k-regular topology
-// over a huge-page ParameterPlane. The headline row is
+// Large-fleet gossip: the tiled kernel (graph::apply_mixing, reached
+// through plane::apply_mixing — the engine's path), which runs whole-row
+// tiles at these n > 256 shapes, on an implicit k-regular topology over a
+// huge-page ParameterPlane. The headline row is
 // n = 100k, dim = 1024 — a fleet whose dense adjacency (10^10 entries)
 // could never be materialized; topology memory stays O(n·k) and the
 // peak_rss_mb counter (getrusage max RSS) documents that the process
@@ -351,8 +352,7 @@ void BM_GossipSharded(benchmark::State& state) {
   const auto dim = static_cast<std::size_t>(state.range(1));
   const std::size_t k = 6;
   const graph::ImplicitKRegular topology(nodes, k, /*seed=*/91);
-  const auto mixing = graph::SparseMixing::metropolis_hastings(topology);
-  const graph::MixingRef mixing_ref(mixing);
+  const auto mixing = graph::MixingMatrix::metropolis_hastings(topology);
   plane::ParameterPlane fleet_plane(nodes, dim);
   // Deterministic fill, touched in parallel: rng-normal would dominate
   // setup at 10^8 floats, and the values only need to be nonuniform.
@@ -364,9 +364,9 @@ void BM_GossipSharded(benchmark::State& state) {
   });
   // One untimed round faults the back buffer's pages in, so the timed
   // rounds measure steady-state gossip rather than first touch.
-  plane::apply_mixing(mixing_ref, fleet_plane);
+  plane::apply_mixing(mixing, fleet_plane);
   for (auto _ : state) {
-    plane::apply_mixing(mixing_ref, fleet_plane);
+    plane::apply_mixing(mixing, fleet_plane);
     benchmark::DoNotOptimize(fleet_plane.current().row(0).data());
   }
   // Gossip streams (k + 1) row reads plus 1 row write per node.

@@ -5,9 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "tensor/ops.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace skiptrain::graph {
 
@@ -308,124 +306,6 @@ std::uint64_t CsrGraph::content_hash() const {
   for (const std::uint64_t r : row_ptr_) h = util::hash_combine(h, r);
   for (const std::uint32_t c : cols_) h = util::hash_combine(h, c);
   return h;
-}
-
-// --- SparseMixing ----------------------------------------------------------
-
-SparseMixing SparseMixing::metropolis_hastings(const ImplicitKRegular& graph) {
-  const std::size_t n = graph.num_nodes();
-  const std::size_t k = graph.degree();
-  SparseMixing mix;
-  mix.row_ptr_.resize(n + 1);
-  mix.entries_.resize(n * k);
-  mix.self_weight_.resize(n);
-  // Every node has degree k, so all off-diagonal MH weights are equal; the
-  // self weight is still accumulated in float neighbor order to match the
-  // dense builder bit for bit.
-  const float w = 1.0f / static_cast<float>(k + 1);
-  std::vector<std::size_t> buf(k);
-  for (std::size_t i = 0; i < n; ++i) {
-    mix.row_ptr_[i] = i * k;
-    graph.neighbors_into(i, buf);
-    float off_diagonal = 0.0f;
-    for (std::size_t e = 0; e < k; ++e) {
-      mix.entries_[i * k + e] = Entry{buf[e], w};
-      off_diagonal += w;
-    }
-    mix.self_weight_[i] = 1.0f - off_diagonal;
-  }
-  mix.row_ptr_[n] = n * k;
-  return mix;
-}
-
-SparseMixing SparseMixing::metropolis_hastings(const CsrGraph& graph) {
-  const std::size_t n = graph.num_nodes();
-  SparseMixing mix;
-  mix.row_ptr_.resize(n + 1);
-  mix.entries_.reserve(graph.num_entries());
-  mix.self_weight_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    mix.row_ptr_[i] = mix.entries_.size();
-    float off_diagonal = 0.0f;
-    for (const std::uint32_t j : graph.neighbors(i)) {
-      const auto denom = static_cast<float>(
-          std::max(graph.degree(i), graph.degree(j)) + 1);
-      const float w = 1.0f / denom;
-      mix.entries_.push_back(Entry{j, w});
-      off_diagonal += w;
-    }
-    mix.self_weight_[i] = 1.0f - off_diagonal;
-  }
-  mix.row_ptr_[n] = mix.entries_.size();
-  return mix;
-}
-
-// --- sharded kernel --------------------------------------------------------
-
-namespace {
-
-/// Canonical single-row gossip reduction: out = W_ii·x_i + Σ_j W_ij·x_j
-/// with the exact 3-/2-term op grouping of apply_mixing_blocked (same add
-/// order ⇒ bitwise-identical floats). `half_row(j)` returns node j's
-/// pre-mix row as std::span<const float>.
-template <typename HalfRow>
-void mix_row(const MixingRef& mixing, std::size_t node, HalfRow&& half_row,
-             std::span<float> out) {
-  const auto nbrs = mixing.neighbor_weights(node);
-  const float self_w = mixing.self_weight(node);
-  std::size_t e = 0;
-  if (nbrs.size() >= 2) {
-    tensor::weighted_sum3(self_w, half_row(node), nbrs[0].weight,
-                          half_row(nbrs[0].neighbor), nbrs[1].weight,
-                          half_row(nbrs[1].neighbor), out);
-    e = 2;
-  } else {
-    tensor::scaled_copy(self_w, half_row(node), out);
-  }
-  for (; e + 2 <= nbrs.size(); e += 2) {
-    tensor::axpy2(nbrs[e].weight, half_row(nbrs[e].neighbor),
-                  nbrs[e + 1].weight, half_row(nbrs[e + 1].neighbor), out);
-  }
-  if (e < nbrs.size()) {
-    tensor::axpy(nbrs[e].weight, half_row(nbrs[e].neighbor), out);
-  }
-}
-
-}  // namespace
-
-void apply_mixing_sharded(const MixingRef& mixing,
-                          std::span<const float> x_half,
-                          std::span<float> x_current, std::size_t dim,
-                          std::size_t shard_rows) {
-  const std::size_t n = mixing.num_nodes();
-  if (x_half.size() != n * dim || x_current.size() != n * dim) {
-    throw std::invalid_argument("apply_mixing_sharded: plane size mismatch");
-  }
-  if (n == 0 || dim == 0) return;
-  std::size_t shard = shard_rows;
-  if (shard == 0) {
-    const std::size_t workers =
-        std::max<std::size_t>(util::ThreadPool::global().size(), 1);
-    // ~8 shards per worker balances the pool without shrinking a shard's
-    // contiguous row block below useful prefetch size.
-    shard = std::max<std::size_t>(1, n / (8 * workers));
-  }
-  // Shard-affine scheduling: parallel_for_chunks hands each worker whole
-  // contiguous [lo, hi) row ranges, so a shard's output rows are written
-  // end to end by one thread (its staging stays shard-local). Every row's
-  // float-op sequence is fixed and elementwise, so the output is bitwise
-  // identical to apply_mixing_blocked at any shard size or thread count.
-  util::ThreadPool::global().parallel_for_chunks(
-      0, n,
-      [&](std::size_t lo, std::size_t hi) {
-        const auto half_row = [&](std::size_t node) {
-          return std::span<const float>(x_half.subspan(node * dim, dim));
-        };
-        for (std::size_t i = lo; i < hi; ++i) {
-          mix_row(mixing, i, half_row, x_current.subspan(i * dim, dim));
-        }
-      },
-      shard);
 }
 
 }  // namespace skiptrain::graph

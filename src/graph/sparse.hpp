@@ -1,25 +1,20 @@
 // Implicit and CSR-backed sparse topologies for large-fleet gossip.
 //
-// The dense Topology/MixingMatrix pair stores per-node adjacency vectors —
-// fine at the paper's n=256, pure overhead at n=100k+. This layer keeps
-// topology memory at O(n·k) flat storage and, for k-regular graphs,
-// replaces materialized adjacency entirely with counter-based sampling:
+// The materialized Topology stores per-node adjacency vectors — fine at
+// the paper's n=256, pure overhead at n=100k+. This layer keeps topology
+// memory at O(n·k) flat storage and, for k-regular graphs, replaces
+// materialized adjacency entirely with counter-based sampling:
 //
 //   ImplicitKRegular  seed-derived circulant k-regular graph; any node's
 //                     neighbor list is recomputed on demand from (n, k,
 //                     seed) — O(k) state per *query*, O(k) state total.
 //   CsrGraph          row_ptr/cols flat CSR for arbitrary sparse graphs,
 //                     loadable from a hostile-input-hardened text format.
-//   SparseMixing      Metropolis–Hastings weights over either, stored as
-//                     one flat entry array (no per-node vectors).
-//   MixingRef         non-owning dense-or-sparse dispatch handle, so the
-//                     engines keep a single aggregation call site.
 //
-// Bit-identity contract: SparseMixing weights are accumulated in exactly
-// the order MixingMatrix::metropolis_hastings uses on the materialized
-// topology (ascending neighbor, float accumulation), and the sharded
-// kernel below reproduces the blocked kernel's per-element op sequence —
-// so sparse runs are byte-comparable against the dense oracle at small n.
+// Both feed MixingMatrix::metropolis_hastings (graph/mixing.hpp), the same
+// builder the materialized Topology uses, and list neighbors in the same
+// ascending order — so a sparse run is byte-comparable against its
+// materialized twin at small n.
 #pragma once
 
 #include <cstdint>
@@ -132,78 +127,9 @@ class CsrGraph {
   std::vector<std::uint32_t> cols_;
 };
 
-/// Metropolis–Hastings mixing weights over a sparse topology, stored as
-/// one flat entry array indexed by a row_ptr — the O(n·k) counterpart of
-/// MixingMatrix (which keeps n separate neighbor vectors).
-class SparseMixing {
- public:
-  using Entry = MixingMatrix::Entry;
-
-  SparseMixing() = default;
-
-  static SparseMixing metropolis_hastings(const ImplicitKRegular& graph);
-  static SparseMixing metropolis_hastings(const CsrGraph& graph);
-
-  std::size_t num_nodes() const { return self_weight_.size(); }
-  std::size_t degree(std::size_t node) const {
-    return row_ptr_[node + 1] - row_ptr_[node];
-  }
-  float self_weight(std::size_t node) const { return self_weight_[node]; }
-  std::span<const Entry> neighbor_weights(std::size_t node) const {
-    return {entries_.data() + row_ptr_[node], degree(node)};
-  }
-
- private:
-  std::vector<std::size_t> row_ptr_;
-  std::vector<Entry> entries_;
-  std::vector<float> self_weight_;
-};
-
-/// Non-owning handle over either mixing representation. The engine holds
-/// one of these, so every aggregation call site reads identically
-/// (`mixing_.self_weight(i)`, `mixing_.neighbor_weights(i)`) regardless
-/// of which backing store the topology axis selected. Implicit
-/// construction from either concrete type keeps existing MixingMatrix
-/// call sites source-compatible; the referenced mixing must outlive the
-/// handle (same lifetime contract as the references it replaces).
-struct MixingRef {
-  const MixingMatrix* dense = nullptr;
-  const SparseMixing* sparse = nullptr;
-
-  MixingRef() = default;
-  MixingRef(const MixingMatrix& m) : dense(&m) {}  // NOLINT(runtime/explicit)
-  MixingRef(const SparseMixing& m) : sparse(&m) {}  // NOLINT(runtime/explicit)
-
-  bool is_sparse() const { return sparse != nullptr; }
-  std::size_t num_nodes() const {
-    return sparse != nullptr ? sparse->num_nodes() : dense->num_nodes();
-  }
-  float self_weight(std::size_t node) const {
-    return sparse != nullptr ? sparse->self_weight(node)
-                             : dense->self_weight(node);
-  }
-  std::span<const MixingMatrix::Entry> neighbor_weights(
-      std::size_t node) const {
-    return sparse != nullptr ? sparse->neighbor_weights(node)
-                             : dense->neighbor_weights(node);
-  }
-  std::size_t degree(std::size_t node) const {
-    return neighbor_weights(node).size();
-  }
-};
-
-/// Row-sharded gossip kernel: partitions NODES (not columns) into
-/// contiguous shards farmed out to the thread pool with shard-affine
-/// scheduling — one worker owns a shard's rows end to end, so large-n
-/// fleets parallelize even when dim is small (the column-blocked kernel
-/// degenerates to 1–2 blocks at n=100k, dim=1k). Each row is reduced with
-/// the exact op grouping of apply_mixing_blocked; since every op is
-/// elementwise, the result is bitwise identical to the blocked kernel at
-/// any shard size or thread count. `shard_rows` = 0 picks a shard that
-/// balances pool occupancy against per-shard working-set size.
-void apply_mixing_sharded(const MixingRef& mixing,
-                          std::span<const float> x_half,
-                          std::span<float> x_current, std::size_t dim,
-                          std::size_t shard_rows = 0);
+/// Names kept for the benchmark's gossip probe, which predates the single
+/// mixing type. Nothing else uses them.
+using SparseMixing = MixingMatrix;
+using MixingRef = MixingMatrix;
 
 }  // namespace skiptrain::graph

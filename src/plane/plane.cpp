@@ -4,7 +4,6 @@
 
 #include "core/compression.hpp"
 #include "graph/mixing.hpp"
-#include "graph/sparse.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
@@ -12,8 +11,8 @@ namespace skiptrain::plane {
 
 namespace {
 
-/// Telemetry tap for every mixing kernel below: rows pushed through the
-/// gossip aggregation. Observational only.
+/// Telemetry tap for the mixing kernel: rows pushed through the gossip
+/// aggregation. Observational only.
 void note_rows_mixed(std::size_t rows) {
   static const obs::Counter mixed = obs::counter("gossip.rows_mixed");
   mixed.add(rows);
@@ -32,14 +31,12 @@ void gather_masked_rows(ConstMatrixView source,
   }
 }
 
-void apply_mixing(const graph::MixingMatrix& mixing, ParameterPlane& plane,
-                  std::size_t block_floats) {
-  apply_mixing_from(mixing, plane.current().view(), plane, block_floats);
+void apply_mixing(const graph::MixingMatrix& mixing, ParameterPlane& plane) {
+  apply_mixing_from(mixing, plane.current().view(), plane);
 }
 
 void apply_mixing_from(const graph::MixingMatrix& mixing,
-                       ConstMatrixView source, ParameterPlane& plane,
-                       std::size_t block_floats) {
+                       ConstMatrixView source, ParameterPlane& plane) {
   if (mixing.num_nodes() != plane.nodes()) {
     throw std::invalid_argument("plane::apply_mixing: node count mismatch");
   }
@@ -48,34 +45,8 @@ void apply_mixing_from(const graph::MixingMatrix& mixing,
   }
   OBS_SPAN("gossip.apply_mixing");
   note_rows_mixed(source.rows);
-  graph::apply_mixing_blocked(mixing, source.flat(),
-                              plane.back().view().flat(), plane.dim(),
-                              block_floats);
-  plane.flip();
-}
-
-void apply_mixing(const graph::MixingRef& mixing, ParameterPlane& plane,
-                  std::size_t block_floats) {
-  apply_mixing_from(mixing, plane.current().view(), plane, block_floats);
-}
-
-void apply_mixing_from(const graph::MixingRef& mixing, ConstMatrixView source,
-                       ParameterPlane& plane, std::size_t block_floats) {
-  if (!mixing.is_sparse()) {
-    apply_mixing_from(*mixing.dense, source, plane, block_floats);
-    return;
-  }
-  if (mixing.num_nodes() != plane.nodes()) {
-    throw std::invalid_argument("plane::apply_mixing: node count mismatch");
-  }
-  if (source.rows != plane.nodes() || source.dim != plane.dim()) {
-    throw std::invalid_argument("plane::apply_mixing_from: source shape");
-  }
-  OBS_SPAN("gossip.apply_mixing");
-  note_rows_mixed(source.rows);
-  graph::apply_mixing_sharded(mixing, source.flat(),
-                              plane.back().view().flat(), plane.dim(),
-                              block_floats);
+  graph::apply_mixing(mixing, source.flat(), plane.back().view().flat(),
+                      plane.dim());
   plane.flip();
 }
 

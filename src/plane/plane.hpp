@@ -22,7 +22,6 @@
 
 namespace skiptrain::graph {
 class MixingMatrix;
-struct MixingRef;
 }
 
 namespace skiptrain::plane {
@@ -118,13 +117,11 @@ void gather_masked_rows(ConstMatrixView source,
                         std::span<const std::uint32_t> mask,
                         MatrixView staged);
 
-/// One gossip round over the plane: runs the blocked sparse-row kernel
-/// (graph::apply_mixing_blocked) current() → back(), then flips, so
-/// current() holds x_i^t = Σ_j W_ji x_j^{t-1/2} afterwards. Models bound
-/// to the previous current() rows must be re-attached by the caller.
-/// `block_floats` = 0 picks a cache-resident tile automatically.
-void apply_mixing(const graph::MixingMatrix& mixing, ParameterPlane& plane,
-                  std::size_t block_floats = 0);
+/// One gossip round over the plane: runs the tiled gossip kernel
+/// (graph::apply_mixing) current() → back(), then flips, so current()
+/// holds x_i^t = Σ_j W_ji x_j^{t-1/2} afterwards. Models bound to the
+/// previous current() rows must be re-attached by the caller.
+void apply_mixing(const graph::MixingMatrix& mixing, ParameterPlane& plane);
 
 /// Same gossip round, but the kernel reads an EXTERNAL [n × dim] source —
 /// the staging-boundary seam for quantized exchanges: the engine decodes
@@ -135,18 +132,6 @@ void apply_mixing(const graph::MixingMatrix& mixing, ParameterPlane& plane,
 /// afterwards in back() (callers that need the exact pre-exchange values,
 /// e.g. for the self-weight correction, read them there).
 void apply_mixing_from(const graph::MixingMatrix& mixing,
-                       ConstMatrixView source, ParameterPlane& plane,
-                       std::size_t block_floats = 0);
-
-/// MixingRef dispatch of the two entry points above: a dense handle runs
-/// the column-blocked kernel (byte-identical to the overloads taking a
-/// MixingMatrix), a sparse handle runs the row-sharded kernel
-/// (graph::apply_mixing_sharded) — the large-fleet path where column
-/// blocking runs out of parallelism. `block_floats` is forwarded as the
-/// block/shard size of whichever kernel runs (0 = automatic).
-void apply_mixing(const graph::MixingRef& mixing, ParameterPlane& plane,
-                  std::size_t block_floats = 0);
-void apply_mixing_from(const graph::MixingRef& mixing, ConstMatrixView source,
-                       ParameterPlane& plane, std::size_t block_floats = 0);
+                       ConstMatrixView source, ParameterPlane& plane);
 
 }  // namespace skiptrain::plane

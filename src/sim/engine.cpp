@@ -16,7 +16,7 @@ namespace skiptrain::sim {
 
 RoundEngine::RoundEngine(const nn::Sequential& prototype,
                          const data::FederatedData& data,
-                         graph::MixingRef mixing,
+                         const graph::MixingMatrix& mixing,
                          const core::RoundScheduler& scheduler,
                          energy::EnergyAccountant accountant,
                          EngineConfig config)
@@ -269,8 +269,7 @@ RoundEngine::RoundOutcome RoundEngine::run_round() {
     });
     plane_.flip();
   } else {
-    // Full delivery: one blocked (dense mixing) or row-sharded (sparse
-    // topology) kernel current() → back(), then flip:
+    // Full delivery: the gossip kernel current() → back(), then flip:
     //   x_i^t = W_ii x̂_i^{t-1/2} + Σ_{j≠i} W_ij x̂_j^{t-1/2}.
     plane::apply_mixing_from(mixing_, received, plane_);
     if (lossy) {

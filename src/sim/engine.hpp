@@ -19,8 +19,8 @@
 //                  link faults, its frame survives fault::deliver;
 //   6. aggregate — x_i^t = x_i^{t-1/2} + Σ_{delivered j} W_ij (x̂_j - x_i):
 //                  in place on the masked coordinates, into the back buffer
-//                  when an edge can be lost, otherwise as the blocked (or
-//                  row-sharded) kernel x_i^t = Σ_j W_ji x̂_j^{t-1/2}.
+//                  when an edge can be lost, otherwise as the tiled gossip
+//                  kernel x_i^t = Σ_j W_ji x̂_j^{t-1/2}.
 //
 // Storage: all n models live as rows of one contiguous ParameterPlane and
 // each node's nn::Sequential views its row directly, so training writes
@@ -42,7 +42,6 @@
 #include "energy/accountant.hpp"
 #include "fault/fault.hpp"
 #include "graph/mixing.hpp"
-#include "graph/sparse.hpp"
 #include "nn/sequential.hpp"
 #include "obs/phase.hpp"
 #include "plane/plane.hpp"
@@ -108,12 +107,10 @@ class RoundEngine {
  public:
   /// All reference parameters must outlive the engine. `prototype`
   /// supplies the shared initial model x⁰ (cloned per node, then bound
-  /// onto this engine's parameter plane). `mixing` converts implicitly
-  /// from a MixingMatrix (dense) or a SparseMixing (kregular/csr
-  /// topologies — aggregation then runs the row-sharded kernel); the
-  /// referenced mixing must outlive the engine either way.
+  /// onto this engine's parameter plane).
   RoundEngine(const nn::Sequential& prototype, const data::FederatedData& data,
-              graph::MixingRef mixing, const core::RoundScheduler& scheduler,
+              const graph::MixingMatrix& mixing,
+              const core::RoundScheduler& scheduler,
               energy::EnergyAccountant accountant, EngineConfig config);
 
   struct RoundOutcome {
@@ -188,7 +185,7 @@ class RoundEngine {
  private:
   detail::EngineIdentity identity() const;
 
-  graph::MixingRef mixing_;
+  const graph::MixingMatrix& mixing_;
   const core::RoundScheduler& scheduler_;
   energy::EnergyAccountant accountant_;
   EngineConfig config_;

@@ -97,24 +97,21 @@ ExperimentResult run_experiment(const data::FederatedData& data,
 
   // --- Topology & mixing -------------------------------------------------
   // Dense (the default) keeps the paper's materialized random d-regular
-  // graph and column-blocked aggregation; kregular/csr build an O(n·k)
-  // SparseMixing and aggregate with the row-sharded kernel. Exchange
-  // energy is billed from the ACTUAL per-node neighbor count either way.
+  // graph; kregular/csr build the same Metropolis–Hastings matrix from an
+  // O(n·k) graph without materializing it. Exchange energy is billed from
+  // the ACTUAL per-node neighbor count either way.
   const graph::TopologySpec topo_spec =
       graph::TopologySpec::parse(options.topology);
-  graph::Topology topology;
   graph::MixingMatrix mixing;
-  graph::SparseMixing sparse_mixing;
-  graph::MixingRef mixing_ref;
   std::vector<std::size_t> degrees(n);
   std::uint64_t topology_hash = 0;
   if (topo_spec.kind == graph::TopologySpec::Kind::kDense) {
     util::Rng topo_rng(util::hash_combine(options.seed, 0x70700000ULL));
-    topology = graph::make_random_regular(n, options.degree, topo_rng);
+    const graph::Topology topology =
+        graph::make_random_regular(n, options.degree, topo_rng);
     mixing = options.algorithm == Algorithm::kDpsgdAllReduce
                  ? graph::MixingMatrix::all_reduce(n)
                  : graph::MixingMatrix::metropolis_hastings(topology);
-    mixing_ref = mixing;
     for (std::size_t i = 0; i < n; ++i) degrees[i] = topology.degree(i);
   } else {
     if (options.algorithm == Algorithm::kDpsgdAllReduce) {
@@ -124,7 +121,7 @@ ExperimentResult run_experiment(const data::FederatedData& data,
     if (topo_spec.kind == graph::TopologySpec::Kind::kKRegular) {
       const graph::ImplicitKRegular implicit(
           n, topo_spec.k, util::hash_combine(options.seed, 0x6b726700ULL));
-      sparse_mixing = graph::SparseMixing::metropolis_hastings(implicit);
+      mixing = graph::MixingMatrix::metropolis_hastings(implicit);
       topology_hash = implicit.config_hash();
     } else {
       const graph::CsrGraph csr = graph::CsrGraph::load_file(topo_spec.path);
@@ -134,11 +131,10 @@ ExperimentResult run_experiment(const data::FederatedData& data,
             std::to_string(csr.num_nodes()) + " nodes, dataset has " +
             std::to_string(n));
       }
-      sparse_mixing = graph::SparseMixing::metropolis_hastings(csr);
+      mixing = graph::MixingMatrix::metropolis_hastings(csr);
       topology_hash = util::hash_combine(0x637372ULL, csr.content_hash());
     }
-    mixing_ref = sparse_mixing;
-    for (std::size_t i = 0; i < n; ++i) degrees[i] = sparse_mixing.degree(i);
+    for (std::size_t i = 0; i < n; ++i) degrees[i] = mixing.degree(i);
   }
 
   // --- Energy ------------------------------------------------------------
@@ -183,7 +179,7 @@ ExperimentResult run_experiment(const data::FederatedData& data,
   std::optional<RoundEngine> engine_slot;
   const auto build_engine = [&] {
     energy::EnergyAccountant engine_accountant = accountant;
-    engine_slot.emplace(prototype, data, mixing_ref, *scheduler,
+    engine_slot.emplace(prototype, data, mixing, *scheduler,
                         std::move(engine_accountant), engine_config);
   };
   build_engine();

@@ -41,8 +41,8 @@ struct RunOptions {
   // Topology axis (graph::TopologySpec): "" | "dense" keeps the paper's
   // materialized random d-regular graph above; "kregular:<k>" switches to
   // the implicit seed-derived k-regular circulant (O(k) topology state,
-  // row-sharded aggregation — the large-fleet path); "csr:<path>" loads an
-  // arbitrary sparse graph from a CSR file. Non-dense topologies bill
+  // the large-fleet path); "csr:<path>" loads an arbitrary sparse graph
+  // from a CSR file. Non-dense topologies bill
   // exchange energy at their actual per-node neighbor counts and are
   // incompatible with Algorithm::kDpsgdAllReduce.
   std::string topology{};

@@ -312,7 +312,7 @@ SweepGrid make_preset(const std::string& name, const PresetParams& params) {
   }
   if (name == "large_fleet") {
     // Scale-out smoke: a 10k-node fleet on the implicit k-regular topology
-    // exercises the row-sharded gossip path end to end (O(n·k) topology
+    // exercises the whole-row gossip tiles end to end (O(n·k) topology
     // memory, sparse comm billing) at a size the dense adjacency could
     // never reach. The workload knobs are deliberately tiny — the point is
     // the n, not the learning curve.

@@ -2,7 +2,7 @@
 // SkipTrain Γt=2/Γs=1) driven through every exchange path RoundEngine
 // can take — dense and masked-sparse rows, identity and quantized codecs,
 // scenario churn, crash outages, lossy CRC-framed links, and the
-// row-sharded kernel behind an implicit k-regular topology. Each case
+// mixing built from an implicit k-regular topology. Each case
 // pins the FNV-1a-64 of the final parameter bytes, the fault tallies, the
 // exact wire-byte count and the bit pattern of the billed communication
 // energy, so any refactor of the exchange code must reproduce all of them
@@ -50,7 +50,7 @@ struct Fixture {
   graph::Topology topology;
   graph::MixingMatrix mixing;
   graph::ImplicitKRegular kregular{kNodes, kDegree, kSeed};
-  graph::SparseMixing kregular_mixing;
+  graph::MixingMatrix kregular_mixing;
   energy::Fleet fleet;
 
   Fixture() : fleet(energy::Fleet::even(kNodes, energy::Workload::kCifar10)) {
@@ -66,7 +66,7 @@ struct Fixture {
     util::Rng topo_rng(kSeed + 1);
     topology = graph::make_random_regular(kNodes, kDegree, topo_rng);
     mixing = graph::MixingMatrix::metropolis_hastings(topology);
-    kregular_mixing = graph::SparseMixing::metropolis_hastings(kregular);
+    kregular_mixing = graph::MixingMatrix::metropolis_hastings(kregular);
   }
 
   energy::EnergyAccountant make_accountant(quant::Codec codec) const {
@@ -218,11 +218,9 @@ TEST(ExchangeGolden, RoundEngineMatrix) {
     config.sparse_exchange_k = c.sparse_k;
     config.faults = fault::make_plan(c.faults);
     if (c.churn) config.scenario = early_churn();
-    graph::MixingRef mixing = fixture.mixing;
-    if (c.kregular) {
-      mixing = fixture.kregular_mixing;
-      config.topology_hash = fixture.kregular.config_hash();
-    }
+    const graph::MixingMatrix& mixing =
+        c.kregular ? fixture.kregular_mixing : fixture.mixing;
+    if (c.kregular) config.topology_hash = fixture.kregular.config_hash();
     sim::RoundEngine engine(fixture.prototype, fixture.data, mixing,
                             scheduler, fixture.make_accountant(c.codec),
                             config);

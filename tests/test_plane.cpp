@@ -1,11 +1,15 @@
-// ParameterPlane subsystem: layout round-trips, arena aliasing, and golden
-// bit-exactness of the refactored engine against the pre-refactor
+// ParameterPlane subsystem: layout round-trips, arena aliasing, the tiled
+// gossip kernel against the pre-refactor row loop on every tile shape, and
+// golden bit-exactness of the refactored engine against the pre-refactor
 // scattered-row reference path (dense and sparse-k, 1 vs N threads).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compression.hpp"
@@ -13,6 +17,7 @@
 #include "data/synthetic.hpp"
 #include "energy/accountant.hpp"
 #include "graph/mixing.hpp"
+#include "graph/sparse.hpp"
 #include "graph/topology.hpp"
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
@@ -123,11 +128,11 @@ TEST(ParameterArena, AddAfterExternalBindThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked mixing kernel vs the pre-refactor row loop
+// Gossip kernel vs the pre-refactor row loop
 // ---------------------------------------------------------------------------
 
 /// The seed engine's aggregation, verbatim: per node, scale self then axpy
-/// neighbors over the full row. The blocked kernel must be bit-identical.
+/// neighbors over the full row. The tiled kernel must be bit-identical.
 std::vector<std::vector<float>> reference_dense_mix(
     const graph::MixingMatrix& mixing,
     const std::vector<std::vector<float>>& half) {
@@ -148,31 +153,75 @@ std::vector<std::vector<float>> reference_dense_mix(
   return current;
 }
 
-TEST(BlockedMixing, BitIdenticalToRowLoopAcrossBlockSizes) {
-  const std::size_t n = 24;
-  const std::size_t dim = 1000;  // not a multiple of any tested block
-  util::Rng topo_rng(3);
-  const auto topology = graph::make_random_regular(n, 6, topo_rng);
-  const auto mixing = graph::MixingMatrix::metropolis_hastings(topology);
+/// Row-major copy of a vector-of-rows plane.
+std::vector<float> flatten(const std::vector<std::vector<float>>& rows) {
+  std::vector<float> flat;
+  for (const auto& row : rows) flat.insert(flat.end(), row.begin(), row.end());
+  return flat;
+}
 
-  std::vector<std::vector<float>> half(n, std::vector<float>(dim));
-  util::Rng rng(17);
-  for (auto& row : half) rng.fill_normal(row, 0.0f, 1.0f);
-  const auto reference = reference_dense_mix(mixing, half);
-
-  std::vector<float> half_flat(n * dim);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::copy(half[i].begin(), half[i].end(), half_flat.begin() + i * dim);
+/// The four kinds of matrix the engine runs: a random-regular graph, an
+/// implicit k-regular graph, an irregular CSR graph (rows of degree 0 and
+/// 1 take the kernel's short branches) and the all-reduce average.
+std::vector<std::pair<std::string, graph::MixingMatrix>> kernel_matrices(
+    std::size_t n) {
+  util::Rng rng(3);
+  std::vector<std::pair<std::string, graph::MixingMatrix>> matrices;
+  matrices.emplace_back("random-regular",
+                        graph::MixingMatrix::metropolis_hastings(
+                            graph::make_random_regular(n, 6, rng)));
+  matrices.emplace_back("kregular",
+                        graph::MixingMatrix::metropolis_hastings(
+                            graph::ImplicitKRegular(n, 6, 5)));
+  // Node 0 isolated, a path over the rest (degree-1 ends) and chords
+  // from every third node to its mirror node for uneven higher degrees.
+  graph::Topology irregular(n);
+  for (std::size_t i = 1; i + 1 < n; ++i) irregular.add_edge(i, i + 1);
+  for (std::size_t i = 2; i + 2 < n; i += 3) {
+    if (n - i != i && !irregular.has_edge(i, n - i)) {
+      irregular.add_edge(i, n - i);
+    }
   }
-  for (const std::size_t block : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{64}, std::size_t{333},
-                                  std::size_t{4096}}) {
-    std::vector<float> current_flat(n * dim, -7.0f);
-    graph::apply_mixing_blocked(mixing, half_flat, current_flat, dim, block);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t k = 0; k < dim; ++k) {
-        ASSERT_EQ(current_flat[i * dim + k], reference[i][k])
-            << "block=" << block << " node=" << i << " coord=" << k;
+  matrices.emplace_back("csr", graph::MixingMatrix::metropolis_hastings(
+                                   graph::CsrGraph::from_topology(irregular)));
+  matrices.emplace_back("all-reduce", graph::MixingMatrix::all_reduce(n));
+  return matrices;
+}
+
+TEST(GossipKernel, BitIdenticalToRowLoopOnEveryTileShape) {
+  struct Shape {
+    const char* name;
+    std::size_t n;
+    std::size_t dim;
+  };
+  const Shape shapes[] = {
+      // 3 column blocks of 5461 floats, the last one partial.
+      {"column blocks", 24, 12000},
+      // n > 256: whole-row tiles over contiguous row ranges.
+      {"row ranges", 300, 448},
+      // The whole plane fits one tile: a single task.
+      {"one tile", 10, 100},
+  };
+  for (const Shape& shape : shapes) {
+    std::vector<std::vector<float>> half(shape.n,
+                                         std::vector<float>(shape.dim));
+    util::Rng rng(17);
+    for (auto& row : half) rng.fill_normal(row, 0.0f, 1.0f);
+    const std::vector<float> half_flat = flatten(half);
+    for (const auto& [label, mixing] : kernel_matrices(shape.n)) {
+      SCOPED_TRACE(std::string(shape.name) + " / " + label);
+      const std::vector<float> reference =
+          flatten(reference_dense_mix(mixing, half));
+      for (const bool serial : {true, false}) {
+        std::optional<util::ThreadPool::ScopedForceSerial> serial_scope;
+        if (serial) serial_scope.emplace();
+        std::vector<float> out(half_flat.size(), -7.0f);
+        graph::apply_mixing(mixing, half_flat, out, shape.dim);
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          ASSERT_EQ(out[i], reference[i])
+              << (serial ? "serial" : "pool") << " node " << i / shape.dim
+              << " coord " << i % shape.dim;
+        }
       }
     }
   }

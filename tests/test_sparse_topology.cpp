@@ -1,9 +1,8 @@
 // Implicit/CSR sparse topology layer: spec parsing, bitwise equivalence of
-// the implicit k-regular graph and SparseMixing against the dense
-// materialized oracle, sharded-kernel bit-identity across shard sizes and
-// thread counts, the engine on sparse topologies through checkpoint
-// save/restore, sparse-degree energy billing, the gated CSV
-// topology column, and hostile CSR-file parsing.
+// the implicit k-regular graph and of the mixing matrices built from
+// implicit and CSR graphs against their materialized twins, the engine on
+// sparse topologies through checkpoint save/restore, sparse-degree energy
+// billing, the gated CSV topology column, and hostile CSR-file parsing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -134,20 +133,22 @@ TEST(ImplicitKRegular, IsDeterministicInSeedAndRejectsBadCombos) {
 }
 
 // ---------------------------------------------------------------------------
-// SparseMixing vs the dense Metropolis–Hastings oracle
+// Mixing from sparse graphs vs the materialized Metropolis–Hastings oracle
 // ---------------------------------------------------------------------------
 
-void expect_mixing_bitwise_equal(const graph::SparseMixing& sparse,
-                                 const graph::MixingMatrix& dense) {
-  ASSERT_EQ(sparse.num_nodes(), dense.num_nodes());
+void expect_mixing_bitwise_equal(const graph::MixingMatrix& sparse,
+                                 const graph::MixingMatrix& materialized) {
+  ASSERT_EQ(sparse.num_nodes(), materialized.num_nodes());
   for (std::size_t i = 0; i < sparse.num_nodes(); ++i) {
-    ASSERT_EQ(sparse.self_weight(i), dense.self_weight(i)) << "node " << i;
+    ASSERT_EQ(sparse.self_weight(i), materialized.self_weight(i))
+        << "node " << i;
     const auto sw = sparse.neighbor_weights(i);
-    const auto dw = dense.neighbor_weights(i);
-    ASSERT_EQ(sw.size(), dw.size()) << "node " << i;
+    const auto mw = materialized.neighbor_weights(i);
+    ASSERT_EQ(sw.size(), mw.size()) << "node " << i;
+    ASSERT_EQ(sparse.degree(i), sw.size()) << "node " << i;
     for (std::size_t e = 0; e < sw.size(); ++e) {
-      ASSERT_EQ(sw[e].neighbor, dw[e].neighbor) << "node " << i;
-      ASSERT_EQ(sw[e].weight, dw[e].weight) << "node " << i;
+      ASSERT_EQ(sw[e].neighbor, mw[e].neighbor) << "node " << i;
+      ASSERT_EQ(sw[e].weight, mw[e].weight) << "node " << i;
     }
   }
 }
@@ -156,10 +157,16 @@ TEST(SparseMixing, ImplicitMatchesDenseOracleBitwise) {
   for (const std::size_t n : {std::size_t{8}, std::size_t{64}}) {
     for (const std::size_t k :
          {std::size_t{2}, std::size_t{4}, std::size_t{5}, std::size_t{6}}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
       const graph::ImplicitKRegular implicit(n, k, 31);
-      expect_mixing_bitwise_equal(
-          graph::SparseMixing::metropolis_hastings(implicit),
-          graph::MixingMatrix::metropolis_hastings(implicit.materialize()));
+      const auto sparse = graph::MixingMatrix::metropolis_hastings(implicit);
+      const auto materialized =
+          graph::MixingMatrix::metropolis_hastings(implicit.materialize());
+      expect_mixing_bitwise_equal(sparse, materialized);
+      // Same weights in the same order: the diagnostics agree exactly.
+      EXPECT_EQ(sparse.spectral_gap(), materialized.spectral_gap());
+      EXPECT_GT(sparse.spectral_gap(), 0.0);
+      EXPECT_EQ(sparse.symmetry_error(), 0.0);
     }
   }
 }
@@ -175,46 +182,22 @@ TEST(SparseMixing, CsrFromTopologyMatchesDenseOracleBitwise) {
   EXPECT_EQ(graph::CsrGraph::from_topology(csr.materialize()).content_hash(),
             csr.content_hash());
   expect_mixing_bitwise_equal(
-      graph::SparseMixing::metropolis_hastings(csr),
+      graph::MixingMatrix::metropolis_hastings(csr),
       graph::MixingMatrix::metropolis_hastings(topology));
-}
 
-// ---------------------------------------------------------------------------
-// Sharded gossip kernels vs the blocked kernel
-// ---------------------------------------------------------------------------
-
-TEST(ShardedKernel, BitIdenticalToBlockedAcrossShardSizesAndThreads) {
-  const std::size_t n = 24;
-  const std::size_t dim = 1000;
-  const graph::ImplicitKRegular implicit(n, 6, 5);
-  const auto sparse = graph::SparseMixing::metropolis_hastings(implicit);
-  const auto dense =
-      graph::MixingMatrix::metropolis_hastings(implicit.materialize());
-
-  std::vector<float> half(n * dim);
-  util::Rng rng(17);
-  rng.fill_normal(half, 0.0f, 1.0f);
-  std::vector<float> reference(n * dim, -3.0f);
-  graph::apply_mixing_blocked(dense, half, reference, dim, 0);
-
-  const graph::MixingRef sparse_ref(sparse);
-  for (const std::size_t shard_rows :
-       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
-    std::vector<float> out(n * dim, -7.0f);
-    graph::apply_mixing_sharded(sparse_ref, half, out, dim, shard_rows);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      ASSERT_EQ(out[i], reference[i]) << "shard_rows=" << shard_rows
-                                      << " idx=" << i;
-    }
-  }
-  {
-    util::ThreadPool::ScopedForceSerial serial;
-    std::vector<float> out(n * dim, -7.0f);
-    graph::apply_mixing_sharded(sparse_ref, half, out, dim, 0);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      ASSERT_EQ(out[i], reference[i]) << "serial idx=" << i;
-    }
-  }
+  // An irregular graph takes the max-degree branch of the weights: on a
+  // 5-node path every edge weighs 1/(max(deg) + 1) = 1/3, the degree-1
+  // ends included, and each end keeps the remaining 2/3 for itself.
+  std::istringstream path(
+      "skiptrain-csr v1\nnodes 5\n1 1\n2 0 2\n2 1 3\n2 2 4\n1 3\n");
+  const auto path_csr = graph::CsrGraph::parse(path, "path");
+  const auto path_mixing = graph::MixingMatrix::metropolis_hastings(path_csr);
+  expect_mixing_bitwise_equal(
+      path_mixing,
+      graph::MixingMatrix::metropolis_hastings(path_csr.materialize()));
+  EXPECT_EQ(path_mixing.weight(0, 1), 1.0f / 3.0f);
+  EXPECT_EQ(path_mixing.self_weight(0), 1.0f - 1.0f / 3.0f);
+  EXPECT_EQ(path_mixing.symmetry_error(), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -225,7 +208,7 @@ struct SparseEngineFixture {
   data::FederatedData data;
   nn::Sequential prototype;
   graph::ImplicitKRegular implicit;
-  graph::SparseMixing sparse;
+  graph::MixingMatrix sparse;
   graph::Topology materialized;
   graph::MixingMatrix dense;
   energy::Fleet fleet;
@@ -243,7 +226,7 @@ struct SparseEngineFixture {
     prototype = nn::make_mlp(config.feature_dim, {12}, 10);
     util::Rng rng(seed);
     nn::initialize(prototype, rng);
-    sparse = graph::SparseMixing::metropolis_hastings(implicit);
+    sparse = graph::MixingMatrix::metropolis_hastings(implicit);
     materialized = implicit.materialize();
     dense = graph::MixingMatrix::metropolis_hastings(materialized);
   }
@@ -254,7 +237,7 @@ struct SparseEngineFixture {
                                     std::move(degrees));
   }
 
-  sim::RoundEngine make_engine(graph::MixingRef mixing,
+  sim::RoundEngine make_engine(const graph::MixingMatrix& mixing,
                                const core::RoundScheduler& scheduler,
                                std::uint64_t topology_hash) const {
     sim::EngineConfig config;
