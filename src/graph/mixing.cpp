@@ -205,10 +205,16 @@ Tiling pick_tiling(std::size_t n, std::size_t dim, std::size_t workers) {
 }  // namespace
 
 void apply_mixing(const MixingMatrix& mixing, std::span<const float> x_half,
-                  std::span<float> x_current, std::size_t dim) {
+                  std::span<const float> received, std::span<float> x_current,
+                  std::size_t dim,
+                  std::optional<std::span<const std::uint8_t>> delivered) {
   const std::size_t n = mixing.num_nodes();
-  if (x_half.size() != n * dim || x_current.size() != n * dim) {
+  if (x_half.size() != n * dim || received.size() != n * dim ||
+      x_current.size() != n * dim) {
     throw std::invalid_argument("graph::apply_mixing: plane size mismatch");
+  }
+  if (delivered && delivered->size() != mixing.num_entries()) {
+    throw std::invalid_argument("graph::apply_mixing: mask size mismatch");
   }
   if (n == 0 || dim == 0) return;
   const Tiling tiling = pick_tiling(
@@ -224,32 +230,48 @@ void apply_mixing(const MixingMatrix& mixing, std::span<const float> x_half,
     const std::size_t len = std::min(tiling.block, dim - begin);
     const std::size_t row_lo = (t % ranges) * n / ranges;
     const std::size_t row_hi = (t % ranges + 1) * n / ranges;
-    const auto half_slice = [&](std::size_t node) {
+    // Tile slices of a node's self source and of its received image.
+    const auto half = [&](std::size_t node) {
       return x_half.subspan(node * dim + begin, len);
+    };
+    const auto wire = [&](std::size_t node) {
+      return received.subspan(node * dim + begin, len);
     };
     for (std::size_t i = row_lo; i < row_hi; ++i) {
       const auto out = x_current.subspan(i * dim + begin, len);
       const auto nbrs = mixing.neighbor_weights(i);
+      if (delivered) {
+        const std::uint8_t* flags = delivered->data() + mixing.entry_offset(i);
+        tensor::copy(half(i), out);
+        for (std::size_t e = 0; e < nbrs.size(); ++e) {
+          if (!flags[e]) continue;
+          tensor::axpy_difference(nbrs[e].weight, wire(nbrs[e].neighbor),
+                                  half(i), out);
+        }
+        continue;
+      }
       const float self_w = mixing.self_weight(i);
       // Group the weighted row reduction into 3- and 2-term fused passes:
       // same add order as one scaled_copy + deg axpys (bitwise identical),
       // but out is written back once per group instead of once per term.
       std::size_t e = 0;
       if (nbrs.size() >= 2) {
-        tensor::weighted_sum3(self_w, half_slice(i), nbrs[0].weight,
-                              half_slice(nbrs[0].neighbor), nbrs[1].weight,
-                              half_slice(nbrs[1].neighbor), out);
+        tensor::weighted_sum3(self_w, wire(i), nbrs[0].weight,
+                              wire(nbrs[0].neighbor), nbrs[1].weight,
+                              wire(nbrs[1].neighbor), out);
         e = 2;
       } else {
-        tensor::scaled_copy(self_w, half_slice(i), out);
+        tensor::scaled_copy(self_w, wire(i), out);
       }
       for (; e + 2 <= nbrs.size(); e += 2) {
-        tensor::axpy2(nbrs[e].weight, half_slice(nbrs[e].neighbor),
-                      nbrs[e + 1].weight, half_slice(nbrs[e + 1].neighbor),
-                      out);
+        tensor::axpy2(nbrs[e].weight, wire(nbrs[e].neighbor),
+                      nbrs[e + 1].weight, wire(nbrs[e + 1].neighbor), out);
       }
       if (e < nbrs.size()) {
-        tensor::axpy(nbrs[e].weight, half_slice(nbrs[e].neighbor), out);
+        tensor::axpy(nbrs[e].weight, wire(nbrs[e].neighbor), out);
+      }
+      if (received.data() != x_half.data()) {
+        tensor::axpy_difference(self_w, half(i), wire(i), out);
       }
     }
   });

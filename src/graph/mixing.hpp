@@ -15,6 +15,8 @@
 // bit-equal weights whichever form the graph came in.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -49,6 +51,10 @@ class MixingMatrix {
   std::size_t degree(std::size_t node) const {
     return row_ptr_[node + 1] - row_ptr_[node];
   }
+
+  /// Off-diagonal entries of all rows; row i's start at entry_offset(i).
+  std::size_t num_entries() const { return entries_.size(); }
+  std::size_t entry_offset(std::size_t node) const { return row_ptr_[node]; }
 
   float self_weight(std::size_t node) const { return self_weight_[node]; }
   std::span<const Entry> neighbor_weights(std::size_t node) const {
@@ -88,27 +94,39 @@ class MixingMatrix {
   std::vector<float> self_weight_;
 };
 
-/// The gossip aggregation kernel — the hot loop of a simulated round:
+/// The dense aggregation kernel — the hot loop of a simulated round. Self
+/// terms read `x_half` (x^{t-1/2}); neighbor terms read `received` (what
+/// crossed the wire: `x_half` itself, or a lossy codec's decoded x̂). The
+/// arguments pick one of three row reductions:
 ///
-///   x_current[i,:] = W_ii · x_half[i,:] + Σ_j W_ij · x_half[j,:]
+///   - plain (`received` is `x_half`, no mask): weighted_sum3 of the self
+///     term and the first two neighbors (degree < 2: scaled_copy of the
+///     self term), then axpy2 pairs, then a trailing axpy, in neighbor order;
+///   - plain plus exact self (another `received`, no mask): the plain
+///     reduction over `received`, then out += W_ii·(x_i − x̂_i);
+///   - difference form (`delivered`: one flag per entry, row i's from
+///     entry_offset(i)): out = x_i, then out += W_ij·(x̂_j − x_i) for each
+///     delivered j in neighbor order, so lost mass stays on x_i.
 ///
-/// `x_half` and `x_current` are row-major [n × dim] parameter planes that
-/// must not alias. The plane is cut into (column block × row range) tiles
-/// that the thread pool runs in parallel; the tile shape follows from n,
-/// dim and the pool size:
+/// All planes are row-major [n × dim]; `x_current` aliases neither source.
+/// The plane is cut into (column block × row range) tiles that the thread
+/// pool runs in parallel; the tile shape follows from n, dim and the pool
+/// size:
 ///
 ///   - the whole plane fits the 512 KiB reuse window: one tile, one task;
 ///   - n ≤ 256, so one block of every row fits that window at ≥ 512 floats
-///     wide: column blocks over all rows, each column block of x_half then
-///     streams from DRAM once per round instead of deg(i)+1 times;
+///     wide: column blocks over all rows, each column block of a source
+///     then streams from DRAM once per round instead of deg(i)+1 times;
 ///   - otherwise: whole-row tiles of contiguous row ranges, so large-n
 ///     fleets parallelize even when dim is small.
 ///
 /// Every output element gets the same float ops in the same order in any
-/// tile (weighted_sum3, then axpy2 pairs, then a trailing axpy, in
-/// neighbor order), so the result is bitwise identical to the naive
-/// per-row loop at any thread count and tile shape.
+/// tile, so each form is bitwise identical to its per-row loop at any
+/// thread count and tile shape. A mis-sized plane or mask throws
+/// std::invalid_argument.
 void apply_mixing(const MixingMatrix& mixing, std::span<const float> x_half,
-                  std::span<float> x_current, std::size_t dim);
+                  std::span<const float> received, std::span<float> x_current,
+                  std::size_t dim,
+                  std::optional<std::span<const std::uint8_t>> delivered = {});
 
 }  // namespace skiptrain::graph

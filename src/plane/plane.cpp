@@ -35,18 +35,20 @@ void apply_mixing(const graph::MixingMatrix& mixing, ParameterPlane& plane) {
   apply_mixing_from(mixing, plane.current().view(), plane);
 }
 
-void apply_mixing_from(const graph::MixingMatrix& mixing,
-                       ConstMatrixView source, ParameterPlane& plane) {
+void apply_mixing_from(
+    const graph::MixingMatrix& mixing, ConstMatrixView received,
+    ParameterPlane& plane,
+    std::optional<std::span<const std::uint8_t>> delivered) {
   if (mixing.num_nodes() != plane.nodes()) {
     throw std::invalid_argument("plane::apply_mixing: node count mismatch");
   }
-  if (source.rows != plane.nodes() || source.dim != plane.dim()) {
+  if (received.rows != plane.nodes() || received.dim != plane.dim()) {
     throw std::invalid_argument("plane::apply_mixing_from: source shape");
   }
   OBS_SPAN("gossip.apply_mixing");
-  note_rows_mixed(source.rows);
-  graph::apply_mixing(mixing, source.flat(), plane.back().view().flat(),
-                      plane.dim());
+  note_rows_mixed(received.rows);
+  graph::apply_mixing(mixing, plane.current().view().flat(), received.flat(),
+                      plane.back().view().flat(), plane.dim(), delivered);
   plane.flip();
 }
 

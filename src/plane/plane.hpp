@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "util/arena.hpp"
@@ -123,15 +124,16 @@ void gather_masked_rows(ConstMatrixView source,
 /// previous current() rows must be re-attached by the caller.
 void apply_mixing(const graph::MixingMatrix& mixing, ParameterPlane& plane);
 
-/// Same gossip round, but the kernel reads an EXTERNAL [n × dim] source —
-/// the staging-boundary seam for quantized exchanges: the engine decodes
-/// every wire payload into a staging arena and mixes from there, so the
-/// aggregation consumes exactly what crossed the (simulated) wire while
-/// the plane keeps its float32 layout. back() receives Σ_j W_ji source_j,
-/// then the buffers flip; current() still holds the pre-round rows
-/// afterwards in back() (callers that need the exact pre-exchange values,
-/// e.g. for the self-weight correction, read them there).
-void apply_mixing_from(const graph::MixingMatrix& mixing,
-                       ConstMatrixView source, ParameterPlane& plane);
+/// The engine's dense aggregate: the same kernel call and flip, with the
+/// neighbor terms read from `received` — current() itself, or an
+/// external [n × dim] plane such as a lossy codec's decoded wire images.
+/// Self terms always read current(): a distinct `received` gets the
+/// kernel's fused exact-self fix, and `delivered` (one flag per mixing
+/// entry) selects its difference form, so a lost edge's mass stays on the
+/// receiver.
+void apply_mixing_from(
+    const graph::MixingMatrix& mixing, ConstMatrixView received,
+    ParameterPlane& plane,
+    std::optional<std::span<const std::uint8_t>> delivered = {});
 
 }  // namespace skiptrain::plane

@@ -3,16 +3,35 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
+#include <optional>
 #include <stdexcept>
 
 #include "fault/frame.hpp"
 #include "obs/registry.hpp"
 #include "sim/state_io.hpp"
-#include "tensor/ops.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace skiptrain::sim {
+
+namespace {
+
+/// Registry mirror of one round's fault tallies (observational only).
+void note_fault_counters(const fault::FaultStats& round) {
+  static const obs::Counter counters[] = {
+      obs::counter("fault.link.attempted"), obs::counter("fault.link.dropped"),
+      obs::counter("fault.link.corrupt"), obs::counter("fault.link.duplicated"),
+      obs::counter("fault.crash_down_rounds")};
+  const std::uint64_t values[] = {round.attempted_deliveries, round.dropped,
+                                  round.corrupt, round.duplicated,
+                                  round.crash_down_rounds};
+  for (std::size_t c = 0; c < std::size(values); ++c) {
+    counters[c].add(values[c]);
+  }
+}
+
+}  // namespace
 
 RoundEngine::RoundEngine(const nn::Sequential& prototype,
                          const data::FederatedData& data,
@@ -114,6 +133,7 @@ RoundEngine::RoundOutcome RoundEngine::run_round() {
   const bool crash_active = config_.faults.crash_faults();
   const bool link_active = config_.faults.link_faults();
   const std::uint64_t wire_bytes_before = wire_bytes_;
+  fault::FaultStats round_faults;
   std::uint64_t phase_start = obs::now_ns();
   if (scenario_ != nullptr) scenario_->begin_round(t);
   for (std::size_t i = 0; i < n; ++i) {
@@ -124,7 +144,7 @@ RoundEngine::RoundOutcome RoundEngine::run_round() {
       // key up its radio — no energy spent, model frozen in place, and
       // neighbors degrade through the masked aggregation below.
       alive = false;
-      ++fault_stats_.crash_down_rounds;
+      ++round_faults.crash_down_rounds;
     }
     bool trains =
         alive && scheduler_.should_train(t, i, accountant_.remaining_budget(i));
@@ -222,14 +242,26 @@ RoundEngine::RoundOutcome RoundEngine::run_round() {
   }
 
   // Deliver: edge j → i carries j's image iff j is up and, under link
-  // faults, its frame survives the draw and the CRC check. Tallies are
-  // per RECEIVER (disjoint parallel writes), folded serially below.
+  // faults, its frame survives the draw and the CRC check. When an edge
+  // can be lost, one parallel pass decides every edge into one flag per
+  // mixing entry; a down receiver takes nothing. Tallies are per RECEIVER
+  // (disjoint parallel writes), folded serially below.
   std::fill(link_stats_.begin(), link_stats_.end(), fault::FaultStats{});
-  const auto delivered = [&](std::size_t j, std::size_t i) {
-    return up(j) &&
-           (!link_active || fault::deliver(config_.faults, config_.seed, t,
-                                           j, i, frames_[j], link_stats_[i]));
-  };
+  std::optional<std::span<const std::uint8_t>> delivered;
+  if (link_active || any_down) {
+    delivered_.resize(mixing_.num_entries());
+    delivered = delivered_;
+    util::parallel_for(0, n, [&](std::size_t i) {
+      std::size_t e = mixing_.entry_offset(i);
+      for (const auto& entry : mixing_.neighbor_weights(i)) {
+        const std::size_t j = entry.neighbor;
+        delivered_[e++] = up(i) && up(j) &&
+                          (!link_active ||
+                           fault::deliver(config_.faults, config_.seed, t, j,
+                                          i, frames_[j], link_stats_[i]));
+      }
+    });
+  }
 
   // Aggregate. Every form computes
   //   x_i^t = x_i^{t-1/2} + Σ_{delivered j} W_ij (x̂_j^{t-1/2} - x_i^{t-1/2})
@@ -239,63 +271,31 @@ RoundEngine::RoundOutcome RoundEngine::run_round() {
   if (sparse) {
     // Masked: only the k masked coordinates of a row change, in place.
     util::parallel_for(0, n, [&](std::size_t i) {
-      if (!up(i)) return;
       const auto row = plane_.current().row(i);
       const auto mine = staged_.row(i);
+      std::size_t e = mixing_.entry_offset(i);
       for (const auto& entry : mixing_.neighbor_weights(i)) {
-        if (!delivered(entry.neighbor, i)) continue;
+        if (delivered && !delivered_[e++]) continue;
         core::accumulate_staged_difference(round_mask_,
                                            received.row(entry.neighbor), mine,
                                            row, entry.weight);
       }
     });
-  } else if (link_active || any_down) {
-    // Dense difference form into back(), whenever an edge can be lost:
-    // lossy links take it every round, even when every edge delivered.
-    const plane::ConstMatrixView current = plane_.current().view();
-    util::parallel_for(0, n, [&](std::size_t i) {
-      const auto mine = current.row(i);
-      const auto out = plane_.back().row(i);
-      tensor::copy(mine, out);
-      if (!up(i)) return;
-      for (const auto& entry : mixing_.neighbor_weights(i)) {
-        if (!delivered(entry.neighbor, i)) continue;
-        const auto theirs = received.row(entry.neighbor);
-        const float w = entry.weight;
-        for (std::size_t k = 0; k < out.size(); ++k) {
-          out[k] += w * (theirs[k] - mine[k]);
-        }
-      }
-    });
-    plane_.flip();
   } else {
-    // Full delivery: the gossip kernel current() → back(), then flip:
-    //   x_i^t = W_ii x̂_i^{t-1/2} + Σ_{j≠i} W_ij x̂_j^{t-1/2}.
-    plane::apply_mixing_from(mixing_, received, plane_);
-    if (lossy) {
-      // The kernel billed the self contribution at x̂_i; restore the exact
-      // self term. After the flip, back() still holds x^{t-1/2}.
-      const plane::ConstMatrixView exact = plane_.back().view();
-      util::parallel_for(0, n, [&](std::size_t i) {
-        const float self_w = mixing_.self_weight(i);
-        const auto mine = exact.row(i);
-        const auto approx = received.row(i);
-        const auto out = plane_.current().row(i);
-        for (std::size_t k = 0; k < out.size(); ++k) {
-          out[k] += self_w * (mine[k] - approx[k]);
-        }
-      });
-    }
-  }
-  if (!sparse) {
-    // The flip moved x^t to the other buffer; repoint every model's layer
+    // Dense: one kernel call current() → back(), then flip — the
+    // difference form over the flags (lossy links take it every round,
+    // even when every edge delivered), else x_i^t = Σ_j W_ji x̂_j^{t-1/2}
+    // with the self term kept exact. Then repoint every model's layer
     // views at its new row (pointer swap, no copies).
+    plane::apply_mixing_from(mixing_, received, plane_, delivered);
     for (std::size_t i = 0; i < n; ++i) {
       nodes_[i]->model().attach_parameter_arena(plane_.current().row(i));
     }
   }
   obs::note_phase(phase_stats_, obs::Phase::kGossip, phase_start);
-  for (const fault::FaultStats& stats : link_stats_) fault_stats_ += stats;
+  for (const fault::FaultStats& stats : link_stats_) round_faults += stats;
+  if (config_.faults.enabled) note_fault_counters(round_faults);
+  fault_stats_ += round_faults;
 
   double loss_sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {

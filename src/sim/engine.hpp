@@ -16,11 +16,11 @@
 //   4. encode    — one pass per up sender through the wire codec: decoded
 //                  only when lossy, CRC32C-framed only under link faults;
 //   5. deliver   — edge j → i carries j's image iff j is up and, under
-//                  link faults, its frame survives fault::deliver;
+//                  link faults, its frame survives fault::deliver: one
+//                  flag per edge, decided once when an edge can be lost;
 //   6. aggregate — x_i^t = x_i^{t-1/2} + Σ_{delivered j} W_ij (x̂_j - x_i):
-//                  in place on the masked coordinates, into the back buffer
-//                  when an edge can be lost, otherwise as the tiled gossip
-//                  kernel x_i^t = Σ_j W_ji x̂_j^{t-1/2}.
+//                  in place on the masked coordinates, otherwise one call
+//                  of the tiled dense kernel into the back buffer.
 //
 // Storage: all n models live as rows of one contiguous ParameterPlane and
 // each node's nn::Sequential views its row directly, so training writes
@@ -226,6 +226,8 @@ class RoundEngine {
   std::vector<std::vector<std::uint8_t>> frames_;
   std::vector<fault::FaultStats> link_stats_;
   fault::FaultStats fault_stats_;
+  // Edge fates of a round that can lose one: a flag per mixing entry.
+  std::vector<std::uint8_t> delivered_;
 
   // Telemetry (observational only; excluded from save_state/restore_state
   // so checkpoint images stay byte-identical with telemetry on or off).

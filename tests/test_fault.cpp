@@ -2,12 +2,14 @@
 // and validation, stateless draw determinism, wire-frame round-trip and
 // exhaustive single-bit corruption rejection, engine-level thread-count
 // and kill/resume invariance under active fault plans, duplicate-delivery
-// idempotence, IO-fault retry, and multi-generation checkpoint fallback.
+// idempotence, the fault and mixing registry counters, IO-fault retry, and
+// multi-generation checkpoint fallback.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -25,6 +27,7 @@
 #include "graph/topology.hpp"
 #include "nn/init.hpp"
 #include "nn/model_zoo.hpp"
+#include "obs/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/runner.hpp"
 #include "sweep/sweep.hpp"
@@ -500,6 +503,59 @@ TEST(FaultedEngine, TotalLossRevertsEveryNodeToSelf) {
               dropped.fault_stats().attempted_deliveries);
     EXPECT_TRUE(
         bytes_equal(dropped.node_parameters(), corrupted.node_parameters()));
+  }
+}
+
+/// Changes of the named registry counters across `run` (telemetry on).
+template <typename Run>
+std::vector<std::uint64_t> counter_deltas(
+    std::initializer_list<const char*> names, Run&& run) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Snapshot before = obs::snapshot();
+  run();
+  const obs::Snapshot after = obs::snapshot();
+  obs::set_enabled(was_enabled);
+  std::vector<std::uint64_t> deltas;
+  for (const char* name : names) {
+    deltas.push_back(after.counter_value(name) - before.counter_value(name));
+  }
+  return deltas;
+}
+
+TEST(FaultedEngine, FaultedDenseRoundRunsTheMixingKernel) {
+  // A lossy-link round aggregates through the difference form, which
+  // runs inside the one dense kernel: its row counter sees every node.
+  Fixture fixture(8, 3);
+  const core::DpsgdScheduler scheduler;
+  sim::EngineConfig config;
+  config.faults = fault::make_plan("drop:0.3");
+  sim::RoundEngine engine = fixture.make_engine(scheduler, config);
+  const auto deltas =
+      counter_deltas({"gossip.rows_mixed"}, [&] { engine.run_round(); });
+  EXPECT_GT(engine.fault_stats().dropped, 0u);
+  EXPECT_EQ(deltas[0], engine.num_nodes());
+}
+
+TEST(FaultedEngine, RegistryCountersMatchFaultStats) {
+  // The fault.* registry counters are folded from the same per-round
+  // tallies as the checkpointed FaultStats, so over one run they agree.
+  Fixture fixture(8, 3);
+  const core::SkipTrainScheduler scheduler(2, 1);
+  sim::EngineConfig config;
+  config.faults = fault::make_plan("drop:0.1,corrupt:0.05,dup:0.1,crash:0.03");
+  sim::RoundEngine engine = fixture.make_engine(scheduler, config);
+  const auto deltas = counter_deltas(
+      {"fault.link.attempted", "fault.link.dropped", "fault.link.corrupt",
+       "fault.link.duplicated", "fault.crash_down_rounds"},
+      [&] { engine.run_rounds(12); });
+  const fault::FaultStats& stats = engine.fault_stats();
+  const std::uint64_t expected[] = {stats.attempted_deliveries, stats.dropped,
+                                    stats.corrupt, stats.duplicated,
+                                    stats.crash_down_rounds};
+  for (std::size_t c = 0; c < deltas.size(); ++c) {
+    EXPECT_GT(expected[c], 0u) << "counter " << c << " never fired";
+    EXPECT_EQ(deltas[c], expected[c]) << "counter " << c;
   }
 }
 

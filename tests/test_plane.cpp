@@ -1,13 +1,16 @@
-// ParameterPlane subsystem: layout round-trips, arena aliasing, the tiled
-// gossip kernel against the pre-refactor row loop on every tile shape, and
+// ParameterPlane subsystem: arena aliasing, the tiled
+// aggregation kernel's three forms (plain, exact self, difference) against
+// the pre-refactor row loops on every tile shape, its input checks, and
 // golden bit-exactness of the refactored engine against the pre-refactor
 // scattered-row reference path (dense and sparse-k, 1 vs N threads).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +25,6 @@
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
 #include "nn/model_zoo.hpp"
-#include "plane/layout.hpp"
 #include "plane/plane.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
@@ -30,49 +32,6 @@
 
 namespace skiptrain {
 namespace {
-
-// ---------------------------------------------------------------------------
-// ParameterLayout
-// ---------------------------------------------------------------------------
-
-TEST(ParameterLayout, MatchesLayerParameterCounts) {
-  const nn::Sequential model = nn::make_mlp(12, {8, 6}, 4);
-  const plane::ParameterLayout layout = plane::ParameterLayout::of(model);
-
-  EXPECT_EQ(layout.dim(), model.num_parameters());
-  std::size_t expected_offset = 0;
-  std::size_t covered = 0;
-  for (const auto& block : layout.blocks()) {
-    EXPECT_EQ(block.offset, covered);
-    EXPECT_EQ(block.extent, model.layer(block.layer).parameter_count());
-    // Parameter-free layers between blocks contribute zero extent.
-    for (std::size_t l = expected_offset; l < block.layer; ++l) {
-      EXPECT_EQ(model.layer(l).parameter_count(), 0u);
-    }
-    expected_offset = block.layer + 1;
-    covered += block.extent;
-  }
-  EXPECT_EQ(covered, layout.dim());
-  EXPECT_THROW(layout.block_of_layer(model.num_layers()), std::out_of_range);
-}
-
-TEST(ParameterLayout, SliceAddressesLayerBlock) {
-  nn::Sequential model = nn::make_mlp(4, {3}, 2);
-  util::Rng rng(7);
-  nn::initialize(model, rng);
-  const plane::ParameterLayout layout = plane::ParameterLayout::of(model);
-
-  const auto arena = model.parameter_arena();
-  for (const auto& block : layout.blocks()) {
-    const auto slice = plane::ParameterLayout::slice(
-        std::span<const float>(arena), block);
-    const auto direct = model.layer(block.layer).parameters();
-    ASSERT_EQ(slice.size(), direct.size());
-    EXPECT_TRUE(std::equal(slice.begin(), slice.end(), direct.begin()));
-    // The slice is a true alias, not a copy.
-    EXPECT_EQ(slice.data(), direct.data());
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Arena binding
@@ -128,7 +87,7 @@ TEST(ParameterArena, AddAfterExternalBindThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Gossip kernel vs the pre-refactor row loop
+// Aggregation kernel vs the pre-refactor row loops
 // ---------------------------------------------------------------------------
 
 /// The seed engine's aggregation, verbatim: per node, scale self then axpy
@@ -151,6 +110,70 @@ std::vector<std::vector<float>> reference_dense_mix(
     }
   }
   return current;
+}
+
+/// The engine's pre-kernel dense difference form, verbatim but for the
+/// delivered() call, which now reads the edge's flag: out starts at the
+/// node's own row and each delivered neighbor adds w·(theirs − mine).
+std::vector<std::vector<float>> reference_difference_mix(
+    const graph::MixingMatrix& mixing,
+    const std::vector<std::vector<float>>& half,
+    const std::vector<std::vector<float>>& received,
+    const std::vector<std::uint8_t>& delivered) {
+  std::vector<std::vector<float>> current(half.size());
+  for (std::size_t i = 0; i < half.size(); ++i) {
+    const auto& mine = half[i];
+    auto& out = current[i];
+    out = mine;
+    std::size_t e = mixing.entry_offset(i);
+    for (const auto& entry : mixing.neighbor_weights(i)) {
+      if (!delivered[e++]) continue;
+      const auto& theirs = received[entry.neighbor];
+      const float w = entry.weight;
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        out[k] += w * (theirs[k] - mine[k]);
+      }
+    }
+  }
+  return current;
+}
+
+/// The engine's pre-kernel lossy path, verbatim: the plain reduction over
+/// the received images, then a second sweep restoring the exact self term.
+std::vector<std::vector<float>> reference_exact_self_mix(
+    const graph::MixingMatrix& mixing,
+    const std::vector<std::vector<float>>& half,
+    const std::vector<std::vector<float>>& received) {
+  std::vector<std::vector<float>> current =
+      reference_dense_mix(mixing, received);
+  for (std::size_t i = 0; i < half.size(); ++i) {
+    const float self_w = mixing.self_weight(i);
+    const auto& mine = half[i];
+    const auto& approx = received[i];
+    auto& out = current[i];
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      out[k] += self_w * (mine[k] - approx[k]);
+    }
+  }
+  return current;
+}
+
+/// A random delivered mask with one down receiver (nothing delivered) and
+/// one row where every edge delivered.
+std::vector<std::uint8_t> random_delivery(const graph::MixingMatrix& mixing,
+                                          util::Rng& rng) {
+  std::vector<std::uint8_t> delivered(mixing.num_entries());
+  for (auto& flag : delivered) flag = rng.bernoulli(0.5) ? 1 : 0;
+  const auto fill_row = [&](std::size_t node, std::uint8_t value) {
+    const auto begin = delivered.begin() +
+                       static_cast<std::ptrdiff_t>(mixing.entry_offset(node));
+    std::fill(begin,
+              begin + static_cast<std::ptrdiff_t>(mixing.degree(node)), value);
+  };
+  const std::size_t n = mixing.num_nodes();
+  fill_row(n / 2, 0);
+  fill_row(n - 2, 1);
+  return delivered;
 }
 
 /// Row-major copy of a vector-of-rows plane.
@@ -207,24 +230,64 @@ TEST(GossipKernel, BitIdenticalToRowLoopOnEveryTileShape) {
                                          std::vector<float>(shape.dim));
     util::Rng rng(17);
     for (auto& row : half) rng.fill_normal(row, 0.0f, 1.0f);
+    // A distinct neighbor source: the rows as a lossy codec might decode.
+    std::vector<std::vector<float>> received = half;
+    for (auto& row : received) {
+      for (float& value : row) value += 0.01f * rng.uniform_float();
+    }
     const std::vector<float> half_flat = flatten(half);
+    const std::vector<float> received_flat = flatten(received);
     for (const auto& [label, mixing] : kernel_matrices(shape.n)) {
-      SCOPED_TRACE(std::string(shape.name) + " / " + label);
-      const std::vector<float> reference =
-          flatten(reference_dense_mix(mixing, half));
-      for (const bool serial : {true, false}) {
-        std::optional<util::ThreadPool::ScopedForceSerial> serial_scope;
-        if (serial) serial_scope.emplace();
-        std::vector<float> out(half_flat.size(), -7.0f);
-        graph::apply_mixing(mixing, half_flat, out, shape.dim);
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          ASSERT_EQ(out[i], reference[i])
-              << (serial ? "serial" : "pool") << " node " << i / shape.dim
-              << " coord " << i % shape.dim;
+      const std::vector<std::uint8_t> delivered =
+          random_delivery(mixing, rng);
+      struct Form {
+        const char* name;
+        std::span<const float> received;
+        std::optional<std::span<const std::uint8_t>> delivered;
+        std::vector<float> reference;
+      };
+      const Form forms[] = {
+          {"plain", half_flat, std::nullopt,
+           flatten(reference_dense_mix(mixing, half))},
+          {"exact self", received_flat, std::nullopt,
+           flatten(reference_exact_self_mix(mixing, half, received))},
+          {"difference", received_flat, delivered,
+           flatten(reference_difference_mix(mixing, half, received,
+                                            delivered))},
+      };
+      for (const Form& form : forms) {
+        SCOPED_TRACE(std::string(shape.name) + " / " + label + " / " +
+                     form.name);
+        for (const bool serial : {true, false}) {
+          std::optional<util::ThreadPool::ScopedForceSerial> serial_scope;
+          if (serial) serial_scope.emplace();
+          std::vector<float> out(half_flat.size(), -7.0f);
+          graph::apply_mixing(mixing, half_flat, form.received, out,
+                              shape.dim, form.delivered);
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            ASSERT_EQ(out[i], form.reference[i])
+                << (serial ? "serial" : "pool") << " node " << i / shape.dim
+                << " coord " << i % shape.dim;
+          }
         }
       }
     }
   }
+}
+
+TEST(GossipKernel, RejectsMisSizedSourcesAndMasks) {
+  const graph::MixingMatrix mixing =
+      graph::MixingMatrix::metropolis_hastings(graph::make_ring(6));
+  const std::size_t dim = 4;
+  const std::vector<float> half(6 * dim, 1.0f);
+  std::vector<float> out(6 * dim);
+  const std::vector<float> short_received(6 * dim - 1, 1.0f);
+  EXPECT_THROW(graph::apply_mixing(mixing, half, short_received, out, dim),
+               std::invalid_argument);
+  const std::vector<std::uint8_t> short_mask(mixing.num_entries() - 1, 1);
+  EXPECT_THROW(graph::apply_mixing(mixing, half, half, out, dim,
+                                   std::span<const std::uint8_t>(short_mask)),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
