@@ -202,6 +202,12 @@ Tiling pick_tiling(std::size_t n, std::size_t dim, std::size_t workers) {
   return {dim, std::min(n, 8 * workers)};
 }
 
+/// out += w·(a − b): one difference term of a row reduction.
+void add_difference(float w, std::span<const float> a,
+                    std::span<const float> b, std::span<float> out) {
+  for (std::size_t k = 0; k < out.size(); ++k) out[k] += w * (a[k] - b[k]);
+}
+
 }  // namespace
 
 void apply_mixing(const MixingMatrix& mixing, std::span<const float> x_half,
@@ -244,9 +250,8 @@ void apply_mixing(const MixingMatrix& mixing, std::span<const float> x_half,
         const std::uint8_t* flags = delivered->data() + mixing.entry_offset(i);
         tensor::copy(half(i), out);
         for (std::size_t e = 0; e < nbrs.size(); ++e) {
-          if (!flags[e]) continue;
-          tensor::axpy_difference(nbrs[e].weight, wire(nbrs[e].neighbor),
-                                  half(i), out);
+          if (flags[e]) add_difference(nbrs[e].weight, wire(nbrs[e].neighbor),
+                                       half(i), out);
         }
         continue;
       }
@@ -271,7 +276,7 @@ void apply_mixing(const MixingMatrix& mixing, std::span<const float> x_half,
         tensor::axpy(nbrs[e].weight, wire(nbrs[e].neighbor), out);
       }
       if (received.data() != x_half.data()) {
-        tensor::axpy_difference(self_w, half(i), wire(i), out);
+        add_difference(self_w, half(i), wire(i), out);
       }
     }
   });

@@ -95,18 +95,18 @@ class MixingMatrix {
 };
 
 /// The dense aggregation kernel — the hot loop of a simulated round. Self
-/// terms read `x_half` (x^{t-1/2}); neighbor terms read `received` (what
-/// crossed the wire: `x_half` itself, or a lossy codec's decoded x̂). The
-/// arguments pick one of three row reductions:
+/// terms read `x_half` (x^{t-1/2}), neighbor terms `received` (`x_half`
+/// itself, or a lossy codec's decoded x̂). The arguments pick the row
+/// reduction, each in neighbor order:
 ///
 ///   - plain (`received` is `x_half`, no mask): weighted_sum3 of the self
-///     term and the first two neighbors (degree < 2: scaled_copy of the
-///     self term), then axpy2 pairs, then a trailing axpy, in neighbor order;
-///   - plain plus exact self (another `received`, no mask): the plain
-///     reduction over `received`, then out += W_ii·(x_i − x̂_i);
-///   - difference form (`delivered`: one flag per entry, row i's from
-///     entry_offset(i)): out = x_i, then out += W_ij·(x̂_j − x_i) for each
-///     delivered j in neighbor order, so lost mass stays on x_i.
+///     term and two neighbors (degree < 2: scaled_copy of the self term),
+///     then axpy2 pairs, then a trailing axpy;
+///   - exact self (another `received`, no mask): plain over `received`,
+///     then out += W_ii·(x_i − x̂_i);
+///   - difference (`delivered`, one flag per entry from entry_offset(i)):
+///     out = x_i, then out += W_ij·(x̂_j − x_i) per delivered j, so lost
+///     mass stays on x_i.
 ///
 /// All planes are row-major [n × dim]; `x_current` aliases neither source.
 /// The plane is cut into (column block × row range) tiles that the thread

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <iterator>
 #include <optional>
 #include <stdexcept>
 
@@ -14,24 +13,6 @@
 #include "util/thread_pool.hpp"
 
 namespace skiptrain::sim {
-
-namespace {
-
-/// Registry mirror of one round's fault tallies (observational only).
-void note_fault_counters(const fault::FaultStats& round) {
-  static const obs::Counter counters[] = {
-      obs::counter("fault.link.attempted"), obs::counter("fault.link.dropped"),
-      obs::counter("fault.link.corrupt"), obs::counter("fault.link.duplicated"),
-      obs::counter("fault.crash_down_rounds")};
-  const std::uint64_t values[] = {round.attempted_deliveries, round.dropped,
-                                  round.corrupt, round.duplicated,
-                                  round.crash_down_rounds};
-  for (std::size_t c = 0; c < std::size(values); ++c) {
-    counters[c].add(values[c]);
-  }
-}
-
-}  // namespace
 
 RoundEngine::RoundEngine(const nn::Sequential& prototype,
                          const data::FederatedData& data,
@@ -294,7 +275,19 @@ RoundEngine::RoundOutcome RoundEngine::run_round() {
   }
   obs::note_phase(phase_stats_, obs::Phase::kGossip, phase_start);
   for (const fault::FaultStats& stats : link_stats_) round_faults += stats;
-  if (config_.faults.enabled) note_fault_counters(round_faults);
+  if (config_.faults.enabled) {
+    // Registry mirror of the round's fault tallies (observational).
+    static const obs::Counter attempted = obs::counter("fault.link.attempted");
+    static const obs::Counter dropped = obs::counter("fault.link.dropped");
+    static const obs::Counter corrupt = obs::counter("fault.link.corrupt");
+    static const obs::Counter duped = obs::counter("fault.link.duplicated");
+    static const obs::Counter down = obs::counter("fault.crash_down_rounds");
+    attempted.add(round_faults.attempted_deliveries);
+    dropped.add(round_faults.dropped);
+    corrupt.add(round_faults.corrupt);
+    duped.add(round_faults.duplicated);
+    down.add(round_faults.crash_down_rounds);
+  }
   fault_stats_ += round_faults;
 
   double loss_sum = 0.0;

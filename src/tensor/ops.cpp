@@ -54,16 +54,6 @@ void weighted_sum3(float a0, std::span<const float> x0, float a1,
   }
 }
 
-void axpy_difference(float alpha, std::span<const float> a,
-                     std::span<const float> b, std::span<float> y) {
-  assert(a.size() == y.size() && b.size() == y.size());
-  const float* __restrict__ as = a.data();
-  const float* __restrict__ bs = b.data();
-  float* __restrict__ ys = y.data();
-  const std::size_t n = y.size();
-  for (std::size_t i = 0; i < n; ++i) ys[i] += alpha * (as[i] - bs[i]);
-}
-
 void copy(std::span<const float> src, std::span<float> dst) {
   assert(src.size() == dst.size());
   std::copy(src.begin(), src.end(), dst.begin());

@@ -38,10 +38,6 @@ void weighted_sum3(float a0, std::span<const float> x0, float a1,
                    std::span<const float> x1, float a2,
                    std::span<const float> x2, std::span<float> y);
 
-/// y += alpha·(a − b) — one difference term of a row reduction.
-void axpy_difference(float alpha, std::span<const float> a,
-                     std::span<const float> b, std::span<float> y);
-
 /// dst = src
 void copy(std::span<const float> src, std::span<float> dst);
 

@@ -1,4 +1,4 @@
-// ParameterPlane subsystem: arena aliasing, the tiled
+// ParameterPlane subsystem: layout round-trips, arena aliasing, the tiled
 // aggregation kernel's three forms (plain, exact self, difference) against
 // the pre-refactor row loops on every tile shape, its input checks, and
 // golden bit-exactness of the refactored engine against the pre-refactor
@@ -25,6 +25,7 @@
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
 #include "nn/model_zoo.hpp"
+#include "plane/layout.hpp"
 #include "plane/plane.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
@@ -32,6 +33,49 @@
 
 namespace skiptrain {
 namespace {
+
+// ---------------------------------------------------------------------------
+// ParameterLayout
+// ---------------------------------------------------------------------------
+
+TEST(ParameterLayout, MatchesLayerParameterCounts) {
+  const nn::Sequential model = nn::make_mlp(12, {8, 6}, 4);
+  const plane::ParameterLayout layout = plane::ParameterLayout::of(model);
+
+  EXPECT_EQ(layout.dim(), model.num_parameters());
+  std::size_t expected_offset = 0;
+  std::size_t covered = 0;
+  for (const auto& block : layout.blocks()) {
+    EXPECT_EQ(block.offset, covered);
+    EXPECT_EQ(block.extent, model.layer(block.layer).parameter_count());
+    // Parameter-free layers between blocks contribute zero extent.
+    for (std::size_t l = expected_offset; l < block.layer; ++l) {
+      EXPECT_EQ(model.layer(l).parameter_count(), 0u);
+    }
+    expected_offset = block.layer + 1;
+    covered += block.extent;
+  }
+  EXPECT_EQ(covered, layout.dim());
+  EXPECT_THROW(layout.block_of_layer(model.num_layers()), std::out_of_range);
+}
+
+TEST(ParameterLayout, SliceAddressesLayerBlock) {
+  nn::Sequential model = nn::make_mlp(4, {3}, 2);
+  util::Rng rng(7);
+  nn::initialize(model, rng);
+  const plane::ParameterLayout layout = plane::ParameterLayout::of(model);
+
+  const auto arena = model.parameter_arena();
+  for (const auto& block : layout.blocks()) {
+    const auto slice = plane::ParameterLayout::slice(
+        std::span<const float>(arena), block);
+    const auto direct = model.layer(block.layer).parameters();
+    ASSERT_EQ(slice.size(), direct.size());
+    EXPECT_TRUE(std::equal(slice.begin(), slice.end(), direct.begin()));
+    // The slice is a true alias, not a copy.
+    EXPECT_EQ(slice.data(), direct.data());
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Arena binding
