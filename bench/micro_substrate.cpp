@@ -7,9 +7,9 @@
 // --benchmark_out=...) so CI records the gossip-kernel perf trajectory
 // per PR. `--quick` runs the aggregate-phase, large-fleet gossip,
 // exchange-codec, fleet-checkpoint, scenario/harvest, kernel-layer GEMM,
-// Conv2d, local-step, 16-node full-round and 16-node fleet-evaluation rows
-// at a short min-time — the mode the CI Release job uses; the
-// GEMM/Conv/Gossip rows feed the bench regression gate
+// Conv2d, local-step (whole and per part), 16-node full-round and
+// 16-node fleet-evaluation rows at a short min-time — the mode the CI
+// Release job uses; the GEMM/Conv/Gossip rows feed the bench regression gate
 // (tools/check_bench_regression.py).
 #include <benchmark/benchmark.h>
 
@@ -664,36 +664,104 @@ BENCHMARK(BM_FaultedGossipRound)
     ->Args({64, 1})
     ->Unit(benchmark::kMillisecond);
 
-// One local SGD step of batch 16 on a compact MLP, as the sweeps run it:
-// Arg(0) the CIFAR model (64->32->10), Arg(1) the FEMNIST one
-// (64->48->62). Runs under --quick.
-void BM_LocalSgdStep(benchmark::State& state) {
-  const bool femnist = state.range(0) != 0;
+/// A compact MLP, initialised, and a one-node synthetic dataset of 128
+/// samples: the CIFAR model (64->32->10) or the FEMNIST one (64->48->62).
+struct CompactMlp {
   data::FederatedData dataset;
-  if (femnist) {
-    data::FemnistSynConfig config;
-    config.nodes = 1;
-    config.mean_samples_per_node = 128;
-    config.test_pool = 10;
-    dataset = data::make_femnist_synthetic(config);
-  } else {
-    data::CifarSynConfig config;
-    config.nodes = 1;
-    config.samples_per_node = 128;
-    config.test_pool = 10;
-    dataset = data::make_cifar_synthetic(config);
+  nn::Sequential model;
+
+  explicit CompactMlp(bool femnist) {
+    if (femnist) {
+      data::FemnistSynConfig config;
+      config.nodes = 1;
+      config.mean_samples_per_node = 128;
+      config.test_pool = 10;
+      dataset = data::make_femnist_synthetic(config);
+    } else {
+      data::CifarSynConfig config;
+      config.nodes = 1;
+      config.samples_per_node = 128;
+      config.test_pool = 10;
+      dataset = data::make_cifar_synthetic(config);
+    }
+    const std::size_t features = dataset.train.feature_dim();
+    model = femnist ? nn::make_compact_femnist_model(features)
+                    : nn::make_compact_cifar_model(features);
+    util::Rng rng(3);
+    nn::initialize(model, rng);
   }
-  const std::size_t features = dataset.train.feature_dim();
-  auto model = femnist ? nn::make_compact_femnist_model(features)
-                       : nn::make_compact_cifar_model(features);
-  util::Rng rng(3);
-  nn::initialize(model, rng);
-  sim::Node node(0, model, dataset.node_view(0), nn::SgdOptions{0.1f}, 7);
+};
+
+// One local SGD step of batch 16 on a compact MLP, as the sweeps run it:
+// Arg(0) the CIFAR model, Arg(1) the FEMNIST one. Runs under --quick.
+void BM_LocalSgdStep(benchmark::State& state) {
+  const CompactMlp mlp(state.range(0) != 0);
+  sim::Node node(0, mlp.model, mlp.dataset.node_view(0), nn::SgdOptions{0.1f},
+                 7);
   for (auto _ : state) {
     benchmark::DoNotOptimize(node.train_local(1, 16));
   }
 }
 BENCHMARK(BM_LocalSgdStep)->Arg(0)->Arg(1);
+
+enum class StepPart { kForward, kLoss, kBackward, kSgd };
+
+// The parts of BM_LocalSgdStep, one row each, on the same models and
+// batch size: the forward pass, softmax cross-entropy, the backward pass
+// and the SGD update. Each part repeats on the state one whole step
+// leaves behind (activations, logits gradient, parameter gradients). The
+// whole step adds batch sampling, zero_grad and the gradient-arena attach.
+// Runs under --quick.
+template <StepPart kPart>
+void BM_LocalSgdStepPart(benchmark::State& state) {
+  CompactMlp mlp(state.range(0) != 0);
+  nn::Workspace ws;
+  ws.gradients.resize(mlp.model.num_parameters());
+  mlp.model.attach_gradient_arena(ws.gradients);
+  util::Rng rng(7);
+  mlp.dataset.node_view(0).sample_batch(rng, 16, ws.features, ws.labels);
+  nn::SgdOptimizer optimizer(nn::SgdOptions{0.1f});
+  mlp.model.zero_grad();
+  const tensor::Tensor& logits = mlp.model.forward(ws.features, ws.buffers);
+  ws.grad_logits = tensor::Tensor(logits.shape());
+  (void)nn::softmax_cross_entropy(logits, ws.labels, ws.grad_logits);
+  mlp.model.backward(ws.features, ws.grad_logits, ws.buffers);
+  for (auto _ : state) {
+    switch (kPart) {
+      case StepPart::kForward:
+        benchmark::DoNotOptimize(
+            mlp.model.forward(ws.features, ws.buffers).data());
+        break;
+      case StepPart::kLoss:
+        benchmark::DoNotOptimize(
+            nn::softmax_cross_entropy(logits, ws.labels, ws.grad_logits));
+        break;
+      case StepPart::kBackward:
+        mlp.model.backward(ws.features, ws.grad_logits, ws.buffers);
+        break;
+      case StepPart::kSgd:
+        optimizer.step(mlp.model);
+        break;
+    }
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_LocalSgdStepPart<StepPart::kForward>)
+    ->Name("BM_LocalSgdStepForward")
+    ->Arg(0)
+    ->Arg(1);
+BENCHMARK(BM_LocalSgdStepPart<StepPart::kLoss>)
+    ->Name("BM_LocalSgdStepLoss")
+    ->Arg(0)
+    ->Arg(1);
+BENCHMARK(BM_LocalSgdStepPart<StepPart::kBackward>)
+    ->Name("BM_LocalSgdStepBackward")
+    ->Arg(0)
+    ->Arg(1);
+BENCHMARK(BM_LocalSgdStepPart<StepPart::kSgd>)
+    ->Name("BM_LocalSgdStepSgd")
+    ->Arg(0)
+    ->Arg(1);
 
 void BM_FullRound(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));

@@ -135,6 +135,9 @@ RoundEngine::RoundOutcome RoundEngine::run_round() {
       // the node dies on the spot, its model freezes for this round.
       trains = false;
       alive = false;
+      static const obs::Counter brownouts =
+          obs::counter("scenario.brownout.train");
+      brownouts.add();
     }
     train_flags_[i] = trains ? 1 : 0;
     if (trains) {
@@ -149,6 +152,9 @@ RoundEngine::RoundOutcome RoundEngine::run_round() {
       // Radio brownout: the local update (if any) survives in the node's
       // row, but it neither sends nor receives this round.
       alive = false;
+      static const obs::Counter brownouts =
+          obs::counter("scenario.brownout.radio");
+      brownouts.add();
     }
     if (!alive_flags_.empty()) {
       alive_flags_[i] = alive ? 1 : 0;

@@ -7,6 +7,13 @@
 
 namespace skiptrain::sweep {
 
+nn::Sequential compact_model(const DataConfig& config) {
+  return workload_for(config.dataset) == energy::Workload::kCifar10
+             ? nn::make_compact_cifar_model(data::CifarSynConfig{}.feature_dim)
+             : nn::make_compact_femnist_model(
+                   data::FemnistSynConfig{}.feature_dim);
+}
+
 std::shared_ptr<const SharedWorkload> build_workload(
     const DataConfig& config) {
   auto workload = std::make_shared<SharedWorkload>();
@@ -18,8 +25,6 @@ std::shared_ptr<const SharedWorkload> build_workload(
     data_config.test_pool = config.test_pool;
     data_config.seed = config.seed;
     workload->data = data::make_cifar_synthetic(data_config);
-    workload->prototype =
-        nn::make_compact_cifar_model(data_config.feature_dim);
   } else {
     data::FemnistSynConfig data_config;
     data_config.nodes = config.nodes;
@@ -27,9 +32,8 @@ std::shared_ptr<const SharedWorkload> build_workload(
     data_config.test_pool = config.test_pool;
     data_config.seed = config.seed;
     workload->data = data::make_femnist_synthetic(data_config);
-    workload->prototype =
-        nn::make_compact_femnist_model(data_config.feature_dim);
   }
+  workload->prototype = compact_model(config);
   util::Rng rng(config.seed);
   nn::initialize(workload->prototype, rng);
   return workload;

@@ -30,9 +30,14 @@ struct SharedWorkload {
   energy::Workload workload = energy::Workload::kCifar10;
 };
 
+/// The uninitialised compact model that `config.dataset` trains: the one
+/// dataset → model mapping, shared by build_workload and the sweep
+/// runner's cost estimate (which needs the parameter count, not the data).
+[[nodiscard]] nn::Sequential compact_model(const DataConfig& config);
+
 /// Builds a workload directly (no caching): synthetic dataset per
-/// DataConfig plus a compact model initialised from config.seed. This is
-/// the one place the repo maps a DataConfig onto the data/nn factories.
+/// DataConfig plus compact_model initialised from config.seed. This is
+/// the one place the repo maps a DataConfig onto the data factories.
 [[nodiscard]] std::shared_ptr<const SharedWorkload> build_workload(
     const DataConfig& config);
 

@@ -11,6 +11,7 @@
 
 #include "ckpt/fleet_image.hpp"
 #include "ckpt/trial_store.hpp"
+#include "core/scheduler.hpp"
 #include "obs/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -32,6 +33,44 @@ const TrialResult* SweepReport::find_trial(const std::string& dataset,
            trial.spec.options.degree == degree &&
            trial.spec.options.algorithm == algorithm;
   });
+}
+
+namespace {
+
+/// A zero Γ (which a config file can ask for) costs 0: the trial fails at
+/// once, and the failure belongs in its row, not in dispatch.
+double estimated_cost(const TrialSpec& spec) {
+  const sim::RunOptions& options = spec.options;
+  double training_rounds = static_cast<double>(options.total_rounds);
+  const bool gamma_schedule =
+      options.algorithm == sim::Algorithm::kSkipTrain ||
+      options.algorithm == sim::Algorithm::kSkipTrainConstrained ||
+      options.algorithm == sim::Algorithm::kSkipTrainHarvest;
+  if (gamma_schedule) {
+    if (options.gamma_train == 0 || options.gamma_sync == 0) return 0.0;
+    training_rounds *= core::training_round_fraction(
+        core::SkipTrainScheduler(options.gamma_train, options.gamma_sync),
+        options.total_rounds);
+  }
+  return static_cast<double>(spec.data.nodes) * training_rounds *
+         static_cast<double>(options.local_steps * options.batch_size) *
+         static_cast<double>(compact_model(spec.data).num_parameters());
+}
+
+}  // namespace
+
+std::vector<std::size_t> dispatch_order(std::span<const TrialSpec> trials) {
+  std::vector<double> cost(trials.size());
+  std::vector<std::size_t> order(trials.size());
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    cost[i] = estimated_cost(trials[i]);
+    order[i] = i;
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cost[a] > cost[b];
+                   });
+  return order;
 }
 
 SweepRunner::SweepRunner(SweepOptions options) : options_(std::move(options)) {}
@@ -177,8 +216,8 @@ SweepReport SweepRunner::run(const SweepGrid& grid) {
     // machine keeps node-level parallelism so surplus cores stay busy.
     const bool pin_serial = workers >= hardware;
     util::ThreadPool pool(workers);
-    for (const TrialSpec& spec : trials) {
-      pool.submit([&record_one, spec, pin_serial] {
+    for (const std::size_t i : dispatch_order(trials)) {
+      pool.submit([&record_one, spec = trials[i], pin_serial] {
         std::optional<util::ThreadPool::ScopedForceSerial> serial_scope;
         if (pin_serial) serial_scope.emplace();
         record_one(spec);

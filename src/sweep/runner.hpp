@@ -17,11 +17,17 @@
 // sink orders rows by trial index — so the summary CSV is byte-identical
 // at any worker count.
 //
+// Dispatch: the worker pool takes trials longest-estimated-first
+// (dispatch_order), so the costliest trials do not start last and leave
+// the other workers idle at the end of the sweep. Rows still land in
+// index order.
+//
 // Failures: a throwing trial is caught, recorded as a failed row with its
 // error text, and counted in SweepReport::failures. It never tears down
 // the sweep and is never silently dropped.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,6 +104,13 @@ struct SweepReport {
                                 std::size_t degree,
                                 sim::Algorithm algorithm) const;
 };
+
+/// Positions in `trials` sorted by descending estimated cost: nodes ×
+/// training rounds (the Γ schedule's for the SkipTrain family) ×
+/// local_steps × batch_size × compact_model parameters. The sort is
+/// stable, so equal-cost trials keep their index order. Pure in the specs.
+[[nodiscard]] std::vector<std::size_t> dispatch_order(
+    std::span<const TrialSpec> trials);
 
 class SweepRunner {
  public:

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/fleet_image.hpp"
@@ -23,6 +24,7 @@
 #include "graph/topology.hpp"
 #include "nn/init.hpp"
 #include "nn/model_zoo.hpp"
+#include "obs/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/trace.hpp"
 #include "sim/engine.hpp"
@@ -454,6 +456,52 @@ TEST(ScenarioEngine, ChurnedRunIsThreadCountInvariant) {
     EXPECT_EQ(parallel_engine.scenario()->brownouts_total(),
               serial_engine.scenario()->brownouts_total());
   }
+}
+
+/// Changes of the two brownout counters across `run` (telemetry on).
+template <typename Run>
+std::pair<std::uint64_t, std::uint64_t> brownout_deltas(Run&& run) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Snapshot before = obs::snapshot();
+  run();
+  const obs::Snapshot after = obs::snapshot();
+  obs::set_enabled(was_enabled);
+  const auto delta = [&](const char* name) {
+    return after.counter_value(name) - before.counter_value(name);
+  };
+  return {delta("scenario.brownout.train"), delta("scenario.brownout.radio")};
+}
+
+TEST(ScenarioEngine, BrownoutCountersAreThreadCountInvariant) {
+  // A solar fleet whose batteries hold less than one exchange: by day
+  // every node that is up empties its battery, before the local update
+  // in training rounds and at the radio in synchronization rounds.
+  Fixture fixture(8, 3);
+  const core::SkipTrainScheduler scheduler(2, 1);
+  sim::EngineConfig config;
+  config.scenario = scenario::make_config("solar");
+  config.scenario.battery_rounds = 1e-3;
+  constexpr std::size_t kRounds = 24;
+
+  sim::RoundEngine parallel_engine = fixture.make_engine(scheduler, config);
+  const auto parallel =
+      brownout_deltas([&] { parallel_engine.run_rounds(kRounds); });
+  sim::RoundEngine serial_engine = fixture.make_engine(scheduler, config);
+  const auto serial = brownout_deltas([&] {
+    util::ThreadPool::ScopedForceSerial force;
+    serial_engine.run_rounds(kRounds);
+  });
+  EXPECT_GT(parallel.first, 0u);
+  EXPECT_GT(parallel.second, 0u);
+  EXPECT_EQ(parallel, serial);
+  EXPECT_EQ(parallel.first + parallel.second,
+            parallel_engine.scenario()->brownouts_total());
+
+  sim::RoundEngine powered = fixture.make_engine(scheduler);
+  const auto none = brownout_deltas([&] { powered.run_rounds(kRounds); });
+  EXPECT_EQ(none.first, 0u);
+  EXPECT_EQ(none.second, 0u);
 }
 
 TEST(ScenarioEngine, AlwaysPoweredScenarioMatchesBaselineBitwise) {

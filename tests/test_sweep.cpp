@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <sstream>
@@ -194,6 +195,14 @@ TEST(SweepRunner, ResultsAreByteIdenticalAcrossWorkerCounts) {
   grid.gamma_trains = {1, 2};
   grid.seeds = {1, 2};
 
+  // D-PSGD trains all 4 rounds, SkipTrain 1 or 2 of them, so the pool
+  // takes the trials out of index order: the CSV check below covers a
+  // reordered dispatch.
+  const std::vector<TrialSpec> specs = grid.expand();
+  const std::vector<std::size_t> order = dispatch_order(specs);
+  ASSERT_EQ(order.size(), specs.size());
+  EXPECT_FALSE(std::is_sorted(order.begin(), order.end()));
+
   SweepOptions serial_options;
   serial_options.threads = 1;
   const SweepReport serial = SweepRunner(serial_options).run(grid);
@@ -216,6 +225,36 @@ TEST(SweepRunner, ResultsAreByteIdenticalAcrossWorkerCounts) {
   const std::string serial_bytes = read_file(serial_path);
   EXPECT_FALSE(serial_bytes.empty());
   EXPECT_EQ(serial_bytes, read_file(parallel_path));
+}
+
+TEST(SweepRunner, DispatchOrderIsLongestEstimatedFirst) {
+  // table3 nests datasets, algorithms, degrees: 0-2 CIFAR SkipTrain,
+  // 3-5 CIFAR D-PSGD, 6-8 FEMNIST SkipTrain, 9-11 FEMNIST D-PSGD. The
+  // FEMNIST model has ~2.6x the parameters and D-PSGD trains every round,
+  // so FEMNIST D-PSGD goes first (equal cost: index order) and CIFAR
+  // SkipTrain last.
+  const std::vector<TrialSpec> trials = make_preset("table3").expand();
+  ASSERT_EQ(trials.size(), 12u);
+  const std::vector<std::size_t> order = dispatch_order(trials);
+  ASSERT_EQ(order.size(), 12u);
+  std::vector<std::size_t> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < sorted.size(); ++i) EXPECT_EQ(sorted[i], i);
+  EXPECT_EQ(order[0], 9u);
+  EXPECT_EQ(order[1], 10u);
+  EXPECT_EQ(order[2], 11u);
+  for (std::size_t k = 9; k < 12; ++k) {
+    const TrialSpec& spec = trials[order[k]];
+    EXPECT_EQ(spec.data.dataset, "cifar") << "position " << k;
+    EXPECT_EQ(spec.options.algorithm, sim::Algorithm::kSkipTrain)
+        << "position " << k;
+  }
+  EXPECT_TRUE(dispatch_order({}).empty());
+
+  // A zero Γ fails its own trial; dispatch must not throw on it.
+  std::vector<TrialSpec> zero_gamma(trials.begin(), trials.begin() + 2);
+  zero_gamma[0].options.gamma_train = 0;
+  EXPECT_EQ(dispatch_order(zero_gamma), (std::vector<std::size_t>{1, 0}));
 }
 
 TEST(SweepRunner, TracingLeavesSummaryCsvByteIdentical) {
