@@ -66,12 +66,19 @@ using GemmFn = void (*)(std::size_t, std::size_t, std::size_t,
                         std::span<const float>, std::span<const float>,
                         std::span<float>, float);
 
+/// Half-zero A operands cycle through this many matrices, each with its
+/// own zero mask, as post-ReLU gradients change every training step: one
+/// repeated mask would let the branch predictor learn the reference loop's
+/// skip branch and flatter it.
+constexpr std::size_t kZeroMaskPool = 64;
+
 template <GemmFn kGemm, bool kHalfZeroA = false>
 void BM_GemmShape(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto k = static_cast<std::size_t>(state.range(1));
   const auto n = static_cast<std::size_t>(state.range(2));
-  std::vector<float> a(m * k), b(k * n);  // same extent for every layout
+  const std::size_t pool = kHalfZeroA ? kZeroMaskPool : 1;
+  std::vector<float> a(pool * m * k), b(k * n);  // same extent for every layout
   std::vector<float> c(m * n);
   util::Rng rng(12);
   rng.fill_normal(a, 0.0f, 1.0f);
@@ -79,9 +86,12 @@ void BM_GemmShape(benchmark::State& state) {
   if (kHalfZeroA) {
     for (float& v : a) v = rng.bernoulli(0.5) ? 0.0f : v;
   }
+  std::size_t next = 0;
   for (auto _ : state) {
-    kGemm(m, k, n, a, b, c, 0.0f);
+    kGemm(m, k, n, std::span<const float>(a).subspan(next * m * k, m * k), b,
+          c, 0.0f);
     benchmark::DoNotOptimize(c.data());
+    next = next + 1 == pool ? 0 : next + 1;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * m * k * n));
@@ -116,10 +126,11 @@ BENCHMARK(BM_GemmShape<tensor::gemm_tn_ref>)
     ->Name("BM_GemmTNRef")
     ->Apply(GemmTNShapes);
 
-// Compact-MLP backward shapes with A half exact zeros, as behind a ReLU:
-// the blocked kernel (nearly every A sliver on the blend microkernel)
-// against the reference loop, which gemm_nn / gemm_tn dispatch such an A
-// to. Runs under --quick.
+// Compact-MLP backward shapes with A half exact zeros, as behind a ReLU,
+// a fresh zero mask per call (kZeroMaskPool): the register-row kernel
+// gemm_nn / gemm_tn dispatch such a shape to, the blocked kernel (nearly
+// every A sliver on the blend microkernel) and the reference loop. Runs
+// under --quick.
 //
 //   tn {32, 16, 64}: compact CIFAR Linear(64->32) backward dW, batch 16
 //   tn {48, 16, 64}: compact FEMNIST Linear(64->48) backward dW
@@ -128,17 +139,62 @@ void GemmSparseTNShapes(benchmark::internal::Benchmark* bench) {
   bench->Args({32, 16, 64})->Args({48, 16, 64});
 }
 
+BENCHMARK(BM_GemmShape<tensor::gemm_tn_rows, true>)
+    ->Name("BM_GemmTNSparseRows")
+    ->Apply(GemmSparseTNShapes);
 BENCHMARK(BM_GemmShape<tensor::gemm_tn_blocked, true>)
     ->Name("BM_GemmTNSparseBlocked")
     ->Apply(GemmSparseTNShapes);
 BENCHMARK(BM_GemmShape<tensor::gemm_tn_ref, true>)
     ->Name("BM_GemmTNSparseRef")
     ->Apply(GemmSparseTNShapes);
+BENCHMARK(BM_GemmShape<tensor::gemm_nn_rows, true>)
+    ->Name("BM_GemmNNSparseRows")
+    ->Args({16, 62, 48});
 BENCHMARK(BM_GemmShape<tensor::gemm_nn_blocked, true>)
     ->Name("BM_GemmNNSparseBlocked")
     ->Args({16, 62, 48});
 BENCHMARK(BM_GemmShape<tensor::gemm_nn_ref, true>)
     ->Name("BM_GemmNNSparseRef")
+    ->Args({16, 62, 48});
+
+// Every other GEMM the compact-MLP workloads run, batch 16 for a training
+// step and 200 for an evaluation batch: the dispatched entry point (what
+// the sweeps execute), the register-row kernel called directly and the
+// reference loop. The dense-A backward shapes take a softmax gradient.
+// Runs under --quick.
+//
+//   nt {16, 64, 48}, {16, 48, 62}: FEMNIST MLP forward, both layers
+//   nt {16, 64, 32}, {16, 32, 10}: CIFAR MLP forward, both layers
+//   nt {200, 64, 32}, {200, 32, 10}, {200, 64, 48}, {200, 48, 62}: eval
+//   tn {62, 16, 48}: FEMNIST Linear(48->62) backward dW
+//   nn {16, 62, 48}: FEMNIST Linear(48->62) backward dX
+void GemmMlpNTShapes(benchmark::internal::Benchmark* bench) {
+  bench->Args({16, 64, 48})->Args({16, 48, 62})->Args({16, 64, 32});
+  bench->Args({16, 32, 10})->Args({200, 64, 32})->Args({200, 32, 10});
+  bench->Args({200, 64, 48})->Args({200, 48, 62});
+}
+
+BENCHMARK(BM_GemmShape<tensor::gemm_nt>)
+    ->Name("BM_GemmNTMlp")
+    ->Apply(GemmMlpNTShapes);
+BENCHMARK(BM_GemmShape<tensor::gemm_nt_rows>)
+    ->Name("BM_GemmNTMlpRows")
+    ->Apply(GemmMlpNTShapes);
+BENCHMARK(BM_GemmShape<tensor::gemm_nt_ref>)
+    ->Name("BM_GemmNTMlpRef")
+    ->Apply(GemmMlpNTShapes);
+BENCHMARK(BM_GemmShape<tensor::gemm_tn>)
+    ->Name("BM_GemmTNMlp")
+    ->Args({62, 16, 48});
+BENCHMARK(BM_GemmShape<tensor::gemm_tn_ref>)
+    ->Name("BM_GemmTNMlpRef")
+    ->Args({62, 16, 48});
+BENCHMARK(BM_GemmShape<tensor::gemm_nn>)
+    ->Name("BM_GemmNNMlp")
+    ->Args({16, 62, 48});
+BENCHMARK(BM_GemmShape<tensor::gemm_nn_ref>)
+    ->Name("BM_GemmNNMlpRef")
     ->Args({16, 62, 48});
 
 // ---------------------------------------------------------------------------
@@ -901,7 +957,7 @@ int main(int argc, char** argv) {
   }
   if (quick) {
     args.insert(args.begin() + 1,
-                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Sparse)?(Blocked|Ref)|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_FaultedGossip|BM_LocalSgdStep|BM_FullRound/16|BM_EvaluateFleet/16");
+                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)((Sparse|Mlp)?(Blocked|Ref|Rows)|Mlp)/|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_FaultedGossip|BM_LocalSgdStep|BM_FullRound/16|BM_EvaluateFleet/16");
     args.insert(args.begin() + 1, "--benchmark_min_time=0.05");
   }
   const bool has_out =

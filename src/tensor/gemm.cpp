@@ -1,11 +1,19 @@
-// Blocked, packed GEMM kernels (see gemm.hpp for the bit-identity
-// contract). The public gemm_nn/gemm_nt/gemm_tn entry points of
-// tensor/ops.hpp dispatch between the seed reference loops (tiny shapes,
-// degenerate dims, and for nn/tn an A that is a quarter or more zeros) and
-// the blocked kernels below; both produce bitwise identical C, so the
-// dispatch thresholds are pure performance knobs.
+// GEMM kernels (see gemm.hpp for the bit-identity contract). The public
+// gemm_nn/gemm_nt/gemm_tn entry points of tensor/ops.hpp dispatch among
+// three kernel families, all bitwise identical, so the dispatch rules are
+// pure performance knobs:
 //
-// Kernel structure: B panels and A blocks are both repacked into
+//   * register-row kernels, for every shape with n <= 64 whose B panel
+//     fits L1 (the compact-MLP training and evaluation GEMMs): one C row in
+//     vector registers, A's zero multipliers compacted away per row;
+//   * blocked kernels, for larger zero-free shapes (the GN-LeNet
+//     convolutions and wide Linear layers), and for gemm_nt with a few
+//     rows over whole-vector columns;
+//   * the seed reference loops, for what is left: small or degenerate
+//     shapes past the row kernels' reach, and for nn/tn an A that is a
+//     quarter or more zeros.
+//
+// Blocked structure: B panels and A blocks are both repacked into
 // register-tile-wide slivers (kNR and kMR contiguous strips per k step),
 // so the microkernel inner loops are pure unit-stride vector code. The
 // reference loops' skip-zero-multiplier branch is honored by scanning
@@ -15,13 +23,13 @@
 // gradients in gemm_tn) run a blend microkernel whose
 // `acc = av == 0 ? acc : acc + av*b` select reproduces the skip bitwise.
 //
-// ISA dispatch: the six kernels (gemm_*_ref and gemm_*_blocked) carry
-// SKIPTRAIN_GEMM_CLONES (util/isa.hpp), one avx2 and one default clone
-// picked at load time. The packers, tile loads and stores, microkernels and
-// the C-accumulating driver are force-inlined, so each hot loop is compiled
-// inside each clone rather than once at the default target. Neither the expressions nor the loop orders differ between
-// clones, and contraction is off project-wide, so all clones give the same
-// bits.
+// ISA dispatch: the nine kernels (gemm_*_ref, gemm_*_blocked, gemm_*_rows)
+// carry SKIPTRAIN_GEMM_CLONES (util/isa.hpp), one avx2 and one default
+// clone picked at load time. The packers, tile and row loads and stores,
+// microkernels and drivers are force-inlined, so each hot loop is compiled
+// inside each clone rather than once at the default target. Neither the
+// expressions nor the loop orders differ between clones, and contraction
+// is off project-wide, so all clones give the same bits.
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
@@ -30,6 +38,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -167,7 +176,8 @@ GemmTuning derive_tuning() {
 /// engines run GEMMs from pool workers, never nested).
 struct PackScratch {
   util::AlignedArena a;                // packed A slivers
-  util::AlignedArena b;                // packed B slivers
+  util::AlignedArena b;                // packed B slivers, or the row
+                                       // kernels' padded / transposed B
   std::vector<std::uint8_t> a_zeros;   // per-A-sliver "contains a zero" flag
 };
 
@@ -470,21 +480,200 @@ void gemm_nt_blocked(std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Register-row kernels: one C row of n <= kRowsMaxN floats lives in
+// ceil(n / 8) vectors of 8 lanes for the whole k walk, so each output
+// element sees the reference's op sequence with no per-tile C traffic and
+// no A packing. Vec8 is a GCC vector type: the avx2 clone holds it in one
+// ymm register, the default clone in two xmm registers. The helpers pass
+// vectors by reference only (a vector argument or return value is an ABI
+// change GCC flags with -Wpsabi, inlined or not) and are force-inlined, so
+// each is compiled inside each clone.
+// ---------------------------------------------------------------------------
+
+using Vec8 = float __attribute__((vector_size(8 * sizeof(float))));
+/// The same vector at float alignment, for loads and stores at any float
+/// address; may_alias because it reads and writes float arrays.
+using Vec8Unaligned = float
+    __attribute__((vector_size(8 * sizeof(float)), aligned(4), may_alias));
+constexpr std::size_t kLanes = 8;
+constexpr std::size_t kRowsMaxN = 64;
+constexpr std::size_t kRowsMaxK = 256;
+/// Floats of B (n padded to whole vectors) the row kernels read per call:
+/// 32 KiB, so the panel stays L1-resident while every C row walks it.
+constexpr std::size_t kRowsMaxPanel = 8192;
+
+/// Loads C row `c` (NV = ceil(n / 8) vectors) into acc; lanes past n are 0.
+template <std::size_t NV>
+[[gnu::always_inline]] inline
+void load_row(Vec8 (&acc)[NV], const float* __restrict__ c, std::size_t n) {
+  const std::size_t whole = n / kLanes;
+  for (std::size_t v = 0; v < NV; ++v) {
+    if (v < whole) {
+      acc[v] = *reinterpret_cast<const Vec8Unaligned*>(c + v * kLanes);
+    } else {
+      float tail[kLanes] = {};
+      std::copy(c + v * kLanes, c + v * kLanes + n % kLanes, tail);
+      acc[v] = *reinterpret_cast<const Vec8Unaligned*>(tail);
+    }
+  }
+}
+
+/// Stores the first n lanes of acc to C row `c`.
+template <std::size_t NV>
+[[gnu::always_inline]] inline
+void store_row(const Vec8 (&acc)[NV], float* __restrict__ c, std::size_t n) {
+  const std::size_t whole = n / kLanes;
+  for (std::size_t v = 0; v < NV; ++v) {
+    if (v < whole) {
+      *reinterpret_cast<Vec8Unaligned*>(c + v * kLanes) = acc[v];
+    } else {
+      float tail[kLanes];
+      *reinterpret_cast<Vec8Unaligned*>(tail) = acc[v];
+      std::copy(tail, tail + n % kLanes, c + v * kLanes);
+    }
+  }
+}
+
+/// B row p's vector v, at any float address.
+[[gnu::always_inline]] inline const Vec8Unaligned& b_vec(const float* p) {
+  return *reinterpret_cast<const Vec8Unaligned*>(p);
+}
+
+/// Copies B (row stride n) into `dst` with rows padded to NV * 8 floats,
+/// so every B row is whole vectors. Pad lanes never reach C; they are zero
+/// so no stale arena value (a denormal, say) slows the lanes computing
+/// them.
+template <std::size_t NV>
+[[gnu::always_inline]] inline
+void pad_b_rows(const float* __restrict__ b, std::size_t k, std::size_t n,
+                float* __restrict__ dst) {
+  constexpr std::size_t w = NV * kLanes;
+  for (std::size_t p = 0; p < k; ++p) {
+    std::memcpy(dst + p * w, b + p * n, n * sizeof(float));
+    std::fill(dst + p * w + n, dst + (p + 1) * w, 0.0f);
+  }
+}
+
+/// C-accumulating rows for gemm_nn / gemm_tn: C row i starts as the
+/// reference starts it (0 for beta == 0, C never read; C for beta == 1;
+/// C * beta otherwise), then gains `a * B row p` for each p in ascending
+/// order. A element (i, p) sits at a[i * a_row + p * a_col]. The row's
+/// nonzero multipliers are compacted first, without a branch, so the
+/// reference's skip of exact zeros (-0.0f included) holds exactly.
+template <std::size_t NV>
+[[gnu::always_inline]] inline
+void rows_cacc(std::size_t m, std::size_t k, std::size_t n,
+               const float* __restrict__ a, std::size_t a_row,
+               std::size_t a_col, const float* __restrict__ b,
+               std::size_t ldb, float* __restrict__ c, float beta) {
+  std::uint32_t offset[kRowsMaxK];
+  float mult[kRowsMaxK];
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* __restrict__ ai = a + i * a_row;
+    std::size_t live = 0;
+    for (std::size_t p = 0; p < k; ++p) {
+      const float x = ai[p * a_col];
+      offset[live] = static_cast<std::uint32_t>(p * ldb);
+      mult[live] = x;
+      live += x != 0.0f ? 1 : 0;
+    }
+    float* __restrict__ ci = c + i * n;
+    Vec8 acc[NV] = {};
+    if (beta != 0.0f) {
+      load_row(acc, ci, n);
+      if (beta != 1.0f) {
+        for (std::size_t v = 0; v < NV; ++v) acc[v] = acc[v] * beta;
+      }
+    }
+    for (std::size_t q = 0; q < live; ++q) {
+      const float x = mult[q];
+      const float* __restrict__ bp = b + offset[q];
+      for (std::size_t v = 0; v < NV; ++v) {
+        acc[v] = acc[v] + x * b_vec(bp + v * kLanes);
+      }
+    }
+    store_row(acc, ci, n);
+  }
+}
+
+/// gemm_nt rows over bt, B transposed to [k, NV * 8]: a fresh dot per
+/// element (p ascending, no zero skip, as the reference dot loop), then
+/// combined as `beta * C + acc`, or stored alone for beta == 0.
+template <std::size_t NV>
+[[gnu::always_inline]] inline
+void rows_nt(std::size_t m, std::size_t k, std::size_t n,
+             const float* __restrict__ a, const float* __restrict__ bt,
+             float* __restrict__ c, float beta) {
+  constexpr std::size_t w = NV * kLanes;
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* __restrict__ ai = a + i * k;
+    Vec8 acc[NV] = {};
+    for (std::size_t p = 0; p < k; ++p) {
+      const float x = ai[p];
+      const float* __restrict__ bp = bt + p * w;
+      for (std::size_t v = 0; v < NV; ++v) {
+        acc[v] = acc[v] + x * b_vec(bp + v * kLanes);
+      }
+    }
+    float* __restrict__ ci = c + i * n;
+    if (beta != 0.0f) {
+      Vec8 old[NV];
+      load_row(old, ci, n);
+      for (std::size_t v = 0; v < NV; ++v) acc[v] = beta * old[v] + acc[v];
+    }
+    store_row(acc, ci, n);
+  }
+}
+
+/// Calls body(std::integral_constant<NV>) for NV = ceil(n / 8), 1..8.
+template <typename Body>
+[[gnu::always_inline]] inline void with_row_vecs(std::size_t n, Body&& body) {
+  switch ((n + kLanes - 1) / kLanes) {
+    case 1: body(std::integral_constant<std::size_t, 1>{}); break;
+    case 2: body(std::integral_constant<std::size_t, 2>{}); break;
+    case 3: body(std::integral_constant<std::size_t, 3>{}); break;
+    case 4: body(std::integral_constant<std::size_t, 4>{}); break;
+    case 5: body(std::integral_constant<std::size_t, 5>{}); break;
+    case 6: body(std::integral_constant<std::size_t, 6>{}); break;
+    case 7: body(std::integral_constant<std::size_t, 7>{}); break;
+    default: body(std::integral_constant<std::size_t, 8>{}); break;
+  }
+}
+
+/// Shared driver for gemm_nn_rows / gemm_tn_rows: B is read in place when
+/// n fills whole vectors, else through a zero-padded copy in the pack arena.
+[[gnu::always_inline]] inline
+void rows_cacc_driver(std::size_t m, std::size_t k, std::size_t n,
+                      const float* a, std::size_t a_row, std::size_t a_col,
+                      const float* b, float* c, float beta) {
+  with_row_vecs(n, [&](auto nv) __attribute__((always_inline)) {
+    constexpr std::size_t NV = decltype(nv)::value;
+    if (n == NV * kLanes) {
+      rows_cacc<NV>(m, k, n, a, a_row, a_col, b, n, c, beta);
+    } else {
+      float* bp = t_scratch.b.ensure_floats(k * NV * kLanes);
+      pad_b_rows<NV>(b, k, n, bp);
+      rows_cacc<NV>(m, k, n, a, a_row, a_col, bp, NV * kLanes, c, beta);
+    }
+  });
+}
+
 /// Below this work volume the packing overhead outweighs the locality win;
 /// both sides are bitwise identical, so the threshold is purely a perf
 /// knob.
 constexpr std::size_t kBlockedMinVolume = 32 * 1024;
 
-/// gemm_nn / gemm_tn take the reference loop once at least 1/kRefZeroShare
-/// of A is exact zeros. Past a few zeros nearly every kMR sliver holds one,
-/// so every tile runs the blend microkernel at full cost, while the
-/// reference loop skips each zero multiplier's whole row update. At the
-/// compact-MLP backward shapes the reference loop won from a 15% zero
-/// share up, whether the zeros were scattered or whole dead units; below
-/// 10% the winner depends on where they sit (crossover table in README,
-/// "Performance"). A quarter leaves margin above that; post-ReLU gradients
-/// are about half zeros, weights and im2col patches have none. Both paths
-/// are bitwise identical, so this is purely a perf knob.
+/// Past the row kernels' reach, gemm_nn / gemm_tn take the reference loop
+/// once at least 1/kRefZeroShare of A is exact zeros. Past a few zeros
+/// nearly every kMR sliver holds one, so every tile runs the blend
+/// microkernel at full cost, while the reference loop skips each zero
+/// multiplier's whole row update. At the compact-MLP backward shapes (now
+/// served by the row kernels) the reference loop won from a 15% zero share
+/// up; below 10% the winner depended on where the zeros sat. A quarter
+/// leaves margin above that; post-ReLU gradients are about half zeros,
+/// weights and im2col patches have none. Both paths are bitwise identical,
+/// so this is purely a perf knob.
 constexpr std::size_t kRefZeroShare = 4;
 
 /// True when at least 1/kRefZeroShare of the `count` entries of A are
@@ -538,30 +727,84 @@ void gemm_tn_blocked(std::size_t m, std::size_t k, std::size_t n,
       });
 }
 
+SKIPTRAIN_GEMM_CLONES
+void gemm_nn_rows(std::size_t m, std::size_t k, std::size_t n,
+                  std::span<const float> a, std::span<const float> b,
+                  std::span<float> c, float beta) {
+  assert(gemm_rows_fit(k, n) && a.size() >= m * k && b.size() >= k * n &&
+         c.size() >= m * n);
+  rows_cacc_driver(m, k, n, a.data(), k, 1, b.data(), c.data(), beta);
+}
+
+SKIPTRAIN_GEMM_CLONES
+void gemm_tn_rows(std::size_t m, std::size_t k, std::size_t n,
+                  std::span<const float> a, std::span<const float> b,
+                  std::span<float> c, float beta) {
+  assert(gemm_rows_fit(k, n) && a.size() >= k * m && b.size() >= k * n &&
+         c.size() >= m * n);
+  rows_cacc_driver(m, k, n, a.data(), 1, m, b.data(), c.data(), beta);
+}
+
+SKIPTRAIN_GEMM_CLONES
+void gemm_nt_rows(std::size_t m, std::size_t k, std::size_t n,
+                  std::span<const float> a, std::span<const float> b,
+                  std::span<float> c, float beta) {
+  assert(gemm_rows_fit(k, n) && a.size() >= m * k && b.size() >= n * k &&
+         c.size() >= m * n);
+  with_row_vecs(n, [&](auto nv) __attribute__((always_inline)) {
+    constexpr std::size_t NV = decltype(nv)::value;
+    constexpr std::size_t w = NV * kLanes;
+    // B transpose pack: row p holds B[0..n)[p], then zero pad lanes (see
+    // pad_b_rows). The strided side is the loads, which issue faster than
+    // stores.
+    float* __restrict__ bt = t_scratch.b.ensure_floats(k * w);
+    for (std::size_t p = 0; p < k; ++p) {
+      float* __restrict__ row = bt + p * w;
+      for (std::size_t j = 0; j < n; ++j) row[j] = b[j * k + p];
+      std::fill(row + n, row + w, 0.0f);
+    }
+    rows_nt<NV>(m, k, n, a.data(), bt, c.data(), beta);
+  });
+}
+
+bool gemm_rows_fit(std::size_t k, std::size_t n) {
+  const std::size_t padded = (n + kLanes - 1) / kLanes * kLanes;
+  return n > 0 && n <= kRowsMaxN && k <= kRowsMaxK &&
+         k * padded <= kRowsMaxPanel;
+}
+
 // ---------------------------------------------------------------------------
 // Public entry points (declared in tensor/ops.hpp)
 // ---------------------------------------------------------------------------
 
 namespace {
 
+enum class GemmPath { kRef, kRows, kBlocked };
+
 /// Telemetry tap at the dispatch layer: call and MAC volume and how many
-/// calls the reference loops served, not timing — per-call spans would
-/// dwarf the work at training's small shapes.
-void note_gemm(std::size_t m, std::size_t k, std::size_t n, bool ref) {
+/// calls the reference loops and the register-row kernels served, not
+/// timing — per-call spans would dwarf the work at training's small shapes.
+void note_gemm(std::size_t m, std::size_t k, std::size_t n, GemmPath path) {
   static const obs::Counter calls = obs::counter("gemm.calls");
   static const obs::Counter ref_calls = obs::counter("gemm.ref_calls");
+  static const obs::Counter rows_calls = obs::counter("gemm.rows_calls");
   static const obs::Counter macs = obs::counter("gemm.macs");
   calls.add(1);
-  if (ref) ref_calls.add(1);
+  if (path == GemmPath::kRef) ref_calls.add(1);
+  if (path == GemmPath::kRows) rows_calls.add(1);
   macs.add(static_cast<std::uint64_t>(m) * k * n);
 }
 
-/// Dispatch rule shared by the C-accumulating variants. k == 0 must still
-/// apply beta to C, which only the reference loops do.
-bool cacc_takes_ref(std::size_t m, std::size_t k, std::size_t n,
-                    std::span<const float> a) {
+/// Dispatch rule shared by the C-accumulating variants. Past the row
+/// kernels' reach, k == 0 must still apply beta to C, which only the
+/// reference loops do.
+GemmPath cacc_path(std::size_t m, std::size_t k, std::size_t n,
+                   std::span<const float> a) {
+  if (gemm_rows_fit(k, n)) return GemmPath::kRows;
   return k == 0 || n < 8 || m * k * n < kBlockedMinVolume ||
-         zero_heavy(a, m * k);
+                 zero_heavy(a, m * k)
+             ? GemmPath::kRef
+             : GemmPath::kBlocked;
 }
 
 }  // namespace
@@ -570,12 +813,12 @@ void gemm_nn(std::size_t m, std::size_t k, std::size_t n,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c, float beta) {
   assert(a.size() >= m * k && b.size() >= k * n && c.size() >= m * n);
-  const bool ref = cacc_takes_ref(m, k, n, a);
-  note_gemm(m, k, n, ref);
-  if (ref) {
-    gemm_nn_ref(m, k, n, a, b, c, beta);
-  } else {
-    gemm_nn_blocked(m, k, n, a, b, c, beta);
+  const GemmPath path = cacc_path(m, k, n, a);
+  note_gemm(m, k, n, path);
+  switch (path) {
+    case GemmPath::kRef: gemm_nn_ref(m, k, n, a, b, c, beta); break;
+    case GemmPath::kRows: gemm_nn_rows(m, k, n, a, b, c, beta); break;
+    case GemmPath::kBlocked: gemm_nn_blocked(m, k, n, a, b, c, beta); break;
   }
 }
 
@@ -583,13 +826,23 @@ void gemm_nt(std::size_t m, std::size_t k, std::size_t n,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c, float beta) {
   assert(a.size() >= m * k && b.size() >= n * k && c.size() >= m * n);
-  const bool ref =
-      k == 0 || n < 4 || k > 65536 || m * k * n < kBlockedMinVolume;
-  note_gemm(m, k, n, ref);
-  if (ref) {
-    gemm_nt_ref(m, k, n, a, b, c, beta);
-  } else {
-    gemm_nt_blocked(m, k, n, a, b, c, beta);
+  // A few rows over whole-vector columns, at a volume large enough for
+  // the blocked kernel: there the 4x8 tile runs the same vector operations
+  // as the row kernel and neither wins clearly (the forward's first layer,
+  // 16x64x48 and 16x64x32), so those shapes keep the blocked path.
+  const bool stays_blocked =
+      m < 32 && n % kLanes == 0 && m * k * n >= kBlockedMinVolume;
+  GemmPath path = GemmPath::kBlocked;
+  if (gemm_rows_fit(k, n) && !stays_blocked) {
+    path = GemmPath::kRows;
+  } else if (k == 0 || n < 4 || k > 65536 || m * k * n < kBlockedMinVolume) {
+    path = GemmPath::kRef;
+  }
+  note_gemm(m, k, n, path);
+  switch (path) {
+    case GemmPath::kRef: gemm_nt_ref(m, k, n, a, b, c, beta); break;
+    case GemmPath::kRows: gemm_nt_rows(m, k, n, a, b, c, beta); break;
+    case GemmPath::kBlocked: gemm_nt_blocked(m, k, n, a, b, c, beta); break;
   }
 }
 
@@ -597,12 +850,12 @@ void gemm_tn(std::size_t m, std::size_t k, std::size_t n,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c, float beta) {
   assert(a.size() >= k * m && b.size() >= k * n && c.size() >= m * n);
-  const bool ref = cacc_takes_ref(m, k, n, a);
-  note_gemm(m, k, n, ref);
-  if (ref) {
-    gemm_tn_ref(m, k, n, a, b, c, beta);
-  } else {
-    gemm_tn_blocked(m, k, n, a, b, c, beta);
+  const GemmPath path = cacc_path(m, k, n, a);
+  note_gemm(m, k, n, path);
+  switch (path) {
+    case GemmPath::kRef: gemm_tn_ref(m, k, n, a, b, c, beta); break;
+    case GemmPath::kRows: gemm_tn_rows(m, k, n, a, b, c, beta); break;
+    case GemmPath::kBlocked: gemm_tn_blocked(m, k, n, a, b, c, beta); break;
   }
 }
 

@@ -1,19 +1,24 @@
-// Blocked, packed GEMM kernel layer behind the gemm_nn/gemm_nt/gemm_tn
-// entry points of tensor/ops.hpp.
+// GEMM kernel layer behind the gemm_nn/gemm_nt/gemm_tn entry points of
+// tensor/ops.hpp: register-row kernels for the small-n shapes the compact
+// MLPs run, blocked and packed kernels for large shapes, and the seed
+// loops for what neither serves.
 //
 // Bit-identity contract
 // ---------------------
 // The seed triple-loop kernels are retained verbatim below as
-// `gemm_*_ref` and serve as verification oracles: for every input the
-// blocked kernels must produce bitwise identical C. The blocked kernels
-// earn this by visiting each output element's k-dimension in exactly the
-// seed's sequential order:
+// `gemm_*_ref`. They serve as verification oracles, and the dispatch
+// still routes small shapes past the row kernels' reach and, for nn/tn,
+// zero-heavy A to them. For every input the blocked and row kernels must
+// produce bitwise identical C. They earn this by visiting each output
+// element's k-dimension in exactly the seed's sequential order:
 //
 //   * gemm_nn / gemm_tn accumulate directly into C (beta applied once,
-//     before the first k-block touches an element; k-blocks then visit p
-//     in ascending order, carrying the element through registers within a
+//     before the first k step touches an element; p then runs in
+//     ascending order, carrying the element through registers within a
 //     block and through C memory across blocks). The seed's
-//     skip-zero-multiplier branch is preserved per (element-of-A, p).
+//     skip-zero-multiplier branch is preserved per (element-of-A, p): the
+//     blocked kernels blend, the row kernels compact each row's nonzero
+//     multipliers before the k walk.
 //   * gemm_nt keeps one register accumulator per output element across
 //     the whole k extent (fresh dot, p ascending) and only then combines
 //     with beta — the same op sequence as the reference inner loop.
@@ -23,16 +28,18 @@
 // (-ffp-contract=off in CMakeLists.txt), so no build fuses a product and
 // its sum into an FMA, whatever -march it targets.
 //
-// What the blocked kernels add is purely locality and ILP: B panels are
-// packed into dense aligned scratch sized from L1/L2 (measured once at
-// startup), the microkernel holds a 4x8 register tile, and restrict-
-// qualified unit-stride inner loops let the compiler vectorize.
+// What the other kernels add is purely locality and ILP. The blocked
+// kernels pack B panels into dense aligned scratch sized from L1/L2
+// (measured once at startup) and hold a 4x8 register tile. The row kernels
+// hold one C row of up to 64 floats in vector registers and read an
+// L1-resident B (transposed for nt, padded to whole vectors where n is not
+// a multiple of 8).
 //
-// ISA clones: the reference and blocked kernels are each compiled twice,
-// for avx2 and for baseline x86-64, and the CPU picks the clone at load
-// time (gemm_isa() names it). Both clones run the same operations in the
-// same order for every output element, so every clone gives identical
-// bits, and the contract above holds across hosts.
+// ISA clones: every kernel is compiled twice, for avx2 and for baseline
+// x86-64, and the CPU picks the clone at load time (gemm_isa() names it).
+// Both clones run the same operations in the same order for every output
+// element, so every clone gives identical bits, and the contract above
+// holds across hosts.
 #pragma once
 
 #include <cstddef>
@@ -58,8 +65,9 @@ struct GemmTuning {
 [[nodiscard]] const char* gemm_isa();
 
 // ---------------------------------------------------------------------------
-// Reference kernels: the seed loops, kept for verification and as the
-// small-shape fallback. Signatures mirror tensor/ops.hpp.
+// Reference kernels: the seed loops, kept for verification and for the
+// shapes neither the row nor the blocked kernels serve (see gemm.cpp).
+// Signatures mirror tensor/ops.hpp.
 // ---------------------------------------------------------------------------
 
 /// C[m,n] = A[m,k] * B[k,n] + beta * C  (seed i-k-j loop)
@@ -90,5 +98,30 @@ void gemm_nn_blocked(std::size_t m, std::size_t k, std::size_t n,
 void gemm_tn_blocked(std::size_t m, std::size_t k, std::size_t n,
                      std::span<const float> a, std::span<const float> b,
                      std::span<float> c, float beta = 0.0f);
+
+// ---------------------------------------------------------------------------
+// Register-row kernels without the dispatch. Each holds one C row in vector
+// registers and walks k in ascending order; gemm_nn_rows / gemm_tn_rows
+// visit only the row's nonzero A multipliers, gemm_nt_rows reads B through
+// a transposed copy. Require gemm_rows_fit(k, n); any k, m >= 0 and beta
+// (k == 0 applies beta to C, as the reference loops do).
+// ---------------------------------------------------------------------------
+
+/// True when the row kernels take (k, n): 1 <= n <= 64, k <= 256, and
+/// k x n (n rounded up to a multiple of 8) at most 8192 floats, so the B
+/// panel the kernels walk stays in L1.
+[[nodiscard]] bool gemm_rows_fit(std::size_t k, std::size_t n);
+
+void gemm_nn_rows(std::size_t m, std::size_t k, std::size_t n,
+                  std::span<const float> a, std::span<const float> b,
+                  std::span<float> c, float beta = 0.0f);
+
+void gemm_nt_rows(std::size_t m, std::size_t k, std::size_t n,
+                  std::span<const float> a, std::span<const float> b,
+                  std::span<float> c, float beta = 0.0f);
+
+void gemm_tn_rows(std::size_t m, std::size_t k, std::size_t n,
+                  std::span<const float> a, std::span<const float> b,
+                  std::span<float> c, float beta = 0.0f);
 
 }  // namespace skiptrain::tensor

@@ -1,7 +1,7 @@
-// Bit-identity of the blocked GEMM kernels against the retained seed
-// loops (gemm_*_ref). The contract is exact: for every input — including
-// degenerate dims, non-square panels, every beta case, A with zeros (the
-// skip-zero branch), and NaN-poisoned C with beta == 0 — the blocked
+// Bit-identity of the blocked and register-row GEMM kernels against the
+// retained seed loops (gemm_*_ref). The contract is exact: for every input
+// — including degenerate dims, non-square panels, every beta case, A with
+// zeros (the skip-zero branch), and NaN-poisoned C with beta == 0 — the
 // kernels must produce bitwise identical C, whether reached through the
 // dispatching entry points or directly.
 #include <gtest/gtest.h>
@@ -132,14 +132,19 @@ std::uint64_t ref_calls() {
   return obs::snapshot().counter_value("gemm.ref_calls");
 }
 
+std::uint64_t rows_calls() {
+  return obs::snapshot().counter_value("gemm.rows_calls");
+}
+
 TEST(GemmBlocked, ZeroShareDispatchStraddlesThreshold) {
-  // gemm_nn / gemm_tn send an A that is at least a quarter exact zeros to
-  // the reference loop. On either side of that share, C must carry the
-  // reference's bits — with NaN and +-Inf in B, where the skip decides
-  // whether 0 * NaN reaches C — and gemm.ref_calls pins the path taken.
-  // (m, k, n) is the compact CIFAR MLP's dW shape: large enough for the
-  // blocked path.
-  constexpr std::size_t m = 32, k = 16, n = 64, count = m * k;
+  // Past the register-row kernels' reach (n > 64), gemm_nn / gemm_tn send
+  // an A that is at least a quarter exact zeros to the reference loop. On
+  // either side of that share, C must carry the reference's bits — with
+  // NaN and +-Inf in B, where the skip decides whether 0 * NaN reaches C —
+  // and gemm.ref_calls / gemm.rows_calls pin the path taken. n = 64 is the
+  // compact CIFAR MLP's dW shape, which the row kernel serves at every
+  // zero share; n = 128 is large enough for the blocked path.
+  constexpr std::size_t m = 32, k = 16, count = m * k;
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   const bool was_enabled = obs::enabled();
@@ -151,46 +156,122 @@ TEST(GemmBlocked, ZeroShareDispatchStraddlesThreshold) {
   const Variant variants[] = {
       {"gemm_nn", gemm_nn, gemm_nn_ref, gemm_nn_blocked},
       {"gemm_tn", gemm_tn, gemm_tn_ref, gemm_tn_blocked}};
-  for (const std::size_t zeros :
-       {std::size_t{0}, count / 4 - 1, count / 4, count / 4 + 1, count}) {
-    util::Rng rng(700 + zeros);
-    std::vector<float> a(count), b(k * n), c_init(m * n);
-    rng.fill_normal(a, 0.0f, 1.0f);
-    rng.fill_normal(b, 0.0f, 1.0f);
-    rng.fill_normal(c_init, 0.0f, 1.0f);
-    const std::vector<std::size_t> at =
-        rng.sample_without_replacement(count, zeros);
-    for (std::size_t i = 0; i < zeros; ++i) {
-      a[at[i]] = (i % 2 == 0) ? 0.0f : -0.0f;  // -0.0f is a zero too
-    }
-    // One non-finite B entry per column, so no C element sums two of them.
-    b[3 * n + 5] = nan;
-    b[7 * n + 20] = inf;
-    b[11 * n + 41] = -inf;
-    const bool want_ref = zeros * 4 >= count;
-
-    for (const Variant& v : variants) {
-      for (const float beta : {0.0f, 1.0f, 0.5f}) {
-        std::vector<float> c = c_init, ref = c_init, blocked = c_init;
-        const std::uint64_t before = ref_calls();
-        v.dispatched(m, k, n, a, b, c, beta);
-        EXPECT_EQ(ref_calls() - before, want_ref ? 1u : 0u)
-            << v.name << " zeros=" << zeros;
-        v.ref(m, k, n, a, b, ref, beta);
-        v.blocked(m, k, n, a, b, blocked, beta);
-        expect_bitwise_equal(c, ref, v.name, m, k, n, beta);
-        expect_bitwise_equal(blocked, ref, v.name, m, k, n, beta);
+  for (const std::size_t n : {std::size_t{64}, std::size_t{128}}) {
+    for (const std::size_t zeros :
+         {std::size_t{0}, count / 4 - 1, count / 4, count / 4 + 1, count}) {
+      util::Rng rng(700 + zeros + n);
+      std::vector<float> a(count), b(k * n), c_init(m * n);
+      rng.fill_normal(a, 0.0f, 1.0f);
+      rng.fill_normal(b, 0.0f, 1.0f);
+      rng.fill_normal(c_init, 0.0f, 1.0f);
+      const std::vector<std::size_t> at =
+          rng.sample_without_replacement(count, zeros);
+      for (std::size_t i = 0; i < zeros; ++i) {
+        a[at[i]] = (i % 2 == 0) ? 0.0f : -0.0f;  // -0.0f is a zero too
       }
-      // beta == 0 never reads C, so NaN poison must not reach the result.
-      std::vector<float> c(m * n, nan), blocked(m * n, nan), ref = c_init;
-      v.dispatched(m, k, n, a, b, c, 0.0f);
-      v.blocked(m, k, n, a, b, blocked, 0.0f);
-      v.ref(m, k, n, a, b, ref, 0.0f);
-      expect_bitwise_equal(c, ref, v.name, m, k, n, 0.0f);
-      expect_bitwise_equal(blocked, ref, v.name, m, k, n, 0.0f);
+      // One non-finite B entry per column, so no C element sums two.
+      b[3 * n + 5] = nan;
+      b[7 * n + 20] = inf;
+      b[11 * n + 41] = -inf;
+      const bool want_rows = n <= 64;
+      const bool want_ref = !want_rows && zeros * 4 >= count;
+
+      for (const Variant& v : variants) {
+        for (const float beta : {0.0f, 1.0f, 0.5f}) {
+          std::vector<float> c = c_init, ref = c_init, blocked = c_init;
+          const std::uint64_t ref_before = ref_calls();
+          const std::uint64_t rows_before = rows_calls();
+          v.dispatched(m, k, n, a, b, c, beta);
+          EXPECT_EQ(ref_calls() - ref_before, want_ref ? 1u : 0u)
+              << v.name << " n=" << n << " zeros=" << zeros;
+          EXPECT_EQ(rows_calls() - rows_before, want_rows ? 1u : 0u)
+              << v.name << " n=" << n << " zeros=" << zeros;
+          v.ref(m, k, n, a, b, ref, beta);
+          v.blocked(m, k, n, a, b, blocked, beta);
+          expect_bitwise_equal(c, ref, v.name, m, k, n, beta);
+          expect_bitwise_equal(blocked, ref, v.name, m, k, n, beta);
+        }
+        // beta == 0 never reads C, so NaN poison must not reach the result.
+        std::vector<float> c(m * n, nan), blocked(m * n, nan), ref = c_init;
+        v.dispatched(m, k, n, a, b, c, 0.0f);
+        v.blocked(m, k, n, a, b, blocked, 0.0f);
+        v.ref(m, k, n, a, b, ref, 0.0f);
+        expect_bitwise_equal(c, ref, v.name, m, k, n, 0.0f);
+        expect_bitwise_equal(blocked, ref, v.name, m, k, n, 0.0f);
+      }
     }
   }
   obs::set_enabled(was_enabled);
+}
+
+TEST(GemmRows, BitwiseAgainstReferenceAcrossRoutingBoundaries) {
+  // The register-row kernels against the seed loops on both sides of every
+  // routing boundary: n around the 8-lane vectors and the 64-column reach,
+  // k around the 256 depth and the 8192-float B panel, m around the nt
+  // row-count rule. A is 0, 1/2 or all exact zeros (+0.0f and -0.0f
+  // alternating) and B holds NaN and +-Inf, at most one per output
+  // element's sum, so the zero skip decides whether 0 * NaN reaches C.
+  // With beta == 0, C is NaN-poisoned: it must never be read. m == 200
+  // runs one rotating (beta, share) case per shape to keep the suite quick
+  // under sanitizers.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  struct Variant {
+    const char* name;
+    Gemm dispatched, ref, rows;
+    bool b_transposed;  // B is [n, k] (nt) rather than [k, n]
+  };
+  const Variant variants[] = {
+      {"gemm_nn", gemm_nn, gemm_nn_ref, gemm_nn_rows, false},
+      {"gemm_nt", gemm_nt, gemm_nt_ref, gemm_nt_rows, true},
+      {"gemm_tn", gemm_tn, gemm_tn_ref, gemm_tn_rows, false}};
+  const float betas[] = {0.0f, 1.0f, 0.5f};
+  std::size_t shape_index = 0;
+  for (const std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 62, 63,
+                              64, 65, 72}) {
+    for (const std::size_t k : {1, 4, 16, 62, 256, 257}) {
+      for (const std::size_t m : {1, 4, 16, 200}) {
+        util::Rng rng(31 * n + 7 * k + m);
+        std::vector<float> a_dense(m * k), b(k * n), c_init(m * n);
+        rng.fill_normal(a_dense, 0.0f, 1.0f);
+        rng.fill_normal(b, 0.0f, 1.0f);
+        rng.fill_normal(c_init, 0.0f, 1.0f);
+        const std::size_t pick = shape_index++ % 9;
+        for (std::size_t share = 0; share < 3; ++share) {  // in halves
+          for (std::size_t bi = 0; bi < 3; ++bi) {
+            if (m == 200 && share * 3 + bi != pick) continue;
+            const float beta = betas[bi];
+            std::vector<float> a = a_dense;
+            for (std::size_t i = 0; i < a.size(); ++i) {
+              if (share == 2 || (share == 1 && i % 2 == 0)) {
+                a[i] = (i / 2) % 2 == 0 ? 0.0f : -0.0f;
+              }
+            }
+            for (const Variant& v : variants) {
+              // Column j's dot runs over B[p][j] (nn, tn) or B[j][p] (nt).
+              std::vector<float> bv = b;
+              for (std::size_t j = 1; j < n; j += 4) {
+                const std::size_t p = (7 * j + 3) % k;
+                const float bad = j % 3 == 0 ? nan : j % 3 == 1 ? inf : -inf;
+                bv[v.b_transposed ? j * k + p : p * n + j] = bad;
+              }
+              const std::vector<float> c0 =
+                  beta == 0.0f ? std::vector<float>(m * n, nan) : c_init;
+              std::vector<float> want = c0, got = c0;
+              v.ref(m, k, n, a, bv, want, beta);
+              v.dispatched(m, k, n, a, bv, got, beta);
+              expect_bitwise_equal(got, want, v.name, m, k, n, beta);
+              if (gemm_rows_fit(k, n)) {
+                got = c0;
+                v.rows(m, k, n, a, bv, got, beta);
+                expect_bitwise_equal(got, want, v.name, m, k, n, beta);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(GemmBlocked, LongAccumulationFuzz) {
@@ -298,27 +379,33 @@ struct CrossIsaVariant {
   SeedGemm seed;
   Gemm dispatched;
   Gemm blocked;  // nullptr for nt, whose blocked kernel is internal
+  Gemm rows;
 };
 
-const CrossIsaVariant kNN{"gemm_nn", seed_nn, gemm_nn, gemm_nn_blocked};
-const CrossIsaVariant kNT{"gemm_nt", seed_nt, gemm_nt, nullptr};
-const CrossIsaVariant kTN{"gemm_tn", seed_tn, gemm_tn, gemm_tn_blocked};
+const CrossIsaVariant kNN{"gemm_nn", seed_nn, gemm_nn, gemm_nn_blocked,
+                          gemm_nn_rows};
+const CrossIsaVariant kNT{"gemm_nt", seed_nt, gemm_nt, nullptr, gemm_nt_rows};
+const CrossIsaVariant kTN{"gemm_tn", seed_tn, gemm_tn, gemm_tn_blocked,
+                          gemm_tn_rows};
 
 struct OracleShape {
   const CrossIsaVariant* variant;
   std::size_t m, k, n;
 };
 
-/// The GEMMs the four benchmark workloads run: the compact-MLP forward
-/// (nt), weight gradient (tn) and input gradient (nn), the fleet
-/// evaluation batch, and for each GN-LeNet convolution its forward (nn),
-/// weight gradient (tn) and input gradient (nn), with the shapes
+/// The GEMMs the four benchmark workloads run: both compact MLPs' forward
+/// (nt), weight gradients (tn) and input gradient (nn) at batch 16 and 4,
+/// the evaluation batches, and for each GN-LeNet convolution its forward
+/// (nn), weight gradient (tn) and input gradient (nn), with the shapes
 /// Conv2d::backward_im2col derives from the layer's geometry.
 std::vector<OracleShape> workload_shapes() {
   std::vector<OracleShape> shapes = {
-      {&kNT, 16, 64, 32}, {&kNT, 16, 64, 48}, {&kNT, 16, 48, 62},
-      {&kNT, 600, 64, 32}, {&kTN, 32, 16, 64}, {&kTN, 48, 16, 64},
-      {&kNN, 16, 62, 48}};
+      {&kNT, 16, 64, 32},  {&kNT, 16, 32, 10},  {&kNT, 16, 64, 48},
+      {&kNT, 16, 48, 62},  {&kNT, 4, 64, 32},   {&kNT, 600, 64, 32},
+      {&kNT, 200, 32, 10}, {&kNT, 200, 64, 48}, {&kNT, 200, 48, 62},
+      {&kTN, 32, 16, 64},  {&kTN, 10, 16, 32},  {&kTN, 48, 16, 64},
+      {&kTN, 62, 16, 48},  {&kTN, 32, 4, 64},   {&kNN, 16, 10, 32},
+      {&kNN, 16, 62, 48},  {&kNN, 4, 10, 32}};
   nn::Sequential lenet = nn::make_cifar_cnn();
   tensor::Shape shape = {1, 3, 32, 32};
   for (std::size_t i = 0; i < lenet.num_layers(); ++i) {
@@ -341,14 +428,15 @@ std::vector<OracleShape> workload_shapes() {
 TEST(GemmCrossIsa, PublicKernelsMatchBaselineSeedLoopsAtWorkloadShapes) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const std::vector<OracleShape> shapes = workload_shapes();
-  ASSERT_EQ(shapes.size(), 7u + 3u * 3u);  // three GN-LeNet convolutions
+  ASSERT_EQ(shapes.size(), 17u + 3u * 3u);  // three GN-LeNet convolutions
   std::uint64_t seed = 0;
   for (const auto& [v, m, k, n] : shapes) {
-    // nn / tn run dense and half zero: the dispatch then takes the
-    // blocked kernel and the zero-skipping reference loop respectively,
-    // and the direct blocked call covers the blend microkernel.
+    // Dense and half zero A: past the row kernels' reach nn / tn then
+    // take the blocked kernel and the zero-skipping reference loop
+    // respectively, and the direct blocked call covers the blend
+    // microkernel; where the row kernels reach, the direct call pins them
+    // whatever the dispatch picks.
     for (const bool half_zero : {false, true}) {
-      if (half_zero && v->blocked == nullptr) continue;
       util::Rng rng(8800 + ++seed);
       std::vector<float> a(m * k), b(k * n), c_init(m * n);
       rng.fill_normal(a, 0.0f, 1.0f);
@@ -368,6 +456,11 @@ TEST(GemmCrossIsa, PublicKernelsMatchBaselineSeedLoopsAtWorkloadShapes) {
         if (v->blocked != nullptr) {
           got = c0;
           v->blocked(m, k, n, a, b, got, beta);
+          expect_bitwise_equal(got, want, v->name, m, k, n, beta);
+        }
+        if (gemm_rows_fit(k, n)) {
+          got = c0;
+          v->rows(m, k, n, a, b, got, beta);
           expect_bitwise_equal(got, want, v->name, m, k, n, beta);
         }
       }
