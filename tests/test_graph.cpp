@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
 #include <tuple>
 
 #include "graph/mixing.hpp"
+#include "graph/sparse.hpp"
 #include "graph/topology.hpp"
 
 namespace skiptrain::graph {
@@ -212,6 +216,79 @@ TEST(Topology, DescribeMentionsKeyFacts) {
   EXPECT_NE(desc.find("n=8"), std::string::npos);
   EXPECT_NE(desc.find("2-regular"), std::string::npos);
   EXPECT_NE(desc.find("connected=yes"), std::string::npos);
+}
+
+// --- Graph pins ------------------------------------------------------------
+// Every generator and the CSR parser, pinned through the weights the runs
+// gossip with: one hash over each row's degree, neighbor ids, weight bits
+// and self-weight bits. The random graphs are seeded the way
+// sim::run_experiment seeds them for seed 42. A change to any generator's
+// adjacency, its row order or the Metropolis–Hastings float ops fails here.
+
+std::uint64_t mixing_hash(const MixingMatrix& mix) {
+  std::uint64_t h = util::hash_combine(0x70696eULL, mix.num_nodes());
+  for (std::size_t i = 0; i < mix.num_nodes(); ++i) {
+    h = util::hash_combine(h, mix.degree(i));
+    for (const MixingMatrix::Entry& entry : mix.neighbor_weights(i)) {
+      h = util::hash_combine(h, entry.neighbor);
+      h = util::hash_combine(h, std::bit_cast<std::uint32_t>(entry.weight));
+    }
+    h = util::hash_combine(h,
+                           std::bit_cast<std::uint32_t>(mix.self_weight(i)));
+  }
+  return h;
+}
+
+std::uint64_t random_regular_hash(std::size_t n, std::size_t d) {
+  util::Rng rng(util::hash_combine(42, 0x70700000ULL));
+  return mixing_hash(
+      MixingMatrix::metropolis_hastings(make_random_regular(n, d, rng)));
+}
+
+TEST(GraphPin, RandomRegularAtRunSeeds) {
+  EXPECT_EQ(random_regular_hash(64, 6), 0xeb95cbeb14e8728cULL);
+  EXPECT_EQ(random_regular_hash(64, 8), 0xfe582b174ae9959cULL);
+  EXPECT_EQ(random_regular_hash(64, 10), 0x9bedb483cf77f491ULL);
+  EXPECT_EQ(random_regular_hash(256, 6), 0x1391e60e300b974cULL);
+}
+
+TEST(GraphPin, ImplicitKRegularFleet) {
+  const ImplicitKRegular fleet(10000, 6,
+                               util::hash_combine(42, 0x6b726700ULL));
+  EXPECT_EQ(fleet.config_hash(), 0x30bcb43f660ed064ULL);
+  EXPECT_EQ(mixing_hash(MixingMatrix::metropolis_hastings(fleet)),
+            0x7167fc082949968cULL);
+}
+
+TEST(GraphPin, DeterministicGenerators) {
+  EXPECT_EQ(mixing_hash(MixingMatrix::metropolis_hastings(make_ring(10))),
+            0x0dbcf8ed2a2964d7ULL);
+  EXPECT_EQ(mixing_hash(
+                MixingMatrix::metropolis_hastings(make_fully_connected(8))),
+            0xd7e79b1d76d4a410ULL);
+  EXPECT_EQ(
+      mixing_hash(MixingMatrix::metropolis_hastings(make_circulant(12, 4))),
+      0xeb43db44930f871bULL);
+  EXPECT_EQ(
+      mixing_hash(MixingMatrix::metropolis_hastings(make_circulant(12, 5))),
+      0xbebf8c8cf0b61613ULL);
+}
+
+TEST(GraphPin, CsrFixtures) {
+  // The 4-ring and the irregular 5-node path of the CSR parser tests.
+  std::istringstream ring(
+      "skiptrain-csr v1\nnodes 4\n2 1 3\n2 0 2\n2 1 3\n2 0 2\n");
+  const auto ring_csr = CsrGraph::parse(ring, "ring");
+  EXPECT_EQ(ring_csr.content_hash(), 0x5535250b922af026ULL);
+  EXPECT_EQ(mixing_hash(MixingMatrix::metropolis_hastings(ring_csr)),
+            0x001eacd6f1ce9fd1ULL);
+
+  std::istringstream path(
+      "skiptrain-csr v1\nnodes 5\n1 1\n2 0 2\n2 1 3\n2 2 4\n1 3\n");
+  const auto path_csr = CsrGraph::parse(path, "path");
+  EXPECT_EQ(path_csr.content_hash(), 0xe763375793d5b5b8ULL);
+  EXPECT_EQ(mixing_hash(MixingMatrix::metropolis_hastings(path_csr)),
+            0xe9d36606a538da76ULL);
 }
 
 }  // namespace
