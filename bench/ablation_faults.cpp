@@ -36,21 +36,8 @@ int main(int argc, char** argv) {
       sim::Algorithm::kSkipTrain,
   };
 
-  // Parse the ';'-separated ladder by hand — sweep::split_list splits on
-  // commas, which fault specs use internally.
-  std::vector<std::string> ladder;
-  {
-    const std::string& spec_list = args.get_string("faults");
-    std::size_t start = 0;
-    while (start <= spec_list.size()) {
-      const std::size_t end = spec_list.find(';', start);
-      const std::string token = spec_list.substr(
-          start, end == std::string::npos ? std::string::npos : end - start);
-      if (!token.empty()) ladder.push_back(token);
-      if (end == std::string::npos) break;
-      start = end + 1;
-    }
-  }
+  const std::vector<std::string> ladder =
+      sweep::split_semicolon_list(args.get_string("faults"));
 
   util::TablePrinter table({"faults", "algorithm", "acc%", "delivery%",
                             "dropped", "corrupt", "dup", "down rounds",

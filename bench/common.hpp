@@ -197,38 +197,33 @@ inline std::size_t flag_nodes(const util::ArgParser& args) {
                                : static_cast<std::size_t>(args.get_int("nodes"));
 }
 
+/// Builds a synthetic workload + initialised compact model through
+/// sweep::build_workload, the one place a DataConfig maps onto the data
+/// factories (60 samples per node, a 1200-sample test pool).
+inline Workbench make_workbench(const util::ArgParser& args,
+                                const std::string& dataset,
+                                std::size_t paper_rounds) {
+  sweep::DataConfig config;
+  config.dataset = dataset;
+  config.nodes = flag_nodes(args);
+  config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  const auto workload = sweep::build_workload(config);
+  Workbench bench;
+  bench.data = workload->data;
+  bench.model = workload->prototype.clone();
+  bench.workload = workload->workload;
+  bench.paper_rounds = paper_rounds;
+  return bench;
+}
+
 /// Builds the synthetic CIFAR-10 workload + compact model.
 inline Workbench make_cifar_bench(const util::ArgParser& args) {
-  Workbench bench;
-  data::CifarSynConfig config;
-  config.nodes = flag_nodes(args);
-  config.samples_per_node = 60;
-  config.test_pool = 1200;
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  bench.data = data::make_cifar_synthetic(config);
-  bench.model = nn::make_compact_cifar_model(config.feature_dim);
-  util::Rng rng(config.seed);
-  nn::initialize(bench.model, rng);
-  bench.workload = energy::Workload::kCifar10;
-  bench.paper_rounds = 1000;
-  return bench;
+  return make_workbench(args, "cifar", 1000);
 }
 
 /// Builds the synthetic FEMNIST workload + compact model.
 inline Workbench make_femnist_bench(const util::ArgParser& args) {
-  Workbench bench;
-  data::FemnistSynConfig config;
-  config.nodes = flag_nodes(args);
-  config.mean_samples_per_node = 60;
-  config.test_pool = 1200;
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  bench.data = data::make_femnist_synthetic(config);
-  bench.model = nn::make_compact_femnist_model(config.feature_dim);
-  util::Rng rng(config.seed);
-  nn::initialize(bench.model, rng);
-  bench.workload = energy::Workload::kFemnist;
-  bench.paper_rounds = 3000;
-  return bench;
+  return make_workbench(args, "femnist", 3000);
 }
 
 inline Workbench make_bench(const util::ArgParser& args,

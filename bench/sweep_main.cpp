@@ -63,22 +63,10 @@ int main(int argc, char** argv) {
       grid = sweep::make_preset(preset, params);
     }
     if (!args.get_string("faults").empty()) {
-      // Fault specs themselves contain commas, so the axis separator is ';'.
-      std::vector<std::string> axis;
-      const std::string& spec_list = args.get_string("faults");
-      std::size_t start = 0;
-      while (start <= spec_list.size()) {
-        const std::size_t end = spec_list.find(';', start);
-        const std::string token = spec_list.substr(
-            start, end == std::string::npos ? std::string::npos : end - start);
-        if (!token.empty()) {
-          fault::make_plan(token).validate();  // reject bad specs up front
-          axis.push_back(token);
-        }
-        if (end == std::string::npos) break;
-        start = end + 1;
+      grid.faults = sweep::split_semicolon_list(args.get_string("faults"));
+      for (const std::string& token : grid.faults) {
+        fault::make_plan(token).validate();  // reject bad specs up front
       }
-      grid.faults = std::move(axis);
     }
     trials = grid.expand();  // config-file grids validate axes here
   } catch (const std::exception& e) {

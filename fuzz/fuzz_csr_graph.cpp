@@ -21,9 +21,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   std::istringstream in(
       std::string(reinterpret_cast<const char*>(data), size));
-  skiptrain::graph::CsrGraph graph;
+  skiptrain::graph::Topology graph;
   try {
-    graph = skiptrain::graph::CsrGraph::parse(in, "fuzz-input");
+    graph = skiptrain::graph::Topology::parse(in, "fuzz-input");
   } catch (const std::exception&) {
     return 0;
   }

@@ -1,6 +1,6 @@
 // Hardened binary checkpoint IO shared by every on-disk image format in
-// the system (nn/serialize model checkpoints, ckpt/fleet_image fleet
-// images, ckpt/trial_store sweep results).
+// the system (ckpt/fleet_image fleet images, ckpt/trial_store sweep
+// results).
 //
 // Two rules make the formats safe against truncated, corrupted, or
 // hostile files:

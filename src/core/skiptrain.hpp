@@ -42,7 +42,6 @@
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
-#include "nn/serialize.hpp"
 #include "quant/codec.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/trace.hpp"

@@ -4,49 +4,22 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "graph/sparse.hpp"
 #include "tensor/ops.hpp"
 #include "util/thread_pool.hpp"
 
 namespace skiptrain::graph {
 
-namespace {
-
-/// ImplicitKRegular through the builder's graph interface: each row is
-/// recomputed into one scratch buffer when the builder asks for it.
-class ImplicitRows {
- public:
-  explicit ImplicitRows(const ImplicitKRegular& graph)
-      : graph_(graph), row_(graph.degree()) {}
-
-  std::size_t num_nodes() const { return graph_.num_nodes(); }
-  std::size_t degree(std::size_t /*node*/) const { return graph_.degree(); }
-  std::span<const std::size_t> neighbors(std::size_t node) const {
-    graph_.neighbors_into(node, row_);
-    return row_;
-  }
-
- private:
-  const ImplicitKRegular& graph_;
-  mutable std::vector<std::size_t> row_;
-};
-
-}  // namespace
-
-template <typename Graph>
-MixingMatrix MixingMatrix::build_metropolis_hastings(const Graph& graph) {
-  const std::size_t n = graph.num_nodes();
-  std::size_t entries = 0;
-  for (std::size_t i = 0; i < n; ++i) entries += graph.degree(i);
+MixingMatrix MixingMatrix::metropolis_hastings(const Topology& topology) {
+  const std::size_t n = topology.num_nodes();
   MixingMatrix mix;
   mix.row_ptr_.reserve(n + 1);
-  mix.entries_.reserve(entries);
+  mix.entries_.reserve(2 * topology.num_edges());
   mix.self_weight_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     float off_diagonal = 0.0f;
-    for (const std::size_t j : graph.neighbors(i)) {
-      const auto denom =
-          static_cast<float>(std::max(graph.degree(i), graph.degree(j)) + 1);
+    for (const std::size_t j : topology.neighbors(i)) {
+      const auto denom = static_cast<float>(
+          std::max(topology.degree(i), topology.degree(j)) + 1);
       const float w = 1.0f / denom;
       mix.entries_.push_back(Entry{j, w});
       off_diagonal += w;
@@ -55,18 +28,6 @@ MixingMatrix MixingMatrix::build_metropolis_hastings(const Graph& graph) {
     mix.row_ptr_.push_back(mix.entries_.size());
   }
   return mix;
-}
-
-MixingMatrix MixingMatrix::metropolis_hastings(const Topology& topology) {
-  return build_metropolis_hastings(topology);
-}
-
-MixingMatrix MixingMatrix::metropolis_hastings(const ImplicitKRegular& graph) {
-  return build_metropolis_hastings(ImplicitRows(graph));
-}
-
-MixingMatrix MixingMatrix::metropolis_hastings(const CsrGraph& graph) {
-  return build_metropolis_hastings(graph);
 }
 
 MixingMatrix MixingMatrix::all_reduce(std::size_t n) {

@@ -10,9 +10,9 @@
 // Stored flat: one row_ptr array, one entry array holding every row's
 // off-diagonal weights in ascending neighbor order, and one self-weight
 // array, so an n = 100k fleet costs O(n·k) memory with no per-node
-// allocations. Every topology (materialized Topology, ImplicitKRegular,
-// CsrGraph) goes through the same builder, so equal adjacency gives
-// bit-equal weights whichever form the graph came in.
+// allocations. Every graph is a Topology and goes through the one
+// builder, so equal adjacency gives bit-equal weights whichever generator
+// or file the graph came from.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +24,6 @@
 
 namespace skiptrain::graph {
 
-class ImplicitKRegular;
-class CsrGraph;
-
 class MixingMatrix {
  public:
   struct Entry {
@@ -36,12 +33,9 @@ class MixingMatrix {
 
   MixingMatrix() = default;
 
-  /// Builds Metropolis–Hastings weights from any of the three adjacency
-  /// forms. Each row's self weight is accumulated in float, in ascending
-  /// neighbor order.
+  /// Builds Metropolis–Hastings weights. Each row's self weight is
+  /// accumulated in float, in ascending neighbor order.
   static MixingMatrix metropolis_hastings(const Topology& topology);
-  static MixingMatrix metropolis_hastings(const ImplicitKRegular& graph);
-  static MixingMatrix metropolis_hastings(const CsrGraph& graph);
 
   /// Uniform global averaging: W = (1/n) 11^T. This is the matrix the
   /// paper's all-reduce baseline (Figure 1) effectively applies.
@@ -86,9 +80,6 @@ class MixingMatrix {
   }
 
  private:
-  template <typename Graph>
-  static MixingMatrix build_metropolis_hastings(const Graph& graph);
-
   std::vector<std::size_t> row_ptr_{0};
   std::vector<Entry> entries_;
   std::vector<float> self_weight_;

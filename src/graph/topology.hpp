@@ -1,37 +1,60 @@
 // Communication topologies G = (V, E) for decentralized learning.
 //
 // The paper evaluates d-regular graphs with d ∈ {6, 8, 10} on 256 nodes;
-// this module also provides ring / fully-connected / Erdős–Rényi / star
-// generators for the ablation benches and examples.
+// this module also provides ring / fully-connected / circulant generators
+// for the ablation benches and examples, and the `skiptrain-csr v1` file
+// format for arbitrary sparse graphs. Every graph, whichever way it was
+// made, is one Topology: flat CSR adjacency, built once from an undirected
+// edge list and immutable afterwards.
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace skiptrain::graph {
 
-/// Undirected simple graph stored as sorted adjacency lists.
+/// Undirected simple graph as flat CSR: row_ptr[n+1] plus every row's
+/// neighbor ids, strictly ascending — O(n + edges) with no per-node
+/// allocations.
 class Topology {
  public:
+  using Edge = std::pair<std::size_t, std::size_t>;
+
   Topology() = default;
-  explicit Topology(std::size_t num_nodes);
 
-  std::size_t num_nodes() const { return adjacency_.size(); }
-  std::size_t num_edges() const { return num_edges_; }
+  /// Builds the graph from undirected edges, each listed once in either
+  /// orientation. Out-of-range endpoints, self-loops and duplicate edges
+  /// are rejected with std::invalid_argument.
+  Topology(std::size_t num_nodes, const std::vector<Edge>& edges);
 
-  /// Adds the undirected edge (a, b). Duplicate edges and self-loops are
-  /// rejected with std::invalid_argument.
-  void add_edge(std::size_t a, std::size_t b);
+  /// Loads the text format below; every structural violation throws
+  /// std::runtime_error with file:line context (mirrors the harvest-trace
+  /// loader hardening):
+  ///
+  ///   skiptrain-csr v1
+  ///   nodes <n>
+  ///   <deg> <c1> ... <cdeg>     one line per node, columns strictly
+  ///                             ascending, no self-loops, symmetric,
+  ///                             connected
+  static Topology load_file(const std::string& path);
+  static Topology parse(std::istream& in, const std::string& name);
+
+  std::size_t num_nodes() const { return row_ptr_.size() - 1; }
+  std::size_t num_edges() const { return cols_.size() / 2; }
+  std::size_t degree(std::size_t node) const {
+    return row_ptr_[node + 1] - row_ptr_[node];
+  }
+  std::span<const std::uint32_t> neighbors(std::size_t node) const {
+    return {cols_.data() + row_ptr_[node], degree(node)};
+  }
 
   bool has_edge(std::size_t a, std::size_t b) const;
-  std::size_t degree(std::size_t node) const;
-  const std::vector<std::size_t>& neighbors(std::size_t node) const;
-
-  /// Maximum degree across nodes (0 for empty graphs).
-  std::size_t max_degree() const;
 
   /// True when every node has the same degree.
   bool is_regular() const;
@@ -45,10 +68,22 @@ class Topology {
 
   std::string describe() const;
 
+  /// Content hash over the full adjacency for checkpoint identity.
+  std::uint64_t content_hash() const;
+
  private:
-  std::vector<std::vector<std::size_t>> adjacency_;
-  std::size_t num_edges_ = 0;
+  /// Hop counts from `source`; SIZE_MAX marks unreachable nodes.
+  std::vector<std::size_t> bfs_distances(std::size_t source) const;
+
+  std::vector<std::uint64_t> row_ptr_{0};
+  std::vector<std::uint32_t> cols_;
 };
+
+/// Edges of the circulant graph over n nodes: (i, i + o mod n) for every
+/// offset o and node i, plus (i, i + n/2) for i < n/2 when `half` is set.
+/// Offsets must be distinct and in [1, n/2); the caller validates them.
+[[nodiscard]] std::vector<Topology::Edge> circulant_edges(
+    std::size_t n, std::span<const std::size_t> offsets, bool half);
 
 /// Cycle over n >= 3 nodes (2-regular).
 [[nodiscard]] Topology make_ring(std::size_t n);
@@ -66,12 +101,5 @@ class Topology {
 /// topologies" on 256 nodes.
 [[nodiscard]] Topology make_random_regular(std::size_t n, std::size_t degree,
                                            util::Rng& rng);
-
-/// Erdős–Rényi G(n, p); not necessarily connected.
-[[nodiscard]] Topology make_erdos_renyi(std::size_t n, double p,
-                                        util::Rng& rng);
-
-/// Star: node 0 is the hub (models the FL server topology for comparison).
-[[nodiscard]] Topology make_star(std::size_t n);
 
 }  // namespace skiptrain::graph

@@ -82,9 +82,9 @@ struct EngineConfig {
   quant::Codec exchange_codec = quant::Codec::kIdentity;
 
   /// Identity of a non-dense topology (ImplicitKRegular::config_hash or a
-  /// CsrGraph content hash). Folded into the checkpoint-image identity so
-  /// a resume under a different gossip graph is refused; 0 (the dense
-  /// default) keeps pre-topology-axis images byte-compatible.
+  /// csr file's Topology::content_hash). Folded into the checkpoint-image
+  /// identity so a resume under a different gossip graph is refused; 0
+  /// (the dense default) keeps pre-topology-axis images byte-compatible.
   std::uint64_t topology_hash = 0;
 
   /// Energy-harvesting/churn scenario (scenario/scenario.hpp). Disabled

@@ -96,46 +96,50 @@ ExperimentResult run_experiment(const data::FederatedData& data,
   const std::uint64_t setup_start = obs::now_ns();
 
   // --- Topology & mixing -------------------------------------------------
-  // Dense (the default) keeps the paper's materialized random d-regular
-  // graph; kregular/csr build the same Metropolis–Hastings matrix from an
-  // O(n·k) graph without materializing it. Exchange energy is billed from
-  // the ACTUAL per-node neighbor count either way.
+  // One Topology whatever the source: the paper's random d-regular graph
+  // (dense, the default), the seed-derived circulant (kregular) or a csr
+  // file. It gives the Metropolis–Hastings matrix, the degrees exchange
+  // energy is billed on (the ACTUAL per-node neighbor count) and, for the
+  // non-dense sources, the topology identity checkpoint images carry.
   const graph::TopologySpec topo_spec =
       graph::TopologySpec::parse(options.topology);
-  graph::MixingMatrix mixing;
-  std::vector<std::size_t> degrees(n);
-  std::uint64_t topology_hash = 0;
-  if (topo_spec.kind == graph::TopologySpec::Kind::kDense) {
-    util::Rng topo_rng(util::hash_combine(options.seed, 0x70700000ULL));
-    const graph::Topology topology =
-        graph::make_random_regular(n, options.degree, topo_rng);
-    mixing = options.algorithm == Algorithm::kDpsgdAllReduce
-                 ? graph::MixingMatrix::all_reduce(n)
-                 : graph::MixingMatrix::metropolis_hastings(topology);
-    for (std::size_t i = 0; i < n; ++i) degrees[i] = topology.degree(i);
-  } else {
-    if (options.algorithm == Algorithm::kDpsgdAllReduce) {
-      throw std::invalid_argument(
-          "run_experiment: allreduce requires topology=dense");
-    }
-    if (topo_spec.kind == graph::TopologySpec::Kind::kKRegular) {
-      const graph::ImplicitKRegular implicit(
-          n, topo_spec.k, util::hash_combine(options.seed, 0x6b726700ULL));
-      mixing = graph::MixingMatrix::metropolis_hastings(implicit);
-      topology_hash = implicit.config_hash();
-    } else {
-      const graph::CsrGraph csr = graph::CsrGraph::load_file(topo_spec.path);
-      if (csr.num_nodes() != n) {
-        throw std::invalid_argument(
-            "run_experiment: csr topology has " +
-            std::to_string(csr.num_nodes()) + " nodes, dataset has " +
-            std::to_string(n));
-      }
-      mixing = graph::MixingMatrix::metropolis_hastings(csr);
-      topology_hash = util::hash_combine(0x637372ULL, csr.content_hash());
-    }
-    for (std::size_t i = 0; i < n; ++i) degrees[i] = mixing.degree(i);
+  if (topo_spec.kind != graph::TopologySpec::Kind::kDense &&
+      options.algorithm == Algorithm::kDpsgdAllReduce) {
+    throw std::invalid_argument(
+        "run_experiment: allreduce requires topology=dense");
   }
+  std::uint64_t topology_hash = 0;
+  const graph::Topology topology = [&]() -> graph::Topology {
+    switch (topo_spec.kind) {
+      case graph::TopologySpec::Kind::kKRegular: {
+        graph::ImplicitKRegular graph(
+            n, topo_spec.k, util::hash_combine(options.seed, 0x6b726700ULL));
+        topology_hash = graph.config_hash();
+        return graph;
+      }
+      case graph::TopologySpec::Kind::kCsr: {
+        graph::Topology graph = graph::Topology::load_file(topo_spec.path);
+        if (graph.num_nodes() != n) {
+          throw std::invalid_argument(
+              "run_experiment: csr topology has " +
+              std::to_string(graph.num_nodes()) + " nodes, dataset has " +
+              std::to_string(n));
+        }
+        topology_hash = util::hash_combine(0x637372ULL, graph.content_hash());
+        return graph;
+      }
+      case graph::TopologySpec::Kind::kDense:
+        break;
+    }
+    util::Rng topo_rng(util::hash_combine(options.seed, 0x70700000ULL));
+    return graph::make_random_regular(n, options.degree, topo_rng);
+  }();
+  const graph::MixingMatrix mixing =
+      options.algorithm == Algorithm::kDpsgdAllReduce
+          ? graph::MixingMatrix::all_reduce(n)
+          : graph::MixingMatrix::metropolis_hastings(topology);
+  std::vector<std::size_t> degrees(n);
+  for (std::size_t i = 0; i < n; ++i) degrees[i] = topology.degree(i);
 
   // --- Energy ------------------------------------------------------------
   // Training energies and budgets use the paper's canonical traces; comm

@@ -109,23 +109,6 @@ std::vector<T> parse_uint_list(const std::string& text,
   return values;
 }
 
-/// Fault-plan specs are comma-structured themselves (drop:P,corrupt:P),
-/// so the faults axis separates its values with ';' instead of ','.
-std::vector<std::string> split_semicolon_list(const std::string& text) {
-  std::vector<std::string> tokens;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t sep = text.find(';', start);
-    const std::string raw =
-        trim(sep == std::string::npos ? text.substr(start)
-                                      : text.substr(start, sep - start));
-    if (!raw.empty()) tokens.push_back(raw);
-    if (sep == std::string::npos) break;
-    start = sep + 1;
-  }
-  return tokens;
-}
-
 std::vector<std::string> dataset_axis(const std::string& value) {
   if (value == "both") return {"cifar", "femnist"};
   std::vector<std::string> datasets = split_list(value);
@@ -427,6 +410,21 @@ std::vector<std::string> split_list(const std::string& text) {
     }
     if (comma == std::string::npos) break;
     start = comma + 1;
+  }
+  return tokens;
+}
+
+std::vector<std::string> split_semicolon_list(const std::string& text) {
+  std::vector<std::string> tokens;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const std::size_t sep = text.find(';', start);
+    const std::string raw =
+        trim(sep == std::string::npos ? text.substr(start)
+                                      : text.substr(start, sep - start));
+    if (!raw.empty()) tokens.push_back(raw);
+    if (sep == std::string::npos) break;
+    start = sep + 1;
   }
   return tokens;
 }

@@ -88,4 +88,10 @@ struct PresetParams {
 /// Splits a comma list, expanding inclusive "lo..hi" integer ranges.
 [[nodiscard]] std::vector<std::string> split_list(const std::string& text);
 
+/// Splits a ';' list into trimmed, non-empty tokens. Fault-plan specs are
+/// comma-structured themselves (drop:P,corrupt:P), so the faults axis
+/// separates its values with ';' instead of ','.
+[[nodiscard]] std::vector<std::string> split_semicolon_list(
+    const std::string& text);
+
 }  // namespace skiptrain::sweep

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <tuple>
 
@@ -13,22 +14,20 @@
 namespace skiptrain::graph {
 namespace {
 
-TEST(Topology, AddEdgeRejectsInvalid) {
-  Topology topo(4);
-  topo.add_edge(0, 1);
-  EXPECT_THROW(topo.add_edge(0, 1), std::invalid_argument);  // duplicate
-  EXPECT_THROW(topo.add_edge(1, 0), std::invalid_argument);  // same, reversed
-  EXPECT_THROW(topo.add_edge(2, 2), std::invalid_argument);  // self loop
-  EXPECT_THROW(topo.add_edge(0, 9), std::invalid_argument);  // out of range
+TEST(Topology, EdgeListRejectsInvalid) {
+  EXPECT_THROW(Topology(4, {{0, 1}, {0, 1}}), std::invalid_argument);  // dup
+  EXPECT_THROW(Topology(4, {{0, 1}, {1, 0}}), std::invalid_argument);  // rev
+  EXPECT_THROW(Topology(4, {{2, 2}}), std::invalid_argument);  // self loop
+  EXPECT_THROW(Topology(4, {{0, 9}}), std::invalid_argument);  // out of range
 }
 
 TEST(Topology, NeighborsAreSorted) {
-  Topology topo(5);
-  topo.add_edge(3, 1);
-  topo.add_edge(3, 4);
-  topo.add_edge(3, 0);
-  EXPECT_EQ(topo.neighbors(3), (std::vector<std::size_t>{0, 1, 4}));
+  const Topology topo(5, {{3, 1}, {3, 4}, {3, 0}});
+  const auto row = topo.neighbors(3);
+  EXPECT_EQ(std::vector<std::size_t>(row.begin(), row.end()),
+            (std::vector<std::size_t>{0, 1, 4}));
   EXPECT_EQ(topo.degree(3), 3u);
+  EXPECT_EQ(topo.num_edges(), 3u);
   EXPECT_TRUE(topo.has_edge(1, 3));
   EXPECT_FALSE(topo.has_edge(1, 4));
 }
@@ -50,13 +49,22 @@ TEST(FullyConnected, Properties) {
   EXPECT_EQ(full.diameter(), 1u);
 }
 
-TEST(Star, Properties) {
-  const Topology star = make_star(9);
+TEST(Topology, IrregularStar) {
+  std::vector<Topology::Edge> spokes;
+  for (std::size_t i = 1; i < 9; ++i) spokes.emplace_back(0, i);
+  const Topology star(9, spokes);
   EXPECT_EQ(star.degree(0), 8u);
   EXPECT_EQ(star.degree(1), 1u);
   EXPECT_FALSE(star.is_regular());
   EXPECT_TRUE(star.is_connected());
   EXPECT_EQ(star.diameter(), 2u);
+}
+
+TEST(Topology, DisconnectedGraph) {
+  const Topology pairs(4, {{0, 1}, {2, 3}});
+  EXPECT_TRUE(pairs.is_regular());
+  EXPECT_FALSE(pairs.is_connected());
+  EXPECT_EQ(pairs.diameter(), std::numeric_limits<std::size_t>::max());
 }
 
 TEST(Circulant, EvenAndOddDegrees) {
@@ -89,9 +97,7 @@ TEST_P(RandomRegularParam, RegularConnectedDeterministic) {
   EXPECT_EQ(a.num_edges(), n * d / 2);
 
   // Determinism: identical seed -> identical graph.
-  for (std::size_t node = 0; node < n; ++node) {
-    EXPECT_EQ(a.neighbors(node), b.neighbors(node));
-  }
+  EXPECT_EQ(a.content_hash(), b.content_hash());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -104,16 +110,6 @@ TEST(RandomRegular, RejectsInvalidArguments) {
   util::Rng rng(1);
   EXPECT_THROW(make_random_regular(5, 5, rng), std::invalid_argument);
   EXPECT_THROW(make_random_regular(5, 3, rng), std::invalid_argument);  // odd
-}
-
-TEST(ErdosRenyi, EdgeCountNearExpectation) {
-  util::Rng rng(7);
-  const std::size_t n = 100;
-  const double p = 0.1;
-  const Topology graph = make_erdos_renyi(n, p, rng);
-  const double expected = p * static_cast<double>(n * (n - 1) / 2);
-  EXPECT_NEAR(static_cast<double>(graph.num_edges()), expected,
-              expected * 0.3);
 }
 
 // --- Metropolis-Hastings mixing matrices ------------------------------------
@@ -278,14 +274,14 @@ TEST(GraphPin, CsrFixtures) {
   // The 4-ring and the irregular 5-node path of the CSR parser tests.
   std::istringstream ring(
       "skiptrain-csr v1\nnodes 4\n2 1 3\n2 0 2\n2 1 3\n2 0 2\n");
-  const auto ring_csr = CsrGraph::parse(ring, "ring");
+  const auto ring_csr = Topology::parse(ring, "ring");
   EXPECT_EQ(ring_csr.content_hash(), 0x5535250b922af026ULL);
   EXPECT_EQ(mixing_hash(MixingMatrix::metropolis_hastings(ring_csr)),
             0x001eacd6f1ce9fd1ULL);
 
   std::istringstream path(
       "skiptrain-csr v1\nnodes 5\n1 1\n2 0 2\n2 1 3\n2 2 4\n1 3\n");
-  const auto path_csr = CsrGraph::parse(path, "path");
+  const auto path_csr = Topology::parse(path, "path");
   EXPECT_EQ(path_csr.content_hash(), 0xe763375793d5b5b8ULL);
   EXPECT_EQ(mixing_hash(MixingMatrix::metropolis_hastings(path_csr)),
             0xe9d36606a538da76ULL);

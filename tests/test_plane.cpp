@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -198,15 +199,15 @@ std::vector<std::pair<std::string, graph::MixingMatrix>> kernel_matrices(
                             graph::ImplicitKRegular(n, 6, 5)));
   // Node 0 isolated, a path over the rest (degree-1 ends) and chords
   // from every third node to its mirror node for uneven higher degrees.
-  graph::Topology irregular(n);
-  for (std::size_t i = 1; i + 1 < n; ++i) irregular.add_edge(i, i + 1);
+  std::set<graph::Topology::Edge> edges;
+  for (std::size_t i = 1; i + 1 < n; ++i) edges.emplace(i, i + 1);
   for (std::size_t i = 2; i + 2 < n; i += 3) {
-    if (n - i != i && !irregular.has_edge(i, n - i)) {
-      irregular.add_edge(i, n - i);
-    }
+    if (n - i != i) edges.emplace(std::min(i, n - i), std::max(i, n - i));
   }
-  matrices.emplace_back("csr", graph::MixingMatrix::metropolis_hastings(
-                                   graph::CsrGraph::from_topology(irregular)));
+  matrices.emplace_back(
+      "csr", graph::MixingMatrix::metropolis_hastings(graph::Topology(
+                 n, std::vector<graph::Topology::Edge>(edges.begin(),
+                                                       edges.end()))));
   matrices.emplace_back("all-reduce", graph::MixingMatrix::all_reduce(n));
   return matrices;
 }

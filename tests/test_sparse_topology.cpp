@@ -1,6 +1,6 @@
-// Implicit/CSR sparse topology layer: spec parsing, bitwise equivalence of
-// the implicit k-regular graph and of the mixing matrices built from
-// implicit and CSR graphs against their materialized twins, the engine on
+// The topology axis: spec parsing, the circulant structure of the implicit
+// k-regular graph, bitwise equality of the mixing matrices built from
+// generated graphs and from their CSR-file round trips, the engine on
 // sparse topologies through checkpoint save/restore, sparse-degree energy
 // billing, the gated CSV topology column, and hostile CSR-file parsing.
 #include <gtest/gtest.h>
@@ -49,6 +49,20 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
+/// The graph written out as a `skiptrain-csr v1` file and parsed back: the
+/// parser's independent route to the same adjacency.
+graph::Topology csr_round_trip(const graph::Topology& topology) {
+  std::ostringstream text;
+  text << "skiptrain-csr v1\nnodes " << topology.num_nodes() << "\n";
+  for (std::size_t i = 0; i < topology.num_nodes(); ++i) {
+    text << topology.degree(i);
+    for (const std::uint32_t j : topology.neighbors(i)) text << ' ' << j;
+    text << "\n";
+  }
+  std::istringstream in(text.str());
+  return graph::Topology::parse(in, "round-trip");
+}
+
 // ---------------------------------------------------------------------------
 // TopologySpec parsing
 // ---------------------------------------------------------------------------
@@ -83,27 +97,27 @@ TEST(TopologySpec, RejectsHostileTokens) {
 }
 
 // ---------------------------------------------------------------------------
-// ImplicitKRegular vs materialized adjacency
+// ImplicitKRegular structure
 // ---------------------------------------------------------------------------
 
-TEST(ImplicitKRegular, MatchesMaterializedAdjacency) {
+TEST(ImplicitKRegular, IsAConnectedCirculant) {
   for (const std::size_t n : {std::size_t{8}, std::size_t{12},
                               std::size_t{64}}) {
     for (const std::size_t k :
          {std::size_t{2}, std::size_t{4}, std::size_t{5}, std::size_t{6}}) {
-      const graph::ImplicitKRegular implicit(n, k, 123);
-      const graph::Topology topology = implicit.materialize();
-      ASSERT_EQ(topology.num_nodes(), n);
-      EXPECT_TRUE(topology.is_regular());
-      EXPECT_TRUE(topology.is_connected());
-      std::vector<std::size_t> buf(k);
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+      const graph::ImplicitKRegular graph(n, k, 123);
+      ASSERT_EQ(graph.num_nodes(), n);
+      EXPECT_TRUE(graph.is_regular());
+      EXPECT_EQ(graph.degree(0), k);
+      EXPECT_TRUE(graph.is_connected());
+      // Circulant: row i is row 0 shifted by i, and the ring is present.
+      const auto row0 = graph.neighbors(0);
       for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(topology.degree(i), k) << "n=" << n << " k=" << k;
-        implicit.neighbors_into(i, buf);
-        // neighbors_into emits ascending order — exactly Topology's
-        // sorted adjacency.
-        ASSERT_EQ(buf, topology.neighbors(i)) << "n=" << n << " k=" << k
-                                              << " node=" << i;
+        EXPECT_TRUE(graph.has_edge(i, (i + 1) % n)) << "node " << i;
+        for (const std::uint32_t j : row0) {
+          ASSERT_TRUE(graph.has_edge(i, (i + j) % n)) << "node " << i;
+        }
       }
     }
   }
@@ -112,9 +126,8 @@ TEST(ImplicitKRegular, MatchesMaterializedAdjacency) {
 TEST(ImplicitKRegular, IsDeterministicInSeedAndRejectsBadCombos) {
   const graph::ImplicitKRegular a(64, 6, 99);
   const graph::ImplicitKRegular b(64, 6, 99);
-  ASSERT_EQ(a.offsets().size(), b.offsets().size());
-  EXPECT_TRUE(std::equal(a.offsets().begin(), a.offsets().end(),
-                         b.offsets().begin()));
+  EXPECT_EQ(a.content_hash(), b.content_hash());
+  EXPECT_NE(a.content_hash(), graph::ImplicitKRegular(64, 6, 7).content_hash());
   EXPECT_EQ(a.config_hash(), b.config_hash());
   // Any of (n, k, seed) changing must change the checkpoint identity.
   EXPECT_NE(a.config_hash(), graph::ImplicitKRegular(64, 6, 100).config_hash());
@@ -127,23 +140,20 @@ TEST(ImplicitKRegular, IsDeterministicInSeedAndRejectsBadCombos) {
   EXPECT_THROW(graph::ImplicitKRegular(8, 9, 0), std::invalid_argument);
   // Odd degree needs the antipodal offset, which needs even n.
   EXPECT_THROW(graph::ImplicitKRegular(9, 3, 0), std::invalid_argument);
-
-  std::vector<std::size_t> wrong(5);
-  EXPECT_THROW(a.neighbors_into(0, wrong), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
-// Mixing from sparse graphs vs the materialized Metropolis–Hastings oracle
+// Mixing from generated graphs vs their CSR-file round trips
 // ---------------------------------------------------------------------------
 
 void expect_mixing_bitwise_equal(const graph::MixingMatrix& sparse,
-                                 const graph::MixingMatrix& materialized) {
-  ASSERT_EQ(sparse.num_nodes(), materialized.num_nodes());
+                                 const graph::MixingMatrix& reference) {
+  ASSERT_EQ(sparse.num_nodes(), reference.num_nodes());
   for (std::size_t i = 0; i < sparse.num_nodes(); ++i) {
-    ASSERT_EQ(sparse.self_weight(i), materialized.self_weight(i))
+    ASSERT_EQ(sparse.self_weight(i), reference.self_weight(i))
         << "node " << i;
     const auto sw = sparse.neighbor_weights(i);
-    const auto mw = materialized.neighbor_weights(i);
+    const auto mw = reference.neighbor_weights(i);
     ASSERT_EQ(sw.size(), mw.size()) << "node " << i;
     ASSERT_EQ(sparse.degree(i), sw.size()) << "node " << i;
     for (std::size_t e = 0; e < sw.size(); ++e) {
@@ -153,34 +163,34 @@ void expect_mixing_bitwise_equal(const graph::MixingMatrix& sparse,
   }
 }
 
-TEST(SparseMixing, ImplicitMatchesDenseOracleBitwise) {
+TEST(SparseMixing, ImplicitMatchesCsrRoundTripBitwise) {
   for (const std::size_t n : {std::size_t{8}, std::size_t{64}}) {
     for (const std::size_t k :
          {std::size_t{2}, std::size_t{4}, std::size_t{5}, std::size_t{6}}) {
       SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
       const graph::ImplicitKRegular implicit(n, k, 31);
+      const graph::Topology parsed = csr_round_trip(implicit);
+      EXPECT_EQ(parsed.content_hash(), implicit.content_hash());
       const auto sparse = graph::MixingMatrix::metropolis_hastings(implicit);
-      const auto materialized =
-          graph::MixingMatrix::metropolis_hastings(implicit.materialize());
-      expect_mixing_bitwise_equal(sparse, materialized);
+      const auto reference = graph::MixingMatrix::metropolis_hastings(parsed);
+      expect_mixing_bitwise_equal(sparse, reference);
       // Same weights in the same order: the diagnostics agree exactly.
-      EXPECT_EQ(sparse.spectral_gap(), materialized.spectral_gap());
+      EXPECT_EQ(sparse.spectral_gap(), reference.spectral_gap());
       EXPECT_GT(sparse.spectral_gap(), 0.0);
       EXPECT_EQ(sparse.symmetry_error(), 0.0);
     }
   }
 }
 
-TEST(SparseMixing, CsrFromTopologyMatchesDenseOracleBitwise) {
+TEST(SparseMixing, CsrRoundTripMatchesRandomRegularBitwise) {
   util::Rng topo_rng(11);
   const auto topology = graph::make_random_regular(16, 4, topo_rng);
-  const auto csr = graph::CsrGraph::from_topology(topology);
+  const auto csr = csr_round_trip(topology);
   EXPECT_EQ(csr.num_nodes(), 16u);
-  EXPECT_EQ(csr.num_entries(), 16u * 4u);
+  EXPECT_EQ(csr.num_edges(), 16u * 4u / 2u);
   EXPECT_TRUE(csr.is_connected());
-  // Materialize round-trips the exact adjacency.
-  EXPECT_EQ(graph::CsrGraph::from_topology(csr.materialize()).content_hash(),
-            csr.content_hash());
+  // The file round-trips the exact adjacency.
+  EXPECT_EQ(csr.content_hash(), topology.content_hash());
   expect_mixing_bitwise_equal(
       graph::MixingMatrix::metropolis_hastings(csr),
       graph::MixingMatrix::metropolis_hastings(topology));
@@ -190,11 +200,12 @@ TEST(SparseMixing, CsrFromTopologyMatchesDenseOracleBitwise) {
   // ends included, and each end keeps the remaining 2/3 for itself.
   std::istringstream path(
       "skiptrain-csr v1\nnodes 5\n1 1\n2 0 2\n2 1 3\n2 2 4\n1 3\n");
-  const auto path_csr = graph::CsrGraph::parse(path, "path");
+  const auto path_csr = graph::Topology::parse(path, "path");
   const auto path_mixing = graph::MixingMatrix::metropolis_hastings(path_csr);
+  const graph::Topology path_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  EXPECT_EQ(path_csr.content_hash(), path_edges.content_hash());
   expect_mixing_bitwise_equal(
-      path_mixing,
-      graph::MixingMatrix::metropolis_hastings(path_csr.materialize()));
+      path_mixing, graph::MixingMatrix::metropolis_hastings(path_edges));
   EXPECT_EQ(path_mixing.weight(0, 1), 1.0f / 3.0f);
   EXPECT_EQ(path_mixing.self_weight(0), 1.0f - 1.0f / 3.0f);
   EXPECT_EQ(path_mixing.symmetry_error(), 0.0);
@@ -209,7 +220,6 @@ struct SparseEngineFixture {
   nn::Sequential prototype;
   graph::ImplicitKRegular implicit;
   graph::MixingMatrix sparse;
-  graph::Topology materialized;
   graph::MixingMatrix dense;
   energy::Fleet fleet;
 
@@ -227,12 +237,11 @@ struct SparseEngineFixture {
     util::Rng rng(seed);
     nn::initialize(prototype, rng);
     sparse = graph::MixingMatrix::metropolis_hastings(implicit);
-    materialized = implicit.materialize();
-    dense = graph::MixingMatrix::metropolis_hastings(materialized);
+    dense = graph::MixingMatrix::metropolis_hastings(csr_round_trip(implicit));
   }
 
   energy::EnergyAccountant make_accountant() const {
-    std::vector<std::size_t> degrees(fleet.num_nodes(), implicit.degree());
+    std::vector<std::size_t> degrees(fleet.num_nodes(), implicit.degree(0));
     return energy::EnergyAccountant(fleet, energy::CommModel{}, 89834,
                                     std::move(degrees));
   }
@@ -522,24 +531,23 @@ TEST(SweepCsv, TopologyColumnIsGatedAndOrdered) {
 // Hostile CSR files
 // ---------------------------------------------------------------------------
 
-graph::CsrGraph parse_csr(const std::string& text) {
+graph::Topology parse_csr(const std::string& text) {
   std::istringstream in(text);
-  return graph::CsrGraph::parse(in, "t");
+  return graph::Topology::parse(in, "t");
 }
 
 TEST(CsrParse, AcceptsWellFormedFile) {
-  const graph::CsrGraph csr =
+  const graph::Topology csr =
       parse_csr("skiptrain-csr v1\nnodes 4\n2 1 3\n2 0 2\n2 1 3\n2 0 2\n");
   EXPECT_EQ(csr.num_nodes(), 4u);
-  EXPECT_EQ(csr.num_entries(), 8u);
+  EXPECT_EQ(csr.num_edges(), 4u);
   EXPECT_TRUE(csr.is_connected());
   ASSERT_EQ(csr.degree(2), 2u);
   EXPECT_EQ(csr.neighbors(2)[0], 1u);
   EXPECT_EQ(csr.neighbors(2)[1], 3u);
-  const graph::Topology topology = csr.materialize();
-  EXPECT_TRUE(topology.has_edge(0, 1));
-  EXPECT_TRUE(topology.has_edge(0, 3));
-  EXPECT_FALSE(topology.has_edge(0, 2));
+  EXPECT_TRUE(csr.has_edge(0, 1));
+  EXPECT_TRUE(csr.has_edge(0, 3));
+  EXPECT_FALSE(csr.has_edge(0, 2));
 }
 
 TEST(CsrParse, RejectsStructuralViolations) {
@@ -584,7 +592,7 @@ TEST(CsrParse, RejectsStructuralViolations) {
     EXPECT_NE(std::string(err.what()).find("t:5"), std::string::npos)
         << err.what();
   }
-  EXPECT_THROW((void)graph::CsrGraph::load_file(temp_path("no_such.csr")),
+  EXPECT_THROW((void)graph::Topology::load_file(temp_path("no_such.csr")),
                std::runtime_error);
 }
 

@@ -430,6 +430,16 @@ TEST(SweepConfig, SplitListExpandsRanges) {
   EXPECT_THROW(split_list("5..2"), std::invalid_argument);
 }
 
+TEST(SweepConfig, SplitSemicolonListTrimsAndKeepsCommas) {
+  const auto tokens =
+      split_semicolon_list("  none ;; drop:0.05,corrupt:0.01 ;\tcrash:0.1 ;");
+  ASSERT_EQ(tokens.size(), 3u);
+  EXPECT_EQ(tokens[0], "none");
+  EXPECT_EQ(tokens[1], "drop:0.05,corrupt:0.01");
+  EXPECT_EQ(tokens[2], "crash:0.1");
+  EXPECT_TRUE(split_semicolon_list(" ; ;").empty());
+}
+
 TEST(SweepConfig, ParseAlgorithmRoundTrips) {
   for (const auto algorithm :
        {sim::Algorithm::kDpsgd, sim::Algorithm::kDpsgdAllReduce,
