@@ -95,10 +95,9 @@ class Topology {
 /// (and i + n/2 when d is odd, which requires n even). Always connected.
 [[nodiscard]] Topology make_circulant(std::size_t n, std::size_t degree);
 
-/// Random d-regular graph via the pairing (configuration) model with
-/// rejection of self-loops/multi-edges, retried until simple and connected.
-/// Requires n·d even and d < n. This matches the paper's "d-regular
-/// topologies" on 256 nodes.
+/// Random d-regular graph: degree-preserving double-edge swaps from the
+/// circulant, re-run until connected. Requires n·d even and d < n. This
+/// matches the paper's "d-regular topologies" on 256 nodes.
 [[nodiscard]] Topology make_random_regular(std::size_t n, std::size_t degree,
                                            util::Rng& rng);
 

@@ -39,12 +39,11 @@ struct RunOptions {
   std::size_t degree = 6;
 
   // Topology axis (graph::TopologySpec): "" | "dense" keeps the paper's
-  // materialized random d-regular graph above; "kregular:<k>" switches to
-  // the implicit seed-derived k-regular circulant (O(k) topology state,
-  // the large-fleet path); "csr:<path>" loads an arbitrary sparse graph
-  // from a CSR file. Non-dense topologies bill
-  // exchange energy at their actual per-node neighbor counts and are
-  // incompatible with Algorithm::kDpsgdAllReduce.
+  // random d-regular graph above; "kregular:<k>" switches to the
+  // seed-derived k-regular circulant (the large-fleet path); "csr:<path>"
+  // loads an arbitrary sparse graph from a CSR file. Every source bills
+  // exchange energy at its actual per-node neighbor counts; non-dense
+  // topologies are incompatible with Algorithm::kDpsgdAllReduce.
   std::string topology{};
 
   // Local training (Table 1 analogues; defaults are the scaled config).

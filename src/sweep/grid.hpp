@@ -76,7 +76,7 @@ struct SweepGrid {
   // Named energy-harvesting/churn scenarios (scenario::make_config
   // tokens: "none", "solar", "churn", "trace:<path>").
   std::vector<std::string> scenarios;
-  // Gossip-graph representations (graph::TopologySpec tokens: "dense",
+  // Gossip-graph sources (graph::TopologySpec tokens: "dense",
   // "kregular:<k>", "csr:<path>").
   std::vector<std::string> topologies;
   // Fault-plan specs (fault::make_plan tokens: "none",
