@@ -201,8 +201,7 @@ inline std::size_t flag_nodes(const util::ArgParser& args) {
 /// sweep::build_workload, the one place a DataConfig maps onto the data
 /// factories (60 samples per node, a 1200-sample test pool).
 inline Workbench make_workbench(const util::ArgParser& args,
-                                const std::string& dataset,
-                                std::size_t paper_rounds) {
+                                const std::string& dataset) {
   sweep::DataConfig config;
   config.dataset = dataset;
   config.nodes = flag_nodes(args);
@@ -212,18 +211,18 @@ inline Workbench make_workbench(const util::ArgParser& args,
   bench.data = workload->data;
   bench.model = workload->prototype.clone();
   bench.workload = workload->workload;
-  bench.paper_rounds = paper_rounds;
+  bench.paper_rounds = energy::workload_spec(bench.workload).total_rounds;
   return bench;
 }
 
 /// Builds the synthetic CIFAR-10 workload + compact model.
 inline Workbench make_cifar_bench(const util::ArgParser& args) {
-  return make_workbench(args, "cifar", 1000);
+  return make_workbench(args, "cifar");
 }
 
 /// Builds the synthetic FEMNIST workload + compact model.
 inline Workbench make_femnist_bench(const util::ArgParser& args) {
-  return make_workbench(args, "femnist", 3000);
+  return make_workbench(args, "femnist");
 }
 
 inline Workbench make_bench(const util::ArgParser& args,
