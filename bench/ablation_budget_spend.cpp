@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
                        "expected energy spend under budget mechanisms");
   args.add_int("trials", 200, "Monte-Carlo trials");
   args.add_int("seed", 42, "seed");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header(
       "Ablation: budget vs realized spend (binomial under-spend)",

@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
                        "masked sparse exchange: accuracy vs wire volume");
   bench::add_common_flags(args, /*default_nodes=*/32, /*default_rounds=*/160);
   args.add_int("degree", 6, "topology degree");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header(
       "Ablation: masked sparse exchanges (Sparse-Push axis)",
@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   sim::RunOptions options = bench::options_from_flags(args, wb);
   options.degree = static_cast<std::size_t>(args.get_int("degree"));
   std::tie(options.gamma_train, options.gamma_sync) =
-      bench::tuned_gammas(options.degree);
+      sweep::tuned_gammas(options.degree);
   options.eval_every = options.total_rounds;  // score the final round only
   const std::size_t dim = wb.model.num_parameters();
 

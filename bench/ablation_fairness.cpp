@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
                        "§5.1: accuracy by device class under budgets");
   bench::add_common_flags(args);
   args.add_int("degree", 6, "topology degree");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header(
       "Ablation: per-device fairness under SkipTrain-constrained",
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   options.algorithm = sim::Algorithm::kSkipTrainConstrained;
   options.degree = static_cast<std::size_t>(args.get_int("degree"));
   const auto [gamma_train, gamma_sync] =
-      bench::tuned_gammas(options.degree);
+      sweep::tuned_gammas(options.degree);
   options.gamma_train = gamma_train;
   options.gamma_sync = gamma_sync;
   options.eval_every = options.total_rounds;

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
                   "drop:0.1,corrupt:0.05,dup:0.05,crash:0.01",
                   "';'-separated fault::make_plan specs forming the loss "
                   "ladder (specs themselves contain commas)");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header(
       "Ablation: fault frontier (accuracy vs loss rate)",

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   util::ArgParser args("ablation_mixing",
                        "mixing speed (spectral gap) vs topology degree");
   bench::add_common_flags(args, /*default_nodes=*/32, /*default_rounds=*/120);
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header("Ablation: spectral gap and the value of sync rounds",
                       "denser graphs mix faster => fewer Γsync needed");

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   args.add_string("scenarios", "none,solar,churn",
                   "comma-separated scenario tokens (none|solar|churn|"
                   "trace:<path>)");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header(
       "Ablation: scenario frontier (fairness / accuracy / joules)",

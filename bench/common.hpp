@@ -27,6 +27,24 @@ struct Workbench {
   std::size_t paper_rounds = 1000;  // T in Table 1
 };
 
+/// Runs `step` and returns its result. An exception (a malformed flag, an
+/// unknown preset or dataset) prints its message and exits 2 instead of
+/// escaping main() through std::terminate.
+template <typename Step>
+auto or_exit(Step&& step) -> decltype(step()) {
+  try {
+    return step();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
+}
+
+/// Every harness parses its flags here, so a bad flag exits 2.
+inline void parse_flags(util::ArgParser& args, int argc, char** argv) {
+  or_exit([&] { args.parse(argc, argv); });
+}
+
 /// Standard flags shared by the experiment harnesses. Harnesses with many
 /// inner runs (e.g. the Figure 3 grid) pass smaller defaults.
 inline void add_common_flags(util::ArgParser& args,
@@ -124,16 +142,10 @@ inline const sweep::TrialResult* require_cell(const sweep::SweepReport& report,
 }
 
 /// make_preset with CLI-grade error handling: a bad --dataset (or other
-/// invalid preset knob) prints the message and exits 2 instead of
-/// escaping main() as an uncaught exception.
+/// invalid preset knob) prints the message and exits 2.
 inline sweep::SweepGrid make_preset_checked(
     const std::string& name, const sweep::PresetParams& params) {
-  try {
-    return sweep::make_preset(name, params);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    std::exit(2);
-  }
+  return or_exit([&] { return sweep::make_preset(name, params); });
 }
 
 /// Runs `grid` on the sweep runner with the --threads flag's concurrency
@@ -249,12 +261,6 @@ inline sim::RunOptions options_from_flags(const util::ArgParser& args,
   options.budget_scale = static_cast<double>(options.total_rounds) /
                          static_cast<double>(bench.paper_rounds);
   return options;
-}
-
-/// Tuned (Γtrain, Γsync) per topology degree from the paper's §4.3 grid
-/// search; canonical definition lives with the sweep presets.
-inline std::pair<std::size_t, std::size_t> tuned_gammas(std::size_t degree) {
-  return sweep::tuned_gammas(degree);
 }
 
 /// Closed-form 256-node training energy of the paper's configuration (Wh):

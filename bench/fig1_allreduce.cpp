@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
                        "Figure 1: D-PSGD vs all-reduce upper bound");
   bench::add_common_flags(args);
   args.add_int("degree", 6, "topology degree");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header("Figure 1: D-PSGD vs all-reduce (CIFAR-10, d-regular)",
                       "test accuracy vs round; all-reduce >> D-PSGD");

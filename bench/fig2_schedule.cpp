@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   args.add_int("rounds", 24, "rounds to unroll");
   args.add_int("gamma-train", 2, "Γtrain");
   args.add_int("gamma-sync", 2, "Γsync");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   const auto rounds = static_cast<std::size_t>(args.get_int("rounds"));
   const auto gt = static_cast<std::size_t>(args.get_int("gamma-train"));

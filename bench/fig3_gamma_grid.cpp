@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   bench::add_common_flags(args, /*default_nodes=*/32, /*default_rounds=*/280);
   bench::add_sweep_flags(args);
   args.add_int("gamma-max", 4, "sweep Γ in 1..gamma-max");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header(
       "Figure 3: validation accuracy + energy over (Γtrain, Γsync)",

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   bench::add_common_flags(args);
   args.add_int("degree", 6, "topology degree");
   args.add_int("tail", 32, "rounds at the end to evaluate per-round");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header(
       "Figure 4: SkipTrain test accuracy, per-round at the end of training",
@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const bench::Workbench wb = bench::make_cifar_bench(args);
   const sim::RunOptions base = bench::options_from_flags(args, wb);
   const auto degree = static_cast<std::size_t>(args.get_int("degree"));
-  const auto [gamma_train, gamma_sync] = bench::tuned_gammas(degree);
+  const auto [gamma_train, gamma_sync] = sweep::tuned_gammas(degree);
   const auto tail = static_cast<std::size_t>(args.get_int("tail"));
 
   // Drive the engine directly so we can evaluate every round in the tail.

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   bench::add_common_flags(args);
   bench::add_sweep_flags(args);
   args.add_string("dataset", "cifar", "cifar | femnist | both");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header(
       "Figure 6: SkipTrain-constrained vs Greedy vs D-PSGD",

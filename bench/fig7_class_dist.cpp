@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
                        "Figure 7: class distributions across nodes");
   bench::add_common_flags(args);
   args.add_int("show-nodes", 10, "how many nodes to plot");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header("Figure 7: class distribution, first 10 nodes",
                       "dot size = sample count of class c at node i");

@@ -9,7 +9,7 @@ int main(int argc, char** argv) {
   util::ArgParser args("intro_energy_ratio",
                        "§1: training vs communication energy (200x claim)");
   args.add_int("degree", 6, "topology degree");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header("Intro claim: training is >200x costlier than sharing",
                       "256 nodes, 1000 rounds, CIFAR-10 model (89834 params)");

@@ -9,20 +9,21 @@
 // never swallowed.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
-#include "fault/fault.hpp"
 
 int main(int argc, char** argv) {
   using namespace skiptrain;
   util::ArgParser args("sweep_main",
                        "run a declarative parameter sweep (preset or config "
                        "file) on the trial-parallel sweep runner");
-  args.add_string("preset", "",
-                  "paper preset: fig3 | fig5 | fig6 | table3 | quant | "
-                  "smartphone | solar_sensor_fleet | churning_phone_fleet | "
-                  "large_fleet | chaotic_fleet");
+  std::string presets;
+  for (const std::string& name : sweep::preset_names()) {
+    presets += (presets.empty() ? "" : " | ") + name;
+  }
+  args.add_string("preset", "", "paper preset: " + presets);
   args.add_string("config", "", "key=value grid config file");
   args.add_string("csv", "", "summary CSV path (default <name>_sweep.csv)");
   args.add_flag("list", "print the expanded trial list and exit");
@@ -33,11 +34,12 @@ int main(int argc, char** argv) {
   bench::add_common_flags(args, /*default_nodes=*/0, /*default_rounds=*/0);
   bench::add_sweep_flags(args);
   args.add_string("dataset", "", "cifar | femnist | both (preset default)");
-  args.add_int("gamma-max", 4, "fig3: sweep Γ in 1..gamma-max");
+  args.add_int("gamma-max", 4,
+               "presets that sweep Γ (fig3, quant): Γ in 1..gamma-max");
   args.add_string("faults", "",
                   "override the grid's fault-plan axis: ';'-separated "
                   "fault::make_plan specs, e.g. 'none;drop:0.05,crash:0.01'");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   if (args.get_int("gamma-max") < 1) {
     std::fprintf(stderr, "sweep_main: --gamma-max must be >= 1\n");
@@ -63,10 +65,8 @@ int main(int argc, char** argv) {
       grid = sweep::make_preset(preset, params);
     }
     if (!args.get_string("faults").empty()) {
-      grid.faults = sweep::split_semicolon_list(args.get_string("faults"));
-      for (const std::string& token : grid.faults) {
-        fault::make_plan(token).validate();  // reject bad specs up front
-      }
+      grid = sweep::grid_from_kv({{"faults", args.get_string("faults")}},
+                                 std::move(grid));
     }
     trials = grid.expand();  // config-file grids validate axes here
   } catch (const std::exception& e) {

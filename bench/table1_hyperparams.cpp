@@ -8,7 +8,7 @@ int main(int argc, char** argv) {
   util::ArgParser args("table1_hyperparams",
                        "Table 1: simulation hyperparameters");
   bench::add_common_flags(args);
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header("Table 1: Simulation hyperparameters",
                       "CIFAR-10 and FEMNIST configurations");

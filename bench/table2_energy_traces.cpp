@@ -8,7 +8,7 @@ int main(int argc, char** argv) {
   using namespace skiptrain;
   util::ArgParser args("table2_energy_traces",
                        "Table 2: smartphone energy traces");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header(
       "Table 2: Energy traces for CIFAR-10 and FEMNIST",

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   bench::add_common_flags(args);
   bench::add_sweep_flags(args);
   args.add_string("dataset", "both", "cifar | femnist | both");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header("Table 3: training energy and average test accuracy",
                       "SkipTrain vs D-PSGD, 2 datasets x 3 topologies");
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     };
     for (const std::size_t degree : grid.degrees) {
       const int i = paper_index(degree);
-      const auto [gamma_train, gamma_sync] = bench::tuned_gammas(degree);
+      const auto [gamma_train, gamma_sync] = sweep::tuned_gammas(degree);
       const sweep::TrialResult* skip = bench::require_cell(
           report, dataset, degree, sim::Algorithm::kSkipTrain);
       const sweep::TrialResult* dpsgd = bench::require_cell(

@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
                        "Table 4: constrained-setting summary");
   bench::add_common_flags(args);
   args.add_string("dataset", "both", "cifar | femnist | both");
-  args.parse(argc, argv);
+  bench::parse_flags(args, argc, argv);
 
   bench::print_header("Table 4: energy budget and accuracy, constrained",
                       "SkipTrain-constrained vs Greedy vs D-PSGD");
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     const std::size_t degrees[3] = {6, 8, 10};
     for (int i = 0; i < 3; ++i) {
       const std::size_t degree = degrees[i];
-      const auto [gamma_train, gamma_sync] = bench::tuned_gammas(degree);
+      const auto [gamma_train, gamma_sync] = sweep::tuned_gammas(degree);
       sim::RunOptions options = base;
       options.degree = degree;
 

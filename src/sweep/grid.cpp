@@ -1,6 +1,9 @@
 #include "sweep/grid.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <tuple>
 
 namespace skiptrain::sweep {
 
@@ -17,6 +20,12 @@ energy::Workload workload_for(const std::string& dataset) {
                               "' (expected cifar|femnist)");
 }
 
+std::pair<std::size_t, std::size_t> tuned_gammas(std::size_t degree) {
+  if (degree <= 6) return {4, 4};
+  if (degree <= 8) return {3, 3};
+  return {4, 2};
+}
+
 namespace {
 
 /// An axis with no explicit values contributes its single default.
@@ -26,25 +35,43 @@ std::vector<T> axis_or(const std::vector<T>& axis, T fallback) {
   return {fallback};
 }
 
+/// Applies the grid's per-trial rules, then budget scaling.
+void apply_trial_rules(const SweepGrid& grid, TrialSpec& spec) {
+  sim::RunOptions& options = spec.options;
+  const std::size_t paper_rounds =
+      energy::workload_spec(options.workload).total_rounds;
+  if (grid.paper_horizon) options.total_rounds = paper_rounds;
+  if (grid.use_tuned_gammas &&
+      (options.algorithm == sim::Algorithm::kSkipTrain ||
+       options.algorithm == sim::Algorithm::kSkipTrainConstrained)) {
+    std::tie(options.gamma_train, options.gamma_sync) =
+        tuned_gammas(options.degree);
+  }
+  if (grid.eval_every_divisor != 0) {
+    options.eval_every = std::max<std::size_t>(
+        options.total_rounds / grid.eval_every_divisor, 1);
+  }
+  if (grid.scale_budgets_to_paper) {
+    options.budget_scale = static_cast<double>(options.total_rounds) /
+                           static_cast<double>(paper_rounds);
+  }
+}
+
 }  // namespace
 
 std::size_t SweepGrid::trial_count() const {
   std::size_t count = 1;
-  const auto mul = [&count](std::size_t axis_size) {
-    count *= axis_size == 0 ? 1 : axis_size;
-  };
-  mul(datasets.size());
-  mul(node_counts.size());
-  mul(seeds.size());
-  mul(algorithms.size());
-  mul(degrees.size());
-  mul(gamma_syncs.size());
-  mul(gamma_trains.size());
-  mul(sparse_ks.size());
-  mul(codecs.size());
-  mul(scenarios.size());
-  mul(topologies.size());
-  mul(faults.size());
+  for (const std::size_t axis_size :
+       {datasets.size(), node_counts.size(), seeds.size(), algorithms.size(),
+        degrees.size(), gamma_syncs.size(), gamma_trains.size(),
+        sparse_ks.size(), codecs.size(), scenarios.size(), topologies.size(),
+        faults.size()}) {
+    if (axis_size > std::numeric_limits<std::size_t>::max() / count) {
+      throw std::overflow_error(
+          "SweepGrid::trial_count: the axes' cross product overflows");
+    }
+    count *= std::max<std::size_t>(axis_size, 1);
+  }
   return count;
 }
 
@@ -95,15 +122,7 @@ std::vector<TrialSpec> SweepGrid::expand() const {
                           spec.options.scenario = scenario;
                           spec.options.topology = topology;
                           spec.options.faults = fault_spec;
-                          if (finalize) finalize(spec);
-                          if (scale_budgets_to_paper) {
-                            spec.options.budget_scale =
-                                static_cast<double>(
-                                    spec.options.total_rounds) /
-                                static_cast<double>(energy::workload_spec(
-                                                        workload)
-                                                        .total_rounds);
-                          }
+                          apply_trial_rules(*this, spec);
                           trials.push_back(std::move(spec));
                         }
                       }

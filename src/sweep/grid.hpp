@@ -20,8 +20,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "energy/device.hpp"
@@ -48,6 +48,11 @@ struct DataConfig {
 
 /// Maps "cifar"/"femnist" to the energy workload. Throws on other names.
 [[nodiscard]] energy::Workload workload_for(const std::string& dataset);
+
+/// Tuned (Γtrain, Γsync) per topology degree from the paper's §4.3 grid
+/// search: 6-regular -> (4,4); 8-regular -> (3,3); 10-regular -> (4,2).
+[[nodiscard]] std::pair<std::size_t, std::size_t> tuned_gammas(
+    std::size_t degree);
 
 /// One fully-resolved trial: a dataset build plus the run options.
 struct TrialSpec {
@@ -99,13 +104,17 @@ struct SweepGrid {
   /// a resume falls back to the newest generation that validates.
   std::size_t keep_generations = 1;
 
-  /// Applied to each expanded trial (before budget scaling, so it may
-  /// adjust total_rounds); lets callers couple axes that a cross product
-  /// cannot express (e.g. the tuned (Γtrain, Γsync) pair per topology
-  /// degree). Must be a pure function of the spec for the sweep to stay
-  /// deterministic.
-  std::function<void(TrialSpec&)> finalize;
+  // Per-trial rules for what a cross product cannot express, applied by
+  // expand() in this order and before budget scaling: the workload's
+  // paper horizon as total_rounds (`rounds = paper`), tuned_gammas(degree)
+  // for the SkipTrain family (`tuned-gammas`), and eval_every =
+  // max(total_rounds / N, 1) (`eval-every = total/N`; 0 = off).
+  bool paper_horizon = false;
+  bool use_tuned_gammas = false;
+  std::size_t eval_every_divisor = 0;
 
+  /// The cross product's size; throws std::overflow_error when it does
+  /// not fit in a size_t.
   [[nodiscard]] std::size_t trial_count() const;
 
   /// Expands the cross product in deterministic nesting order.

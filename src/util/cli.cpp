@@ -1,5 +1,7 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -85,19 +87,21 @@ void ArgParser::parse(int argc, const char* const* argv) {
       value = argv[++i];
     }
     // Validate numeric options eagerly so errors point at the bad flag.
-    if (opt.kind == Kind::kInt) {
+    // strtoll/strtod clamp out-of-range values (ERANGE) and strtod also
+    // takes "nan"/"inf": all rejected here rather than used.
+    if (opt.kind == Kind::kInt || opt.kind == Kind::kDouble) {
+      const bool integer = opt.kind == Kind::kInt;
       char* end = nullptr;
-      (void)std::strtoll(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
-        throw std::runtime_error("ArgParser: --" + token +
-                                 " expects an integer, got '" + value + "'");
-      }
-    } else if (opt.kind == Kind::kDouble) {
-      char* end = nullptr;
-      (void)std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0') {
-        throw std::runtime_error("ArgParser: --" + token +
-                                 " expects a number, got '" + value + "'");
+      errno = 0;
+      const double number =
+          integer ? static_cast<double>(std::strtoll(value.c_str(), &end, 10))
+                  : std::strtod(value.c_str(), &end);
+      if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
+          !std::isfinite(number)) {
+        throw std::runtime_error(
+            "ArgParser: --" + token + " expects " +
+            (integer ? "a 64-bit integer" : "a finite number") + ", got '" +
+            value + "'");
       }
     }
     opt.value = value;

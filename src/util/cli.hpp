@@ -27,8 +27,9 @@ class ArgParser {
   void add_flag(const std::string& name, const std::string& help);
 
   /// Parses --name=value / --name value / --flag arguments. Unknown options
-  /// or malformed values throw std::runtime_error. "--help" prints usage
-  /// and exits(0).
+  /// and malformed values (trailing garbage, integers outside int64, doubles
+  /// out of range or not finite) throw std::runtime_error. "--help" prints
+  /// usage and exits(0).
   void parse(int argc, const char* const* argv);
 
   std::int64_t get_int(const std::string& name) const;

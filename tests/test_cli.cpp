@@ -71,6 +71,45 @@ TEST(Cli, MalformedDoubleThrows) {
                std::runtime_error);
 }
 
+TEST(Cli, NumericValueTable) {
+  struct Case {
+    const char* arg;
+    bool accepted;
+  };
+  const Case cases[] = {
+      {"--nodes=9223372036854775807", true},
+      {"--nodes=-9223372036854775808", true},
+      {"--nodes=9223372036854775808", false},  // strtoll clamps: ERANGE
+      {"--nodes=99999999999999999999", false},
+      {"--nodes=-99999999999999999999", false},
+      {"--nodes=", false},
+      {"--nodes=12abc", false},
+      {"--nodes=1.5", false},
+      {"--lr=1e-3", true},
+      {"--lr=-0.5", true},
+      {"--lr=1e308", true},
+      {"--lr=1e999", false},  // overflows to inf: ERANGE
+      {"--lr=1e-400", false},  // underflows: ERANGE
+      {"--lr=nan", false},
+      {"--lr=inf", false},
+      {"--lr=-infinity", false},
+      {"--lr=", false},
+      {"--lr=0.1x", false},
+  };
+  for (const Case& c : cases) {
+    ArgParser args = make_parser();
+    const std::array<const char*, 2> argv{"prog", c.arg};
+    if (c.accepted) {
+      EXPECT_NO_THROW(args.parse(static_cast<int>(argv.size()), argv.data()))
+          << c.arg;
+    } else {
+      EXPECT_THROW(args.parse(static_cast<int>(argv.size()), argv.data()),
+                   std::runtime_error)
+          << c.arg;
+    }
+  }
+}
+
 TEST(Cli, MissingValueThrows) {
   ArgParser args = make_parser();
   const std::array<const char*, 2> argv{"prog", "--nodes"};

@@ -80,25 +80,62 @@ TEST(SweepGrid, SeedAxisSetsBothRunAndDataSeed) {
   EXPECT_EQ(trials[1].data.seed, 9u);
 }
 
-TEST(SweepGrid, FinalizeCouplesAxesAndRunsBeforeBudgetScaling) {
+TEST(SweepGrid, TrialRulesCoupleAxesAndRunBeforeBudgetScaling) {
   SweepGrid grid = tiny_grid();
+  grid.datasets = {"cifar", "femnist"};
   grid.degrees = {6, 8, 10};
-  grid.algorithms = {sim::Algorithm::kSkipTrain};
+  grid.algorithms = {sim::Algorithm::kSkipTrain, sim::Algorithm::kDpsgd};
   grid.scale_budgets_to_paper = true;
-  grid.finalize = [](TrialSpec& spec) {
-    const auto [gamma_train, gamma_sync] = tuned_gammas(spec.options.degree);
-    spec.options.gamma_train = gamma_train;
-    spec.options.gamma_sync = gamma_sync;
-    spec.options.total_rounds = 10;
-  };
+  grid.paper_horizon = true;
+  grid.use_tuned_gammas = true;
+  grid.eval_every_divisor = 10;
   const auto trials = grid.expand();
-  ASSERT_EQ(trials.size(), 3u);
+  ASSERT_EQ(trials.size(), 12u);
+  // Trials 0-2: CIFAR SkipTrain at degrees 6, 8, 10.
   EXPECT_EQ(trials[1].options.gamma_train, 3u);
   EXPECT_EQ(trials[1].options.gamma_sync, 3u);
   EXPECT_EQ(trials[2].options.gamma_train, 4u);
   EXPECT_EQ(trials[2].options.gamma_sync, 2u);
-  // Budget scale uses the finalized horizon (10 / 1000).
-  EXPECT_DOUBLE_EQ(trials[0].options.budget_scale, 0.01);
+  // D-PSGD keeps the base Γ.
+  EXPECT_EQ(trials[3].options.gamma_train, grid.base.gamma_train);
+  EXPECT_EQ(trials[3].options.gamma_sync, grid.base.gamma_sync);
+  // The horizon is the workload's paper T, and the eval cadence and the
+  // budget scale are taken from it, not from base.total_rounds.
+  for (const TrialSpec& spec : trials) {
+    const std::size_t paper =
+        energy::workload_spec(spec.options.workload).total_rounds;
+    EXPECT_EQ(spec.options.total_rounds, paper);
+    EXPECT_EQ(spec.options.eval_every, paper / 10);
+    EXPECT_DOUBLE_EQ(spec.options.budget_scale, 1.0);
+  }
+  EXPECT_EQ(trials[6].options.total_rounds, 3000u);  // FEMNIST
+
+  // Without the horizon rule the cadence divides base.total_rounds, and
+  // never drops below one round.
+  grid.paper_horizon = false;
+  grid.base.total_rounds = 9;
+  for (const TrialSpec& spec : grid.expand()) {
+    EXPECT_EQ(spec.options.eval_every, 1u);
+    EXPECT_DOUBLE_EQ(
+        spec.options.budget_scale,
+        9.0 / energy::workload_spec(spec.options.workload).total_rounds);
+  }
+}
+
+TEST(SweepGrid, TrialCountThrowsOnOverflowInsteadOfWrapping) {
+  // Six axes of 2^11 values: a 2^66 cross product from 96 KiB of axes.
+  SweepGrid grid;
+  std::vector<std::size_t> axis(std::size_t{1} << 11);
+  grid.node_counts = axis;
+  grid.degrees = axis;
+  grid.gamma_syncs = axis;
+  grid.gamma_trains = axis;
+  grid.sparse_ks = axis;
+  grid.seeds.assign(axis.size(), 1);
+  EXPECT_THROW((void)grid.trial_count(), std::overflow_error);
+  EXPECT_THROW((void)grid.expand(), std::overflow_error);
+  grid.sparse_ks.clear();  // 2^55 still fits
+  EXPECT_EQ(grid.trial_count(), std::size_t{1} << 55);
 }
 
 TEST(SweepGrid, UnknownDatasetThrows) {
@@ -461,6 +498,7 @@ TEST(SweepConfig, GridFromKvBuildsAxesAndBase) {
                                        {"batch", "4"},
                                        {"seeds", "1,2,3"},
                                        {"tuned-gammas", "false"},
+                                       {"eval-every", "total/4"},
                                        {"eval-on-validation", "true"}});
   EXPECT_EQ(grid.name, "custom");
   EXPECT_EQ(grid.datasets.size(), 2u);
@@ -470,7 +508,9 @@ TEST(SweepConfig, GridFromKvBuildsAxesAndBase) {
   EXPECT_EQ(grid.base.total_rounds, 6u);
   EXPECT_EQ(grid.base.batch_size, 4u);
   EXPECT_TRUE(grid.base.eval_on_validation);
-  EXPECT_FALSE(grid.finalize);
+  EXPECT_FALSE(grid.use_tuned_gammas);
+  EXPECT_FALSE(grid.paper_horizon);
+  EXPECT_EQ(grid.eval_every_divisor, 4u);
   EXPECT_EQ(grid.trial_count(), 2u * 2u * 3u * 2u * 2u * 2u);
 }
 
@@ -489,8 +529,97 @@ TEST(SweepConfig, CodecKeyParsesAxis) {
 }
 
 TEST(SweepConfig, UnknownKeyThrows) {
-  EXPECT_THROW(grid_from_kv({{"topology", "ring"}}), std::invalid_argument);
-  EXPECT_THROW(grid_from_kv({{"rounds", "abc"}}), std::invalid_argument);
+  for (const char* key : {"gamma_train", "round", "Rounds", "", "lr "}) {
+    try {
+      (void)grid_from_kv({{key, "1"}});
+      ADD_FAILURE() << "key '" << key << "' accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SweepConfig, BadValueThrowsPerKey) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"dataset", "mnist"},
+      {"nodes", "abc"},
+      {"nodes", "-8"},
+      {"nodes", "99999999999999999999"},
+      {"seeds", "-3,4"},
+      {"algorithms", "fedavg"},
+      {"degrees", "6,x"},
+      {"gamma-train", "5..2"},
+      {"gamma-sync", "1..100000"},
+      {"sparse-k", "1.5"},
+      {"codecs", "int4"},
+      {"scenarios", "moon"},
+      {"topologies", "ring"},
+      {"faults", "drop:2"},
+      {"keep-generations", "three"},
+      {"rounds", "-1"},
+      {"rounds", "abc"},
+      {"rounds", "papers"},
+      {"local-steps", "1e3"},
+      {"batch", ""},
+      {"lr", "fast"},
+      {"lr", "0.1abc"},
+      {"lr", "nan"},
+      {"lr", "inf"},
+      {"lr", "1e99"},
+      {"eval-every", "total/0"},
+      {"eval-every", "total/"},
+      {"eval-every", "half"},
+      {"eval-samples", "-5"},
+      {"samples-per-node", "0x10"},
+      {"test-pool", "1 2"},
+      {"eval-on-validation", "maybe"},
+      {"track-consensus", "2"},
+      {"evaluate-allreduce", "y"},
+      {"scale-budgets", "TRUE"},
+      {"checkpoint-every", "-1"},
+      {"resume", "sometimes"},
+      {"tuned-gammas", "please"},
+  };
+  for (const auto& [key, value] : bad) {
+    EXPECT_THROW((void)grid_from_kv({{key, value}}), std::invalid_argument)
+        << key << " = " << value;
+  }
+}
+
+TEST(SweepConfig, RangesAreBoundedWithoutAllocating) {
+  EXPECT_EQ(split_list("1..4096").size(), kMaxRangeValues);
+  for (const char* range :
+       {"0..18446744073709551615", "1..4097", "5..4000000000"}) {
+    try {
+      (void)split_list(range);
+      ADD_FAILURE() << range << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(range), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)split_list("0..99999999999999999999"),
+               std::invalid_argument);
+  PresetParams params;
+  params.gamma_max = 4000000000;
+  EXPECT_THROW((void)make_preset("fig3", params), std::invalid_argument);
+}
+
+TEST(SweepConfig, LaterPairsOverrideEarlierOnes) {
+  const SweepGrid grid = grid_from_kv({{"rounds", "paper"},
+                                       {"rounds", "30"},
+                                       {"eval-every", "total/3"},
+                                       {"eval-every", "5"},
+                                       {"nodes", "8,16"},
+                                       {"nodes", "24"}});
+  EXPECT_FALSE(grid.paper_horizon);
+  EXPECT_EQ(grid.base.total_rounds, 30u);
+  EXPECT_EQ(grid.eval_every_divisor, 0u);
+  EXPECT_EQ(grid.base.eval_every, 5u);
+  // One node count is the base fleet size, not a one-value axis.
+  EXPECT_TRUE(grid.node_counts.empty());
+  EXPECT_EQ(grid.data.nodes, 24u);
 }
 
 TEST(SweepConfig, LoadGridFileParsesCommentsAndPairs) {
@@ -508,9 +637,16 @@ TEST(SweepConfig, LoadGridFileParsesCommentsAndPairs) {
   EXPECT_EQ(grid.name, "filegrid");
   EXPECT_EQ(grid.degrees.size(), 2u);
   EXPECT_EQ(grid.gamma_syncs.size(), 2u);
-  EXPECT_TRUE(static_cast<bool>(grid.finalize));
+  EXPECT_TRUE(grid.use_tuned_gammas);
   EXPECT_THROW(load_grid_file(testing::TempDir() + "missing.conf"),
                std::runtime_error);
+  try {
+    (void)parse_grid_text("name = x\njunk\n", "mygrid.conf");
+    ADD_FAILURE() << "a line without '=' accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("mygrid.conf:2"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SweepConfig, PresetsExpandToTheirPublishedShapes) {
