@@ -111,7 +111,8 @@ constexpr PresetPin kPins[] = {
     {"chaotic_fleet", "femnist", 4, 0x44fcd4378c404df5ULL, "femnist", 32, 3},
     {"chaotic_fleet", "bench_chaotic_fleet", 4, 0x9e854bbdbf9b4c61ULL, "cifar", 256, 3},
     {"large_fleet", "default", 1, 0x6c9094e450f6727aULL, "cifar", 10000, 1},
-    {"large_fleet", "full", 1, 0xa5a78620efea8d5cULL, "cifar", 256, 1},
+    // full: 256 nodes at the paper horizon (T = 1000), like every preset.
+    {"large_fleet", "full", 1, 0xb64e433743ce8068ULL, "cifar", 256, 1},
     {"large_fleet", "eval7", 1, 0xbcaa114a872136b1ULL, "cifar", 10000, 1},
     {"large_fleet", "gamma2", 1, 0x6c9094e450f6727aULL, "cifar", 10000, 1},
     {"large_fleet", "femnist", 1, 0x9b1f020e30786228ULL, "femnist", 10000, 1},
