@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
   bench::add_common_flags(args, /*default_nodes=*/0, /*default_rounds=*/0);
   bench::add_sweep_flags(args);
   args.add_string("dataset", "", "cifar | femnist | both (preset default)");
-  args.add_int("gamma-max", 4,
-               "presets that sweep Γ (fig3, quant): Γ in 1..gamma-max");
+  args.add_int("gamma-max", 4, "presets that sweep Γ: Γ in 1..gamma-max");
   args.add_string("faults", "",
                   "override the grid's fault-plan axis: ';'-separated "
                   "fault::make_plan specs, e.g. 'none;drop:0.05,crash:0.01'");

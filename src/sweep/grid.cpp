@@ -90,6 +90,12 @@ std::vector<TrialSpec> SweepGrid::expand() const {
   const auto fault_axis = axis_or(faults, base.faults);
 
   std::vector<TrialSpec> trials;
+  if (trial_count() > kMaxTrials) {
+    throw std::length_error("SweepGrid::expand: " +
+                            std::to_string(trial_count()) +
+                            " trials exceed the cap of " +
+                            std::to_string(kMaxTrials));
+  }
   trials.reserve(trial_count());
   for (const auto& dataset : dataset_axis) {
     const energy::Workload workload = workload_for(dataset);

@@ -117,8 +117,13 @@ struct SweepGrid {
   /// not fit in a size_t.
   [[nodiscard]] std::size_t trial_count() const;
 
-  /// Expands the cross product in deterministic nesting order.
+  /// Expands the cross product in deterministic nesting order. A grid of
+  /// more than kMaxTrials trials throws std::length_error instead.
   [[nodiscard]] std::vector<TrialSpec> expand() const;
 };
+
+/// The most trials expand() materialises (about 1 KB each); no sweep runs
+/// that many, and a config typo must not exhaust memory.
+inline constexpr std::size_t kMaxTrials = std::size_t{1} << 16;
 
 }  // namespace skiptrain::sweep

@@ -37,7 +37,8 @@ HOSTILE = (
     [(flag, value) for flag in INT_FLAGS for value in BAD_INTS]
     + [(flag, "-1") for flag in COUNT_FLAGS]
     + [("gamma-max", "0"), ("gamma-max", "-1"),
-       ("gamma-max", "4000000000")]  # a Γ range past the range cap
+       ("gamma-max", "4000000000"),  # a Γ range past the range cap
+       ("gamma-max", "4096")]  # 3 x 4096^2 trials: past the trial cap
     + [("lr", value) for value in BAD_DOUBLES]
     + [("preset", "fig9"), ("dataset", "mnist"), ("dataset", "cifar,mnist"),
        ("faults", "drop:2"), ("faults", "bogus"),

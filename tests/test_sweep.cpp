@@ -81,14 +81,14 @@ TEST(SweepGrid, SeedAxisSetsBothRunAndDataSeed) {
 }
 
 TEST(SweepGrid, TrialRulesCoupleAxesAndRunBeforeBudgetScaling) {
-  SweepGrid grid = tiny_grid();
-  grid.datasets = {"cifar", "femnist"};
-  grid.degrees = {6, 8, 10};
-  grid.algorithms = {sim::Algorithm::kSkipTrain, sim::Algorithm::kDpsgd};
-  grid.scale_budgets_to_paper = true;
-  grid.paper_horizon = true;
-  grid.use_tuned_gammas = true;
-  grid.eval_every_divisor = 10;
+  SweepGrid grid = grid_from_kv({{"dataset", "both"},
+                                 {"degrees", "6,8,10"},
+                                 {"algorithms", "skiptrain,dpsgd"},
+                                 {"scale-budgets", "true"},
+                                 {"rounds", "paper"},
+                                 {"tuned-gammas", "true"},
+                                 {"eval-every", "total/10"}},
+                                tiny_grid());
   const auto trials = grid.expand();
   ASSERT_EQ(trials.size(), 12u);
   // Trials 0-2: CIFAR SkipTrain at degrees 6, 8, 10.
@@ -136,6 +136,13 @@ TEST(SweepGrid, TrialCountThrowsOnOverflowInsteadOfWrapping) {
   EXPECT_THROW((void)grid.expand(), std::overflow_error);
   grid.sparse_ks.clear();  // 2^55 still fits
   EXPECT_EQ(grid.trial_count(), std::size_t{1} << 55);
+  // ...but expand() refuses to materialise more than kMaxTrials.
+  EXPECT_THROW((void)grid.expand(), std::length_error);
+  grid = SweepGrid();
+  grid.seeds.assign(kMaxTrials, 1);
+  EXPECT_EQ(grid.expand().size(), kMaxTrials);
+  grid.degrees = {6, 8};
+  EXPECT_THROW((void)grid.expand(), std::length_error);
 }
 
 TEST(SweepGrid, UnknownDatasetThrows) {
