@@ -228,7 +228,7 @@ std::vector<T> parse_uint_list(const std::string& text,
 
 /// Returns `tokens` once `check`, which throws on a bad token, passes each.
 template <typename Check>
-std::vector<std::string> checked(std::vector<std::string> tokens,
+std::vector<std::string> checked(const std::vector<std::string>& tokens,
                                  Check check) {
   for (const std::string& token : tokens) check(token);
   return tokens;
