@@ -14,6 +14,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/im2col.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace skiptrain::nn {
 namespace {
@@ -96,12 +97,27 @@ void check_case(const ConvCase& cc, std::uint64_t seed,
                     "grad_params accumulated");
 }
 
+/// GN-LeNet conv1..3 at batch `batch` (make_cifar_cnn).
+std::vector<ConvCase> gn_lenet_convs(std::size_t batch) {
+  return {{batch, 3, 32, 5, 1, 2, 32, 32},
+          {batch, 32, 32, 5, 1, 2, 16, 16},
+          {batch, 32, 64, 5, 1, 2, 8, 8}};
+}
+
 TEST(ConvIm2col, ModelZooShapes) {
   // GN-LeNet conv1..3 and the FEMNIST CNN convs (batch kept small).
   check_case({2, 3, 32, 5, 1, 2, 32, 32}, 11, 0.0);
   check_case({2, 32, 32, 5, 1, 2, 16, 16}, 12, 0.3);
   check_case({2, 32, 64, 5, 1, 2, 8, 8}, 13, 0.5);
   check_case({2, 1, 32, 5, 1, 2, 28, 28}, 14, 0.0);
+  check_case({2, 32, 64, 5, 1, 2, 14, 14}, 15, 0.5);
+}
+
+TEST(ConvIm2col, GnLenetAtEvalBatch) {
+  // The evaluator's batch of 32: 32 per-image GEMMs per call, each
+  // reusing the per-thread staging the previous image left behind.
+  std::uint64_t seed = 16;
+  for (const ConvCase& cc : gn_lenet_convs(32)) check_case(cc, seed++, 0.2);
 }
 
 TEST(ConvIm2col, OddKernelStridePaddingCombos) {
@@ -150,43 +166,142 @@ TEST(ConvIm2col, FuzzedShapes) {
   }
 }
 
-TEST(ConvIm2col, Im2colOrdersPatchDimAsDirectLoop) {
-  // Spot-check the (ic, ky, kx) row order and padding zeros of the patch
-  // matrix on a tiny asymmetric case.
+/// Straight-loop patch matrix col[κ][pos], κ = (ic, ky, kx) and
+/// pos = (oy, ox), with padding slots 0.0f: the operand every lowered
+/// conv GEMM multiplies by, written as plainly as possible.
+std::vector<float> straight_loop_patches(const ConvGeometry& g,
+                                         const std::vector<float>& image) {
+  std::vector<float> col(g.patch() * g.out_hw());
+  std::size_t kappa = 0;
+  for (std::size_t ic = 0; ic < g.in_c; ++ic) {
+    for (std::size_t ky = 0; ky < g.k; ++ky) {
+      for (std::size_t kx = 0; kx < g.k; ++kx, ++kappa) {
+        for (std::size_t oy = 0; oy < g.oh; ++oy) {
+          for (std::size_t ox = 0; ox < g.ow; ++ox) {
+            const auto iy = static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
+                            static_cast<std::ptrdiff_t>(g.pad);
+            const auto ix = static_cast<std::ptrdiff_t>(ox * g.stride + kx) -
+                            static_cast<std::ptrdiff_t>(g.pad);
+            const bool inside =
+                iy >= 0 && ix >= 0 && iy < static_cast<std::ptrdiff_t>(g.h) &&
+                ix < static_cast<std::ptrdiff_t>(g.w);
+            col[kappa * g.out_hw() + oy * g.ow + ox] =
+                inside ? image[(ic * g.h + static_cast<std::size_t>(iy)) * g.w +
+                               static_cast<std::size_t>(ix)]
+                       : 0.0f;
+          }
+        }
+      }
+    }
+  }
+  return col;
+}
+
+ConvGeometry make_geometry(std::size_t in_c, std::size_t h, std::size_t w,
+                           std::size_t k, std::size_t stride,
+                           std::size_t pad) {
   ConvGeometry g;
-  g.in_c = 2;
-  g.h = 2;
-  g.w = 3;
-  g.k = 2;
-  g.stride = 1;
-  g.pad = 1;
-  g.oh = 3;
-  g.ow = 4;
+  g.in_c = in_c;
+  g.h = h;
+  g.w = w;
+  g.k = k;
+  g.stride = stride;
+  g.pad = pad;
+  g.oh = (h + 2 * pad - k) / stride + 1;
+  g.ow = (w + 2 * pad - k) / stride + 1;
+  return g;
+}
+
+/// Geometries for the patch-operand tests: padding zeros, stride 2,
+/// pad >= k, out_hw % 8 != 0, and GN-LeNet conv2, whose 800-row patch
+/// dimension spans several channels per kc block.
+std::vector<ConvGeometry> patch_geometries() {
+  return {make_geometry(2, 2, 3, 2, 1, 1),     // the tiny asymmetric case
+          make_geometry(3, 9, 7, 3, 2, 1),     // stride 2, out 5 x 4
+          make_geometry(2, 4, 5, 1, 1, 1),     // pad >= k
+          make_geometry(2, 5, 6, 3, 2, 3),     // stride 2, pad >= k
+          make_geometry(3, 11, 13, 4, 3, 2),   // out 4 x 5
+          make_geometry(32, 16, 16, 5, 1, 2),  // GN-LeNet conv2
+          make_geometry(1, 28, 28, 5, 1, 2)};  // FEMNIST conv1, out 784
+}
+
+std::vector<float> numbered_image(const ConvGeometry& g) {
+  // Distinct nonzero values, so a misplaced or missing read shows.
   std::vector<float> image(g.in_c * g.h * g.w);
   for (std::size_t i = 0; i < image.size(); ++i) {
     image[i] = static_cast<float>(i + 1);
   }
-  std::vector<float> col(g.patch() * g.out_hw(), -1.0f);
-  im2col_kmajor(g, image.data(), col.data());
-  // Row κ=0 is (ic=0, ky=0, kx=0): input (oy-1, ox-1) with zero padding.
-  const float* row0 = col.data();
-  EXPECT_EQ(row0[0], 0.0f);                   // oy=0, ox=0 -> (-1,-1) pad
-  EXPECT_EQ(row0[1 * g.ow + 1], image[0]);    // oy=1, ox=1 -> (0,0)
-  EXPECT_EQ(row0[2 * g.ow + 2], image[4]);    // oy=2, ox=2 -> (1,1)
-  // Row κ for (ic=1, ky=1, kx=1): input (oy, ox) of plane 1.
-  const std::size_t kappa = (1 * g.k + 1) * g.k + 1;
-  const float* row = col.data() + kappa * g.out_hw();
-  EXPECT_EQ(row[0], image[6]);                // oy=0, ox=0 -> plane1 (0,0)
-  EXPECT_EQ(row[3], 0.0f);                    // ox=3 -> ix=3 out of bounds
+  return image;
+}
 
-  // im2row is the transpose of im2col.
-  std::vector<float> colr(g.out_hw() * g.patch(), -1.0f);
-  im2row_posmajor(g, image.data(), colr.data());
-  for (std::size_t kp = 0; kp < g.patch(); ++kp) {
-    for (std::size_t pos = 0; pos < g.out_hw(); ++pos) {
-      ASSERT_EQ(colr[pos * g.patch() + kp], col[kp * g.out_hw() + pos])
-          << "kappa=" << kp << " pos=" << pos;
+TEST(ConvIm2col, PatchOperandMatchesStraightLoops) {
+  for (const ConvGeometry& g : patch_geometries()) {
+    SCOPED_TRACE(::testing::Message()
+                 << "in_c=" << g.in_c << " h=" << g.h << " w=" << g.w
+                 << " k=" << g.k << " s=" << g.stride << " p=" << g.pad);
+    const std::vector<float> image = numbered_image(g);
+    const std::vector<float> want = straight_loop_patches(g, image);
+    std::vector<float> col(want.size(), -1.0f);
+    im2col_kmajor(g, image.data(), col.data());
+    expect_bits_equal(col, want, "im2col_kmajor");
+    std::vector<float> colr(want.size(), -1.0f);
+    im2row_posmajor(g, image.data(), colr.data());
+    for (std::size_t kp = 0; kp < g.patch(); ++kp) {
+      for (std::size_t pos = 0; pos < g.out_hw(); ++pos) {
+        ASSERT_EQ(colr[pos * g.patch() + kp], want[kp * g.out_hw() + pos])
+            << "kappa=" << kp << " pos=" << pos;
+      }
     }
+  }
+}
+
+/// One conv's forward output, parameter gradients and input gradient.
+struct ConvRun {
+  std::vector<float> out, grads, gin;
+};
+
+ConvRun run_lowered(const ConvCase& cc, std::uint64_t seed) {
+  Conv2d conv(cc.in_c, cc.out_c, cc.k, cc.stride, cc.pad);
+  conv.set_algorithm(Conv2dAlgo::kIm2col);
+  util::Rng rng(seed);
+  rng.fill_normal(conv.parameters(), 0.0f, 0.5f);
+  Tensor input({cc.batch, cc.in_c, cc.h, cc.w});
+  rng.fill_normal(input.data(), 0.0f, 1.0f);
+  const auto out_shape = conv.output_shape(input.shape());
+  Tensor out(out_shape);
+  conv.forward(input, out);
+  Tensor gout(out_shape);
+  rng.fill_normal(gout.data(), 0.0f, 1.0f);
+  Tensor gin(input.shape());
+  conv.zero_grad();
+  conv.backward(input, gout, gin);
+  ConvRun run;
+  run.out.assign(out.data().begin(), out.data().end());
+  run.grads.assign(conv.gradients().begin(), conv.gradients().end());
+  run.gin.assign(gin.data().begin(), gin.data().end());
+  return run;
+}
+
+TEST(ConvIm2col, ConcurrentWorkersMatchSerial) {
+  // Pool workers run forward and backward of all three GN-LeNet convs at
+  // once, as node-parallel training does; each worker's per-thread
+  // scratch must leave every result bitwise equal to a serial run.
+  const std::vector<ConvCase> convs = gn_lenet_convs(2);
+  constexpr std::size_t kJobs = 12;
+  std::vector<ConvRun> serial(kJobs);
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    serial[j] = run_lowered(convs[j % convs.size()], 500 + j);
+  }
+  util::ThreadPool pool(4);
+  std::vector<ConvRun> parallel(kJobs);
+  pool.parallel_for(0, kJobs, [&](std::size_t j) {
+    parallel[j] = run_lowered(convs[j % convs.size()], 500 + j);
+  });
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    SCOPED_TRACE(::testing::Message() << "job " << j);
+    expect_bits_equal(parallel[j].out, serial[j].out, "forward");
+    expect_bits_equal(parallel[j].grads, serial[j].grads, "grad_params");
+    expect_bits_equal(parallel[j].gin, serial[j].gin, "grad_input");
   }
 }
 
