@@ -21,6 +21,9 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
       stride_(stride),
       pad_(padding) {
   if (stride_ == 0) throw std::invalid_argument("Conv2d: stride must be > 0");
+  if (in_c_ == 0 || out_c_ == 0 || k_ == 0) {
+    throw std::invalid_argument("Conv2d: channels and kernel must be > 0");
+  }
 }
 
 std::string Conv2d::name() const {
@@ -82,55 +85,92 @@ void Conv2d::backward(const Tensor& input, const Tensor& grad_output,
 }
 
 // ---------------------------------------------------------------------------
-// im2col + GEMM path
+// Implicit im2col + GEMM path
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Per-thread scratch of the im2col path, shared by every Conv2d the
+/// Per-thread scratch of the lowered path, shared by every Conv2d the
 /// thread runs: each call rebuilds what it reads, so nothing carries over
 /// between calls, and a fleet of model replicas costs one set per worker
 /// thread rather than one per layer per node.
 struct ConvScratch {
-  std::vector<float> col;     // [patch x out_hw]: forward, and dX's
-  std::vector<float> colr;    // [out_hw x patch]: dW
-  std::vector<float> gout_t;  // [out_hw x out_c]: dW
-  std::vector<float> wflip;   // [in_c x out_c*k*k]: dX
-  std::vector<float> lifted;  // dilated, cropped gradient planes: dX
+  std::vector<float> image;     // one zero-padded input image
+  std::vector<float> gradient;  // one image's staged gradient planes: dX
+  std::vector<float> wflip;     // [in_c x out_c*k*k]: dX
+  std::vector<std::size_t> kappa_off, pos_off;      // forward and dW
+  std::vector<std::size_t> t_kappa_off, t_pos_off;  // dX
 };
 
 thread_local ConvScratch t_scratch;
 
-/// Grow-only: layers of different shapes share the buffers, and a
-/// shrink-then-grow resize would re-zero the tail.
-float* grow(std::vector<float>& buf, std::size_t floats) {
-  if (buf.size() < floats) buf.resize(floats);
+/// Grow-only: layers of different shapes share the buffers.
+template <typename T>
+T* grow(std::vector<T>& buf, std::size_t count) {
+  if (buf.size() < count) buf.resize(count);
   return buf.data();
 }
 
-/// The input gradient as a forward convolution over the output-gradient
-/// planes: kernel flipped and its channel axes swapped, stride 1, output
-/// h x w. Stride s becomes a gradient plane dilated by s (zeros between
-/// entries); padding becomes k-1-pad, or a crop by pad-(k-1) when
-/// pad >= k. Only stride 1 with pad < k reads the gradient in place.
-struct TransposedConv {
-  ConvGeometry geom;  // in_c = out_c, h x w = the lifted plane
-  std::size_t crop = 0;
-  bool lifted = false;
+/// g's patch matrix as a GEMM B operand over `src`, its staged image:
+/// κ-major ([patch x out_hw], forward and dX) or position-major
+/// ([out_hw x patch], dW).
+struct PatchTables {
+  const std::size_t* kappa;
+  const std::size_t* pos;
+
+  [[nodiscard]] tensor::IndexedB kappa_major(const float* src) const {
+    return {src, kappa, pos};
+  }
+  [[nodiscard]] tensor::IndexedB pos_major(const float* src) const {
+    return {src, pos, kappa};
+  }
 };
 
-TransposedConv transposed_conv(const ConvGeometry& g, std::size_t out_c) {
-  TransposedConv t;
-  t.crop = g.pad >= g.k ? g.pad + 1 - g.k : 0;
-  t.lifted = g.stride != 1 || t.crop != 0;
-  t.geom.in_c = out_c;
-  t.geom.k = g.k;
-  t.geom.pad = g.k - 1 + t.crop - g.pad;
-  t.geom.h = g.h + 2 * g.pad + 1 - g.k - 2 * t.crop;
-  t.geom.w = g.w + 2 * g.pad + 1 - g.k - 2 * t.crop;
-  t.geom.oh = g.h;
-  t.geom.ow = g.w;
+PatchTables patch_tables(const ConvGeometry& g, std::vector<std::size_t>& kappa,
+                         std::vector<std::size_t>& pos) {
+  std::size_t* k = grow(kappa, g.patch());
+  std::size_t* p = grow(pos, g.out_hw());
+  patch_offsets(g, k, p);
+  return {k, p};
+}
+
+/// The image g's patches read: in place when unpadded, else a zero-padded
+/// copy in the scratch.
+const float* stage_image(const ConvGeometry& g, const float* image) {
+  if (g.pad == 0) return image;
+  float* dst = grow(t_scratch.image, g.in_c * g.padded_h() * g.padded_w());
+  stage_planes(g.in_c, g.h, g.w, image, static_cast<std::ptrdiff_t>(g.pad),
+               1, g.padded_h(), g.padded_w(), dst);
+  return dst;
+}
+
+/// The input gradient as a forward convolution over the output-gradient
+/// planes: kernel flipped and its channel axes swapped, stride 1, no
+/// padding, output h x w, over (h+k-1) x (w+k-1) planes that hold the
+/// gradient dilated by the stride at offset k-1-pad (a negative offset,
+/// pad >= k, crops).
+ConvGeometry transposed_geometry(const ConvGeometry& g, std::size_t out_c) {
+  ConvGeometry t;
+  t.in_c = out_c;
+  t.h = g.h + g.k - 1;
+  t.w = g.w + g.k - 1;
+  t.k = g.k;
+  t.oh = g.h;
+  t.ow = g.w;
   return t;
+}
+
+/// One image's gradient planes staged for the transposed conv t: in place
+/// when they already are its input (stride 1, pad k-1).
+const float* stage_gradient(const ConvGeometry& g, const ConvGeometry& t,
+                            const float* gout_plane) {
+  const std::ptrdiff_t origin = static_cast<std::ptrdiff_t>(g.k) - 1 -
+                                static_cast<std::ptrdiff_t>(g.pad);
+  if (g.stride == 1 && origin == 0) return gout_plane;
+  float* dst = grow(t_scratch.gradient, t.in_c * t.h * t.w);
+  stage_planes(t.in_c, g.oh, g.ow, gout_plane, origin, g.stride, t.h, t.w,
+               dst);
+  return dst;
 }
 
 /// wflip[ic][(oc, a, b)] = w[oc][ic][k-1-a][k-1-b]: the A operand of the
@@ -146,28 +186,6 @@ void flip_kernel(std::size_t out_c, std::size_t in_c, std::size_t kk,
   }
 }
 
-/// Writes one image's gradient planes, dilated by the stride and cropped
-/// by t.crop on every side, into `lifted` ([out_c x t.geom.h x t.geom.w]).
-void lift_gradient(const ConvGeometry& g, const TransposedConv& t,
-                   const float* __restrict__ gout_plane,
-                   float* __restrict__ lifted) {
-  const ConvGeometry& lg = t.geom;
-  std::fill(lifted, lifted + lg.in_c * lg.h * lg.w, 0.0f);
-  for (std::size_t oc = 0; oc < lg.in_c; ++oc) {
-    const float* __restrict__ gp = gout_plane + oc * g.out_hw();
-    float* __restrict__ dst = lifted + oc * lg.h * lg.w;
-    for (std::size_t oy = 0; oy < g.oh; ++oy) {
-      const std::size_t y = oy * g.stride;
-      if (y < t.crop || y - t.crop >= lg.h) continue;
-      for (std::size_t ox = 0; ox < g.ow; ++ox) {
-        const std::size_t x = ox * g.stride;
-        if (x < t.crop || x - t.crop >= lg.w) continue;
-        dst[(y - t.crop) * lg.w + (x - t.crop)] = gp[oy * g.ow + ox];
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void Conv2d::forward_im2col(const Tensor& input, Tensor& output) {
@@ -177,29 +195,25 @@ void Conv2d::forward_im2col(const Tensor& input, Tensor& output) {
   const std::size_t ohw = g.out_hw();
   const std::size_t in_sz = in_c_ * g.h * g.w;
   const std::size_t out_sz = out_c_ * ohw;
-  const bool pointwise = g.patches_are_image();
-  float* col_buf = pointwise ? nullptr : grow(t_scratch.col, patch * ohw);
+  const PatchTables tables =
+      patch_tables(g, t_scratch.kappa_off, t_scratch.pos_off);
 
   const std::span<const float> weights{params_.data(), out_c_ * patch};
   const float* bias = params_.data() + out_c_ * patch;
   const auto in = input.data();
   const auto out = output.data();
   for (std::size_t b = 0; b < batch; ++b) {
-    const float* image = in.data() + b * in_sz;
-    const float* col = image;
-    if (!pointwise) {
-      im2col_kmajor(g, image, col_buf);
-      col = col_buf;
-    }
+    const float* image = stage_image(g, in.data() + b * in_sz);
     float* out_plane = out.data() + b * out_sz;
     // acc starts at the bias (the direct loop's first term), then the
     // GEMM accumulates the patch dimension in (ic, ky, kx) order.
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
       std::fill(out_plane + oc * ohw, out_plane + (oc + 1) * ohw, bias[oc]);
     }
-    tensor::gemm_nn(out_c_, patch, ohw, weights,
-                    std::span<const float>{col, patch * ohw},
-                    std::span<float>{out_plane, out_sz}, /*beta=*/1.0f);
+    tensor::gemm_nn_indexed(out_c_, patch, ohw, weights,
+                            tables.kappa_major(image),
+                            std::span<float>{out_plane, out_sz},
+                            /*beta=*/1.0f);
   }
 }
 
@@ -214,9 +228,8 @@ void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
 
   std::span<float> grad_w{grads_.data(), out_c_ * patch};
   float* grad_b = grads_.data() + out_c_ * patch;
-
-  float* colr = grow(t_scratch.colr, ohw * patch);
-  float* gout_t = grow(t_scratch.gout_t, ohw * out_c_);
+  const PatchTables tables =
+      patch_tables(g, t_scratch.kappa_off, t_scratch.pos_off);
 
   // Input gradient: gin[b] = wflip [in_c x out_c*k*k] * the transposed
   // conv's patch matrix [out_c*k*k x h*w]. Its patch index (oc, a, b) is,
@@ -224,27 +237,20 @@ void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
   // adds the same terms in the same order; the padding, dilation and
   // g == 0 slots the direct loop skips add w * 0 (see conv2d.hpp).
   const bool need_input = !grad_input.empty();  // see Layer::backward
-  const TransposedConv tc = transposed_conv(g, out_c_);
-  const std::size_t tpatch = tc.geom.patch();
+  const ConvGeometry tg = transposed_geometry(g, out_c_);
+  const std::size_t tpatch = tg.patch();
   float* wflip = nullptr;
-  float* lifted = nullptr;
-  float* col_buf = nullptr;
+  PatchTables t_tables{};
   if (need_input) {
     wflip = grow(t_scratch.wflip, in_c_ * tpatch);
     flip_kernel(out_c_, in_c_, k_ * k_, params_.data(), wflip);
-    if (tc.lifted) {
-      lifted = grow(t_scratch.lifted, out_c_ * tc.geom.h * tc.geom.w);
-    }
-    if (!tc.geom.patches_are_image()) {
-      col_buf = grow(t_scratch.col, tpatch * tc.geom.out_hw());
-    }
+    t_tables = patch_tables(tg, t_scratch.t_kappa_off, t_scratch.t_pos_off);
   }
 
   const auto in = input.data();
   const auto gout = grad_output.data();
 
   for (std::size_t b = 0; b < batch; ++b) {
-    const float* image = in.data() + b * in_sz;
     const float* gout_plane = gout.data() + b * out_sz;
 
     // Bias gradient: the direct loop's (oc, oy, ox) order and g == 0 skip.
@@ -259,33 +265,23 @@ void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
       grad_b[oc] = acc_ref;
     }
 
-    // Weight gradient: dW[oc][κ] += Σ_pos g[oc][pos] * colr[pos][κ].
-    // gemm_tn accumulates the shared (position) dimension outermost and
-    // ascending, and its skip-zero branch is exactly the direct loop's
-    // g == 0 skip.
-    transpose(out_c_, ohw, gout_plane, gout_t);
-    im2row_posmajor(g, image, colr);
-    tensor::gemm_tn(out_c_, ohw, patch,
-                    std::span<const float>{gout_t, ohw * out_c_},
-                    std::span<const float>{colr, ohw * patch}, grad_w,
-                    /*beta=*/1.0f);
+    // Weight gradient: dW[oc][κ] += Σ_pos g[oc][pos] * col[κ][pos], with
+    // the patch matrix read position-major. Each element accumulates the
+    // shared (position) dimension ascending, and the kernel's skip-zero
+    // branch is exactly the direct loop's g == 0 skip.
+    const float* image = stage_image(g, in.data() + b * in_sz);
+    tensor::gemm_nn_indexed(out_c_, ohw, patch,
+                            std::span<const float>{gout_plane, out_sz},
+                            tables.pos_major(image), grad_w, /*beta=*/1.0f);
 
     if (need_input) {
-      const float* plane = gout_plane;
-      if (tc.lifted) {
-        lift_gradient(g, tc, gout_plane, lifted);
-        plane = lifted;
-      }
-      const float* col = plane;
-      if (col_buf != nullptr) {
-        im2col_kmajor(tc.geom, plane, col_buf);
-        col = col_buf;
-      }
-      tensor::gemm_nn(in_c_, tpatch, tc.geom.out_hw(),
-                      std::span<const float>{wflip, in_c_ * tpatch},
-                      std::span<const float>{col, tpatch * tc.geom.out_hw()},
-                      std::span<float>{grad_input.raw() + b * in_sz, in_sz},
-                      /*beta=*/0.0f);
+      const float* planes = stage_gradient(g, tg, gout_plane);
+      tensor::gemm_nn_indexed(
+          in_c_, tpatch, tg.out_hw(),
+          std::span<const float>{wflip, in_c_ * tpatch},
+          t_tables.kappa_major(planes),
+          std::span<float>{grad_input.raw() + b * in_sz, in_sz},
+          /*beta=*/0.0f);
     }
   }
 }

@@ -6,14 +6,18 @@
 //   * kDirect — the seed seven-deep loop nest, retained as the reference
 //     (forward_direct / backward_direct).
 //   * kIm2col (default) — forward, the weight gradient and the input
-//     gradient are all lowered to the blocked GEMM kernels over patch
-//     matrices whose k-dimension is the direct loop's accumulation order:
-//     (ic, ky, kx) for forward and dW; for dX, the transposed convolution
-//     (flipped kernel over the output gradient, dilated by the stride)
-//     with patch index (oc, a, b), i.e. per input pixel the direct loop's
-//     (oc, oy, ox). Per-thread scratch, shared by every layer and model
-//     replica the thread runs, holds the patch matrices and the flipped
-//     kernel, so steady-state batches allocate nothing.
+//     gradient are each one blocked GEMM per image over an implicit patch
+//     matrix (nn/im2col.hpp): the GEMM packs its B panels straight from a
+//     zero-padded copy of the image, or of the image's gradient planes for
+//     the input gradient, so no patch matrix is built. The k-dimension is
+//     the direct loop's accumulation order: (ic, ky, kx) for forward and
+//     dW; for dX, the transposed convolution (flipped kernel over the
+//     output gradient, dilated by the stride) with patch index (oc, a, b),
+//     i.e. per input pixel the direct loop's (oc, oy, ox). Per-thread
+//     scratch, shared by every layer and model replica the thread runs,
+//     holds the padded copies, the patch offset tables and the flipped
+//     kernel, so steady-state batches allocate nothing; no call starts a
+//     parallel loop.
 //
 // Bit-identity contract: for inputs free of ±Inf/NaN where no parameter
 // or accumulator is an exact (signed) zero at a divergence point, im2col
@@ -77,7 +81,7 @@ class Conv2d final : public ParamLayer {
   std::size_t stride_;
   std::size_t pad_;
   Conv2dAlgo algo_ = Conv2dAlgo::kAuto;
-  // ParamLayer::params_ holds the weights then the bias; the im2col
+  // ParamLayer::params_ holds the weights then the bias; the lowered
   // path's scratch is per thread (conv2d.cpp).
 };
 

@@ -16,6 +16,9 @@
 // Blocked structure: B panels and A blocks are both repacked into
 // register-tile-wide slivers (kNR and kMR contiguous strips per k step),
 // so the microkernel inner loops are pure unit-stride vector code. The
+// driver takes both packers as callbacks: B comes from a row-major matrix
+// or, for gemm_nn_indexed, through offset tables (a convolution's patch
+// matrix read straight from the padded image). The
 // reference loops' skip-zero-multiplier branch is honored by scanning
 // each A sliver for zeros while packing it: zero-free slivers (the common
 // case — model parameters and activations are continuous values) run a
@@ -23,8 +26,9 @@
 // gradients in gemm_tn) run a blend microkernel whose
 // `acc = av == 0 ? acc : acc + av*b` select reproduces the skip bitwise.
 //
-// ISA dispatch: the nine kernels (gemm_*_ref, gemm_*_blocked, gemm_*_rows)
-// carry SKIPTRAIN_GEMM_CLONES (util/isa.hpp), one avx2 and one default
+// ISA dispatch: the kernels (gemm_*_ref, gemm_*_blocked, gemm_*_rows,
+// gemm_nn_indexed and its packer's test hook) carry
+// SKIPTRAIN_GEMM_CLONES (util/isa.hpp), one avx2 and one default
 // clone picked at load time. The packers, tile and row loads and stores,
 // microkernels and drivers are force-inlined, so each hot loop is compiled
 // inside each clone rather than once at the default target. Neither the
@@ -144,7 +148,7 @@ namespace {
 // clone, half the register file, and 4 of the 16 ymm registers in the avx2
 // clone. One tile for every clone keeps one operation order per element.
 constexpr std::size_t kMR = 4;  // microkernel register-tile rows
-constexpr std::size_t kNR = 8;  // microkernel register-tile columns
+constexpr std::size_t kNR = kGemmSliverCols;  // register-tile columns
 
 GemmTuning derive_tuning() {
   GemmTuning t{};
@@ -211,6 +215,36 @@ void pack_b_slivers(const float* __restrict__ src, std::size_t ld,
     } else {
       for (std::size_t p = 0; p < depth; ++p) {
         std::memcpy(out + p * kNR, in + p * ld, w * sizeof(float));
+      }
+    }
+  }
+}
+
+/// Packs rows [pc, pc + depth) x columns [jc, jc + nc) of an IndexedB into
+/// kNR-column slivers. A full sliver over contiguous offsets is one kNR-
+/// float copy per row (a stride-1 conv's positions within an output row);
+/// any other sliver gathers its lanes through the column table.
+[[gnu::always_inline]] inline
+void pack_b_indexed_slivers(const IndexedB& b, std::size_t pc,
+                            std::size_t jc, std::size_t depth, std::size_t nc,
+                            float* __restrict__ dst) {
+  const float* __restrict__ src = b.src;
+  const std::size_t* __restrict__ rows = b.row_off + pc;
+  for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
+    const std::size_t w = std::min(kNR, nc - j0);
+    float* __restrict__ out = dst + (j0 / kNR) * depth * kNR;
+    const std::size_t* __restrict__ cols = b.col_off + jc + j0;
+    // col_off is strictly increasing, so kNR entries spanning kNR - 1 are
+    // consecutive.
+    if (w == kNR && cols[kNR - 1] - cols[0] == kNR - 1) {
+      const float* __restrict__ in = src + cols[0];
+      for (std::size_t p = 0; p < depth; ++p) {
+        std::memcpy(out + p * kNR, in + rows[p], kNR * sizeof(float));
+      }
+    } else {
+      for (std::size_t p = 0; p < depth; ++p) {
+        const float* __restrict__ in = src + rows[p];
+        for (std::size_t jj = 0; jj < w; ++jj) out[p * kNR + jj] = in[cols[jj]];
       }
     }
   }
@@ -383,13 +417,14 @@ void micro_nt(std::size_t mr, std::size_t nr, std::size_t k,
 // Blocked drivers
 // ---------------------------------------------------------------------------
 
-/// Shared driver for the two C-accumulating variants; PackA packs the
-/// (ic, pc, mc, kc) block of A into slivers + zero flags.
-template <typename PackA>
+/// Shared driver for the C-accumulating variants. PackA packs the
+/// (ic, pc, mc, kc) block of A into slivers + zero flags; PackB packs the
+/// (pc, jc, kc, nc) panel of B into kNR-column slivers.
+template <typename PackA, typename PackB>
 [[gnu::always_inline]] inline
 void gemm_cacc_blocked(std::size_t m, std::size_t k, std::size_t n,
-                       std::span<const float> b, std::span<float> c,
-                       float beta, PackA&& pack_a) {
+                       std::span<float> c, float beta, PackA&& pack_a,
+                       PackB&& pack_b) {
   const GemmTuning& tun = gemm_tuning();
   float* bp = t_scratch.b.ensure_floats(tun.kc * (tun.nc + kNR));
   float* ap = t_scratch.a.ensure_floats(tun.kc * (tun.mc + kMR));
@@ -400,7 +435,7 @@ void gemm_cacc_blocked(std::size_t m, std::size_t k, std::size_t n,
     for (std::size_t pc = 0; pc < k; pc += tun.kc) {
       const std::size_t kc = std::min(tun.kc, k - pc);
       const bool first = pc == 0;
-      pack_b_slivers(b.data() + pc * n + jc, n, kc, nc, bp);
+      pack_b(pc, jc, kc, nc, bp);
       for (std::size_t ic = 0; ic < m; ic += tun.mc) {
         const std::size_t mc = std::min(tun.mc, m - ic);
         pack_a(ic, pc, mc, kc, ap, zeros);
@@ -707,10 +742,14 @@ void gemm_nn_blocked(std::size_t m, std::size_t k, std::size_t n,
                      std::span<float> c, float beta) {
   assert(k > 0 && a.size() >= m * k && b.size() >= k * n && c.size() >= m * n);
   gemm_cacc_blocked(
-      m, k, n, b, c, beta,
+      m, k, n, c, beta,
       [&a, k](std::size_t ic, std::size_t pc, std::size_t mc, std::size_t kc,
               float* dst, std::uint8_t* zeros) {
         pack_a_rows(a.data(), k, ic, pc, mc, kc, dst, zeros);
+      },
+      [&b, n](std::size_t pc, std::size_t jc, std::size_t kc, std::size_t nc,
+              float* dst) {
+        pack_b_slivers(b.data() + pc * n + jc, n, kc, nc, dst);
       });
 }
 
@@ -720,11 +759,21 @@ void gemm_tn_blocked(std::size_t m, std::size_t k, std::size_t n,
                      std::span<float> c, float beta) {
   assert(k > 0 && a.size() >= k * m && b.size() >= k * n && c.size() >= m * n);
   gemm_cacc_blocked(
-      m, k, n, b, c, beta,
+      m, k, n, c, beta,
       [&a, m](std::size_t ic, std::size_t pc, std::size_t mc, std::size_t kc,
               float* dst, std::uint8_t* zeros) {
         pack_a_cols(a.data(), m, ic, pc, mc, kc, dst, zeros);
+      },
+      [&b, n](std::size_t pc, std::size_t jc, std::size_t kc, std::size_t nc,
+              float* dst) {
+        pack_b_slivers(b.data() + pc * n + jc, n, kc, nc, dst);
       });
+}
+
+SKIPTRAIN_GEMM_CLONES
+void pack_indexed_b(const IndexedB& b, std::size_t pc, std::size_t jc,
+                    std::size_t kc, std::size_t nc, float* dst) {
+  pack_b_indexed_slivers(b, pc, jc, kc, nc, dst);
 }
 
 SKIPTRAIN_GEMM_CLONES
@@ -857,6 +906,24 @@ void gemm_tn(std::size_t m, std::size_t k, std::size_t n,
     case GemmPath::kRows: gemm_tn_rows(m, k, n, a, b, c, beta); break;
     case GemmPath::kBlocked: gemm_tn_blocked(m, k, n, a, b, c, beta); break;
   }
+}
+
+SKIPTRAIN_GEMM_CLONES
+void gemm_nn_indexed(std::size_t m, std::size_t k, std::size_t n,
+                     std::span<const float> a, const IndexedB& b,
+                     std::span<float> c, float beta) {
+  assert(k > 0 && a.size() >= m * k && c.size() >= m * n);
+  note_gemm(m, k, n, GemmPath::kBlocked);
+  gemm_cacc_blocked(
+      m, k, n, c, beta,
+      [&a, k](std::size_t ic, std::size_t pc, std::size_t mc, std::size_t kc,
+              float* dst, std::uint8_t* zeros) {
+        pack_a_rows(a.data(), k, ic, pc, mc, kc, dst, zeros);
+      },
+      [&b](std::size_t pc, std::size_t jc, std::size_t kc, std::size_t nc,
+           float* dst) {
+        pack_b_indexed_slivers(b, pc, jc, kc, nc, dst);
+      });
 }
 
 }  // namespace skiptrain::tensor

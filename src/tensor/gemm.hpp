@@ -45,6 +45,8 @@
 #include <cstddef>
 #include <span>
 
+#include "tensor/ops.hpp"
+
 namespace skiptrain::tensor {
 
 /// Cache-derived blocking parameters, computed once per process.
@@ -98,6 +100,18 @@ void gemm_nn_blocked(std::size_t m, std::size_t k, std::size_t n,
 void gemm_tn_blocked(std::size_t m, std::size_t k, std::size_t n,
                      std::span<const float> a, std::span<const float> b,
                      std::span<float> c, float beta = 0.0f);
+
+/// Columns per packed B sliver of the blocked kernels (their register
+/// tile's width).
+inline constexpr std::size_t kGemmSliverCols = 8;
+
+/// The kGemmSliverCols-column slivers the blocked kernels pack from rows
+/// [pc, pc + kc) and columns [jc, jc + nc) of an IndexedB (tensor/ops.hpp):
+/// with w = kGemmSliverCols, sliver s holds row p of columns
+/// [jc + s * w, +w) at dst[(s * kc + p) * w + jj], and an edge sliver only
+/// its live lanes. Exposed so tests can check the panels against a materialised B.
+void pack_indexed_b(const IndexedB& b, std::size_t pc, std::size_t jc,
+                    std::size_t kc, std::size_t nc, float* dst);
 
 // ---------------------------------------------------------------------------
 // Register-row kernels without the dispatch. Each holds one C row in vector

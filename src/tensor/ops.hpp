@@ -78,6 +78,23 @@ void gemm_tn(std::size_t m, std::size_t k, std::size_t n,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c, float beta = 0.0f);
 
+/// A [k, n] B operand read in place through two offset tables:
+/// B[p][j] = src[row_off[p] + col_off[j]], with col_off strictly
+/// increasing. A convolution's patch matrix is one, over a zero-padded
+/// image (nn/im2col.hpp), so it is never materialised.
+struct IndexedB {
+  const float* src;
+  const std::size_t* row_off;  // k entries
+  const std::size_t* col_off;  // n entries
+};
+
+/// C[m,n] = A[m,k] * B + beta * C, B given by offset tables; k > 0.
+/// Always the blocked kernel, which packs B's panels straight from src;
+/// bitwise equal to gemm_nn over the materialised B.
+void gemm_nn_indexed(std::size_t m, std::size_t k, std::size_t n,
+                     std::span<const float> a, const IndexedB& b,
+                     std::span<float> c, float beta = 0.0f);
+
 // ---------------------------------------------------------------------------
 // NN-specific kernels
 // ---------------------------------------------------------------------------

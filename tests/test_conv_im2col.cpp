@@ -13,6 +13,7 @@
 
 #include "nn/conv2d.hpp"
 #include "nn/im2col.hpp"
+#include "tensor/gemm.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -234,22 +235,63 @@ std::vector<float> numbered_image(const ConvGeometry& g) {
   return image;
 }
 
+/// Packs every (kc, nc) panel of `b`, a [k, n] operand, and checks each
+/// live sliver lane against want(p, j).
+template <typename Want>
+void expect_panels(const tensor::IndexedB& b, std::size_t k, std::size_t n,
+                   std::size_t kc, std::size_t nc, Want&& want) {
+  constexpr std::size_t w = tensor::kGemmSliverCols;
+  std::vector<float> panel(kc * (nc + w));
+  for (std::size_t pc = 0; pc < k; pc += kc) {
+    const std::size_t depth = std::min(kc, k - pc);
+    for (std::size_t jc = 0; jc < n; jc += nc) {
+      const std::size_t cols = std::min(nc, n - jc);
+      tensor::pack_indexed_b(b, pc, jc, depth, cols, panel.data());
+      for (std::size_t j = 0; j < cols; ++j) {
+        for (std::size_t p = 0; p < depth; ++p) {
+          const float got = panel[((j / w) * depth + p) * w + j % w];
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got),
+                    std::bit_cast<std::uint32_t>(want(pc + p, jc + j)))
+              << "kc=" << kc << " nc=" << nc << " row " << pc + p
+              << " col " << jc + j;
+        }
+      }
+    }
+  }
+}
+
 TEST(ConvIm2col, PatchOperandMatchesStraightLoops) {
+  // The GEMM packs its B panels straight from the zero-padded image; the
+  // panels must hold the straight-loop patch matrix, read κ-major (the
+  // forward and dX GEMMs) and position-major (dW). kc = 13 and 37 start
+  // blocks mid-channel; nc = 20 leaves 4-lane edge slivers.
   for (const ConvGeometry& g : patch_geometries()) {
     SCOPED_TRACE(::testing::Message()
                  << "in_c=" << g.in_c << " h=" << g.h << " w=" << g.w
                  << " k=" << g.k << " s=" << g.stride << " p=" << g.pad);
     const std::vector<float> image = numbered_image(g);
-    const std::vector<float> want = straight_loop_patches(g, image);
-    std::vector<float> col(want.size(), -1.0f);
-    im2col_kmajor(g, image.data(), col.data());
-    expect_bits_equal(col, want, "im2col_kmajor");
-    std::vector<float> colr(want.size(), -1.0f);
-    im2row_posmajor(g, image.data(), colr.data());
-    for (std::size_t kp = 0; kp < g.patch(); ++kp) {
-      for (std::size_t pos = 0; pos < g.out_hw(); ++pos) {
-        ASSERT_EQ(colr[pos * g.patch() + kp], want[kp * g.out_hw() + pos])
-            << "kappa=" << kp << " pos=" << pos;
+    const std::vector<float> col = straight_loop_patches(g, image);
+    std::vector<float> padded(g.in_c * g.padded_h() * g.padded_w(), -1.0f);
+    stage_planes(g.in_c, g.h, g.w, image.data(),
+                 static_cast<std::ptrdiff_t>(g.pad), 1, g.padded_h(),
+                 g.padded_w(), padded.data());
+    std::vector<std::size_t> kappa_off(g.patch()), pos_off(g.out_hw());
+    patch_offsets(g, kappa_off.data(), pos_off.data());
+    const std::size_t patch = g.patch();
+    const std::size_t ohw = g.out_hw();
+    const auto kappa_major = [&](std::size_t kp, std::size_t pos) {
+      return col[kp * ohw + pos];
+    };
+    const auto pos_major = [&](std::size_t pos, std::size_t kp) {
+      return col[kp * ohw + pos];
+    };
+    for (const std::size_t kc : {std::size_t{13}, std::size_t{37},
+                                 tensor::gemm_tuning().kc}) {
+      for (const std::size_t nc : {std::size_t{20}, tensor::gemm_tuning().nc}) {
+        expect_panels({padded.data(), kappa_off.data(), pos_off.data()}, patch,
+                      ohw, kc, nc, kappa_major);
+        expect_panels({padded.data(), pos_off.data(), kappa_off.data()}, ohw,
+                      patch, kc, nc, pos_major);
       }
     }
   }
