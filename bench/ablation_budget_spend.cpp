@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
       "Ablation: budget vs realized spend (binomial under-spend)",
       "explains Table 4's spend < budget for SkipTrain-constrained");
 
-  const auto trials = static_cast<std::size_t>(args.get_int("trials"));
-  util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed")));
+  const std::size_t trials = bench::flag_size(args, "trials");
+  util::Rng rng(bench::flag_seed(args));
 
   util::TablePrinter table({"workload", "Γt/Γs", "budget Wh", "greedy Wh",
                             "constrained Wh (MC)", "under-spend %"});

@@ -5,8 +5,9 @@
 // default bench configuration uses the same node-count knob but a compact
 // model, fewer rounds, and synthetic data so every harness finishes in
 // minutes on a laptop. Energy quantities are computed from the canonical
-// traces at PAPER scale (they are closed-form, see DESIGN.md), so Table 2/3
-// energy columns reproduce exactly regardless of the accuracy-side scaling.
+// traces at PAPER scale (they are closed-form, see README.md, "Energy
+// traces and budgets"), so Table 2/3 energy columns reproduce exactly
+// regardless of the accuracy-side scaling.
 // Pass --nodes/--rounds/--full to move toward paper scale.
 #pragma once
 
@@ -105,6 +106,12 @@ inline std::size_t flag_size(const util::ArgParser& args,
   return static_cast<std::size_t>(value);
 }
 
+/// Reads --seed, rejecting negatives the same way: a cast would wrap -1
+/// to 2^64 - 1.
+inline std::uint64_t flag_seed(const util::ArgParser& args) {
+  return static_cast<std::uint64_t>(flag_size(args, "seed"));
+}
+
 /// Fills the sweep-preset knobs from the common flags. The flag defaults
 /// match the preset defaults, so an untouched flag defers to the preset.
 /// Callers with a --dataset flag set params.dataset themselves.
@@ -118,7 +125,7 @@ inline sweep::PresetParams preset_params_from_flags(
   params.learning_rate = args.get_double("lr");
   params.eval_every = flag_size(args, "eval-every");
   params.eval_samples = flag_size(args, "eval-samples");
-  params.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  params.seed = flag_seed(args);
   params.full = args.get_flag("full");
   return params;
 }
@@ -217,7 +224,7 @@ inline Workbench make_workbench(const util::ArgParser& args,
   sweep::DataConfig config;
   config.dataset = dataset;
   config.nodes = flag_nodes(args);
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  config.seed = flag_seed(args);
   const auto workload = sweep::build_workload(config);
   Workbench bench;
   bench.data = workload->data;
@@ -247,16 +254,14 @@ inline Workbench make_bench(const util::ArgParser& args,
 inline sim::RunOptions options_from_flags(const util::ArgParser& args,
                                           const Workbench& bench) {
   sim::RunOptions options;
-  options.total_rounds = args.get_flag("full")
-                             ? bench.paper_rounds
-                             : static_cast<std::size_t>(args.get_int("rounds"));
-  options.local_steps = static_cast<std::size_t>(args.get_int("local-steps"));
-  options.batch_size = static_cast<std::size_t>(args.get_int("batch"));
+  options.total_rounds = args.get_flag("full") ? bench.paper_rounds
+                                               : flag_size(args, "rounds");
+  options.local_steps = flag_size(args, "local-steps");
+  options.batch_size = flag_size(args, "batch");
   options.learning_rate = static_cast<float>(args.get_double("lr"));
-  options.eval_every = static_cast<std::size_t>(args.get_int("eval-every"));
-  options.eval_max_samples =
-      static_cast<std::size_t>(args.get_int("eval-samples"));
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  options.eval_every = flag_size(args, "eval-every");
+  options.eval_max_samples = flag_size(args, "eval-samples");
+  options.seed = flag_seed(args);
   options.workload = bench.workload;
   options.budget_scale = static_cast<double>(options.total_rounds) /
                          static_cast<double>(bench.paper_rounds);

@@ -36,6 +36,7 @@ BAD_DOUBLES = ["abc", "", "0.1x", "nan", "inf", "-inf", "1e999", "1e-400"]
 HOSTILE = (
     [(flag, value) for flag in INT_FLAGS for value in BAD_INTS]
     + [(flag, "-1") for flag in COUNT_FLAGS]
+    + [("seed", "-1")]  # would wrap to 2^64 - 1
     + [("gamma-max", "0"), ("gamma-max", "-1"),
        ("gamma-max", "4000000000"),  # a Γ range past the range cap
        ("gamma-max", "4096")]  # 3 x 4096^2 trials: past the trial cap
