@@ -57,9 +57,11 @@ BENCHMARK(BM_GemmNT)->Arg(16)->Arg(64)->Arg(256);
 //   nt {16, 3136, 512}: femnist Linear(3136->512) forward, batch 16
 //   nt {16, 64, 32}   : compact CIFAR MLP forward, batch 16
 //   nn {16, 512, 3136}: femnist Linear backward dX
-//   nn {32, 800, 256} : GN-LeNet conv2 forward as im2col GEMM
+//   nn {32, 800, 256} : the shape of GN-LeNet conv2's per-image forward
+//                       GEMM (Conv2d packs that GEMM's B panels from the
+//                       padded image; this row reads a materialised B)
 //   tn {512, 16, 3136}: femnist Linear backward dW
-//   tn {32, 256, 800} : GN-LeNet conv2 backward dW as im2col GEMM
+//   tn {32, 256, 800} : the shape of GN-LeNet conv2's per-image dW GEMM
 // ---------------------------------------------------------------------------
 
 using GemmFn = void (*)(std::size_t, std::size_t, std::size_t,
@@ -198,12 +200,13 @@ BENCHMARK(BM_GemmShape<tensor::gemm_nn_ref>)
     ->Args({16, 62, 48});
 
 // ---------------------------------------------------------------------------
-// Conv2d forward/backward: im2col + GEMM vs the retained direct loop, on
-// the GN-LeNet convs (5x5, pad 2). Args: batch, algorithm and, for the
-// backward's three-arg rows, the conv (1..3); the two-arg rows run conv2
-// (32->32, 16x16 input). conv1's backward skips the input gradient, as
-// the model's first layer does in training. Runs under --quick for the CI
-// bench gate.
+// Conv2d forward/backward: implicit im2col + GEMM vs the retained direct
+// loop, on the GN-LeNet convs (5x5, pad 2). Args: batch, algorithm and,
+// for the backward's three-arg rows, the conv (1..3); the two-arg rows run
+// conv2 (32->32, 16x16 input). Batch 8 is the cnn_lenet training batch;
+// BM_Conv2dFwd/32/2 runs the evaluator's batch of 32. conv1's backward
+// skips the input gradient, as the model's first layer does in training.
+// Runs under --quick for the CI bench gate.
 // ---------------------------------------------------------------------------
 
 struct ConvShape {
@@ -276,7 +279,10 @@ void ConvLayerGrid(benchmark::internal::Benchmark* bench) {
         ->Args({8, static_cast<std::int64_t>(nn::Conv2dAlgo::kDirect), layer});
   }
 }
-BENCHMARK(BM_Conv2dFwd)->Apply(ConvAlgoGrid)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Conv2dFwd)
+    ->Apply(ConvAlgoGrid)
+    ->Args({32, static_cast<std::int64_t>(nn::Conv2dAlgo::kIm2col)})
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Conv2dBwd)->Apply(ConvAlgoGrid)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Conv2dBwdLayer)
     ->Name("BM_Conv2dBwd")
