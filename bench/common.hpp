@@ -212,8 +212,7 @@ inline void export_telemetry(const sweep::SweepReport& report,
 }
 
 inline std::size_t flag_nodes(const util::ArgParser& args) {
-  return args.get_flag("full") ? 256
-                               : static_cast<std::size_t>(args.get_int("nodes"));
+  return args.get_flag("full") ? 256 : flag_size(args, "nodes");
 }
 
 /// Builds a synthetic workload + initialised compact model through

@@ -4,7 +4,8 @@
 //
 // Energy budgets are closed-form at paper scale: Σ_i τ_i·e_i with τ from
 // Table 2 (498.9 Wh for the CIFAR fleet). The paper's own budget column is
-// internally noisy (see DESIGN.md); we report exact expected spends.
+// internally noisy (see README.md, "Energy traces and budgets"); we
+// report exact expected spends.
 #include "common.hpp"
 
 int main(int argc, char** argv) {

@@ -1,6 +1,6 @@
 // Synthetic stand-ins for the paper's CIFAR-10 and FEMNIST workloads.
 //
-// Rationale (see DESIGN.md §1): the accuracy phenomena SkipTrain is
+// Rationale (see README.md, "Synthetic workloads"): the accuracy phenomena SkipTrain is
 // evaluated on are driven by the *partition statistics*, not by image
 // content — §4.7 of the paper attributes the CIFAR/FEMNIST gap difference
 // entirely to the 2-shard label skew vs. FEMNIST's homogeneous class

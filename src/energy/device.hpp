@@ -12,7 +12,8 @@
 // This module keeps BOTH representations:
 //  * the *canonical trace* — per-round mWh and round budgets exactly as in
 //    Table 2 (with the sub-display-precision digits calibrated so the
-//    aggregate Table 3 energies land on the paper's values, see DESIGN.md);
+//    aggregate Table 3 energies land on the paper's values, see README.md,
+//    "Energy traces and budgets");
 //  * the *derivation pipeline* — the formulas above with per-device
 //    (power, latency) constants, tested to agree with the canonical trace
 //    to within a few percent. Benches use the canonical numbers; the

@@ -109,7 +109,8 @@ inline constexpr std::size_t kGemmSliverCols = 8;
 /// [pc, pc + kc) and columns [jc, jc + nc) of an IndexedB (tensor/ops.hpp):
 /// with w = kGemmSliverCols, sliver s holds row p of columns
 /// [jc + s * w, +w) at dst[(s * kc + p) * w + jj], and an edge sliver only
-/// its live lanes. Exposed so tests can check the panels against a materialised B.
+/// its live lanes. Exposed so tests can check the panels against a
+/// materialised B.
 void pack_indexed_b(const IndexedB& b, std::size_t pc, std::size_t jc,
                     std::size_t kc, std::size_t nc, float* dst);
 

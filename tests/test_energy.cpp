@@ -133,7 +133,8 @@ TEST(DerivationPipeline, AgreesWithCanonicalTrace) {
 TEST(DerivationPipeline, BudgetRoundsMatchTable2) {
   // τ derived from battery capacity and the canonical per-round energy:
   // exact on CIFAR (battery was calibrated from that column), within 5% on
-  // FEMNIST (the paper's own rounding slack; see DESIGN.md).
+  // FEMNIST (the paper's own rounding slack; see README.md, "Energy traces
+  // and budgets").
   for (const TraceEntry& entry : smartphone_traces()) {
     const std::size_t derived_cifar = entry.profile.budget_rounds(
         workload_spec(Workload::kCifar10), entry.cifar_mwh);
