@@ -14,12 +14,12 @@ int main(int argc, char** argv) {
   args.add_int("seed", 42, "seed");
   bench::parse_flags(args, argc, argv);
 
+  const std::size_t trials = bench::flag_size(args, "trials");
+  util::Rng rng(bench::flag_seed(args));
+
   bench::print_header(
       "Ablation: budget vs realized spend (binomial under-spend)",
       "explains Table 4's spend < budget for SkipTrain-constrained");
-
-  const std::size_t trials = bench::flag_size(args, "trials");
-  util::Rng rng(bench::flag_seed(args));
 
   util::TablePrinter table({"workload", "Γt/Γs", "budget Wh", "greedy Wh",
                             "constrained Wh (MC)", "under-spend %"});

@@ -12,13 +12,13 @@ int main(int argc, char** argv) {
   args.add_int("degree", 6, "topology degree");
   bench::parse_flags(args, argc, argv);
 
+  const bench::Workbench wb = bench::make_cifar_bench(args);
+  sim::RunOptions options = bench::options_from_flags(args, wb);
+  options.degree = bench::flag_size(args, "degree");
+
   bench::print_header(
       "Ablation: masked sparse exchanges (Sparse-Push axis)",
       "round-shared random coordinate mask; dense = the paper's setting");
-
-  const bench::Workbench wb = bench::make_cifar_bench(args);
-  sim::RunOptions options = bench::options_from_flags(args, wb);
-  options.degree = static_cast<std::size_t>(args.get_int("degree"));
   std::tie(options.gamma_train, options.gamma_sync) =
       sweep::tuned_gammas(options.degree);
   options.eval_every = options.total_rounds;  // score the final round only

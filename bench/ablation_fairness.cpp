@@ -13,14 +13,14 @@ int main(int argc, char** argv) {
   args.add_int("degree", 6, "topology degree");
   bench::parse_flags(args, argc, argv);
 
-  bench::print_header(
-      "Ablation: per-device fairness under SkipTrain-constrained",
-      "do low-budget devices end up with worse models?");
-
   const bench::Workbench wb = bench::make_cifar_bench(args);
   sim::RunOptions options = bench::options_from_flags(args, wb);
   options.algorithm = sim::Algorithm::kSkipTrainConstrained;
-  options.degree = static_cast<std::size_t>(args.get_int("degree"));
+  options.degree = bench::flag_size(args, "degree");
+
+  bench::print_header(
+      "Ablation: per-device fairness under SkipTrain-constrained",
+      "do low-budget devices end up with worse models?");
   const auto [gamma_train, gamma_sync] =
       sweep::tuned_gammas(options.degree);
   options.gamma_train = gamma_train;

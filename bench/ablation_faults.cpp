@@ -23,21 +23,21 @@ int main(int argc, char** argv) {
                   "ladder (specs themselves contain commas)");
   bench::parse_flags(args, argc, argv);
 
+  const bench::Workbench wb = bench::make_cifar_bench(args);
+  const sim::RunOptions base = bench::options_from_flags(args, wb);
+  const std::size_t degree = bench::flag_size(args, "degree");
+  const std::vector<std::string> ladder =
+      sweep::split_semicolon_list(args.get_string("faults"));
+
   bench::print_header(
       "Ablation: fault frontier (accuracy vs loss rate)",
       "how much lossy-wire chaos does gossip averaging absorb, and at "
       "what accuracy cost?");
 
-  const bench::Workbench wb = bench::make_cifar_bench(args);
-  const std::size_t degree = static_cast<std::size_t>(args.get_int("degree"));
-
   const sim::Algorithm algorithms[] = {
       sim::Algorithm::kDpsgd,
       sim::Algorithm::kSkipTrain,
   };
-
-  const std::vector<std::string> ladder =
-      sweep::split_semicolon_list(args.get_string("faults"));
 
   util::TablePrinter table({"faults", "algorithm", "acc%", "delivery%",
                             "dropped", "corrupt", "dup", "down rounds",
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   for (const std::string& spec : ladder) {
     for (const sim::Algorithm algorithm : algorithms) {
-      sim::RunOptions options = bench::options_from_flags(args, wb);
+      sim::RunOptions options = base;
       options.algorithm = algorithm;
       options.degree = degree;
       options.gamma_train = 4;

@@ -14,11 +14,11 @@ int main(int argc, char** argv) {
   bench::add_common_flags(args, /*default_nodes=*/32, /*default_rounds=*/120);
   bench::parse_flags(args, argc, argv);
 
-  bench::print_header("Ablation: spectral gap and the value of sync rounds",
-                      "denser graphs mix faster => fewer Γsync needed");
-
   const bench::Workbench wb = bench::make_cifar_bench(args);
   sim::RunOptions base = bench::options_from_flags(args, wb);
+
+  bench::print_header("Ablation: spectral gap and the value of sync rounds",
+                      "denser graphs mix faster => fewer Γsync needed");
   base.algorithm = sim::Algorithm::kSkipTrain;
   base.eval_every = base.total_rounds;
   const std::size_t n = wb.data.num_nodes();

@@ -22,13 +22,16 @@ int main(int argc, char** argv) {
                   "trace:<path>)");
   bench::parse_flags(args, argc, argv);
 
+  const bench::Workbench wb = bench::make_cifar_bench(args);
+  const sim::RunOptions base = bench::options_from_flags(args, wb);
+  const std::size_t degree = bench::flag_size(args, "degree");
+  const std::vector<std::string> scenarios =
+      sweep::split_list(args.get_string("scenarios"));
+
   bench::print_header(
       "Ablation: scenario frontier (fairness / accuracy / joules)",
       "what does intermittent power cost, and which schedule spends "
       "harvested energy best?");
-
-  const bench::Workbench wb = bench::make_cifar_bench(args);
-  const std::size_t degree = static_cast<std::size_t>(args.get_int("degree"));
 
   const sim::Algorithm algorithms[] = {
       sim::Algorithm::kDpsgd,
@@ -41,10 +44,9 @@ int main(int argc, char** argv) {
                             "avail%", "spent Wh", "harvest Wh",
                             "acc%/Wh"});
   bool all_ok = true;
-  for (const std::string& scenario_name :
-       sweep::split_list(args.get_string("scenarios"))) {
+  for (const std::string& scenario_name : scenarios) {
     for (const sim::Algorithm algorithm : algorithms) {
-      sim::RunOptions options = bench::options_from_flags(args, wb);
+      sim::RunOptions options = base;
       options.algorithm = algorithm;
       options.degree = degree;
       options.gamma_train = 4;

@@ -155,19 +155,15 @@ inline sweep::SweepGrid make_preset_checked(
   return or_exit([&] { return sweep::make_preset(name, params); });
 }
 
-/// Runs `grid` on the sweep runner with the --threads flag's concurrency
-/// and the checkpoint flags (grid config-file values fill in whatever the
-/// flags leave unset).
-inline sweep::SweepReport run_sweep(const sweep::SweepGrid& grid,
-                                    const util::ArgParser& args,
-                                    bool verbose = false) {
-  const std::int64_t threads = args.get_int("threads");
-  if (threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0\n");
-    std::exit(2);
-  }
+/// Reads the sweep-runner flags (add_sweep_flags) for `grid`: --threads
+/// sets the concurrency, and grid config-file values fill in whatever the
+/// checkpoint flags leave unset. A negative count exits 2, so harnesses
+/// call this before they print anything.
+inline sweep::SweepOptions sweep_options_from_flags(
+    const util::ArgParser& args, const sweep::SweepGrid& grid,
+    bool verbose = false) {
   sweep::SweepOptions options;
-  options.threads = static_cast<std::size_t>(threads);
+  options.threads = flag_size(args, "threads");
   options.verbose = verbose;
   options.checkpoint_dir = args.get_string("checkpoint-dir");
   if (options.checkpoint_dir.empty()) {
@@ -182,10 +178,17 @@ inline sweep::SweepReport run_sweep(const sweep::SweepGrid& grid,
   if (options.keep_generations == 0) {
     options.keep_generations = grid.keep_generations;
   }
+  return options;
+}
+
+/// Runs `grid` on the sweep runner, streaming phase spans to `trace_path`
+/// (--trace-out) when it is not empty.
+inline sweep::SweepReport run_sweep(const sweep::SweepGrid& grid,
+                                    const sweep::SweepOptions& options,
+                                    const std::string& trace_path) {
   // Tracing wraps the whole sweep so the file closes complete even when
   // the harness keeps running afterwards; SKIPTRAIN_TRACE-initiated traces
   // stay process-lifetime and are finalized at exit instead.
-  const std::string trace_path = args.get_string("trace-out");
   const bool own_trace = !trace_path.empty() && obs::start_tracing(trace_path);
   sweep::SweepReport report = sweep::SweepRunner(options).run(grid);
   if (own_trace) obs::stop_tracing();

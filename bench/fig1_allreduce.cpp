@@ -13,12 +13,12 @@ int main(int argc, char** argv) {
   args.add_int("degree", 6, "topology degree");
   bench::parse_flags(args, argc, argv);
 
-  bench::print_header("Figure 1: D-PSGD vs all-reduce (CIFAR-10, d-regular)",
-                      "test accuracy vs round; all-reduce >> D-PSGD");
-
   const bench::Workbench bench_data = bench::make_cifar_bench(args);
   sim::RunOptions options = bench::options_from_flags(args, bench_data);
-  options.degree = static_cast<std::size_t>(args.get_int("degree"));
+  options.degree = bench::flag_size(args, "degree");
+
+  bench::print_header("Figure 1: D-PSGD vs all-reduce (CIFAR-10, d-regular)",
+                      "test accuracy vs round; all-reduce >> D-PSGD");
   options.eval_every = std::max<std::size_t>(options.total_rounds / 16, 1);
 
   options.algorithm = sim::Algorithm::kDpsgd;

@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
   args.add_int("gamma-sync", 2, "Γsync");
   bench::parse_flags(args, argc, argv);
 
-  const auto rounds = static_cast<std::size_t>(args.get_int("rounds"));
-  const auto gt = static_cast<std::size_t>(args.get_int("gamma-train"));
-  const auto gs = static_cast<std::size_t>(args.get_int("gamma-sync"));
+  const std::size_t rounds = bench::flag_size(args, "rounds");
+  const std::size_t gt = bench::flag_size(args, "gamma-train");
+  const std::size_t gs = bench::flag_size(args, "gamma-sync");
 
   bench::print_header("Figure 2: operations per round, 4 nodes",
                       "T = train+share+aggregate, s = share+aggregate");

@@ -24,10 +24,6 @@ int main(int argc, char** argv) {
   args.add_int("gamma-max", 4, "sweep Γ in 1..gamma-max");
   bench::parse_flags(args, argc, argv);
 
-  bench::print_header(
-      "Figure 3: validation accuracy + energy over (Γtrain, Γsync)",
-      "grids for 6/8/10-regular; energy at 256-node paper scale");
-
   if (args.get_int("gamma-max") < 1) {
     std::fprintf(stderr, "--gamma-max must be >= 1\n");
     return 2;
@@ -35,7 +31,15 @@ int main(int argc, char** argv) {
   sweep::PresetParams params = bench::preset_params_from_flags(args);
   params.gamma_max = static_cast<std::size_t>(args.get_int("gamma-max"));
   const sweep::SweepGrid grid = bench::make_preset_checked("fig3", params);
-  const sweep::SweepReport report = bench::run_sweep(grid, args);
+  const sweep::SweepOptions sweep_options =
+      bench::sweep_options_from_flags(args, grid);
+
+  bench::print_header(
+      "Figure 3: validation accuracy + energy over (Γtrain, Γsync)",
+      "grids for 6/8/10-regular; energy at 256-node paper scale");
+
+  const sweep::SweepReport report =
+      bench::run_sweep(grid, sweep_options, args.get_string("trace-out"));
   const std::size_t gamma_max = params.gamma_max;
 
   std::vector<std::string> labels;

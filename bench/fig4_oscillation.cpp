@@ -17,15 +17,15 @@ int main(int argc, char** argv) {
   args.add_int("tail", 32, "rounds at the end to evaluate per-round");
   bench::parse_flags(args, argc, argv);
 
+  const bench::Workbench wb = bench::make_cifar_bench(args);
+  const sim::RunOptions base = bench::options_from_flags(args, wb);
+  const std::size_t degree = bench::flag_size(args, "degree");
+  const auto [gamma_train, gamma_sync] = sweep::tuned_gammas(degree);
+  const std::size_t tail = bench::flag_size(args, "tail");
+
   bench::print_header(
       "Figure 4: SkipTrain test accuracy, per-round at the end of training",
       "accuracy falls in train rounds, rises in sync rounds; std inverts");
-
-  const bench::Workbench wb = bench::make_cifar_bench(args);
-  const sim::RunOptions base = bench::options_from_flags(args, wb);
-  const auto degree = static_cast<std::size_t>(args.get_int("degree"));
-  const auto [gamma_train, gamma_sync] = sweep::tuned_gammas(degree);
-  const auto tail = static_cast<std::size_t>(args.get_int("tail"));
 
   // Drive the engine directly so we can evaluate every round in the tail.
   const std::size_t n = wb.data.num_nodes();

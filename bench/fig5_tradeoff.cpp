@@ -19,14 +19,18 @@ int main(int argc, char** argv) {
   args.add_string("dataset", "both", "cifar | femnist | both");
   bench::parse_flags(args, argc, argv);
 
+  sweep::PresetParams params = bench::preset_params_from_flags(args);
+  params.dataset = args.get_string("dataset");
+  const sweep::SweepGrid grid = bench::make_preset_checked("fig5", params);
+  const sweep::SweepOptions sweep_options =
+      bench::sweep_options_from_flags(args, grid);
+
   bench::print_header(
       "Figure 5: test accuracy vs rounds and vs training energy",
       "2 datasets x {6,8,10}-regular x {D-PSGD, SkipTrain}");
 
-  sweep::PresetParams params = bench::preset_params_from_flags(args);
-  params.dataset = args.get_string("dataset");
-  const sweep::SweepGrid grid = bench::make_preset_checked("fig5", params);
-  const sweep::SweepReport report = bench::run_sweep(grid, args);
+  const sweep::SweepReport report =
+      bench::run_sweep(grid, sweep_options, args.get_string("trace-out"));
 
   util::CsvWriter csv("fig5_series.csv",
                       {"dataset", "degree", "algorithm", "round",

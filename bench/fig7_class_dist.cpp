@@ -12,12 +12,12 @@ int main(int argc, char** argv) {
   args.add_int("show-nodes", 10, "how many nodes to plot");
   bench::parse_flags(args, argc, argv);
 
+  const std::size_t show = bench::flag_size(args, "show-nodes");
+  const bench::Workbench cifar = bench::make_cifar_bench(args);
+
   bench::print_header("Figure 7: class distribution, first 10 nodes",
                       "dot size = sample count of class c at node i");
 
-  const auto show = static_cast<std::size_t>(args.get_int("show-nodes"));
-
-  const bench::Workbench cifar = bench::make_cifar_bench(args);
   const auto cifar_counts = data::class_distribution(cifar.data);
   std::printf("\nCIFAR-10 (2-shard non-IID):\n%s",
               data::render_distribution_plot(cifar_counts, show).c_str());

@@ -11,10 +11,11 @@ int main(int argc, char** argv) {
   args.add_int("degree", 6, "topology degree");
   bench::parse_flags(args, argc, argv);
 
+  const std::size_t degree = bench::flag_size(args, "degree");
+
   bench::print_header("Intro claim: training is >200x costlier than sharing",
                       "256 nodes, 1000 rounds, CIFAR-10 model (89834 params)");
 
-  const auto degree = static_cast<std::size_t>(args.get_int("degree"));
   const auto& spec = energy::workload_spec(energy::Workload::kCifar10);
   const energy::CommModel comm;
 

@@ -6,10 +6,11 @@
 // Results are written to BENCH_aggregate.json (override with
 // --benchmark_out=...) so CI records the gossip-kernel perf trajectory
 // per PR. `--quick` runs the aggregate-phase, large-fleet gossip,
-// exchange-codec, fleet-checkpoint, scenario/harvest, kernel-layer GEMM,
-// Conv2d, local-step (whole and per part), 16-node full-round and
-// 16-node fleet-evaluation rows at a short min-time — the mode the CI
-// Release job uses; the GEMM/Conv/Gossip rows feed the bench regression gate
+// exchange-codec, int8-encode, CRC32C and wire-frame, fleet-checkpoint,
+// scenario/harvest, kernel-layer GEMM, Conv2d, local-step (whole and per
+// part), 16-node full-round and 16-node fleet-evaluation rows at a short
+// min-time — the mode the CI Release job uses; the GEMM/Conv/CRC/int8 and
+// Gossip rows feed the bench regression gate
 // (tools/check_bench_regression.py).
 #include <benchmark/benchmark.h>
 
@@ -27,6 +28,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "plane/plane.hpp"
+#include "quant/kernels.hpp"
 
 namespace {
 
@@ -497,15 +499,45 @@ void BM_CodecDecode(benchmark::State& state) {
   state.SetLabel(quant::codec_token(kind));
 }
 
+// dim 2410 is the CIFAR compact model that chaos_256 exchanges.
 void RegisterCodecGrid(benchmark::internal::Benchmark* bench) {
   for (const quant::Codec codec : quant::all_codecs()) {
-    for (const std::int64_t dim : {2752L, 100000L}) {
+    for (const std::int64_t dim : {2410L, 2752L, 100000L}) {
       bench->Args({static_cast<std::int64_t>(codec), dim});
     }
   }
 }
 BENCHMARK(BM_CodecEncode)->Apply(RegisterCodecGrid);
 BENCHMARK(BM_CodecDecode)->Apply(RegisterCodecGrid);
+
+// The int8 block encode alone, batch kernel against the scalar reference
+// it must match bitwise, at the CIFAR compact model's dim. The CI gate
+// holds the ratio, so a scan or quantize loop that stops vectorizing
+// fails it.
+template <auto Encode>
+void BM_Int8EncodeRow(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  std::vector<float> row;
+  codec_bench_row(dim, row);
+  std::vector<std::uint8_t> codes(dim);
+  const std::size_t blocks =
+      (dim + quant::kInt8BlockValues - 1) / quant::kInt8BlockValues;
+  std::vector<float> lo(blocks);
+  std::vector<float> scale(blocks);
+  for (auto _ : state) {
+    Encode(row, codes.data(), lo.data(), scale.data());
+    benchmark::DoNotOptimize(codes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(dim * sizeof(float)));
+}
+BENCHMARK(BM_Int8EncodeRow<quant::int8_encode>)
+    ->Name("BM_Int8Encode")
+    ->Arg(2410);
+BENCHMARK(BM_Int8EncodeRow<quant::int8_encode_scalar>)
+    ->Name("BM_Int8EncodeScalar")
+    ->Arg(2410);
 
 // ---------------------------------------------------------------------------
 // Fleet-image checkpoint write/restore throughput (ckpt/fleet_image): the
@@ -656,8 +688,8 @@ BENCHMARK(BM_ScenarioTraceStep)->Arg(64)->Arg(256);
 // ---------------------------------------------------------------------------
 // Fault-layer kernels (fault/frame.hpp, fault/fault.hpp): what the wire
 // framing and a fully faulted gossip round cost. BM_CrcFrame measures
-// encode_frame + verify_frame (the CRC32C slicing-by-4 path dominates at
-// large dims); BM_FaultedGossipRound runs whole engine rounds under an
+// encode_frame + verify_frame (two CRC32C passes over the payload);
+// BM_FaultedGossipRound runs whole engine rounds under an
 // active drop/corrupt/dup plan, so the framing, per-link stateless draws,
 // and masked difference-form aggregation are all on the clock. Both run
 // under --quick; the CI gate requires the rows so a fault-path regression
@@ -680,7 +712,33 @@ void BM_CrcFrame(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(frame.size()));
 }
-BENCHMARK(BM_CrcFrame)->Arg(2752)->Arg(100000);
+BENCHMARK(BM_CrcFrame)->Arg(2410)->Arg(2752)->Arg(100000);
+
+// CRC32C alone over the two frame sizes chaos_256 ships at dim 2410: 2783
+// bytes (int8) and 9709 (identity). BM_Crc32c takes the path the CPU
+// picks (crc32c_isa in the report context), BM_Crc32cPortable the table
+// path; the CI gate holds their ratio.
+template <std::uint32_t (*Update)(std::uint32_t, const void*, std::size_t)>
+void BM_Crc32cBytes(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> buffer(bytes);
+  util::Rng rng(11);
+  for (auto& byte : buffer) byte = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        Update(fault::kCrc32cInit, buffer.data(), buffer.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_Crc32cBytes<fault::crc32c_update>)
+    ->Name("BM_Crc32c")
+    ->Arg(2783)
+    ->Arg(9709);
+BENCHMARK(BM_Crc32cBytes<fault::crc32c_update_portable>)
+    ->Name("BM_Crc32cPortable")
+    ->Arg(2783)
+    ->Arg(9709);
 
 void BM_FaultedGossipRound(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
@@ -963,7 +1021,7 @@ int main(int argc, char** argv) {
   }
   if (quick) {
     args.insert(args.begin() + 1,
-                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)((Sparse|Mlp)?(Blocked|Ref|Rows)|Mlp)/|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_FaultedGossip|BM_LocalSgdStep|BM_FullRound/16|BM_EvaluateFleet/16");
+                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)((Sparse|Mlp)?(Blocked|Ref|Rows)|Mlp)/|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_Crc32c|BM_Int8Encode|BM_FaultedGossip|BM_LocalSgdStep|BM_FullRound/16|BM_EvaluateFleet/16");
     args.insert(args.begin() + 1, "--benchmark_min_time=0.05");
   }
   const bool has_out =
@@ -981,9 +1039,11 @@ int main(int argc, char** argv) {
   int argc2 = static_cast<int>(argv2.size());
   benchmark::Initialize(&argc2, argv2.data());
   if (benchmark::ReportUnrecognizedArguments(argc2, argv2.data())) return 1;
-  // The GEMM clone sets every BM_Gemm*/BM_Conv2d* time; name it in the
-  // context block so rows from different hosts can be told apart.
+  // The GEMM clone sets every BM_Gemm*/BM_Conv2d* time and the CRC32C path
+  // every BM_Crc* time; name both in the context block so rows from
+  // different hosts can be told apart.
   benchmark::AddCustomContext("gemm_isa", skiptrain::tensor::gemm_isa());
+  benchmark::AddCustomContext("crc32c_isa", skiptrain::fault::crc32c_isa());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -73,6 +73,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const sweep::SweepOptions sweep_options =
+      bench::sweep_options_from_flags(args, grid, args.get_flag("verbose"));
+
   std::printf("sweep '%s': %zu trials\n", grid.name.c_str(), trials.size());
   if (args.get_flag("list")) {
     util::TablePrinter table(
@@ -93,7 +96,7 @@ int main(int argc, char** argv) {
   }
 
   const sweep::SweepReport report =
-      bench::run_sweep(grid, args, args.get_flag("verbose"));
+      bench::run_sweep(grid, sweep_options, args.get_string("trace-out"));
 
   std::printf("%s", report.render_table().c_str());
   const std::string csv_path = args.get_string("csv").empty()

@@ -9,6 +9,11 @@ int main(int argc, char** argv) {
                        "Table 1: simulation hyperparameters");
   bench::add_common_flags(args);
   bench::parse_flags(args, argc, argv);
+  const std::size_t nodes = bench::flag_size(args, "nodes");
+  const std::size_t rounds = bench::flag_size(args, "rounds");
+  const std::size_t local_steps = bench::flag_size(args, "local-steps");
+  const std::size_t batch = bench::flag_size(args, "batch");
+  const double lr = args.get_double("lr");
 
   bench::print_header("Table 1: Simulation hyperparameters",
                       "CIFAR-10 and FEMNIST configurations");
@@ -43,12 +48,8 @@ int main(int argc, char** argv) {
   std::printf("\nLEAF CNN (FEMNIST) architecture:\n%s",
               nn::make_femnist_cnn().summary().c_str());
 
-  std::printf("\nscaled bench defaults: nodes=%lld rounds=%lld E=%lld "
-              "batch=%lld lr=%.3f\n",
-              static_cast<long long>(args.get_int("nodes")),
-              static_cast<long long>(args.get_int("rounds")),
-              static_cast<long long>(args.get_int("local-steps")),
-              static_cast<long long>(args.get_int("batch")),
-              args.get_double("lr"));
+  std::printf("\nscaled bench defaults: nodes=%zu rounds=%zu E=%zu "
+              "batch=%zu lr=%.3f\n",
+              nodes, rounds, local_steps, batch, lr);
   return 0;
 }

@@ -19,9 +19,6 @@ int main(int argc, char** argv) {
   args.add_string("dataset", "both", "cifar | femnist | both");
   bench::parse_flags(args, argc, argv);
 
-  bench::print_header("Table 3: training energy and average test accuracy",
-                      "SkipTrain vs D-PSGD, 2 datasets x 3 topologies");
-
   struct PaperRow {
     double skip_energy[3];
     double dpsgd_energy;
@@ -41,7 +38,14 @@ int main(int argc, char** argv) {
   sweep::PresetParams params = bench::preset_params_from_flags(args);
   params.dataset = args.get_string("dataset");
   const sweep::SweepGrid grid = bench::make_preset_checked("table3", params);
-  const sweep::SweepReport report = bench::run_sweep(grid, args);
+  const sweep::SweepOptions sweep_options =
+      bench::sweep_options_from_flags(args, grid);
+
+  bench::print_header("Table 3: training energy and average test accuracy",
+                      "SkipTrain vs D-PSGD, 2 datasets x 3 topologies");
+
+  const sweep::SweepReport report =
+      bench::run_sweep(grid, sweep_options, args.get_string("trace-out"));
 
   util::TablePrinter table({"Algorithm", "Dataset", "Degree",
                             "Energy Wh (ours)", "Energy Wh (paper)",

@@ -16,9 +16,6 @@ int main(int argc, char** argv) {
   args.add_string("dataset", "both", "cifar | femnist | both");
   bench::parse_flags(args, argc, argv);
 
-  bench::print_header("Table 4: energy budget and accuracy, constrained",
-                      "SkipTrain-constrained vs Greedy vs D-PSGD");
-
   struct PaperRow {
     double budget[3];  // per algorithm ordering: constrained, greedy, dpsgd
     double acc[3][3];  // [algorithm][degree]
@@ -39,13 +36,29 @@ int main(int argc, char** argv) {
     workloads.push_back(energy::Workload::kFemnist);
   }
 
+  // Every workbench reads the flags, so all are built before the banner.
+  struct Run {
+    bench::Workbench wb;
+    sim::RunOptions base;
+  };
+  std::vector<Run> runs;
+  for (const auto workload : workloads) {
+    Run run{bench::make_bench(args, workload), {}};
+    run.base = bench::options_from_flags(args, run.wb);
+    run.base.eval_every = std::max<std::size_t>(run.base.total_rounds / 16, 1);
+    runs.push_back(std::move(run));
+  }
+
+  bench::print_header("Table 4: energy budget and accuracy, constrained",
+                      "SkipTrain-constrained vs Greedy vs D-PSGD");
+
   util::TablePrinter table({"Algorithm", "Dataset", "Degree", "Budget Wh",
                             "Paper Wh", "Acc% (ours)", "Acc% (paper)"});
 
-  for (const auto workload : workloads) {
-    const bench::Workbench wb = bench::make_bench(args, workload);
-    sim::RunOptions base = bench::options_from_flags(args, wb);
-    base.eval_every = std::max<std::size_t>(base.total_rounds / 16, 1);
+  for (const Run& run : runs) {
+    const bench::Workbench& wb = run.wb;
+    const sim::RunOptions& base = run.base;
+    const energy::Workload workload = wb.workload;
     const PaperRow& paper =
         workload == energy::Workload::kCifar10 ? paper_cifar : paper_femnist;
 

@@ -1,6 +1,14 @@
 #include "fault/crc32c.hpp"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <nmmintrin.h>
+#define SKIPTRAIN_CRC32C_HW 1
+#else
+#define SKIPTRAIN_CRC32C_HW 0
+#endif
 
 namespace skiptrain::fault {
 namespace {
@@ -35,10 +43,57 @@ constexpr Tables make_tables() {
 
 constexpr Tables kTables = make_tables();
 
+#if SKIPTRAIN_CRC32C_HW
+/// The SSE4.2 `crc32` instruction computes this same reflected CRC32C,
+/// one 8-byte little-endian word per step. A function-level target keeps
+/// the rest of the build at the baseline ISA, and a plain branch (not an
+/// IFUNC) dispatches to it, so sanitizer builds run it too.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_update_sse42(
+    std::uint32_t crc, const unsigned char* p, std::size_t bytes) {
+  std::uint64_t crc64 = crc;
+  for (; bytes >= 8; p += 8, bytes -= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    crc64 = _mm_crc32_u64(crc64, word);
+  }
+  crc = static_cast<std::uint32_t>(crc64);
+  for (; bytes != 0; ++p, --bytes) crc = _mm_crc32_u8(crc, *p);
+  return crc;
+}
+
+/// Probed on first use, not at namespace scope: a static initializer can
+/// run before libgcc's own CPU probe and would read no features at all.
+bool have_sse42() {
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return supported;
+}
+#endif
+
 }  // namespace
 
 std::uint32_t crc32c_update(std::uint32_t crc, const void* data,
                             std::size_t bytes) {
+#if SKIPTRAIN_CRC32C_HW
+  if (have_sse42()) {
+    return crc32c_update_sse42(crc, static_cast<const unsigned char*>(data),
+                               bytes);
+  }
+#endif
+  return crc32c_update_portable(crc, data, bytes);
+}
+
+const char* crc32c_isa() {
+#if SKIPTRAIN_CRC32C_HW
+  if (have_sse42()) return "sse4.2";
+#endif
+  return "portable";
+}
+
+std::uint32_t crc32c_update_portable(std::uint32_t crc, const void* data,
+                                     std::size_t bytes) {
   const auto* p = static_cast<const unsigned char*>(data);
   // Head: bytes until 4-byte alignment of the remaining length.
   while (bytes != 0 && (bytes & 3U) != 0) {

@@ -2,11 +2,16 @@
 // check behind the fault layer's wire frames and the per-section
 // checksums on fleet images.
 //
-// Portable table-driven implementation (slicing-by-4): no SSE4.2
-// dependency, byte-order independent output, bit-identical on every
-// platform the simulator builds on. The incremental form (`update`)
-// lets ckpt::ImageWriter/ImageReader accumulate a running CRC across
-// many small writes without buffering a section.
+// Two implementations of the one function. On x86-64 hosts whose CPU
+// reports SSE4.2, crc32c_update runs the `crc32` instruction 8 bytes per
+// step; elsewhere it runs the portable slicing-by-4 table, which reads
+// bytes one at a time and so gives the same output on every byte order.
+// The CPU, probed once per process, picks the path: no option, variable
+// or build switch does. Both compute the same CRC, so every frame and
+// image checksum is bit-identical whichever path ran; the portable path
+// stays public as the tests' oracle. The incremental form (`update`) lets
+// ckpt::ImageWriter/ImageReader accumulate a running CRC across many
+// small writes without buffering a section.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +25,15 @@ inline constexpr std::uint32_t kCrc32cInit = 0xffffffffU;
 
 [[nodiscard]] std::uint32_t crc32c_update(std::uint32_t crc, const void* data,
                                           std::size_t bytes);
+
+/// The slicing-by-4 table path, whatever the CPU: crc32c_update's
+/// fallback and its reference.
+[[nodiscard]] std::uint32_t crc32c_update_portable(std::uint32_t crc,
+                                                   const void* data,
+                                                   std::size_t bytes);
+
+/// The path crc32c_update takes on this host: "sse4.2" or "portable".
+[[nodiscard]] const char* crc32c_isa();
 
 [[nodiscard]] inline constexpr std::uint32_t crc32c_finish(std::uint32_t crc) {
   return crc ^ 0xffffffffU;

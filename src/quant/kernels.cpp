@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "quant/codec.hpp"
 #include "util/isa.hpp"
 
-// The batch kernels are element-wise exact (no reductions, and FP
-// contraction is off project-wide), so every ISA clone produces identical
-// bits; AVX2 supplies the per-lane variable shifts and rounds the fp16/int8
+// The batch kernels are element-wise exact (FP contraction is off
+// project-wide, and the int8 min/max scan, the one reduction, selects
+// rather than computes), so every ISA clone produces identical bits; AVX2
+// supplies the per-lane variable shifts and byte shuffles the fp16/int8
 // bodies vectorize with, while the default clone keeps baseline machines
 // working.
 
@@ -83,10 +85,75 @@ inline float dither_uniform_at(std::uint64_t stream,
   return static_cast<float>(z >> 40) * 0x1.0p-24f;
 }
 
-/// Shared int8 block skeleton. The min/max scan keeps the seed's
-/// sequential order (so ±0 ties select the same bits); only the quantize
-/// loop differs per variant and is what `Quantize` vectorizes.
-template <typename Quantize>
+// The int8 encode kernels below are written in GCC vector types: the
+// auto-vectorizer turns neither the min/max scan (an IEEE select chain, not
+// a min reduction) nor the float -> byte quantize into packed code. They
+// work on 8 values as two 4-lane halves. A 16-byte compare or select is one
+// instruction in every clone, while GCC splits a 32-byte one into scalar
+// code on the baseline target; the scan is latency-bound, so two xmm chains
+// keep pace with one ymm chain. The helpers are force-inlined, so each is
+// compiled inside each clone.
+using Vec4 = float __attribute__((vector_size(4 * sizeof(float))));
+using Vec4i = std::int32_t __attribute__((vector_size(4 * sizeof(float))));
+using Bytes16 = std::uint8_t __attribute__((vector_size(16)));
+using Bytes8 = std::uint8_t __attribute__((vector_size(8)));
+/// Vec4 at float alignment, for loads at any float address.
+using Vec4Unaligned = float
+    __attribute__((vector_size(4 * sizeof(float)), aligned(4), may_alias));
+constexpr std::size_t kLanes = 8;
+
+/// The seed's min/max scan over x[0, n), n >= 1: lo = min(lo, x) and
+/// hi = max(hi, x) in index order, so a NaN first value poisons both and
+/// later NaNs are skipped, and of tied ±0 values the first one wins.
+inline void block_range_sequential(const float* x, std::size_t n, float& lo,
+                                   float& hi) {
+  lo = x[0];
+  hi = x[0];
+  for (std::size_t i = 1; i < n; ++i) {
+    lo = std::min(lo, x[i]);
+    hi = std::max(hi, x[i]);
+  }
+}
+
+/// The same scan over 8 lanes, each starting from x[0] and applying the
+/// seed's select (`x < acc ? x : acc`), then folded lane by lane. It finds
+/// the values the sequential scan finds, and equal values share their bits
+/// except ±0, so a lo or hi of ±0 redoes the sequential scan. So does a
+/// NaN one, which only a NaN x[0] yields.
+[[gnu::always_inline]] inline void block_range(const float* __restrict__ x,
+                                               std::size_t n, float& lo,
+                                               float& hi) {
+  const float first = x[0];
+  Vec4 vlo[2] = {{first, first, first, first}, {first, first, first, first}};
+  Vec4 vhi[2] = {vlo[0], vlo[1]};
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (std::size_t h = 0; h < 2; ++h) {
+      const Vec4 v = *reinterpret_cast<const Vec4Unaligned*>(x + i + 4 * h);
+      vlo[h] = v < vlo[h] ? v : vlo[h];
+      vhi[h] = vhi[h] < v ? v : vhi[h];
+    }
+  }
+  lo = vlo[0][0];
+  hi = vhi[0][0];
+  for (std::size_t l = 1; l < kLanes; ++l) {
+    lo = std::min(lo, vlo[l / 4][l % 4]);
+    hi = std::max(hi, vhi[l / 4][l % 4]);
+  }
+  for (; i < n; ++i) {
+    lo = std::min(lo, x[i]);
+    hi = std::max(hi, x[i]);
+  }
+  if (lo == 0.0f || hi == 0.0f || lo != lo || hi != hi) {
+    block_range_sequential(x, n, lo, hi);
+  }
+}
+
+/// Shared int8 block skeleton: per block, the min/max `Scan`
+/// (block_range for the batch kernels, block_range_sequential for the
+/// scalar references; the two agree bitwise) and the affine range, then the
+/// variant's `quantize` over the block.
+template <auto Scan, typename Quantize>
 [[gnu::always_inline]] inline void int8_encode_blocks(
     std::span<const float> row, std::uint8_t* codes, float* lo_out,
     float* scale_out, Quantize&& quantize) {
@@ -95,12 +162,9 @@ template <typename Quantize>
   for (std::size_t b = 0; b < blocks; ++b) {
     const std::size_t begin = b * kInt8BlockValues;
     const std::size_t end = std::min(begin + kInt8BlockValues, row.size());
-    float lo = row[begin];
-    float hi = row[begin];
-    for (std::size_t i = begin + 1; i < end; ++i) {
-      lo = std::min(lo, row[i]);
-      hi = std::max(hi, row[i]);
-    }
+    float lo = 0.0f;
+    float hi = 0.0f;
+    Scan(row.data() + begin, end - begin, lo, hi);
     const float scale = (hi - lo) / 255.0f;
     lo_out[b] = lo;
     scale_out[b] = scale;
@@ -111,6 +175,35 @@ template <typename Quantize>
     const float inv_scale = 1.0f / scale;
     quantize(begin, end, lo, inv_scale);
   }
+}
+
+/// Codes of 8 values: lroundf((x - lo) * inv) clamped to [0, 255], with a
+/// NaN product mapping to code 0, all in registers. t is >= 0 (x >= lo) and
+/// finite for a finite inv, so after the clamp to [0, 255] truncation is
+/// floor, t - floor(t) is exact, and adding 1 at a fraction >= 0.5 is the
+/// reference's half-away-from-zero rounding. A NaN t (an element of a
+/// poisoned row whose block endpoints are finite) is zeroed first, which
+/// keeps the conversion in range and lands on the reference's clamped code.
+[[gnu::always_inline]] inline void int8_quantize8(
+    const float* __restrict__ x, float lo, float inv,
+    std::uint8_t* __restrict__ out) {
+  const Vec4 zero = {};
+  const Vec4 top = zero + 255.0f;
+  Vec4i code[2] = {};
+  for (std::size_t h = 0; h < 2; ++h) {
+    Vec4 t = (*reinterpret_cast<const Vec4Unaligned*>(x + 4 * h) - lo) * inv;
+    t = t == t ? t : zero;
+    t = top < t ? top : t;
+    const Vec4i whole = __builtin_convertvector(t, Vec4i);
+    const Vec4 frac = t - __builtin_convertvector(whole, Vec4);
+    // A true vector compare is -1 in every bit of its lane.
+    code[h] = whole - (frac >= 0.5f);
+  }
+  // Codes are 0..255, so the low byte of each lane is the code.
+  const Bytes8 bytes = __builtin_shufflevector(
+      reinterpret_cast<Bytes16>(code[0]), reinterpret_cast<Bytes16>(code[1]),
+      0, 4, 8, 12, 16, 20, 24, 28);
+  std::memcpy(out, &bytes, sizeof(bytes));
 }
 
 }  // namespace
@@ -189,7 +282,7 @@ void int8_encode(std::span<const float> row, std::uint8_t* codes, float* lo,
                  float* scale) {
   const float* __restrict__ in = row.data();
   std::uint8_t* __restrict__ out = codes;
-  int8_encode_blocks(
+  int8_encode_blocks<block_range>(
       row, codes, lo, scale,
       [in, out](std::size_t begin, std::size_t end, float blo, float inv) {
         if (!(inv > 0.0f) || inv > std::numeric_limits<float>::max()) {
@@ -202,20 +295,18 @@ void int8_encode(std::span<const float> row, std::uint8_t* codes, float* lo,
           std::fill(out + begin, out + end, std::uint8_t{0});
           return;
         }
-        for (std::size_t i = begin; i < end; ++i) {
-          const float t = (in[i] - blo) * inv;
-          // Positive half-away-from-zero, branch-free: bitwise equal to
-          // the reference's lroundf (t >= 0 by construction — and with a
-          // finite inv, t stays far below 2^31 — and t - floor(t) is
-          // exact for these magnitudes). The int32 intermediate is what
-          // lets the conversion-to-code vectorize; the NaN select (an
-          // element of a poisoned row whose block endpoints are finite)
-          // keeps the conversion in defined range and lands on code 0,
-          // the reference's clamped result.
-          const float r = std::floor(t);
-          const float rc = (t == t) ? std::min(r, 255.0f) : 0.0f;
-          const int q = static_cast<int>(rc) + ((t - r >= 0.5f) ? 1 : 0);
-          out[i] = static_cast<std::uint8_t>(std::min(q, 255));
+        std::size_t i = begin;
+        for (; i + kLanes <= end; i += kLanes) {
+          int8_quantize8(in + i, blo, inv, out + i);
+        }
+        if (i < end) {
+          // The block's last n % 8 values: pad with lo (code 0).
+          float x[kLanes];
+          std::fill(x, x + kLanes, blo);
+          std::copy(in + i, in + end, x);
+          std::uint8_t q[kLanes] = {};
+          int8_quantize8(x, blo, inv, q);
+          std::copy(q, q + (end - i), out + i);
         }
       });
 }
@@ -225,7 +316,7 @@ void int8_encode_dithered(std::span<const float> row, std::uint64_t stream,
                           std::uint8_t* codes, float* lo, float* scale) {
   const float* __restrict__ in = row.data();
   std::uint8_t* __restrict__ out = codes;
-  int8_encode_blocks(
+  int8_encode_blocks<block_range>(
       row, codes, lo, scale,
       [in, out, stream](std::size_t begin, std::size_t end, float blo,
                         float inv) {
@@ -278,7 +369,7 @@ void int8_decode_dithered(std::size_t dim, const std::uint8_t* codes,
 
 void int8_encode_scalar(std::span<const float> row, std::uint8_t* codes,
                         float* lo, float* scale) {
-  int8_encode_blocks(
+  int8_encode_blocks<block_range_sequential>(
       row, codes, lo, scale,
       [&row, codes](std::size_t begin, std::size_t end, float blo, float inv) {
         for (std::size_t i = begin; i < end; ++i) {
@@ -292,7 +383,7 @@ void int8_encode_scalar(std::span<const float> row, std::uint8_t* codes,
 void int8_encode_dithered_scalar(std::span<const float> row,
                                  std::uint64_t stream, std::uint8_t* codes,
                                  float* lo, float* scale) {
-  int8_encode_blocks(
+  int8_encode_blocks<block_range_sequential>(
       row, codes, lo, scale,
       [&row, codes, stream](std::size_t begin, std::size_t end, float blo,
                             float inv) {

@@ -1,19 +1,24 @@
 // Batch (whole-row) kernels for the exchange codecs, plus the scalar
 // reference paths they must match bit for bit.
 //
-// The vectorized kernels process entire rows with branch-free bodies
-// (integer selects, floor/compare rounding) that the compiler can
-// auto-vectorize, instead of calling the scalar conversion per element.
+// The batch kernels process entire rows with branch-free bodies (integer
+// selects, compare rounding) instead of calling the scalar conversion per
+// element; the fp16 encoders and int8_decode auto-vectorize. The int8
+// encoders scan each block's min/max in 8 lanes, and int8_encode quantizes
+// 8 values at a time to bytes in registers, both written in GCC vector
+// types because the auto-vectorizer left them scalar. fp16_decode and the
+// dithered codec's loops (a 64-bit multiply hash per value) stay scalar.
 // Every kernel is bitwise identical to its `*_scalar` counterpart — the
 // seed per-element code retained verbatim — which
 // tests/test_quant_kernels.cpp enforces exhaustively for fp16 (all 2^16
-// halves) and by fuzz for the int8 block codecs (including constant and
-// denormal-heavy rows). One scoping note: for pathological int8 blocks
-// whose range is denormal-small, infinite, or NaN, the seed path funnels
-// ±Inf/NaN through lroundf, whose out-of-range result is the *x86*
-// saturating float→long conversion (clamps to code 0); the batch kernels
-// replicate that outcome explicitly, so on a non-x86 target the scalar
-// seed path — not the batch kernels — is what would diverge.
+// halves), by fuzz for the int8 block codecs (including constant and
+// denormal-heavy rows) and at every ±0 and NaN endpoint placement the
+// lane scan could order differently. One scoping note: for pathological
+// int8 blocks whose range is denormal-small, infinite, or NaN, the seed
+// path funnels ±Inf/NaN through lroundf, whose out-of-range result is the
+// *x86* saturating float→long conversion (clamps to code 0); the batch
+// kernels replicate that outcome explicitly, so on a non-x86 target the
+// scalar seed path — not the batch kernels — is what would diverge.
 #pragma once
 
 #include <cstddef>

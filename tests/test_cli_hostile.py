@@ -2,11 +2,12 @@
 """Hostile command-line values fail cleanly, run via ctest.
 
 Every flag of sweep_main gets malformed, out-of-range and non-finite
-values; each run must exit 2 (a usage error with a message on stderr),
-never die on a signal such as std::terminate's SIGABRT. Every run uses
---list, so no trial trains and no worker pool starts. Each other bench
-harness gets an unknown option and a malformed --rounds, which its flag
-parser must reject the same way.
+values; each run must exit 2 (a usage error with a message on stderr and
+nothing on stdout), never die on a signal such as std::terminate's
+SIGABRT. Every run uses --list, so no trial trains and no worker pool
+starts. Each other bench harness gets an unknown option, a malformed
+--rounds and negative counts, which it must reject the same way before it
+prints a banner or a table.
 
 usage: test_cli_hostile.py <bin-dir> [harness ...]
 """
@@ -47,9 +48,32 @@ HOSTILE = (
 )
 
 
+# Count flags each harness reads, so a negative value must stop it.
+NEGATIVE_COUNTS = {
+    "ablation_budget_spend": ["trials", "seed"],
+    "ablation_compression": ["degree", "rounds"],
+    "ablation_fairness": ["degree", "batch"],
+    "ablation_faults": ["degree", "eval-samples"],
+    "ablation_mixing": ["nodes", "local-steps"],
+    "ablation_quantization": ["degree", "local-steps"],
+    "ablation_scenario": ["degree", "eval-every"],
+    "fig1_allreduce": ["rounds", "degree"],
+    "fig2_schedule": ["rounds", "gamma-train", "gamma-sync"],
+    "fig3_gamma_grid": ["threads", "checkpoint-every"],
+    "fig4_oscillation": ["tail", "degree"],
+    "fig5_tradeoff": ["keep-generations", "nodes"],
+    "fig6_constrained": ["threads", "seed"],
+    "fig7_class_dist": ["show-nodes", "nodes"],
+    "intro_energy_ratio": ["degree"],
+    "table1_hyperparams": ["nodes", "batch"],
+    "table3_summary": ["threads", "rounds"],
+    "table4_constrained": ["seed", "eval-samples"],
+}
+
+
 def run(binary, args):
     return subprocess.run([os.path.join(BIN_DIR, binary)] + args,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           timeout=60)
 
 
@@ -62,6 +86,8 @@ class HostileCliValues(unittest.TestCase):
         self.assertEqual(result.returncode, 2,
                          f"{binary} {args}: exit {result.returncode}")
         self.assertTrue(result.stderr.strip(), f"{binary} {args}: no message")
+        self.assertEqual(result.stdout, b"",
+                         f"{binary} {args}: printed before failing")
 
     def test_baseline_list_succeeds(self):
         self.assertEqual(run("sweep_main", LIST_FIG3).returncode, 0)
@@ -80,11 +106,28 @@ class HostileCliValues(unittest.TestCase):
         self.assert_usage_error("sweep_main",
                                 ["--config", "/nonexistent/grid.conf"])
 
+    def test_every_sweep_flag_is_read_before_output(self):
+        # Without --list, sweep_main prints the trial count before running;
+        # the runner flags must already have been checked by then.
+        for flag in ("threads", "checkpoint-every", "keep-generations"):
+            with self.subTest(flag=flag):
+                self.assert_usage_error(
+                    "sweep_main", ["--preset", "fig3", f"--{flag}=-1"])
+
     def test_every_harness_rejects_bad_flags(self):
         for harness in HARNESSES:
             for args in (["--no-such-option"], ["--rounds", "x"]):
                 with self.subTest(harness=harness, args=args):
                     self.assert_usage_error(harness, args)
+
+
+    def test_harnesses_read_counts_before_printing(self):
+        # A negative count exits 2 with empty stdout: each harness reads
+        # and checks every flag before its banner.
+        for harness in HARNESSES:
+            for flag in NEGATIVE_COUNTS.get(harness, ()):
+                with self.subTest(harness=harness, flag=flag):
+                    self.assert_usage_error(harness, [f"--{flag}", "-1"])
 
 
 if __name__ == "__main__":

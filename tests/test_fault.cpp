@@ -1,11 +1,13 @@
-// Fault-injection layer: CRC32C known-answer vectors, fault-plan parsing
-// and validation, stateless draw determinism, wire-frame round-trip and
-// exhaustive single-bit corruption rejection, engine-level thread-count
+// Fault-injection layer: CRC32C known-answer vectors and the SSE4.2 path
+// against the portable table at every length, offset and split, fault-plan
+// parsing and validation, stateless draw determinism, wire-frame round-trip
+// and exhaustive single-bit corruption rejection, engine-level thread-count
 // and kill/resume invariance under active fault plans, duplicate-delivery
 // idempotence, the fault and mixing registry counters, IO-fault retry, and
 // multi-generation checkpoint fallback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -31,6 +33,7 @@
 #include "sim/engine.hpp"
 #include "sim/runner.hpp"
 #include "sweep/sweep.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace skiptrain {
@@ -49,6 +52,84 @@ TEST(Crc32c, KnownAnswerVectors) {
   // 32 0xff bytes (iSCSI test vector).
   const std::vector<std::uint8_t> ones(32, 0xff);
   EXPECT_EQ(fault::crc32c(ones.data(), ones.size()), 0x62a8ab43u);
+}
+
+TEST(Crc32c, PortablePathKnownAnswerVectors) {
+  const auto portable = [](const void* data, std::size_t bytes) {
+    return fault::crc32c_finish(
+        fault::crc32c_update_portable(fault::kCrc32cInit, data, bytes));
+  };
+  EXPECT_EQ(portable("123456789", 9), 0xe3069283u);
+  const std::vector<std::uint8_t> zeros(32, 0);
+  EXPECT_EQ(portable(zeros.data(), zeros.size()), 0x8a9136aau);
+  const std::vector<std::uint8_t> ones(32, 0xff);
+  EXPECT_EQ(portable(ones.data(), ones.size()), 0x62a8ab43u);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+TEST(Crc32c, TakesTheSse42PathWhereTheCpuHasIt) {
+  __builtin_cpu_init();
+  EXPECT_STREQ(fault::crc32c_isa(),
+               __builtin_cpu_supports("sse4.2") ? "sse4.2" : "portable");
+}
+#endif
+
+std::vector<std::uint8_t> crc_test_bytes(std::size_t size,
+                                         std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::uint8_t> bytes(size);
+  for (auto& byte : bytes) byte = static_cast<std::uint8_t>(rng.next_u64());
+  return bytes;
+}
+
+TEST(Crc32c, DispatchedPathMatchesPortableAtEveryLengthAndOffset) {
+  // crc32c_update runs 8-byte steps plus a byte tail on the SSE4.2 path,
+  // so every length mod 8 and every start address mod 8 is its own case.
+  const auto bytes = crc_test_bytes(1024 + 8, 3);
+  for (const std::uint32_t start : {fault::kCrc32cInit, 0x12345678u}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t len = 0; len <= 1024; ++len) {
+        ASSERT_EQ(fault::crc32c_update(start, bytes.data() + offset, len),
+                  fault::crc32c_update_portable(start, bytes.data() + offset,
+                                                len))
+            << "start " << start << " offset " << offset << " len " << len;
+      }
+    }
+  }
+  const auto mebibyte = crc_test_bytes(std::size_t{1} << 20, 4);
+  EXPECT_EQ(fault::crc32c(mebibyte.data(), mebibyte.size()),
+            fault::crc32c_finish(fault::crc32c_update_portable(
+                fault::kCrc32cInit, mebibyte.data(), mebibyte.size())));
+}
+
+TEST(Crc32c, IncrementalFeedsMatchPortableOneShot) {
+  const auto bytes = crc_test_bytes(203, 5);
+  const std::uint32_t expect = fault::crc32c_update_portable(
+      fault::kCrc32cInit, bytes.data(), bytes.size());
+  // Three runs [0, i), [i, j), [j, n) at every i <= j: verify_frame's
+  // up-to-the-flip, flipped-byte and rest runs are the j = i + 1 cases.
+  for (std::size_t i = 0; i <= bytes.size(); ++i) {
+    for (std::size_t j = i; j <= bytes.size(); ++j) {
+      std::uint32_t crc = fault::kCrc32cInit;
+      crc = fault::crc32c_update(crc, bytes.data(), i);
+      crc = fault::crc32c_update(crc, bytes.data() + i, j - i);
+      crc = fault::crc32c_update(crc, bytes.data() + j, bytes.size() - j);
+      ASSERT_EQ(crc, expect) << "runs split at " << i << " and " << j;
+    }
+  }
+  // Many small writes of uneven sizes, as ckpt::ImageWriter feeds a
+  // section's header fields and arrays.
+  for (std::size_t period = 1; period <= 17; ++period) {
+    std::uint32_t crc = fault::kCrc32cInit;
+    std::size_t at = 0;
+    for (std::size_t step = 0; at < bytes.size(); ++step) {
+      const std::size_t len =
+          std::min(1 + step % period, bytes.size() - at);
+      crc = fault::crc32c_update(crc, bytes.data() + at, len);
+      at += len;
+    }
+    ASSERT_EQ(crc, expect) << "writes of 1.." << period << " bytes";
+  }
 }
 
 TEST(Crc32c, IncrementalMatchesOneShot) {

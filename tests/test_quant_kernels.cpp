@@ -2,7 +2,9 @@
 // reference paths: exhaustive over all 2^16 halves for fp16 decode (and
 // encode of every exactly-representable half value plus directed rounding
 // neighborhoods and random bit patterns), fuzzed for the int8 block
-// codecs including constant and denormal-heavy rows.
+// codecs including constant and denormal-heavy rows, and at every ±0 and
+// NaN endpoint placement the int8 encoders' 8-lane min/max scan could
+// order differently from the seed's sequential scan.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -197,6 +199,88 @@ TEST(Int8Kernels, SingleElementAndPartialTrailingBlocks) {
     std::vector<float> row(dim);
     rng.fill_normal(row, -1.0f, 4.0f);
     expect_int8_matches(row, dither_stream(77, dim), "partial-block");
+  }
+}
+
+// The batch encoders scan a block's min/max in 8 lanes; only ±0 and NaN
+// endpoints can make that order show in the bits, so these rows put them
+// at every lane position of full blocks and of trailing partial blocks.
+TEST(Int8Kernels, SignedZeroEndpointsInEveryPositionAndOrder) {
+  util::Rng rng(31);
+  for (const std::size_t tail : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{7}, std::size_t{8},
+                                 std::size_t{13}, kInt8BlockValues - 1}) {
+    // With tail == 0 the zeros sit in a full block; otherwise in a
+    // trailing block of `tail` values after one full block.
+    const std::size_t n = tail == 0 ? kInt8BlockValues : tail;
+    const std::size_t base = tail == 0 ? 0 : kInt8BlockValues;
+    std::vector<float> row(base + n);
+    for (const float side : {1.0f, -1.0f}) {
+      // side > 0: every other value is positive, so ±0 is the block's lo;
+      // side < 0: every other value is negative, so ±0 is its hi.
+      for (std::size_t p = 0; p < n; ++p) {
+        for (std::size_t q = 0; q < n; ++q) {
+          if (p == q) continue;
+          for (auto& v : row) {
+            v = side * (0.25f + static_cast<float>(rng.uniform()));
+          }
+          row[base + p] = -0.0f;
+          row[base + q] = 0.0f;
+          expect_int8_matches(row, dither_stream(9, p * n + q),
+                              "signed-zero endpoint");
+        }
+      }
+    }
+  }
+}
+
+TEST(Int8Kernels, BothEndpointsSignedZero) {
+  // A block of only ±0: lo and hi are both zeros, scale is 0.
+  for (const std::size_t n : {std::size_t{3}, std::size_t{9},
+                              kInt8BlockValues}) {
+    for (std::size_t p = 0; p < n; ++p) {
+      std::vector<float> row(n, 0.0f);
+      row[p] = -0.0f;
+      expect_int8_matches(row, dither_stream(10, p), "one -0 among +0");
+      std::vector<float> neg(n, -0.0f);
+      neg[p] = 0.0f;
+      expect_int8_matches(neg, dither_stream(11, p), "one +0 among -0");
+    }
+  }
+}
+
+TEST(Int8Kernels, NaNFirstOrMidBlock) {
+  util::Rng rng(37);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::size_t n : {kInt8BlockValues, std::size_t{11}}) {
+    for (std::size_t p = 0; p < n; ++p) {
+      std::vector<float> row(kInt8BlockValues + n);
+      rng.fill_normal(row, 0.5f, 2.0f);
+      // NaN at position p of the first block and of the second, so p = 0
+      // is a NaN-first block and every other p a mid-block NaN.
+      row[p] = nan;
+      row[kInt8BlockValues + p] = nan;
+      expect_int8_matches(row, dither_stream(12, p), "nan");
+      // A NaN first value followed by ±0 endpoints.
+      row[kInt8BlockValues / 2] = -0.0f;
+      row[kInt8BlockValues / 2 + 1] = 0.0f;
+      expect_int8_matches(row, dither_stream(13, p), "nan and zeros");
+    }
+  }
+}
+
+TEST(Int8Kernels, ConstantAndTwoValuedBlocks) {
+  util::Rng rng(41);
+  for (const float a : {-2.5f, -0.0f, 0.0f, 1.0f, 3.0e38f}) {
+    for (const std::size_t dim :
+         {std::size_t{5}, kInt8BlockValues, 2 * kInt8BlockValues + 9}) {
+      std::vector<float> row(dim, a);
+      expect_int8_matches(row, dither_stream(14, dim), "constant");
+      for (const float b : {-1.0f, 0.0f, 0.5f, 1.0e-40f}) {
+        for (auto& v : row) v = rng.uniform() < 0.5 ? a : b;
+        expect_int8_matches(row, dither_stream(15, dim), "two-valued");
+      }
+    }
   }
 }
 
