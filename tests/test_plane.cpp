@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <set>
 #include <span>
@@ -159,8 +162,9 @@ std::vector<std::vector<float>> reference_exact_self_mix(
   return current;
 }
 
-/// A random delivered mask with one down receiver (nothing delivered) and
-/// one row where every edge delivered.
+/// A random delivered mask with two down receivers (nothing delivered),
+/// one of them node 1 next to the CSR matrix's isolated node 0, and one
+/// row where every edge delivered.
 std::vector<std::uint8_t> random_delivery(const graph::MixingMatrix& mixing,
                                           util::Rng& rng) {
   std::vector<std::uint8_t> delivered(mixing.num_entries());
@@ -172,9 +176,40 @@ std::vector<std::uint8_t> random_delivery(const graph::MixingMatrix& mixing,
               begin + static_cast<std::ptrdiff_t>(mixing.degree(node)), value);
   };
   const std::size_t n = mixing.num_nodes();
+  fill_row(1, 0);
   fill_row(n / 2, 0);
   fill_row(n - 2, 1);
   return delivered;
+}
+
+/// Overwrites random cells of a plane (at least one per value) with IEEE
+/// edge values: signed zeros, a NaN, both infinities and subnormals. The
+/// NaN is the one the FPU generates for inf − inf (x86: the negative
+/// default NaN), so every NaN of a run has one bit pattern. IEEE 754 leaves
+/// open which payload an add of two NaNs keeps, and the compiler may swap
+/// a commutative add's operands, so two payloads would make the bits of a
+/// sum depend on codegen rather than on the op sequence.
+void sprinkle_special_values(std::vector<std::vector<float>>& rows,
+                             util::Rng& rng) {
+  using limits = std::numeric_limits<float>;
+  volatile float inf = limits::infinity();
+  const float generated_nan = inf - inf;
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            generated_nan,
+                            limits::infinity(),
+                            -limits::infinity(),
+                            limits::denorm_min(),
+                            -limits::denorm_min(),
+                            limits::min() / 3.0f};
+  const std::size_t n = rows.size();
+  const std::size_t dim = rows.front().size();
+  const std::size_t cells = std::max<std::size_t>(16, n * dim / 64);
+  for (std::size_t c = 0; c < cells; ++c) {
+    const auto row = static_cast<std::size_t>(rng.uniform_int(n));
+    const auto col = static_cast<std::size_t>(rng.uniform_int(dim));
+    rows[row][col] = specials[c % std::size(specials)];
+  }
 }
 
 /// Row-major copy of a vector-of-rows plane.
@@ -217,14 +252,24 @@ TEST(GossipKernel, BitIdenticalToRowLoopOnEveryTileShape) {
     const char* name;
     std::size_t n;
     std::size_t dim;
+    bool every_matrix;  ///< else the random-regular matrix only
   };
   const Shape shapes[] = {
       // 3 column blocks of 5461 floats, the last one partial.
-      {"column blocks", 24, 12000},
+      {"column blocks", 24, 12000, true},
       // n > 256: whole-row tiles over contiguous row ranges.
-      {"row ranges", 300, 448},
+      {"row ranges", 300, 448, true},
       // The whole plane fits one tile: a single task.
-      {"one tile", 10, 100},
+      {"one tile", 10, 100, true},
+      // One-tile rows around the kernel's 8- and 32-float column chunks.
+      {"dim 1", 10, 1, true},
+      {"dim 7", 10, 7, true},
+      {"dim 8", 10, 8, true},
+      {"dim 31", 10, 31, true},
+      {"dim 32", 10, 32, true},
+      {"dim 33", 10, 33, true},
+      // chaos_256: 512-float column blocks and a 362-float tail.
+      {"chaos_256", 256, 2410, false},
   };
   for (const Shape& shape : shapes) {
     std::vector<std::vector<float>> half(shape.n,
@@ -236,9 +281,13 @@ TEST(GossipKernel, BitIdenticalToRowLoopOnEveryTileShape) {
     for (auto& row : received) {
       for (float& value : row) value += 0.01f * rng.uniform_float();
     }
+    sprinkle_special_values(half, rng);
+    sprinkle_special_values(received, rng);
     const std::vector<float> half_flat = flatten(half);
     const std::vector<float> received_flat = flatten(received);
-    for (const auto& [label, mixing] : kernel_matrices(shape.n)) {
+    auto matrices = kernel_matrices(shape.n);
+    if (!shape.every_matrix) matrices.resize(1);
+    for (const auto& [label, mixing] : matrices) {
       const std::vector<std::uint8_t> delivered =
           random_delivery(mixing, rng);
       struct Form {
@@ -265,10 +314,13 @@ TEST(GossipKernel, BitIdenticalToRowLoopOnEveryTileShape) {
           std::vector<float> out(half_flat.size(), -7.0f);
           graph::apply_mixing(mixing, half_flat, form.received, out,
                               shape.dim, form.delivered);
+          // Bit patterns, so -0 vs +0 and NaN payloads count too.
           for (std::size_t i = 0; i < out.size(); ++i) {
-            ASSERT_EQ(out[i], form.reference[i])
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+                      std::bit_cast<std::uint32_t>(form.reference[i]))
                 << (serial ? "serial" : "pool") << " node " << i / shape.dim
-                << " coord " << i % shape.dim;
+                << " coord " << i % shape.dim << ": " << out[i] << " vs "
+                << form.reference[i];
           }
         }
       }
