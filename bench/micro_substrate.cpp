@@ -6,11 +6,11 @@
 // Results are written to BENCH_aggregate.json (override with
 // --benchmark_out=...) so CI records the gossip-kernel perf trajectory
 // per PR. `--quick` runs the aggregate-phase, large-fleet gossip,
-// exchange-codec, int8-encode, CRC32C and wire-frame, fleet-checkpoint,
-// scenario/harvest, kernel-layer GEMM, Conv2d, local-step (whole and per
-// part), 16-node full-round and 16-node fleet-evaluation rows at a short
-// min-time — the mode the CI Release job uses; the GEMM/Conv/CRC/int8 and
-// Gossip rows feed the bench regression gate
+// gossip-form, exchange-codec, int8-encode, CRC32C and wire-frame,
+// fleet-checkpoint, scenario/harvest, kernel-layer GEMM, Conv2d, local-step
+// (whole and per part), 16-node full-round and 16-node fleet-evaluation
+// rows at a short min-time — the mode the CI Release job uses; the
+// GEMM/Conv/CRC/int8 and Gossip rows feed the bench regression gate
 // (tools/check_bench_regression.py).
 #include <benchmark/benchmark.h>
 
@@ -19,6 +19,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -295,7 +297,7 @@ void BM_AggregationStep(benchmark::State& state) {
   // One node's Metropolis-Hastings aggregation over `degree` neighbors
   // with a compact-model-sized parameter vector.
   const auto degree = static_cast<std::size_t>(state.range(0));
-  const std::size_t dim = 2752;  // compact CIFAR MLP parameter count
+  const std::size_t dim = 2410;  // compact CIFAR MLP parameter count
   std::vector<std::vector<float>> neighbors(degree + 1,
                                             std::vector<float>(dim));
   util::Rng rng(2);
@@ -449,6 +451,115 @@ BENCHMARK(BM_GossipSharded)
     ->Args({100000, 1024})
     ->UseRealTime()  // the kernel runs on pool workers, not this thread
     ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// The gossip kernel's three forms at chaos_256's shape: 256 nodes x 2410
+// floats (the compact CIFAR MLP) on a random 6-regular graph, on one
+// thread. range(2) picks the form: 0 plain, 1 exact self (received is a
+// perturbed copy), 2 difference with about 5% of entries undelivered.
+// BM_GossipFormRowLoop is the same-process reference twin: the multi-pass
+// row loops the one-pass kernel replaced, on the same 512-float column
+// blocks. Both run under --quick; the CI gate holds each form's ratio.
+// ---------------------------------------------------------------------------
+
+/// The pre-kernel row loops: plain as a 3-term pass (degree >= 2, as on
+/// the 6-regular graph here), 2-term passes and a trailing 1-term pass
+/// over the output slice, the exact-self fix as one
+/// more pass, the difference form a copy plus one pass per delivered term.
+void row_loop_mix(const graph::MixingMatrix& mixing, const float* half,
+                  const float* received, float* out, std::size_t dim,
+                  const std::uint8_t* delivered) {
+  const std::size_t n = mixing.num_nodes();
+  const std::size_t block = std::min<std::size_t>(128 * 1024 / n, dim);
+  for (std::size_t begin = 0; begin < dim; begin += block) {
+    const std::size_t len = std::min(block, dim - begin);
+    const auto wire = [&](std::size_t node) {
+      return received + node * dim + begin;
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      float* __restrict__ y = out + i * dim + begin;
+      const float* mine = half + i * dim + begin;
+      const auto nbrs = mixing.neighbor_weights(i);
+      const auto add_difference = [&](float w, const float* a,
+                                      const float* b) {
+        for (std::size_t k = 0; k < len; ++k) y[k] += w * (a[k] - b[k]);
+      };
+      if (delivered) {
+        std::copy(mine, mine + len, y);
+        const std::uint8_t* flags = delivered + mixing.entry_offset(i);
+        for (std::size_t e = 0; e < nbrs.size(); ++e) {
+          if (flags[e]) {
+            add_difference(nbrs[e].weight, wire(nbrs[e].neighbor), mine);
+          }
+        }
+        continue;
+      }
+      const float self_w = mixing.self_weight(i);
+      const float* x0 = wire(i);
+      const float* x1 = wire(nbrs[0].neighbor);
+      const float* x2 = wire(nbrs[1].neighbor);
+      const float a1 = nbrs[0].weight, a2 = nbrs[1].weight;
+      for (std::size_t k = 0; k < len; ++k) {
+        y[k] = ((self_w * x0[k]) + a1 * x1[k]) + a2 * x2[k];
+      }
+      std::size_t e = 2;
+      for (; e + 2 <= nbrs.size(); e += 2) {
+        const float* s1 = wire(nbrs[e].neighbor);
+        const float* s2 = wire(nbrs[e + 1].neighbor);
+        const float w1 = nbrs[e].weight, w2 = nbrs[e + 1].weight;
+        for (std::size_t k = 0; k < len; ++k) {
+          y[k] = (y[k] + w1 * s1[k]) + w2 * s2[k];
+        }
+      }
+      if (e < nbrs.size()) {
+        const float* s1 = wire(nbrs[e].neighbor);
+        const float w1 = nbrs[e].weight;
+        for (std::size_t k = 0; k < len; ++k) y[k] += w1 * s1[k];
+      }
+      if (received != half) add_difference(self_w, mine, wire(i));
+    }
+  }
+}
+
+template <bool kRowLoop>
+void BM_GossipFormT(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  const auto dim = static_cast<std::size_t>(state.range(1));
+  const auto form = state.range(2);
+  const auto mixing = aggregate_mixing(nodes);
+  std::vector<float> half(nodes * dim), out(nodes * dim);
+  util::Rng rng(43);
+  rng.fill_normal(half, 0.0f, 1.0f);
+  std::vector<float> received = half;
+  for (float& value : received) value += 0.01f * rng.uniform_float();
+  // The plain form is picked by passing x_half itself as the received plane.
+  const std::vector<float>& wire = form == 0 ? half : received;
+  std::vector<std::uint8_t> delivered(mixing.num_entries());
+  for (auto& flag : delivered) flag = rng.bernoulli(0.95) ? 1 : 0;
+  std::optional<std::span<const std::uint8_t>> mask;
+  if (form == 2) mask = delivered;
+  const util::ThreadPool::ScopedForceSerial serial;
+  for (auto _ : state) {
+    if constexpr (kRowLoop) {
+      row_loop_mix(mixing, half.data(), wire.data(), out.data(), dim,
+                   mask ? delivered.data() : nullptr);
+    } else {
+      graph::apply_mixing(mixing, half, wire, out, dim, mask);
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(out.size() * sizeof(float)));
+}
+void GossipFormGrid(benchmark::internal::Benchmark* bench) {
+  for (const std::int64_t form : {0, 1, 2}) bench->Args({256, 2410, form});
+  bench->Unit(benchmark::kMillisecond);
+}
+BENCHMARK(BM_GossipFormT<false>)->Name("BM_GossipForm")->Apply(GossipFormGrid);
+BENCHMARK(BM_GossipFormT<true>)
+    ->Name("BM_GossipFormRowLoop")
+    ->Apply(GossipFormGrid);
 
 // ---------------------------------------------------------------------------
 // Exchange-codec kernels: encode/decode throughput per codec at compact

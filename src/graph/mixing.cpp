@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "tensor/ops.hpp"
+#include "util/isa.hpp"
 #include "util/thread_pool.hpp"
 
 namespace skiptrain::graph {
@@ -163,10 +163,95 @@ Tiling pick_tiling(std::size_t n, std::size_t dim, std::size_t workers) {
   return {dim, std::min(n, 8 * workers)};
 }
 
-/// out += w·(a − b): one difference term of a row reduction.
-void add_difference(float w, std::span<const float> a,
-                    std::span<const float> b, std::span<float> out) {
-  for (std::size_t k = 0; k < out.size(); ++k) out[k] += w * (a[k] - b[k]);
+/// A tile row's reduction over gathered (tile-slice source, weight) terms:
+/// acc = w·src of term 0, or `sub` itself when plain_end is 0; then
+/// acc = acc + w·src for terms [1, plain_end) and acc = acc + w·(src − sub)
+/// for terms [plain_end, count), in order.
+struct Term {
+  const float* src;
+  float weight;
+};
+struct RowTerms {
+  const Term* terms;
+  std::size_t plain_end, count;
+  const float* sub;
+};
+
+/// Columns [k, k + NV lanes) of one row, held in registers while every
+/// term is applied, then stored once. Mem is util::Vec8Unaligned or float.
+template <typename Reg, typename Mem, std::size_t NV>
+[[gnu::always_inline]] inline
+void reduce_chunk(const RowTerms& row, std::size_t k, float* __restrict__ out) {
+  constexpr std::size_t w = sizeof(Mem) / sizeof(float);
+  const auto at = [k](const float* src, std::size_t v)
+      __attribute__((always_inline)) -> const Mem& {
+    return *reinterpret_cast<const Mem*>(src + k + v * w);
+  };
+  Reg acc[NV], sv[NV];  // sv: the chunk of `sub`
+  for (std::size_t v = 0; v < NV; ++v) acc[v] = sv[v] = at(row.sub, v);
+  if (row.plain_end != 0) {
+    for (std::size_t v = 0; v < NV; ++v) {
+      acc[v] = row.terms[0].weight * at(row.terms[0].src, v);
+    }
+  }
+  for (std::size_t t = 1; t < row.plain_end; ++t) {
+    for (std::size_t v = 0; v < NV; ++v) {
+      acc[v] = acc[v] + row.terms[t].weight * at(row.terms[t].src, v);
+    }
+  }
+  for (std::size_t t = row.plain_end; t < row.count; ++t) {
+    for (std::size_t v = 0; v < NV; ++v) {
+      acc[v] = acc[v] + row.terms[t].weight * (at(row.terms[t].src, v) - sv[v]);
+    }
+  }
+  for (std::size_t v = 0; v < NV; ++v) {
+    *reinterpret_cast<Mem*>(out + k + v * w) = acc[v];
+  }
+}
+
+/// Rows [row_lo, row_hi) of one tile, columns [begin, begin + len): each
+/// row gathers its terms in neighbor order, then walks the columns in
+/// 32-, 8- and 1-float chunks.
+SKIPTRAIN_GEMM_CLONES
+void mix_tile(const MixingMatrix& mixing, const float* x_half,
+              const float* received, float* x_current, std::size_t dim,
+              const std::uint8_t* delivered, std::size_t begin,
+              std::size_t len, std::size_t row_lo, std::size_t row_hi) {
+  constexpr std::size_t kLanes = 8;  // floats per util::Vec8
+  thread_local std::vector<Term> terms;
+  for (std::size_t i = row_lo; i < row_hi; ++i) {
+    const auto nbrs = mixing.neighbor_weights(i);
+    terms.resize(nbrs.size() + 2);
+    RowTerms row{terms.data(), 0, 0, x_half + i * dim + begin};
+    const auto gather = [&](std::size_t node, float weight) {
+      terms[row.count++] = {received + node * dim + begin, weight};
+    };
+    if (delivered) {
+      const std::uint8_t* flags = delivered + mixing.entry_offset(i);
+      for (std::size_t e = 0; e < nbrs.size(); ++e) {
+        if (flags[e]) gather(nbrs[e].neighbor, nbrs[e].weight);
+      }
+    } else {
+      gather(i, mixing.self_weight(i));
+      for (const MixingMatrix::Entry& entry : nbrs) {
+        gather(entry.neighbor, entry.weight);
+      }
+      row.plain_end = row.count;
+      if (received != x_half) {  // the exact self fix: + W_ii·(x_i − x̂_i)
+        terms[row.count++] = {row.sub, mixing.self_weight(i)};
+        row.sub = received + i * dim + begin;
+      }
+    }
+    float* out = x_current + i * dim + begin;
+    std::size_t k = 0;
+    for (; k + 4 * kLanes <= len; k += 4 * kLanes) {
+      reduce_chunk<util::Vec8, util::Vec8Unaligned, 4>(row, k, out);
+    }
+    for (; k + kLanes <= len; k += kLanes) {
+      reduce_chunk<util::Vec8, util::Vec8Unaligned, 1>(row, k, out);
+    }
+    for (; k < len; ++k) reduce_chunk<float, float, 1>(row, k, out);
+  }
 }
 
 }  // namespace
@@ -188,58 +273,16 @@ void apply_mixing(const MixingMatrix& mixing, std::span<const float> x_half,
       n, dim, std::max<std::size_t>(util::ThreadPool::global().size(), 1));
   const std::size_t ranges = tiling.row_ranges;
   const std::size_t col_blocks = (dim + tiling.block - 1) / tiling.block;
+  const std::uint8_t* flags = delivered ? delivered->data() : nullptr;
   // Tiles are disjoint, so writes never overlap and every output element
   // is computed by exactly one deterministic sequence of float ops
   // regardless of the worker count. Consecutive tiles share a column
   // block, so a worker's chunk of tiles covers contiguous rows.
   util::parallel_for(0, col_blocks * ranges, [&](std::size_t t) {
     const std::size_t begin = (t / ranges) * tiling.block;
-    const std::size_t len = std::min(tiling.block, dim - begin);
-    const std::size_t row_lo = (t % ranges) * n / ranges;
-    const std::size_t row_hi = (t % ranges + 1) * n / ranges;
-    // Tile slices of a node's self source and of its received image.
-    const auto half = [&](std::size_t node) {
-      return x_half.subspan(node * dim + begin, len);
-    };
-    const auto wire = [&](std::size_t node) {
-      return received.subspan(node * dim + begin, len);
-    };
-    for (std::size_t i = row_lo; i < row_hi; ++i) {
-      const auto out = x_current.subspan(i * dim + begin, len);
-      const auto nbrs = mixing.neighbor_weights(i);
-      if (delivered) {
-        const std::uint8_t* flags = delivered->data() + mixing.entry_offset(i);
-        tensor::copy(half(i), out);
-        for (std::size_t e = 0; e < nbrs.size(); ++e) {
-          if (flags[e]) add_difference(nbrs[e].weight, wire(nbrs[e].neighbor),
-                                       half(i), out);
-        }
-        continue;
-      }
-      const float self_w = mixing.self_weight(i);
-      // Group the weighted row reduction into 3- and 2-term fused passes:
-      // same add order as one scaled_copy + deg axpys (bitwise identical),
-      // but out is written back once per group instead of once per term.
-      std::size_t e = 0;
-      if (nbrs.size() >= 2) {
-        tensor::weighted_sum3(self_w, wire(i), nbrs[0].weight,
-                              wire(nbrs[0].neighbor), nbrs[1].weight,
-                              wire(nbrs[1].neighbor), out);
-        e = 2;
-      } else {
-        tensor::scaled_copy(self_w, wire(i), out);
-      }
-      for (; e + 2 <= nbrs.size(); e += 2) {
-        tensor::axpy2(nbrs[e].weight, wire(nbrs[e].neighbor),
-                      nbrs[e + 1].weight, wire(nbrs[e + 1].neighbor), out);
-      }
-      if (e < nbrs.size()) {
-        tensor::axpy(nbrs[e].weight, wire(nbrs[e].neighbor), out);
-      }
-      if (received.data() != x_half.data()) {
-        add_difference(self_w, half(i), wire(i), out);
-      }
-    }
+    mix_tile(mixing, x_half.data(), received.data(), x_current.data(), dim,
+             flags, begin, std::min(tiling.block, dim - begin),
+             (t % ranges) * n / ranges, (t % ranges + 1) * n / ranges);
   });
 }
 

@@ -88,16 +88,15 @@ class MixingMatrix {
 /// The dense aggregation kernel — the hot loop of a simulated round. Self
 /// terms read `x_half` (x^{t-1/2}), neighbor terms `received` (`x_half`
 /// itself, or a lossy codec's decoded x̂). The arguments pick the row
-/// reduction, each in neighbor order:
+/// reduction, each a left-to-right chain in neighbor order:
 ///
-///   - plain (`received` is `x_half`, no mask): weighted_sum3 of the self
-///     term and two neighbors (degree < 2: scaled_copy of the self term),
-///     then axpy2 pairs, then a trailing axpy;
+///   - plain (`received` is `x_half`, no mask): acc = W_ii·x̂_i, then
+///     acc = acc + W_ij·x̂_j per neighbor j;
 ///   - exact self (another `received`, no mask): plain over `received`,
-///     then out += W_ii·(x_i − x̂_i);
+///     then acc = acc + W_ii·(x_i − x̂_i);
 ///   - difference (`delivered`, one flag per entry from entry_offset(i)):
-///     out = x_i, then out += W_ij·(x̂_j − x_i) per delivered j, so lost
-///     mass stays on x_i.
+///     acc = x_i, then acc = acc + W_ij·(x̂_j − x_i) per delivered j, so
+///     lost mass stays on x_i.
 ///
 /// All planes are row-major [n × dim]; `x_current` aliases neither source.
 /// The plane is cut into (column block × row range) tiles that the thread
@@ -111,9 +110,11 @@ class MixingMatrix {
 ///   - otherwise: whole-row tiles of contiguous row ranges, so large-n
 ///     fleets parallelize even when dim is small.
 ///
-/// Every output element gets the same float ops in the same order in any
-/// tile, so each form is bitwise identical to its per-row loop at any
-/// thread count and tile shape. A mis-sized plane or mask throws
+/// Each tile row is one pass of an avx2/default-cloned kernel that applies
+/// every term to register-resident 32-column chunks, stored once. Every
+/// output element gets the same float ops in the same order in any tile,
+/// so each form is bitwise identical to its per-row loop at any thread
+/// count, tile shape and ISA. A mis-sized plane or mask throws
 /// std::invalid_argument.
 void apply_mixing(const MixingMatrix& mixing, std::span<const float> x_half,
                   std::span<const float> received, std::span<float> x_current,

@@ -519,18 +519,12 @@ void gemm_nt_blocked(std::size_t m, std::size_t k, std::size_t n,
 // Register-row kernels: one C row of n <= kRowsMaxN floats lives in
 // ceil(n / 8) vectors of 8 lanes for the whole k walk, so each output
 // element sees the reference's op sequence with no per-tile C traffic and
-// no A packing. Vec8 is a GCC vector type: the avx2 clone holds it in one
-// ymm register, the default clone in two xmm registers. The helpers pass
-// vectors by reference only (a vector argument or return value is an ABI
-// change GCC flags with -Wpsabi, inlined or not) and are force-inlined, so
-// each is compiled inside each clone.
+// no A packing. Vec8 (util/isa.hpp) is a GCC vector type; the helpers
+// take vectors by reference only and are force-inlined.
 // ---------------------------------------------------------------------------
 
-using Vec8 = float __attribute__((vector_size(8 * sizeof(float))));
-/// The same vector at float alignment, for loads and stores at any float
-/// address; may_alias because it reads and writes float arrays.
-using Vec8Unaligned = float
-    __attribute__((vector_size(8 * sizeof(float)), aligned(4), may_alias));
+using util::Vec8;
+using util::Vec8Unaligned;
 constexpr std::size_t kLanes = 8;
 constexpr std::size_t kRowsMaxN = 64;
 constexpr std::size_t kRowsMaxK = 256;

@@ -18,42 +18,6 @@ void scale(std::span<float> x, float alpha) {
   for (auto& v : x) v *= alpha;
 }
 
-void scaled_copy(float alpha, std::span<const float> src,
-                 std::span<float> dst) {
-  assert(src.size() == dst.size());
-  const float* __restrict__ s = src.data();
-  float* __restrict__ d = dst.data();
-  const std::size_t n = src.size();
-  for (std::size_t i = 0; i < n; ++i) d[i] = alpha * s[i];
-}
-
-void axpy2(float a1, std::span<const float> x1, float a2,
-           std::span<const float> x2, std::span<float> y) {
-  assert(x1.size() == y.size() && x2.size() == y.size());
-  const float* __restrict__ s1 = x1.data();
-  const float* __restrict__ s2 = x2.data();
-  float* __restrict__ ys = y.data();
-  const std::size_t n = y.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    ys[i] = (ys[i] + a1 * s1[i]) + a2 * s2[i];
-  }
-}
-
-void weighted_sum3(float a0, std::span<const float> x0, float a1,
-                   std::span<const float> x1, float a2,
-                   std::span<const float> x2, std::span<float> y) {
-  assert(x0.size() == y.size() && x1.size() == y.size() &&
-         x2.size() == y.size());
-  const float* __restrict__ s0 = x0.data();
-  const float* __restrict__ s1 = x1.data();
-  const float* __restrict__ s2 = x2.data();
-  float* __restrict__ ys = y.data();
-  const std::size_t n = y.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    ys[i] = ((a0 * s0[i]) + a1 * s1[i]) + a2 * s2[i];
-  }
-}
-
 void copy(std::span<const float> src, std::span<float> dst) {
   assert(src.size() == dst.size());
   std::copy(src.begin(), src.end(), dst.begin());

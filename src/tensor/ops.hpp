@@ -12,7 +12,7 @@
 namespace skiptrain::tensor {
 
 // ---------------------------------------------------------------------------
-// Level-1: vector ops (the decentralized aggregation step is built on these)
+// Level-1: vector ops
 // ---------------------------------------------------------------------------
 
 /// y += alpha * x
@@ -20,23 +20,6 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y);
 
 /// x *= alpha
 void scale(std::span<float> x, float alpha);
-
-/// dst = alpha * src — the fused first step of a weighted row reduction
-/// (one pass instead of copy-then-scale; bitwise identical result).
-void scaled_copy(float alpha, std::span<const float> src,
-                 std::span<float> dst);
-
-/// y = (y + a1·x1) + a2·x2 — two axpy steps in one pass over y. The
-/// parenthesisation matches two sequential axpy calls, so the result is
-/// bitwise identical at half the write-back traffic.
-void axpy2(float a1, std::span<const float> x1, float a2,
-           std::span<const float> x2, std::span<float> y);
-
-/// y = ((a0·x0) + a1·x1) + a2·x2 — weighted three-term row sum, bitwise
-/// equal to scaled_copy followed by two axpys in one pass.
-void weighted_sum3(float a0, std::span<const float> x0, float a1,
-                   std::span<const float> x1, float a2,
-                   std::span<const float> x2, std::span<float> y);
 
 /// dst = src
 void copy(std::span<const float> src, std::span<float> dst);

@@ -27,11 +27,25 @@
 /// the avx2 clone.
 #define SKIPTRAIN_CODEC_CLONES \
   __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
-/// GEMM kernels (tensor/gemm.cpp). No x86-64-v4 clone: the 4x8 register
-/// tile built for it ran the blocked kernels 7-8x slower than for avx2.
+/// GEMM kernels (tensor/gemm.cpp) and the gossip row reduction
+/// (graph/mixing.cpp). No x86-64-v4 clone: the 4x8 register tile built for
+/// it ran the blocked GEMM kernels 7-8x slower than for avx2.
 #define SKIPTRAIN_GEMM_CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define SKIPTRAIN_ISA_CLONES 0
 #define SKIPTRAIN_CODEC_CLONES
 #define SKIPTRAIN_GEMM_CLONES
 #endif
+
+namespace skiptrain::util {
+
+/// Eight floats in one GCC vector: one ymm register in an avx2 clone, two
+/// xmm in the default one. Kernels pass it by reference only (-Wpsabi
+/// flags a vector argument or return) and force-inline their helpers, so
+/// each compiles inside each clone. Vec8Unaligned loads and stores it at
+/// any float address.
+using Vec8 = float __attribute__((vector_size(8 * sizeof(float))));
+using Vec8Unaligned = float
+    __attribute__((vector_size(8 * sizeof(float)), aligned(4), may_alias));
+
+}  // namespace skiptrain::util
