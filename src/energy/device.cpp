@@ -65,7 +65,7 @@ const std::vector<TraceEntry>& smartphone_traces() {
   // Canonical Table 2 rows. The per-round energies carry one or two more
   // digits than the paper displays; those digits are calibrated so that
   //   mean(cifar) x 256 nodes x 1000 rounds  = 1510.04 Wh  (Table 3) and
-  //   mean(femnist) x 256 nodes x 3000 rounds = 14914.38 Wh (Table 3),
+  //   mean(femnist) x 256 nodes x 3000 rounds = 14914.39 Wh (Table 3: .38),
   // while still rounding to the displayed Table 2 values. Battery
   // capacities follow from the τ column via the drain rule
   // (battery = τ_cifar x e_cifar / 10%), landing on realistic pack sizes
