@@ -547,6 +547,7 @@ void BM_GossipFormT(benchmark::State& state) {
       graph::apply_mixing(mixing, half, wire, out, dim, mask);
     }
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations()) *
