@@ -184,24 +184,25 @@ template <typename Reg, typename Mem, std::size_t NV>
 void reduce_chunk(const RowTerms& row, std::size_t k, float* __restrict__ out) {
   constexpr std::size_t w = sizeof(Mem) / sizeof(float);
   const auto at = [k](const float* src, std::size_t v)
-      __attribute__((always_inline)) -> const Mem& {
-    return *reinterpret_cast<const Mem*>(src + k + v * w);
+      __attribute__((always_inline)) {
+    return reinterpret_cast<const Mem*>(src + k + v * w);
   };
   Reg acc[NV], sv[NV];  // sv: the chunk of `sub`
-  for (std::size_t v = 0; v < NV; ++v) acc[v] = sv[v] = at(row.sub, v);
+  for (std::size_t v = 0; v < NV; ++v) acc[v] = sv[v] = *at(row.sub, v);
   if (row.plain_end != 0) {
     for (std::size_t v = 0; v < NV; ++v) {
-      acc[v] = row.terms[0].weight * at(row.terms[0].src, v);
+      acc[v] = row.terms[0].weight * *at(row.terms[0].src, v);
     }
   }
   for (std::size_t t = 1; t < row.plain_end; ++t) {
     for (std::size_t v = 0; v < NV; ++v) {
-      acc[v] = acc[v] + row.terms[t].weight * at(row.terms[t].src, v);
+      acc[v] = acc[v] + row.terms[t].weight * *at(row.terms[t].src, v);
     }
   }
   for (std::size_t t = row.plain_end; t < row.count; ++t) {
+    const float wt = row.terms[t].weight;
     for (std::size_t v = 0; v < NV; ++v) {
-      acc[v] = acc[v] + row.terms[t].weight * (at(row.terms[t].src, v) - sv[v]);
+      acc[v] = acc[v] + wt * (*at(row.terms[t].src, v) - sv[v]);
     }
   }
   for (std::size_t v = 0; v < NV; ++v) {
