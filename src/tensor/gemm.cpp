@@ -466,55 +466,6 @@ void gemm_cacc_blocked(std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
-SKIPTRAIN_GEMM_CLONES
-void gemm_nt_blocked(std::size_t m, std::size_t k, std::size_t n,
-                     std::span<const float> a, std::span<const float> b,
-                     std::span<float> c, float beta) {
-  // The dot accumulators must span the whole k extent (the reference keeps
-  // one register accumulator per element), so k is not blocked; instead
-  // both operands are repacked per panel — B transposed into kNR slivers,
-  // the current kMR rows of A interleaved — with the B panel width chosen
-  // so the pack stays a few MB at most.
-  const std::size_t panel_target = (2u << 20) / sizeof(float);
-  std::size_t nc_max =
-      std::max<std::size_t>(panel_target / std::max<std::size_t>(k, 1), kNR);
-  nc_max = std::min<std::size_t>(nc_max & ~(kNR - 1), 256);
-  float* bt = t_scratch.b.ensure_floats(k * (nc_max + kNR));
-  float* ap = t_scratch.a.ensure_floats(k * kMR);
-  for (std::size_t jc = 0; jc < n; jc += nc_max) {
-    const std::size_t nc = std::min(nc_max, n - jc);
-    // B transpose pack: sliver s row p holds B[jc+s*kNR .. +w][p].
-    for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
-      const std::size_t w = std::min(kNR, nc - j0);
-      float* __restrict__ out = bt + (j0 / kNR) * k * kNR;
-      for (std::size_t jj = 0; jj < w; ++jj) {
-        const float* __restrict__ brow = b.data() + (jc + j0 + jj) * k;
-        float* __restrict__ o = out + jj;
-        for (std::size_t p = 0; p < k; ++p) o[p * kNR] = brow[p];
-      }
-    }
-    for (std::size_t i0 = 0; i0 < m; i0 += kMR) {
-      const std::size_t mr = std::min(kMR, m - i0);
-      // A transpose pack for this row sliver: arow p = A[i0..i0+mr][p].
-      for (std::size_t r = 0; r < mr; ++r) {
-        const float* __restrict__ src = a.data() + (i0 + r) * k;
-        float* __restrict__ o = ap + r;
-        for (std::size_t p = 0; p < k; ++p) o[p * kMR] = src[p];
-      }
-      float* crow = c.data() + i0 * n + jc;
-      for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
-        const std::size_t nr = std::min(kNR, nc - j0);
-        const float* bsliver = bt + (j0 / kNR) * k * kNR;
-        if (mr == kMR && nr == kNR) {
-          micro_nt<true>(kMR, kNR, k, ap, bsliver, crow + j0, n, beta);
-        } else {
-          micro_nt<false>(mr, nr, k, ap, bsliver, crow + j0, n, beta);
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Register-row kernels: one C row of n <= kRowsMaxN floats lives in
 // ceil(n / 8) vectors of 8 lanes for the whole k walk, so each output
@@ -762,6 +713,55 @@ void gemm_tn_blocked(std::size_t m, std::size_t k, std::size_t n,
               float* dst) {
         pack_b_slivers(b.data() + pc * n + jc, n, kc, nc, dst);
       });
+}
+
+SKIPTRAIN_GEMM_CLONES
+void gemm_nt_blocked(std::size_t m, std::size_t k, std::size_t n,
+                     std::span<const float> a, std::span<const float> b,
+                     std::span<float> c, float beta) {
+  // The dot accumulators must span the whole k extent (the reference keeps
+  // one register accumulator per element), so k is not blocked; instead
+  // both operands are repacked per panel — B transposed into kNR slivers,
+  // the current kMR rows of A interleaved — with the B panel width chosen
+  // so the pack stays a few MB at most.
+  const std::size_t panel_target = (2u << 20) / sizeof(float);
+  std::size_t nc_max =
+      std::max<std::size_t>(panel_target / std::max<std::size_t>(k, 1), kNR);
+  nc_max = std::min<std::size_t>(nc_max & ~(kNR - 1), 256);
+  float* bt = t_scratch.b.ensure_floats(k * (nc_max + kNR));
+  float* ap = t_scratch.a.ensure_floats(k * kMR);
+  for (std::size_t jc = 0; jc < n; jc += nc_max) {
+    const std::size_t nc = std::min(nc_max, n - jc);
+    // B transpose pack: sliver s row p holds B[jc+s*kNR .. +w][p].
+    for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
+      const std::size_t w = std::min(kNR, nc - j0);
+      float* __restrict__ out = bt + (j0 / kNR) * k * kNR;
+      for (std::size_t jj = 0; jj < w; ++jj) {
+        const float* __restrict__ brow = b.data() + (jc + j0 + jj) * k;
+        float* __restrict__ o = out + jj;
+        for (std::size_t p = 0; p < k; ++p) o[p * kNR] = brow[p];
+      }
+    }
+    for (std::size_t i0 = 0; i0 < m; i0 += kMR) {
+      const std::size_t mr = std::min(kMR, m - i0);
+      // A transpose pack for this row sliver: arow p = A[i0..i0+mr][p].
+      for (std::size_t r = 0; r < mr; ++r) {
+        const float* __restrict__ src = a.data() + (i0 + r) * k;
+        float* __restrict__ o = ap + r;
+        for (std::size_t p = 0; p < k; ++p) o[p * kMR] = src[p];
+      }
+      float* crow = c.data() + i0 * n + jc;
+      for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
+        const std::size_t nr = std::min(kNR, nc - j0);
+        const float* bsliver = bt + (j0 / kNR) * k * kNR;
+        if (mr == kMR && nr == kNR) {
+          micro_nt<true>(kMR, kNR, k, ap, bsliver, crow + j0, n, beta);
+        } else {
+          micro_nt<false>(mr, nr, k, ap, bsliver, crow + j0, n, beta);
+        }
+      }
+    }
+  }
 }
 
 SKIPTRAIN_GEMM_CLONES

@@ -101,6 +101,10 @@ void gemm_tn_blocked(std::size_t m, std::size_t k, std::size_t n,
                      std::span<const float> a, std::span<const float> b,
                      std::span<float> c, float beta = 0.0f);
 
+void gemm_nt_blocked(std::size_t m, std::size_t k, std::size_t n,
+                     std::span<const float> a, std::span<const float> b,
+                     std::span<float> c, float beta = 0.0f);
+
 /// Columns per packed B sliver of the blocked kernels (their register
 /// tile's width).
 inline constexpr std::size_t kGemmSliverCols = 8;

@@ -274,6 +274,79 @@ TEST(GemmRows, BitwiseAgainstReferenceAcrossRoutingBoundaries) {
   }
 }
 
+/// The edge-tile contract: the slivers a shape leaves at its bottom rows
+/// (m % 4) and right columns (n % 8) give the reference's bits like the
+/// whole tiles, for every beta, over a C of -0.0 (a skipped zero
+/// multiplier keeps it, an added one makes +0.0), with exact zeros only in
+/// the live rows of the bottom sliver and k past a kc boundary. B also
+/// reaches gemm_nn_indexed, materialised through identity tables (whole
+/// slivers copied) and through strided ones (every lane gathered).
+TEST(GemmBlocked, EdgeTilesMatchReferenceBitwise) {
+  const std::size_t kc = gemm_tuning().kc;
+  for (const std::size_t m : {1, 3, 5, 33}) {
+    for (const std::size_t n : {3, 9, 75}) {
+      for (const std::size_t k : {std::size_t{7}, kc + 3}) {
+        util::Rng rng(m * 1000 + n * 10 + k);
+        std::vector<float> a(m * k), b(k * n);
+        rng.fill_normal(a, 0.0f, 1.0f);
+        rng.fill_normal(b, 0.0f, 1.0f);
+        // Zeros in the bottom sliver's live rows only: rows [m0, m) of the
+        // nn layout, columns [m0, m) of the tn layout (both read as A).
+        const std::size_t m0 = (m - 1) / 4 * 4;
+        std::vector<float> a_tn = a;
+        for (std::size_t i = m0; i < m; ++i) {
+          for (std::size_t p = i % 3; p < k; p += 3) {
+            a[i * k + p] = 0.0f;
+            a_tn[p * m + i] = 0.0f;
+          }
+        }
+        std::vector<std::size_t> rows(k), cols(n), cols_strided(n);
+        for (std::size_t p = 0; p < k; ++p) rows[p] = p * n;
+        for (std::size_t j = 0; j < n; ++j) cols[j] = j;
+        // B again at twice the column stride, -1 between the live values.
+        std::vector<float> b_wide(k * 2 * n, -1.0f);
+        std::vector<std::size_t> rows_wide(k);
+        for (std::size_t p = 0; p < k; ++p) {
+          rows_wide[p] = p * 2 * n;
+          for (std::size_t j = 0; j < n; ++j) b_wide[p * 2 * n + 2 * j] = b[p * n + j];
+        }
+        for (std::size_t j = 0; j < n; ++j) cols_strided[j] = 2 * j;
+        const IndexedB indexed{b.data(), rows.data(), cols.data()};
+        const IndexedB strided{b_wide.data(), rows_wide.data(),
+                               cols_strided.data()};
+
+        for (const float beta : {0.0f, 1.0f, 0.5f}) {
+          const std::vector<float> c_init(m * n, -0.0f);
+          std::vector<float> ref = c_init, c = c_init;
+          gemm_nn_ref(m, k, n, a, b, ref, beta);
+          gemm_nn_blocked(m, k, n, a, b, c, beta);
+          expect_bitwise_equal(c, ref, "gemm_nn_blocked", m, k, n, beta);
+          c = c_init;
+          gemm_nn_indexed(m, k, n, a, indexed, c, beta);
+          expect_bitwise_equal(c, ref, "gemm_nn_indexed", m, k, n, beta);
+          c = c_init;
+          gemm_nn_indexed(m, k, n, a, strided, c, beta);
+          expect_bitwise_equal(c, ref, "gemm_nn_indexed strided", m, k, n,
+                               beta);
+
+          ref = c_init;
+          c = c_init;
+          gemm_tn_ref(m, k, n, a_tn, b, ref, beta);
+          gemm_tn_blocked(m, k, n, a_tn, b, c, beta);
+          expect_bitwise_equal(c, ref, "gemm_tn_blocked", m, k, n, beta);
+
+          // nt reads B as [n, k]: the same k * n floats.
+          ref = c_init;
+          c = c_init;
+          gemm_nt_ref(m, k, n, a, b, ref, beta);
+          gemm_nt_blocked(m, k, n, a, b, c, beta);
+          expect_bitwise_equal(c, ref, "gemm_nt_blocked", m, k, n, beta);
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmBlocked, LongAccumulationFuzz) {
   // Many k steps stress the cross-block accumulator carry: any deviation
   // from the seed's per-element op order shows up as a bit flip here.

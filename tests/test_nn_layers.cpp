@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -360,6 +362,150 @@ TEST(GroupNormTest, AffineParamsApply) {
 TEST(GroupNormTest, InvalidGroupingThrows) {
   EXPECT_THROW(GroupNorm(3, 4), std::invalid_argument);
   EXPECT_THROW(GroupNorm(0, 4), std::invalid_argument);
+}
+
+/// FNV-1a over the bit patterns of `values`: a pin that moves with any bit,
+/// the sign of a zero included.
+std::uint64_t fnv1a64(std::span<const float> values) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const float v : values) {
+    const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+/// Seeded values with exact ties (a coarse grid), +0.0 and -0.0 mixed into
+/// a normal draw.
+std::vector<float> tied_signed_values(std::size_t count, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> values(count);
+  rng.fill_normal(values, 0.0f, 1.0f);
+  for (float& v : values) {
+    switch (rng.uniform_int(8)) {
+      case 0: v = 0.0f; break;
+      case 1: v = -0.0f; break;
+      case 2:
+      case 3: v = std::round(v * 2.0f) * 0.5f; break;
+      default: break;
+    }
+  }
+  return values;
+}
+
+/// One bit pin of a layer's forward and backward: the hashes of its
+/// output, its input gradient and (after two accumulating backward passes,
+/// the second without an input gradient) its parameter gradients.
+struct LayerPin {
+  std::size_t batch;
+  std::size_t plane;  // square H = W
+  std::uint64_t output;
+  std::uint64_t grad_input;
+  std::uint64_t grad_params;
+};
+
+void expect_layer_pins(Layer& layer, std::size_t channels,
+                       const std::vector<LayerPin>& pins) {
+  for (const LayerPin& pin : pins) {
+    SCOPED_TRACE(layer.name() + " batch " + std::to_string(pin.batch) +
+                 " plane " + std::to_string(pin.plane));
+    const Shape shape{pin.batch, channels, pin.plane, pin.plane};
+    const std::uint64_t seed = pin.batch * 1000 + pin.plane * 10 + channels;
+    Tensor input(shape);
+    const std::vector<float> x = tied_signed_values(input.numel(), seed);
+    std::copy(x.begin(), x.end(), input.data().begin());
+    const std::span<float> params = layer.parameters();
+    if (!params.empty()) {
+      const std::vector<float> p = tied_signed_values(params.size(), seed + 1);
+      std::copy(p.begin(), p.end(), params.begin());
+      std::fill(layer.gradients().begin(), layer.gradients().end(), 0.0f);
+    }
+    Tensor output(layer.output_shape(shape));
+    layer.forward(input, output);
+
+    Tensor grad_out(output.shape());
+    const std::vector<float> g = tied_signed_values(grad_out.numel(), seed + 2);
+    std::copy(g.begin(), g.end(), grad_out.data().begin());
+    for (std::size_t i = 0; i < grad_out.numel(); i += 5) {
+      grad_out.at(i) = -0.0f;
+    }
+    Tensor grad_in(shape);
+    grad_in.fill(7.0f);  // the layer must overwrite, not accumulate
+    layer.backward(input, grad_out, grad_in);
+    Tensor no_input;
+    if (!params.empty()) layer.backward(input, grad_out, no_input);
+
+    const std::uint64_t got_output = fnv1a64(output.data());
+    const std::uint64_t got_grad_input = fnv1a64(grad_in.data());
+    const std::uint64_t got_grad_params = fnv1a64(layer.gradients());
+    EXPECT_EQ(got_output, pin.output) << std::hex << "output 0x" << got_output;
+    EXPECT_EQ(got_grad_input, pin.grad_input)
+        << std::hex << "grad_input 0x" << got_grad_input;
+    EXPECT_EQ(got_grad_params, pin.grad_params)
+        << std::hex << "grad_params 0x" << got_grad_params;
+  }
+}
+
+// Generated from the per-(sample, group) scalar GroupNorm and the
+// per-window argmax MaxPool; any rewrite of either must keep every bit.
+TEST(LayerBitPins, GroupNorm2x32) {
+  GroupNorm gn(2, 32);
+  expect_layer_pins(gn, 32,
+                    {{1, 7,
+                      0xaa65abbf9699433f, 0x78e7b5493378abe7, 0x931c88b395a58d9f},
+                     {3, 7,
+                      0xfca3210bf0efb09e, 0xeac2e6054493d0b0, 0x7efd9804aa75ee62},
+                     {8, 7,
+                      0x7b0729f889092cc6, 0x39bfbf4bd8e4e6a0, 0xd9a0c747350c1777},
+                     {1, 16,
+                      0x3654b629cefe77f8, 0xb6edcb2b89779a32, 0xcbd4c5adbf6287c3},
+                     {3, 16,
+                      0xfcff61ed13ee2c7b, 0xfe0cf20c24c9de24, 0xd45587090f829eb0},
+                     {8, 16,
+                      0x7a0745ca0e118a68, 0xd3474dc9d7fdb381, 0xd1a5030f4a390741},
+                     {3, 32,
+                      0x2a78661e0b366a4a, 0x8c4b8fcd4049f801, 0x68b5ff6d889628a9}});
+}
+
+TEST(LayerBitPins, GroupNorm2x64) {
+  GroupNorm gn(2, 64);
+  expect_layer_pins(gn, 64,
+                    {{1, 7,
+                      0xd55d5db151ef423a, 0xad7ffd319f07d3d2, 0xc1ae331238f47439},
+                     {3, 7,
+                      0x3fd47f6106a4d91a, 0xc7eb68e8e2bfdb11, 0xc7a4f35b358b4c4b},
+                     {8, 7,
+                      0x59c983aa555eb81c, 0x6feb274eb28a6c7b, 0x62f783f057aa899f},
+                     {1, 8,
+                      0x2be3e0d0f63f8930, 0xea60a991fb5c2f8, 0x25a3c70862a06ea5},
+                     {3, 8,
+                      0xafc6177d788dd945, 0xf2f53dfb22deaf3c, 0xa0370f249172991},
+                     {8, 8,
+                      0xc21a50cdaba26a83, 0xe396e3f8c180951b, 0x4fa509e4ebfc13a7}});
+}
+
+TEST(LayerBitPins, MaxPool2) {
+  MaxPool2d pool(2);
+  expect_layer_pins(pool, 32,
+                    {{1, 7,
+                      0x1fe981ffd259cdfc, 0xfca2dfce42884755, 0xcbf29ce484222325},
+                     {3, 7,
+                      0x6135eb7de4c0a9b0, 0x39ddc0e832c2d3dd, 0xcbf29ce484222325},
+                     {8, 7,
+                      0x5644e325022c108a, 0xaecc1c67c597408e, 0xcbf29ce484222325},
+                     {1, 16,
+                      0x1f4db77f866b9434, 0x1a1bce63810ecf6b, 0xcbf29ce484222325},
+                     {3, 16,
+                      0x4ca785b83274c8fa, 0xff0b91758464cc8a, 0xcbf29ce484222325},
+                     {8, 16,
+                      0x9715802ff77382bb, 0x56bff3c8e1786a9e, 0xcbf29ce484222325},
+                     {3, 32,
+                      0xd86d439613895db9, 0x43c166f0fab86ef0, 0xcbf29ce484222325},
+                     {3, 9,
+                      0xb2f1e4fba907bc7c, 0xa0de88cce97d4fcc, 0xcbf29ce484222325}});
 }
 
 TEST(SequentialTest, ParameterRoundTrip) {
