@@ -25,14 +25,6 @@ class GroupNorm final : public ParamLayer {
   std::unique_ptr<Layer> clone() const override;
 
  private:
-  struct Stats {
-    float mean;
-    float inv_std;
-  };
-  /// Mean and 1/sqrt(var + eps) of one group's `count` values; forward and
-  /// backward both call it, so backward sees the forward's exact bits.
-  Stats group_stats(const float* values, std::size_t count) const;
-
   std::size_t groups_;
   std::size_t channels_;
   float eps_;

@@ -144,11 +144,27 @@ void gemm_tn_ref(std::size_t m, std::size_t k, std::size_t n,
 
 namespace {
 
-// Register tile: 4x8 accumulators are 8 SSE2 registers in the default
-// clone, half the register file, and 4 of the 16 ymm registers in the avx2
-// clone. One tile for every clone keeps one operation order per element.
+using util::Vec8;
+using util::Vec8Unaligned;
+constexpr std::size_t kLanes = 8;
+
+/// Four floats in one GCC vector (one xmm register): a gemm_tn A sliver's
+/// row p.
+using Vec4 = float __attribute__((vector_size(4 * sizeof(float))));
+using Vec4Unaligned = float
+    __attribute__((vector_size(4 * sizeof(float)), aligned(4), may_alias));
+/// Lane masks of Vec8 / Vec4 comparisons, and Vec8 shuffle indices.
+using Mask8 = int __attribute__((vector_size(8 * sizeof(int))));
+using Mask4 = int __attribute__((vector_size(4 * sizeof(int))));
+
+// Register tile: kMR rows of one Vec8 each, so 4 of the 16 ymm registers
+// in the avx2 clone and 8 of the 16 xmm registers in the default one. One
+// tile for every clone keeps one operation order per element. Wider tiles
+// (4x16, 6x16, 8x8) measured no faster in L1: without FMA the tile is
+// bound by the multiply and add ports, not by loads or latency.
 constexpr std::size_t kMR = 4;  // microkernel register-tile rows
 constexpr std::size_t kNR = kGemmSliverCols;  // register-tile columns
+static_assert(kNR == kLanes, "one Vec8 per tile row");
 
 GemmTuning derive_tuning() {
   GemmTuning t{};
@@ -187,16 +203,90 @@ struct PackScratch {
 
 thread_local PackScratch t_scratch;
 
+/// Vec8 at any float address.
+[[gnu::always_inline]] inline const Vec8Unaligned& vec_at(const float* p) {
+  return *reinterpret_cast<const Vec8Unaligned*>(p);
+}
+[[gnu::always_inline]] inline Vec8Unaligned& vec_at(float* p) {
+  return *reinterpret_cast<Vec8Unaligned*>(p);
+}
+
 // ---------------------------------------------------------------------------
 // Panel packing
 //
 // B panels: sliver s holds rows p of columns [j0, j0 + kNR) back to back
 // (dst[s * depth * kNR + p * kNR + jj]), so the microkernel's per-p load
-// is one contiguous strip. A blocks: sliver s holds the kMR rows
-// [i0, i0 + kMR) interleaved per p (dst[s * depth * kMR + p * kMR + r]),
-// so the per-p multiplier loads are contiguous too. Edge slivers pack
-// only their live lanes; the microkernels never read past mr/nr.
+// is one Vec8. A blocks: sliver s holds the kMR rows [i0, i0 + kMR)
+// interleaved per p (dst[s * depth * kMR + p * kMR + r]), so the per-p
+// multipliers are contiguous too. Edge slivers are zero-padded to full
+// width: the microkernels run every tile at full width and store only its
+// live part. A sliver's zero flag comes from its live rows alone.
 // ---------------------------------------------------------------------------
+
+/// Interleaves R rows of `depth` floats (row r at src + r * ld; rows from
+/// `live` on read as zeros) into dst[p * R + r]: a 4 x 8 or 8 x 8 block
+/// transpose per 8 steps of p, in shuffles. Returns whether a live value
+/// is an exact zero (-0.0f included).
+template <std::size_t R>
+[[gnu::always_inline]] inline
+bool interleave_rows(const float* __restrict__ src, std::size_t ld,
+                     std::size_t live, std::size_t depth,
+                     float* __restrict__ dst) {
+  static_assert(R == 4 || R == 8);
+  Mask8 zero8 = {};
+  std::size_t p = 0;
+  for (; p + kLanes <= depth; p += kLanes) {
+    Vec8 v[R];
+    for (std::size_t r = 0; r < R; ++r) {
+      v[r] = r < live ? Vec8(vec_at(src + r * ld + p)) : Vec8{};
+      if (r < live) zero8 |= v[r] == Vec8{};
+    }
+    // Within each 128-bit half: pairs (unpcklps / unpckhps), then quads
+    // (unpcklpd / unpckhpd). q[h] holds steps h and h + 4 of rows 0..3
+    // (and q[4 + h] of rows 4..7).
+    Vec8 q[R];
+    for (std::size_t g = 0; g < R; g += 4) {
+      const Vec8 lo01 = __builtin_shuffle(v[g], v[g + 1],
+                                          Mask8{0, 8, 1, 9, 4, 12, 5, 13});
+      const Vec8 hi01 = __builtin_shuffle(v[g], v[g + 1],
+                                          Mask8{2, 10, 3, 11, 6, 14, 7, 15});
+      const Vec8 lo23 = __builtin_shuffle(v[g + 2], v[g + 3],
+                                          Mask8{0, 8, 1, 9, 4, 12, 5, 13});
+      const Vec8 hi23 = __builtin_shuffle(v[g + 2], v[g + 3],
+                                          Mask8{2, 10, 3, 11, 6, 14, 7, 15});
+      q[g + 0] = __builtin_shuffle(lo01, lo23, Mask8{0, 1, 8, 9, 4, 5, 12, 13});
+      q[g + 1] = __builtin_shuffle(lo01, lo23, Mask8{2, 3, 10, 11, 6, 7, 14, 15});
+      q[g + 2] = __builtin_shuffle(hi01, hi23, Mask8{0, 1, 8, 9, 4, 5, 12, 13});
+      q[g + 3] = __builtin_shuffle(hi01, hi23, Mask8{2, 3, 10, 11, 6, 7, 14, 15});
+    }
+    // Across the halves (vperm2f128): steps h and h + 4 land R * 4 floats
+    // apart.
+    float* __restrict__ out = dst + p * R;
+    constexpr Mask8 kLow{0, 1, 2, 3, 8, 9, 10, 11};
+    constexpr Mask8 kHigh{4, 5, 6, 7, 12, 13, 14, 15};
+    if constexpr (R == 4) {
+      vec_at(out + 0) = __builtin_shuffle(q[0], q[1], kLow);
+      vec_at(out + 8) = __builtin_shuffle(q[2], q[3], kLow);
+      vec_at(out + 16) = __builtin_shuffle(q[0], q[1], kHigh);
+      vec_at(out + 24) = __builtin_shuffle(q[2], q[3], kHigh);
+    } else {
+      for (std::size_t h = 0; h < 4; ++h) {
+        vec_at(out + h * 8) = __builtin_shuffle(q[h], q[4 + h], kLow);
+        vec_at(out + (h + 4) * 8) = __builtin_shuffle(q[h], q[4 + h], kHigh);
+      }
+    }
+  }
+  bool any_zero = false;
+  for (std::size_t lane = 0; lane < kLanes; ++lane) any_zero |= zero8[lane] != 0;
+  for (; p < depth; ++p) {
+    for (std::size_t r = 0; r < R; ++r) {
+      const float x = r < live ? src[r * ld + p] : 0.0f;
+      dst[p * R + r] = x;
+      any_zero |= r < live && x == 0.0f;
+    }
+  }
+  return any_zero;
+}
 
 /// Packs `depth` rows x nc columns of row-major storage starting at src
 /// (row stride ld) into kNR-column slivers.
@@ -210,20 +300,21 @@ void pack_b_slivers(const float* __restrict__ src, std::size_t ld,
     const float* __restrict__ in = src + j0;
     if (w == kNR) {
       for (std::size_t p = 0; p < depth; ++p) {
-        std::memcpy(out + p * kNR, in + p * ld, kNR * sizeof(float));
+        vec_at(out + p * kNR) = vec_at(in + p * ld);
       }
     } else {
       for (std::size_t p = 0; p < depth; ++p) {
-        std::memcpy(out + p * kNR, in + p * ld, w * sizeof(float));
+        float* __restrict__ o = out + p * kNR;
+        std::fill(std::copy(in + p * ld, in + p * ld + w, o), o + kNR, 0.0f);
       }
     }
   }
 }
 
 /// Packs rows [pc, pc + depth) x columns [jc, jc + nc) of an IndexedB into
-/// kNR-column slivers. A full sliver over contiguous offsets is one kNR-
-/// float copy per row (a stride-1 conv's positions within an output row);
-/// any other sliver gathers its lanes through the column table.
+/// kNR-column slivers. A full sliver over contiguous offsets is one Vec8
+/// copy per row (a stride-1 conv's positions within an output row); any
+/// other sliver gathers its lanes through the column table.
 [[gnu::always_inline]] inline
 void pack_b_indexed_slivers(const IndexedB& b, std::size_t pc,
                             std::size_t jc, std::size_t depth, std::size_t nc,
@@ -239,12 +330,19 @@ void pack_b_indexed_slivers(const IndexedB& b, std::size_t pc,
     if (w == kNR && cols[kNR - 1] - cols[0] == kNR - 1) {
       const float* __restrict__ in = src + cols[0];
       for (std::size_t p = 0; p < depth; ++p) {
-        std::memcpy(out + p * kNR, in + rows[p], kNR * sizeof(float));
+        vec_at(out + p * kNR) = vec_at(in + rows[p]);
+      }
+    } else if (w == kNR) {
+      for (std::size_t p = 0; p < depth; ++p) {
+        const float* __restrict__ in = src + rows[p];
+        for (std::size_t jj = 0; jj < kNR; ++jj) out[p * kNR + jj] = in[cols[jj]];
       }
     } else {
       for (std::size_t p = 0; p < depth; ++p) {
         const float* __restrict__ in = src + rows[p];
-        for (std::size_t jj = 0; jj < w; ++jj) out[p * kNR + jj] = in[cols[jj]];
+        for (std::size_t jj = 0; jj < kNR; ++jj) {
+          out[p * kNR + jj] = jj < w ? in[cols[jj]] : 0.0f;
+        }
       }
     }
   }
@@ -259,23 +357,14 @@ void pack_a_rows(const float* __restrict__ a, std::size_t lda, std::size_t ic,
                  float* __restrict__ dst, std::uint8_t* __restrict__ zeros) {
   for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
     const std::size_t w = std::min(kMR, mc - i0);
-    float* __restrict__ out = dst + (i0 / kMR) * kc * kMR;
-    bool any_zero = false;
-    for (std::size_t r = 0; r < w; ++r) {
-      const float* __restrict__ src = a + (ic + i0 + r) * lda + pc;
-      float* __restrict__ o = out + r;
-      for (std::size_t p = 0; p < kc; ++p) {
-        const float v = src[p];
-        o[p * kMR] = v;
-        any_zero |= (v == 0.0f);
-      }
-    }
-    zeros[i0 / kMR] = any_zero ? 1 : 0;
+    zeros[i0 / kMR] = interleave_rows<kMR>(a + (ic + i0) * lda + pc, lda, w,
+                                           kc, dst + (i0 / kMR) * kc * kMR);
   }
 }
 
 /// Packs A[pc..pc+kc, ic..ic+mc] of a row-major [k, m] matrix (lda == m —
-/// the gemm_tn layout) into kMR-row slivers with zero flags.
+/// the gemm_tn layout) into kMR-row slivers with zero flags: a full
+/// sliver's row p is one Vec4 copy.
 [[gnu::always_inline]] inline
 void pack_a_cols(const float* __restrict__ a, std::size_t lda, std::size_t ic,
                  std::size_t pc, std::size_t mc, std::size_t kc,
@@ -283,14 +372,23 @@ void pack_a_cols(const float* __restrict__ a, std::size_t lda, std::size_t ic,
   for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
     const std::size_t w = std::min(kMR, mc - i0);
     float* __restrict__ out = dst + (i0 / kMR) * kc * kMR;
+    const float* __restrict__ src = a + pc * lda + ic + i0;
     bool any_zero = false;
-    for (std::size_t p = 0; p < kc; ++p) {
-      const float* __restrict__ src = a + (pc + p) * lda + ic + i0;
-      float* __restrict__ o = out + p * kMR;
-      for (std::size_t r = 0; r < w; ++r) {
-        const float v = src[r];
-        o[r] = v;
-        any_zero |= (v == 0.0f);
+    if (w == kMR) {
+      Mask4 zero4 = {};
+      for (std::size_t p = 0; p < kc; ++p) {
+        const Vec4 v = *reinterpret_cast<const Vec4Unaligned*>(src + p * lda);
+        *reinterpret_cast<Vec4Unaligned*>(out + p * kMR) = v;
+        zero4 |= v == Vec4{};
+      }
+      for (std::size_t r = 0; r < kMR; ++r) any_zero |= zero4[r] != 0;
+    } else {
+      for (std::size_t p = 0; p < kc; ++p) {
+        for (std::size_t r = 0; r < kMR; ++r) {
+          const float x = r < w ? src[p * lda + r] : 0.0f;
+          out[p * kMR + r] = x;
+          any_zero |= r < w && x == 0.0f;
+        }
       }
     }
     zeros[i0 / kMR] = any_zero ? 1 : 0;
@@ -298,89 +396,80 @@ void pack_a_cols(const float* __restrict__ a, std::size_t lda, std::size_t ic,
 }
 
 // ---------------------------------------------------------------------------
-// Microkernels. All operands are packed slivers: A row p at ap + p * kMR,
-// B row p at bp + p * kNR.
+// Microkernels: a kMR x kNR tile of C in kMR Vec8 registers. All operands
+// are packed slivers: A row p at ap + p * kMR, B row p at bp + p * kNR.
+// Every tile runs at full width; an edge tile (kFull false) loads its live
+// mr x nr part of C into zeroed registers and stores only that part back.
+// Dead rows and lanes see zero multipliers and zero B lanes, and never
+// reach C.
 // ---------------------------------------------------------------------------
 
 template <bool kFull>
 [[gnu::always_inline]] inline
-void load_c_tile(float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
-                 const float* __restrict__ c, std::size_t ldc, float beta,
-                 bool first_block) {
-  const std::size_t rows = kFull ? kMR : mr;
-  const std::size_t cols = kFull ? kNR : nr;
-  if (!first_block || beta == 1.0f) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t j = 0; j < cols; ++j) acc[r][j] = c[r * ldc + j];
-    }
-  } else if (beta == 0.0f) {
-    // Write-only C: never read (it may be uninitialized or NaN-poisoned).
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t j = 0; j < cols; ++j) acc[r][j] = 0.0f;
-    }
-  } else {
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t j = 0; j < cols; ++j) acc[r][j] = c[r * ldc + j] * beta;
+void load_tile(Vec8 (&acc)[kMR], std::size_t mr, std::size_t nr,
+               const float* __restrict__ c, std::size_t ldc) {
+  for (std::size_t r = 0; r < kMR; ++r) {
+    if constexpr (kFull) {
+      acc[r] = vec_at(c + r * ldc);
+    } else {
+      float row[kNR] = {};
+      if (r < mr) std::copy(c + r * ldc, c + r * ldc + nr, row);
+      acc[r] = vec_at(row);
     }
   }
 }
 
 template <bool kFull>
 [[gnu::always_inline]] inline
-void store_c_tile(const float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
-                  float* __restrict__ c, std::size_t ldc) {
-  const std::size_t rows = kFull ? kMR : mr;
-  const std::size_t cols = kFull ? kNR : nr;
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t j = 0; j < cols; ++j) c[r * ldc + j] = acc[r][j];
+void store_tile(const Vec8 (&acc)[kMR], std::size_t mr, std::size_t nr,
+                float* __restrict__ c, std::size_t ldc) {
+  for (std::size_t r = 0; r < (kFull ? kMR : mr); ++r) {
+    if constexpr (kFull) {
+      vec_at(c + r * ldc) = acc[r];
+    } else {
+      float row[kNR];
+      vec_at(row) = acc[r];
+      std::copy(row, row + nr, c + r * ldc);
+    }
   }
 }
 
-/// C-accumulating tile for gemm_nn / gemm_tn, zero-free A sliver: the
-/// reference skip branch can never fire, so the plain fused loop is
-/// bitwise identical and fully vectorizable.
+/// C-accumulating tile for gemm_nn / gemm_tn. C starts as the reference
+/// starts it in the first k block (0 for beta == 0, never read; C * beta
+/// unless beta == 1) and is carried through C memory across blocks. A
+/// zero-free sliver (kGuard false) can never fire the reference's skip, so
+/// the plain `acc + a * b` is bitwise identical. A sliver holding zeros
+/// (kGuard true) blends instead: where a is exactly zero the lanes keep the
+/// old accumulator, which is bitwise the skip (an a of zero contributes not
+/// even a sign flip).
+template <bool kGuard, bool kFull>
 [[gnu::always_inline]] inline
-void micro_cacc_fast(std::size_t kc, const float* __restrict__ ap,
-                     const float* __restrict__ bp, float* __restrict__ c,
-                     std::size_t ldc, float beta, bool first_block) {
-  float acc[kMR][kNR];
-  load_c_tile<true>(acc, kMR, kNR, c, ldc, beta, first_block);
+void micro_cacc(std::size_t mr, std::size_t nr, std::size_t kc,
+                const float* __restrict__ ap, const float* __restrict__ bp,
+                float* __restrict__ c, std::size_t ldc, float beta,
+                bool first_block) {
+  Vec8 acc[kMR] = {};
+  if (!first_block || beta != 0.0f) {
+    load_tile<kFull>(acc, mr, nr, c, ldc);
+    if (first_block && beta != 1.0f) {
+      for (std::size_t r = 0; r < kMR; ++r) acc[r] = acc[r] * beta;
+    }
+  }
   for (std::size_t p = 0; p < kc; ++p) {
+    const Vec8 b = vec_at(bp + p * kNR);
     const float* __restrict__ arow = ap + p * kMR;
-    const float* __restrict__ brow = bp + p * kNR;
     for (std::size_t r = 0; r < kMR; ++r) {
-      const float av = arow[r];
-      for (std::size_t j = 0; j < kNR; ++j) acc[r][j] += av * brow[j];
-    }
-  }
-  store_c_tile<true>(acc, kMR, kNR, c, ldc);
-}
-
-/// C-accumulating tile for A slivers that DO hold zeros (and for edge
-/// tiles): the select keeps the old accumulator when av == 0, which is
-/// bitwise the reference's skip (an av of exactly zero contributes not
-/// even a sign flip), and if-converts to a vector blend.
-template <bool kFull>
-[[gnu::always_inline]] inline
-void micro_cacc_guard(std::size_t mr, std::size_t nr, std::size_t kc,
-                      const float* __restrict__ ap,
-                      const float* __restrict__ bp, float* __restrict__ c,
-                      std::size_t ldc, float beta, bool first_block) {
-  const std::size_t rows = kFull ? kMR : mr;
-  const std::size_t cols = kFull ? kNR : nr;
-  float acc[kMR][kNR];
-  load_c_tile<kFull>(acc, mr, nr, c, ldc, beta, first_block);
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* __restrict__ arow = ap + p * kMR;
-    const float* __restrict__ brow = bp + p * kNR;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float av = arow[r];
-      for (std::size_t j = 0; j < cols; ++j) {
-        acc[r][j] = (av == 0.0f) ? acc[r][j] : acc[r][j] + av * brow[j];
+      const float x = arow[r];
+      const Vec8 av = {x, x, x, x, x, x, x, x};
+      const Vec8 sum = acc[r] + av * b;
+      if constexpr (kGuard) {
+        acc[r] = av == Vec8{} ? acc[r] : sum;
+      } else {
+        acc[r] = sum;
       }
     }
   }
-  store_c_tile<kFull>(acc, mr, nr, c, ldc);
+  store_tile<kFull>(acc, mr, nr, c, ldc);
 }
 
 /// Register tile for gemm_nt: fresh dot accumulators over the whole k
@@ -391,31 +480,43 @@ template <bool kFull>
 void micro_nt(std::size_t mr, std::size_t nr, std::size_t k,
               const float* __restrict__ ap, const float* __restrict__ bp,
               float* __restrict__ c, std::size_t ldc, float beta) {
-  const std::size_t rows = kFull ? kMR : mr;
-  const std::size_t cols = kFull ? kNR : nr;
-  float acc[kMR][kNR] = {};
+  Vec8 acc[kMR] = {};
   for (std::size_t p = 0; p < k; ++p) {
+    const Vec8 b = vec_at(bp + p * kNR);
     const float* __restrict__ arow = ap + p * kMR;
-    const float* __restrict__ brow = bp + p * kNR;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float av = arow[r];
-      for (std::size_t j = 0; j < cols; ++j) acc[r][j] += av * brow[j];
-    }
+    for (std::size_t r = 0; r < kMR; ++r) acc[r] = acc[r] + arow[r] * b;
   }
-  if (beta == 0.0f) {
-    store_c_tile<kFull>(acc, mr, nr, c, ldc);
-  } else {
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        c[r * ldc + j] = beta * c[r * ldc + j] + acc[r][j];
-      }
-    }
+  if (beta != 0.0f) {
+    Vec8 old[kMR];
+    load_tile<kFull>(old, mr, nr, c, ldc);
+    for (std::size_t r = 0; r < kMR; ++r) acc[r] = beta * old[r] + acc[r];
   }
+  store_tile<kFull>(acc, mr, nr, c, ldc);
 }
 
 // ---------------------------------------------------------------------------
 // Blocked drivers
 // ---------------------------------------------------------------------------
+
+/// Runs one tile in the kernel variant it needs: blend if the A sliver
+/// holds a zero, full-width loads and stores if the tile is whole.
+[[gnu::always_inline]] inline
+void run_cacc_tile(bool has_zero, std::size_t mr, std::size_t nr,
+                   std::size_t kc, const float* ap, const float* bp, float* c,
+                   std::size_t ldc, float beta, bool first_block) {
+  const bool full = mr == kMR && nr == kNR;
+  if (has_zero) {
+    if (full) {
+      micro_cacc<true, true>(mr, nr, kc, ap, bp, c, ldc, beta, first_block);
+    } else {
+      micro_cacc<true, false>(mr, nr, kc, ap, bp, c, ldc, beta, first_block);
+    }
+  } else if (full) {
+    micro_cacc<false, true>(mr, nr, kc, ap, bp, c, ldc, beta, first_block);
+  } else {
+    micro_cacc<false, false>(mr, nr, kc, ap, bp, c, ldc, beta, first_block);
+  }
+}
 
 /// Shared driver for the C-accumulating variants. PackA packs the
 /// (ic, pc, mc, kc) block of A into slivers + zero flags; PackB packs the
@@ -445,20 +546,9 @@ void gemm_cacc_blocked(std::size_t m, std::size_t k, std::size_t n,
           const bool has_zero = zeros[i0 / kMR] != 0;
           float* crow = c.data() + (ic + i0) * n + jc;
           for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
-            const std::size_t nr = std::min(kNR, nc - j0);
-            const float* bsliver = bp + (j0 / kNR) * kc * kNR;
-            if (mr == kMR && nr == kNR) {
-              if (has_zero) {
-                micro_cacc_guard<true>(kMR, kNR, kc, asliver, bsliver,
-                                       crow + j0, n, beta, first);
-              } else {
-                micro_cacc_fast(kc, asliver, bsliver, crow + j0, n, beta,
-                                first);
-              }
-            } else {
-              micro_cacc_guard<false>(mr, nr, kc, asliver, bsliver, crow + j0,
-                                      n, beta, first);
-            }
+            run_cacc_tile(has_zero, mr, std::min(kNR, nc - j0), kc, asliver,
+                          bp + (j0 / kNR) * kc * kNR, crow + j0, n, beta,
+                          first);
           }
         }
       }
@@ -474,9 +564,6 @@ void gemm_cacc_blocked(std::size_t m, std::size_t k, std::size_t n,
 // take vectors by reference only and are force-inlined.
 // ---------------------------------------------------------------------------
 
-using util::Vec8;
-using util::Vec8Unaligned;
-constexpr std::size_t kLanes = 8;
 constexpr std::size_t kRowsMaxN = 64;
 constexpr std::size_t kRowsMaxK = 256;
 /// Floats of B (n padded to whole vectors) the row kernels read per call:
@@ -490,11 +577,11 @@ void load_row(Vec8 (&acc)[NV], const float* __restrict__ c, std::size_t n) {
   const std::size_t whole = n / kLanes;
   for (std::size_t v = 0; v < NV; ++v) {
     if (v < whole) {
-      acc[v] = *reinterpret_cast<const Vec8Unaligned*>(c + v * kLanes);
+      acc[v] = vec_at(c + v * kLanes);
     } else {
       float tail[kLanes] = {};
       std::copy(c + v * kLanes, c + v * kLanes + n % kLanes, tail);
-      acc[v] = *reinterpret_cast<const Vec8Unaligned*>(tail);
+      acc[v] = vec_at(tail);
     }
   }
 }
@@ -506,18 +593,13 @@ void store_row(const Vec8 (&acc)[NV], float* __restrict__ c, std::size_t n) {
   const std::size_t whole = n / kLanes;
   for (std::size_t v = 0; v < NV; ++v) {
     if (v < whole) {
-      *reinterpret_cast<Vec8Unaligned*>(c + v * kLanes) = acc[v];
+      vec_at(c + v * kLanes) = acc[v];
     } else {
       float tail[kLanes];
-      *reinterpret_cast<Vec8Unaligned*>(tail) = acc[v];
+      vec_at(tail) = acc[v];
       std::copy(tail, tail + n % kLanes, c + v * kLanes);
     }
   }
-}
-
-/// B row p's vector v, at any float address.
-[[gnu::always_inline]] inline const Vec8Unaligned& b_vec(const float* p) {
-  return *reinterpret_cast<const Vec8Unaligned*>(p);
 }
 
 /// Copies B (row stride n) into `dst` with rows padded to NV * 8 floats,
@@ -570,7 +652,7 @@ void rows_cacc(std::size_t m, std::size_t k, std::size_t n,
       const float x = mult[q];
       const float* __restrict__ bp = b + offset[q];
       for (std::size_t v = 0; v < NV; ++v) {
-        acc[v] = acc[v] + x * b_vec(bp + v * kLanes);
+        acc[v] = acc[v] + x * vec_at(bp + v * kLanes);
       }
     }
     store_row(acc, ci, n);
@@ -593,7 +675,7 @@ void rows_nt(std::size_t m, std::size_t k, std::size_t n,
       const float x = ai[p];
       const float* __restrict__ bp = bt + p * w;
       for (std::size_t v = 0; v < NV; ++v) {
-        acc[v] = acc[v] + x * b_vec(bp + v * kLanes);
+        acc[v] = acc[v] + x * vec_at(bp + v * kLanes);
       }
     }
     float* __restrict__ ci = c + i * n;
@@ -732,24 +814,17 @@ void gemm_nt_blocked(std::size_t m, std::size_t k, std::size_t n,
   float* ap = t_scratch.a.ensure_floats(k * kMR);
   for (std::size_t jc = 0; jc < n; jc += nc_max) {
     const std::size_t nc = std::min(nc_max, n - jc);
-    // B transpose pack: sliver s row p holds B[jc+s*kNR .. +w][p].
+    // B transpose pack: sliver s row p holds B[jc+s*kNR .. +w][p], then
+    // zero lanes.
     for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
-      const std::size_t w = std::min(kNR, nc - j0);
-      float* __restrict__ out = bt + (j0 / kNR) * k * kNR;
-      for (std::size_t jj = 0; jj < w; ++jj) {
-        const float* __restrict__ brow = b.data() + (jc + j0 + jj) * k;
-        float* __restrict__ o = out + jj;
-        for (std::size_t p = 0; p < k; ++p) o[p * kNR] = brow[p];
-      }
+      interleave_rows<kNR>(b.data() + (jc + j0) * k, k,
+                           std::min(kNR, nc - j0), k,
+                           bt + (j0 / kNR) * k * kNR);
     }
     for (std::size_t i0 = 0; i0 < m; i0 += kMR) {
       const std::size_t mr = std::min(kMR, m - i0);
       // A transpose pack for this row sliver: arow p = A[i0..i0+mr][p].
-      for (std::size_t r = 0; r < mr; ++r) {
-        const float* __restrict__ src = a.data() + (i0 + r) * k;
-        float* __restrict__ o = ap + r;
-        for (std::size_t p = 0; p < k; ++p) o[p * kMR] = src[p];
-      }
+      interleave_rows<kMR>(a.data() + i0 * k, k, mr, k, ap);
       float* crow = c.data() + i0 * n + jc;
       for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
         const std::size_t nr = std::min(kNR, nc - j0);
