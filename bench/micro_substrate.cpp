@@ -7,7 +7,8 @@
 // --benchmark_out=...) so CI records the gossip-kernel perf trajectory
 // per PR. `--quick` runs the aggregate-phase, large-fleet gossip,
 // gossip-form, exchange-codec, int8-encode, CRC32C and wire-frame,
-// fleet-checkpoint, scenario/harvest, kernel-layer GEMM, Conv2d, local-step
+// fleet-checkpoint, scenario/harvest, kernel-layer GEMM, Conv2d,
+// GroupNorm, MaxPool, local-step
 // (whole and per part), 16-node full-round and 16-node fleet-evaluation
 // rows at a short min-time — the mode the CI Release job uses; the
 // GEMM/Conv/CRC/int8 and Gossip rows feed the bench regression gate
@@ -27,6 +28,9 @@
 
 #include "core/skiptrain.hpp"
 #include "graph/sparse.hpp"
+#include "nn/groupnorm.hpp"
+#include "nn/im2col.hpp"
+#include "nn/pool.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "plane/plane.hpp"
@@ -202,6 +206,111 @@ BENCHMARK(BM_GemmShape<tensor::gemm_nn>)
 BENCHMARK(BM_GemmShape<tensor::gemm_nn_ref>)
     ->Name("BM_GemmNNMlpRef")
     ->Args({16, 62, 48});
+
+// GN-LeNet conv1's weight-gradient GEMM, 32 x 1024 x 75 per image: the
+// output-gradient planes times the position-major patch matrix of the
+// zero-padded 3 x 32 x 32 image, read through offset tables as Conv2d
+// reads it. n = 75 leaves a 3-column edge sliver beside nine whole ones.
+// BM_GemmNNRef/32/1024/75 is the seed loop over the materialised patch
+// matrix; the CI bench gate holds the ratio, so edge tiles that fall back
+// to a slow path show. Runs under --quick.
+void BM_GemmNNIndexedConv1Dw(benchmark::State& state) {
+  nn::ConvGeometry g{};
+  g.in_c = 3;
+  g.h = g.w = 32;
+  g.k = 5;
+  g.pad = 2;
+  g.oh = g.ow = 32;
+  std::vector<float> image(g.in_c * g.h * g.w);
+  std::vector<float> padded(g.in_c * g.padded_h() * g.padded_w());
+  std::vector<float> grad(32 * g.out_hw()), dw(32 * g.patch());
+  util::Rng rng(14);
+  rng.fill_normal(image, 0.0f, 1.0f);
+  rng.fill_normal(grad, 0.0f, 1.0f);
+  nn::stage_planes(g.in_c, g.h, g.w, image.data(),
+                   static_cast<std::ptrdiff_t>(g.pad), 1, g.padded_h(),
+                   g.padded_w(), padded.data());
+  std::vector<std::size_t> kappa(g.patch()), pos(g.out_hw());
+  nn::patch_offsets(g, kappa.data(), pos.data());
+  const tensor::IndexedB b{padded.data(), pos.data(), kappa.data()};
+  for (auto _ : state) {
+    tensor::gemm_nn_indexed(32, g.out_hw(), g.patch(), grad, b, dw, 0.0f);
+    benchmark::DoNotOptimize(dw.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * 32 * g.out_hw() *
+                                                    g.patch()));
+}
+BENCHMARK(BM_GemmNNIndexedConv1Dw)
+    ->Name("BM_GemmNNIndexed")
+    ->Args({32, 1024, 75});
+BENCHMARK(BM_GemmShape<tensor::gemm_nn_ref>)
+    ->Name("BM_GemmNNRef")
+    ->Args({32, 1024, 75});
+
+// ---------------------------------------------------------------------------
+// GroupNorm and 2x2 MaxPool at the shapes GN-LeNet runs them: 32 channels
+// of 32 x 32 (after conv1) and of 16 x 16 (after conv2), at the cnn_lenet
+// training batch of 8 and the evaluation batch of 32. Args: batch,
+// channels, side. Backward includes the input gradient, as every GroupNorm
+// and MaxPool in GN-LeNet computes it. Runs under --quick.
+// ---------------------------------------------------------------------------
+
+struct NormPoolBench {
+  tensor::Tensor input, output, grad_out, grad_in;
+
+  NormPoolBench(const benchmark::State& state, nn::Layer& layer)
+      : input({static_cast<std::size_t>(state.range(0)),
+               static_cast<std::size_t>(state.range(1)),
+               static_cast<std::size_t>(state.range(2)),
+               static_cast<std::size_t>(state.range(2))}),
+        output(layer.output_shape(input.shape())),
+        grad_out(output.shape()),
+        grad_in(input.shape()) {
+    util::Rng rng(15);
+    rng.fill_normal(input.data(), 0.0f, 1.0f);
+    rng.fill_normal(grad_out.data(), 0.0f, 1.0f);
+    layer.forward(input, output);
+  }
+};
+
+template <bool kBackward>
+void run_norm_pool(benchmark::State& state, nn::Layer& layer) {
+  NormPoolBench bench(state, layer);
+  for (auto _ : state) {
+    if (kBackward) {
+      layer.backward(bench.input, bench.grad_out, bench.grad_in);
+      benchmark::DoNotOptimize(bench.grad_in.raw());
+    } else {
+      layer.forward(bench.input, bench.output);
+      benchmark::DoNotOptimize(bench.output.raw());
+    }
+    benchmark::ClobberMemory();
+  }
+}
+
+template <bool kBackward>
+void BM_GroupNorm(benchmark::State& state) {
+  nn::GroupNorm gn(2, static_cast<std::size_t>(state.range(1)));
+  run_norm_pool<kBackward>(state, gn);
+}
+
+template <bool kBackward>
+void BM_MaxPool(benchmark::State& state) {
+  nn::MaxPool2d pool(2);
+  run_norm_pool<kBackward>(state, pool);
+}
+
+void NormPoolShapes(benchmark::internal::Benchmark* bench) {
+  for (const std::int64_t batch : {8, 32}) {
+    bench->Args({batch, 32, 32})->Args({batch, 32, 16});
+  }
+  bench->Unit(benchmark::kMicrosecond);
+}
+BENCHMARK(BM_GroupNorm<false>)->Name("BM_GroupNormFwd")->Apply(NormPoolShapes);
+BENCHMARK(BM_GroupNorm<true>)->Name("BM_GroupNormBwd")->Apply(NormPoolShapes);
+BENCHMARK(BM_MaxPool<false>)->Name("BM_MaxPoolFwd")->Apply(NormPoolShapes);
+BENCHMARK(BM_MaxPool<true>)->Name("BM_MaxPoolBwd")->Apply(NormPoolShapes);
 
 // ---------------------------------------------------------------------------
 // Conv2d forward/backward: implicit im2col + GEMM vs the retained direct
@@ -398,6 +507,7 @@ BENCHMARK(BM_AggregatePlaneBlocked)
     ->Args({64, 2752})
     ->Args({16, 100000})
     ->Args({64, 100000})
+    ->UseRealTime()  // the kernel runs on pool workers, not this thread
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
@@ -1133,7 +1243,7 @@ int main(int argc, char** argv) {
   }
   if (quick) {
     args.insert(args.begin() + 1,
-                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)((Sparse|Mlp)?(Blocked|Ref|Rows)|Mlp)/|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_Crc32c|BM_Int8Encode|BM_FaultedGossip|BM_LocalSgdStep|BM_FullRound/16|BM_EvaluateFleet/16");
+                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)((Sparse|Mlp)?(Blocked|Ref|Rows)|Mlp|Indexed)/|BM_Conv2d|BM_GroupNorm|BM_MaxPool|BM_Obs|BM_CrcFrame|BM_Crc32c|BM_Int8Encode|BM_FaultedGossip|BM_LocalSgdStep|BM_FullRound/16|BM_EvaluateFleet/16");
     args.insert(args.begin() + 1, "--benchmark_min_time=0.05");
   }
   const bool has_out =
