@@ -30,7 +30,11 @@
 //
 // What the other kernels add is purely locality and ILP. The blocked
 // kernels pack B panels into dense aligned scratch sized from L1/L2
-// (measured once at startup) and hold a 4x8 register tile. The row kernels
+// (measured once at startup) and hold a 4x8 tile of C in four 8-float
+// vector registers (util::Vec8). Edge tiles (fewer than 4 rows or 8
+// columns left) run the same full-width kernels over zero-padded slivers
+// and store only their live part, so no shape falls to a scalar loop;
+// a zero-padded row never sets its sliver's zero flag. The row kernels
 // hold one C row of up to 64 floats in vector registers and read an
 // L1-resident B (transposed for nt, padded to whole vectors where n is not
 // a multiple of 8).
@@ -112,9 +116,9 @@ inline constexpr std::size_t kGemmSliverCols = 8;
 /// The kGemmSliverCols-column slivers the blocked kernels pack from rows
 /// [pc, pc + kc) and columns [jc, jc + nc) of an IndexedB (tensor/ops.hpp):
 /// with w = kGemmSliverCols, sliver s holds row p of columns
-/// [jc + s * w, +w) at dst[(s * kc + p) * w + jj], and an edge sliver only
-/// its live lanes. Exposed so tests can check the panels against a
-/// materialised B.
+/// [jc + s * w, +w) at dst[(s * kc + p) * w + jj], an edge sliver with
+/// zeros past its live lanes. Exposed so tests can check the panels
+/// against a materialised B.
 void pack_indexed_b(const IndexedB& b, std::size_t pc, std::size_t jc,
                     std::size_t kc, std::size_t nc, float* dst);
 

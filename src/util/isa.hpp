@@ -27,9 +27,11 @@
 /// the avx2 clone.
 #define SKIPTRAIN_CODEC_CLONES \
   __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
-/// GEMM kernels (tensor/gemm.cpp) and the gossip row reduction
-/// (graph/mixing.cpp). No x86-64-v4 clone: the 4x8 register tile built for
-/// it ran the blocked GEMM kernels 7-8x slower than for avx2.
+/// GEMM kernels (tensor/gemm.cpp), the gossip row reduction
+/// (graph/mixing.cpp) and the GroupNorm and MaxPool kernels (nn/). No
+/// x86-64-v4 clone: the kernels are written in 8-float vectors (Vec8), so
+/// one would add no width, and the float[4][8] tile loops the blocked GEMM
+/// had before ran 7-8x slower in it than in the avx2 clone.
 #define SKIPTRAIN_GEMM_CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define SKIPTRAIN_ISA_CLONES 0
