@@ -19,11 +19,10 @@ namespace {
 // one Vec4d of doubles); two quads give each sum two independent add
 // chains. A block past the last pair repeats the last pair's values in
 // its dead lanes and discards their results.
-using Vec4 = float __attribute__((vector_size(4 * sizeof(float))));
-using Vec4Unaligned = float
-    __attribute__((vector_size(4 * sizeof(float)), aligned(4), may_alias));
+using util::Mask4;
+using util::Vec4;
+using util::Vec4Unaligned;
 using Vec4d = double __attribute__((vector_size(4 * sizeof(double))));
-using Mask4 = int __attribute__((vector_size(4 * sizeof(int))));
 constexpr std::size_t kQuad = 4;
 constexpr std::size_t kQuads = 2;
 constexpr std::size_t kLanes = kQuad * kQuads;

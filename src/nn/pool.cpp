@@ -17,17 +17,10 @@ namespace {
 // select chain over them is the scalar scan's, lane by lane. A row's last
 // windows run four to a vector (the upper lanes see zeros and are
 // dropped), then one at a time.
+using util::Mask8;
 using util::Vec8;
-using util::Vec8Unaligned;
-using Mask8 = int __attribute__((vector_size(8 * sizeof(int))));
+using util::vec_at;
 constexpr std::size_t kLanes = 8;
-
-[[gnu::always_inline]] inline const Vec8Unaligned& vec_at(const float* p) {
-  return *reinterpret_cast<const Vec8Unaligned*>(p);
-}
-[[gnu::always_inline]] inline Vec8Unaligned& vec_at(float* p) {
-  return *reinterpret_cast<Vec8Unaligned*>(p);
-}
 
 /// The first maximum of each lane's window under strict `>` (best) and
 /// its row-major position 0..3 (arg), for the kLive windows whose

@@ -147,18 +147,13 @@ void gemm_tn_ref(std::size_t m, std::size_t k, std::size_t n,
 
 namespace {
 
+using util::Mask4;
+using util::Mask8;
+using util::Vec4;
+using util::Vec4Unaligned;
 using util::Vec8;
-using util::Vec8Unaligned;
+using util::vec_at;
 constexpr std::size_t kLanes = 8;
-
-/// Four floats in one GCC vector (one xmm register): a gemm_tn A sliver's
-/// row p.
-using Vec4 = float __attribute__((vector_size(4 * sizeof(float))));
-using Vec4Unaligned = float
-    __attribute__((vector_size(4 * sizeof(float)), aligned(4), may_alias));
-/// Lane masks of Vec8 / Vec4 comparisons, and Vec8 shuffle indices.
-using Mask8 = int __attribute__((vector_size(8 * sizeof(int))));
-using Mask4 = int __attribute__((vector_size(4 * sizeof(int))));
 
 // Register tile: kMR rows of one Vec8 each, so 4 of the 16 ymm registers
 // in the avx2 clone and 8 of the 16 xmm registers in the default one. One
@@ -205,14 +200,6 @@ struct PackScratch {
 };
 
 thread_local PackScratch t_scratch;
-
-/// Vec8 at any float address.
-[[gnu::always_inline]] inline const Vec8Unaligned& vec_at(const float* p) {
-  return *reinterpret_cast<const Vec8Unaligned*>(p);
-}
-[[gnu::always_inline]] inline Vec8Unaligned& vec_at(float* p) {
-  return *reinterpret_cast<Vec8Unaligned*>(p);
-}
 
 // ---------------------------------------------------------------------------
 // Panel packing

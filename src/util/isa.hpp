@@ -49,5 +49,21 @@ namespace skiptrain::util {
 using Vec8 = float __attribute__((vector_size(8 * sizeof(float))));
 using Vec8Unaligned = float
     __attribute__((vector_size(8 * sizeof(float)), aligned(4), may_alias));
+/// Four floats: one xmm register in every clone.
+using Vec4 = float __attribute__((vector_size(4 * sizeof(float))));
+using Vec4Unaligned = float
+    __attribute__((vector_size(4 * sizeof(float)), aligned(4), may_alias));
+/// Lane masks of Vec8 / Vec4 comparisons (-1 where true), and the index
+/// vectors __builtin_shuffle takes.
+using Mask8 = int __attribute__((vector_size(8 * sizeof(int))));
+using Mask4 = int __attribute__((vector_size(4 * sizeof(int))));
+
+/// The Vec8 at any float address.
+[[gnu::always_inline]] inline const Vec8Unaligned& vec_at(const float* p) {
+  return *reinterpret_cast<const Vec8Unaligned*>(p);
+}
+[[gnu::always_inline]] inline Vec8Unaligned& vec_at(float* p) {
+  return *reinterpret_cast<Vec8Unaligned*>(p);
+}
 
 }  // namespace skiptrain::util
