@@ -106,17 +106,6 @@ bool ThreadPool::on_worker_thread() const {
          worker_ids_.end();
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn,
-                              std::size_t grain) {
-  parallel_for_chunks(
-      begin, end,
-      [&fn](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) fn(i);
-      },
-      grain);
-}
-
 void ThreadPool::parallel_for_chunks(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& fn,
@@ -182,12 +171,6 @@ ThreadPool& ThreadPool::global() {
     return std::size_t{0};
   }());
   return pool;
-}
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain) {
-  ThreadPool::global().parallel_for(begin, end, fn, grain);
 }
 
 }  // namespace skiptrain::util

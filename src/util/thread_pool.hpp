@@ -40,19 +40,13 @@ class ThreadPool {
   /// Blocks until every submitted task has finished.
   void wait_idle();
 
-  /// Runs fn(i) for i in [begin, end), partitioned into contiguous blocks
-  /// across the workers, and blocks until completion. `grain` bounds the
-  /// smallest block size (reduces scheduling overhead for cheap bodies).
-  /// If a body throws, the remaining chunks still complete and the first
-  /// exception is rethrown on the calling thread.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& fn,
-                    std::size_t grain = 1);
-
-  /// Templated overload: lambdas bind here instead of converting to
-  /// std::function, so the body is invoked directly inside the chunk loop
-  /// — type-erased dispatch happens once per CHUNK (the task queue),
-  /// never per index. This is what the hot engine loops pay.
+  /// Runs body(i) for i in [begin, end), partitioned into contiguous
+  /// blocks across the workers, and blocks until completion. `grain`
+  /// bounds the smallest block size (reduces scheduling overhead for cheap
+  /// bodies). If a body throws, the remaining chunks still complete and the
+  /// first exception is rethrown on the calling thread. The body is called
+  /// directly inside the chunk loop: type-erased dispatch happens once per
+  /// CHUNK (the task queue), never per index.
   template <typename Body>
     requires std::invocable<Body&, std::size_t>
   void parallel_for(std::size_t begin, std::size_t end, Body&& body,
@@ -131,12 +125,6 @@ class ThreadPool {
 };
 
 /// Convenience wrapper over ThreadPool::global().parallel_for.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain = 1);
-
-/// Templated convenience wrapper: keeps call sites free of per-index
-/// std::function dispatch (see ThreadPool::parallel_for).
 template <typename Body>
   requires std::invocable<Body&, std::size_t>
 void parallel_for(std::size_t begin, std::size_t end, Body&& body,
