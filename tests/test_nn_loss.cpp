@@ -1,7 +1,9 @@
 // Softmax cross-entropy against a copy of the double-exp reference: the
 // gradient and accuracy bits of nn::softmax_cross_entropy are pinned at the
 // shapes the sweeps train, and a randomized differential of a million rows
-// holds them to the reference bit for bit.
+// holds them to the reference bit for bit. The certified kernel's parts are
+// checked on their own: util::exp4d against expl over its domain, and the
+// fallback of rows whose probabilities sit on a float rounding midpoint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +16,9 @@
 #include <vector>
 
 #include "nn/loss.hpp"
+#include "obs/registry.hpp"
 #include "tensor/tensor.hpp"
+#include "util/isa.hpp"
 #include "util/rng.hpp"
 
 namespace skiptrain::nn {
@@ -142,13 +146,14 @@ struct PinBatch {
   LossResult result;
 };
 
-PinBatch run_pin_case(const PinCase& pin) {
+/// Row b takes kind (pin.first_kind + b) % kinds: the first `kinds` kinds.
+PinBatch run_pin_case(const PinCase& pin, std::size_t kinds = kNumKinds) {
   PinBatch out;
   util::Rng rng(0x1055 + pin.batch * 1000 + pin.classes);
   out.logits = Tensor({pin.batch, pin.classes});
   out.labels.resize(pin.batch);
   for (std::size_t b = 0; b < pin.batch; ++b) {
-    fill_row(rng, static_cast<RowKind>((pin.first_kind + b) % kNumKinds), b,
+    fill_row(rng, static_cast<RowKind>((pin.first_kind + b) % kinds), b,
              out.logits.raw() + b * pin.classes, pin.classes);
     out.labels[b] = static_cast<std::int32_t>(rng.uniform_int(pin.classes));
   }
@@ -191,6 +196,37 @@ TEST(LossBitPins, GradientAndAccuracyBits) {
                           want_grad.numel() * sizeof(float)),
               0);
     EXPECT_EQ(run.result.accuracy, want.accuracy);
+  }
+}
+
+// The mean loss's own bits, over the pinned shapes with finite rows only
+// (a non-finite row makes the mean NaN or inf). The certified kernel's
+// log-sum-exp is not the reference's, so these were recorded with it; the
+// avx2 and default clones, and a -march=x86-64-v3 build, must all give
+// them. The tolerance against the oracle is the differential test's.
+TEST(LossBitPins, LossValueBits) {
+  constexpr std::uint64_t kLossFnv[] = {
+      0x9fddcbb22bc739f5ULL, 0xf7eea6ed9d863ffdULL, 0x2492fa3c639b4a44ULL,
+      0x97a79aae107dc02bULL, 0xa8c7f832281a39c5ULL, 0x7e166f867f59e6f2ULL,
+  };
+  for (std::size_t i = 0; i < std::size(kPins); ++i) {
+    const PinCase& pin = kPins[i];
+    SCOPED_TRACE(testing::Message() << pin.batch << "x" << pin.classes);
+    const PinBatch run = run_pin_case(pin, kPlusInf);
+    const std::uint64_t got =
+        fnv1a64(kFnvBasis, &run.result.loss, sizeof(double));
+    if (got != kLossFnv[i]) {
+      std::printf("%zux%zu loss fnv 0x%016llxULL\n", pin.batch, pin.classes,
+                  static_cast<unsigned long long>(got));
+    }
+    EXPECT_EQ(got, kLossFnv[i]);
+
+    Tensor want_grad(run.logits.shape());
+    const LossResult want = reference_loss(run.logits, run.labels, want_grad);
+    EXPECT_EQ(std::memcmp(run.grad.raw(), want_grad.raw(),
+                          want_grad.numel() * sizeof(float)),
+              0);
+    EXPECT_LE(std::fabs(run.result.loss - want.loss), 1e-12 * 1001.0);
   }
 }
 
@@ -266,6 +302,147 @@ TEST(LossDifferential, MillionRowsMatchTheDoubleExpReference) {
   EXPECT_EQ(mismatched_batches, 0u) << "of " << batches << " batches";
   std::printf("%zu rows in %zu batches, max |loss delta| %.3g\n", rows,
               batches, worst_loss_delta);
+}
+
+// util::exp4d against expl over [-708, 0], evenly and densely near 0, at
+// the ends and at the ln2/2 points where the reduction's k steps. The
+// certified loss assumes a relative error of at most 2 * 2^-52; exp(0)
+// must be exactly 1 (a row's maximum contributes exactly 1 to its sum).
+TEST(Exp4d, WithinItsBudgetOverTheDomain) {
+  double worst = 0.0;
+  double worst_x = 0.0;
+  const auto sweep = [&](const util::Vec4d& x) {
+    util::Vec4d y;
+    util::exp4d(x, y);
+    for (std::size_t l = 0; l < 4; ++l) {
+      const long double want = expl(static_cast<long double>(x[l]));
+      const auto rel = static_cast<double>(
+          fabsl(static_cast<long double>(y[l]) - want) / want);
+      if (rel > worst) {
+        worst = rel;
+        worst_x = x[l];
+      }
+    }
+  };
+  constexpr long kEven = 4'000'000;
+  for (long i = 0; i < kEven; i += 4) {
+    util::Vec4d x;
+    for (long l = 0; l < 4; ++l) {
+      x[l] = -708.0 * static_cast<double>(i + l) / (kEven - 1);
+    }
+    sweep(x);
+  }
+  constexpr long kNearZero = 1'000'000;
+  for (long i = 0; i < kNearZero; i += 4) {
+    util::Vec4d x;
+    for (long l = 0; l < 4; ++l) {
+      x[l] = -2.0 * static_cast<double>(i + l) / kNearZero;
+    }
+    sweep(x);
+  }
+  util::Rng rng(0xe4d);
+  for (long i = 0; i < 2000; ++i) {
+    util::Vec4d x;
+    for (long l = 0; l < 4; ++l) {
+      const auto k = static_cast<double>(rng.uniform_int(1021));
+      x[l] = std::min(-(k + 0.5) * 0.6931471805599453 +
+                          (rng.uniform() - 0.5) * 0x1p-30,
+                      0.0);
+    }
+    sweep(x);
+  }
+  sweep(util::Vec4d{0.0, -0.0, -708.0, -0x1p-60});
+  sweep(util::Vec4d{-1e-300, -707.9999999, -0.5, -1.0});
+  std::printf("exp4d max relative error %.4f * 2^-52 at x = %.17g\n",
+              worst * 0x1p52, worst_x);
+  EXPECT_LE(worst, 2.0 * 0x1p-52);
+
+  util::Vec4d ones;
+  util::exp4d(util::Vec4d{0.0, -0.0, 0.0, -0.0}, ones);
+  for (std::size_t l = 0; l < 4; ++l) EXPECT_EQ(ones[l], 1.0);
+}
+
+/// Two-class rows {0, x}, x in [-16, -1], whose true probability
+/// 1 / (1 + e^x) or e^x / (1 + e^x) lies within w = (24 + 2|x|)u
+/// (u = 2^-53, relative) of a float rounding midpoint, found by a scan of x
+/// over the floats in long double. The kernel's q is within 11u of the
+/// truth (exp4d's 4u twice, the sum, 1 / S and the product), and its δ for
+/// such a row is at least (47 + 2|x|)u, so the bracket
+/// [q (1 - δ), q (1 + δ)], two roundings each, straddles the midpoint and
+/// the row must fall back.
+std::vector<float> near_midpoint_logits(std::size_t want) {
+  // p in (0, 1): the float after or before f is one bit pattern away.
+  const auto near = []<typename T>(T p, T window) {
+    const auto f = static_cast<float>(p);
+    const auto g = std::bit_cast<float>(std::bit_cast<std::uint32_t>(f) +
+                                        (p > static_cast<T>(f) ? 1 : -1));
+    const T mid = (static_cast<T>(f) + static_cast<T>(g)) / 2;
+    return std::fabs(p - mid) <= window * p;
+  };
+  std::vector<float> found;
+  // Negative floats grow in magnitude with their bit patterns.
+  const auto first = std::bit_cast<std::uint32_t>(-1.0f);
+  const auto last = std::bit_cast<std::uint32_t>(-16.0f);
+  for (std::uint32_t bits = first; bits + 3 <= last && found.size() < want;
+       bits += 4) {
+    util::Vec4d x;
+    for (std::uint32_t l = 0; l < 4; ++l) {
+      x[l] = std::bit_cast<float>(bits + l);
+    }
+    // exp4d (within 1u) as a prefilter at twice the window; long double
+    // decides.
+    util::Vec4d e;
+    util::exp4d(x, e);
+    for (std::size_t l = 0; l < 4 && found.size() < want; ++l) {
+      const double coarse_window = (24.0 - 2.0 * x[l]) * 0x1p-52;
+      const double p0 = 1.0 / (1.0 + e[l]);
+      if (!near(p0, coarse_window) && !near(e[l] * p0, coarse_window)) {
+        continue;
+      }
+      const long double window = (24.0L - 2.0L * x[l]) * 0x1p-53L;
+      const long double exact = expl(static_cast<long double>(x[l]));
+      if (near(1.0L / (1.0L + exact), window) ||
+          near(exact / (1.0L + exact), window)) {
+        found.push_back(static_cast<float>(x[l]));
+      }
+    }
+  }
+  return found;
+}
+
+// Rows whose probabilities the kernel cannot certify go through the
+// double-exp reference, and nn.loss.fallback_rows counts them; a batch of
+// ordinary rows takes the fast path throughout.
+TEST(LossFallback, MidpointRowsFallBackAndMatchTheReference) {
+  const auto fallbacks = [] {
+    return obs::snapshot().counter_value("nn.loss.fallback_rows");
+  };
+  const std::vector<float> xs = near_midpoint_logits(4);
+  ASSERT_EQ(xs.size(), 4u);
+  Tensor logits({xs.size(), 2});
+  for (std::size_t b = 0; b < xs.size(); ++b) {
+    logits.raw()[2 * b] = 0.0f;
+    logits.raw()[2 * b + 1] = xs[b];
+  }
+  const std::vector<std::int32_t> labels(xs.size(), 0);
+  Tensor grad(logits.shape());
+  Tensor want_grad(logits.shape());
+  const std::uint64_t before = fallbacks();
+  const LossResult got = softmax_cross_entropy(logits, labels, grad);
+  EXPECT_EQ(fallbacks() - before, xs.size());
+  const LossResult want = reference_loss(logits, labels, want_grad);
+  EXPECT_EQ(std::memcmp(grad.raw(), want_grad.raw(),
+                        grad.numel() * sizeof(float)),
+            0);
+  EXPECT_EQ(got.accuracy, want.accuracy);
+  // A fallen-back row's loss is the reference's own.
+  EXPECT_EQ(got.loss, want.loss);
+
+  const PinBatch plain = run_pin_case({16, 62, 0, 0}, kWide);
+  const std::uint64_t plain_before = fallbacks();
+  Tensor plain_grad(plain.logits.shape());
+  softmax_cross_entropy(plain.logits, plain.labels, plain_grad);
+  EXPECT_EQ(fallbacks(), plain_before);
 }
 
 }  // namespace
