@@ -9,7 +9,7 @@
 // gossip-form, exchange-codec, int8-encode, CRC32C and wire-frame,
 // fleet-checkpoint, scenario/harvest, kernel-layer GEMM, Conv2d,
 // GroupNorm, MaxPool, local-step
-// (whole and per part), 16-node full-round and 16-node fleet-evaluation
+// (whole and per part), softmax cross-entropy, 16-node full-round and 16-node fleet-evaluation
 // rows at a short min-time — the mode the CI Release job uses; the
 // GEMM/Conv/CRC/int8 and Gossip rows feed the bench regression gate
 // (tools/check_bench_regression.py).
@@ -18,6 +18,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -1105,6 +1106,77 @@ BENCHMARK(BM_LocalSgdStepPart<StepPart::kSgd>)
     ->Arg(0)
     ->Arg(1);
 
+// Softmax cross-entropy at the mlp_table3 step shapes: batch 16 of 62
+// (FEMNIST) and of 10 (CIFAR) classes, logits from N(0, 2). Args: batch,
+// classes. BM_SoftmaxCERef runs a copy of the two-exp loss the certified
+// kernel replaced (one std::exp per logit in the log-sum-exp, one per
+// probability); the CI bench gate holds the ratio at 16 x 62. Runs under
+// --quick.
+nn::LossResult softmax_cross_entropy_two_exp(
+    const tensor::Tensor& logits, std::span<const std::int32_t> labels,
+    tensor::Tensor& grad_logits) {
+  const std::size_t batch = logits.dim(0);
+  const std::size_t classes = logits.numel() / batch;
+  double total_loss = 0.0;
+  std::size_t correct = 0;
+  const float inv_batch = 1.0f / static_cast<float>(batch);
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* row = logits.raw() + b * classes;
+    float* grad = grad_logits.raw() + b * classes;
+    const auto label = static_cast<std::size_t>(labels[b]);
+    float max_val = row[0];
+    for (std::size_t c = 1; c < classes; ++c) {
+      max_val = std::max(max_val, row[c]);
+    }
+    double sum = 0.0;
+    for (std::size_t c = 0; c < classes; ++c) {
+      sum += std::exp(static_cast<double>(row[c]) - max_val);
+    }
+    const double lse = static_cast<double>(max_val) + std::log(sum);
+    total_loss += lse - static_cast<double>(row[label]);
+    for (std::size_t c = 0; c < classes; ++c) {
+      const float p =
+          static_cast<float>(std::exp(static_cast<double>(row[c]) - lse));
+      grad[c] = p * inv_batch;
+    }
+    grad[label] -= inv_batch;
+    if (nn::argmax({row, classes}) == label) ++correct;
+  }
+  return nn::LossResult{
+      total_loss / static_cast<double>(batch),
+      static_cast<double>(correct) / static_cast<double>(batch)};
+}
+
+template <nn::LossResult (*kLoss)(const tensor::Tensor&,
+                                  std::span<const std::int32_t>,
+                                  tensor::Tensor&)>
+void BM_SoftmaxCEShape(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const auto classes = static_cast<std::size_t>(state.range(1));
+  tensor::Tensor logits({batch, classes});
+  tensor::Tensor grad(logits.shape());
+  util::Rng rng(16);
+  rng.fill_normal(logits.data(), 0.0f, 2.0f);
+  std::vector<std::int32_t> labels(batch);
+  for (auto& label : labels) {
+    label = static_cast<std::int32_t>(rng.uniform_int(classes));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kLoss(logits, labels, grad));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch * classes));
+}
+BENCHMARK(BM_SoftmaxCEShape<nn::softmax_cross_entropy>)
+    ->Name("BM_SoftmaxCE")
+    ->Args({16, 62})
+    ->Args({16, 10});
+BENCHMARK(BM_SoftmaxCEShape<softmax_cross_entropy_two_exp>)
+    ->Name("BM_SoftmaxCERef")
+    ->Args({16, 62})
+    ->Args({16, 10});
+
 void BM_FullRound(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   data::CifarSynConfig config;
@@ -1243,7 +1315,7 @@ int main(int argc, char** argv) {
   }
   if (quick) {
     args.insert(args.begin() + 1,
-                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)((Sparse|Mlp)?(Blocked|Ref|Rows)|Mlp|Indexed)/|BM_Conv2d|BM_GroupNorm|BM_MaxPool|BM_Obs|BM_CrcFrame|BM_Crc32c|BM_Int8Encode|BM_FaultedGossip|BM_LocalSgdStep|BM_FullRound/16|BM_EvaluateFleet/16");
+                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)((Sparse|Mlp)?(Blocked|Ref|Rows)|Mlp|Indexed)/|BM_Conv2d|BM_GroupNorm|BM_MaxPool|BM_Obs|BM_CrcFrame|BM_Crc32c|BM_Int8Encode|BM_FaultedGossip|BM_LocalSgdStep|BM_SoftmaxCE|BM_FullRound/16|BM_EvaluateFleet/16");
     args.insert(args.begin() + 1, "--benchmark_min_time=0.05");
   }
   const bool has_out =
