@@ -88,7 +88,7 @@ constexpr std::size_t padded_width(std::size_t n) {
 /// [q_c e^-Λ, q_c e^Λ]. With δ = Λ + 8u, the computed q_c * (1 - δ) and
 /// q_c * (1 + δ), two roundings each, still bracket that interval. Float
 /// rounding is monotone: when both brackets round to the same float, that
-/// float is (float)r_c, today's p_c, bit for bit.
+/// float is (float)r_c, the reference's p_c, bit for bit.
 ///
 /// A row fails on a non-finite maximum, a NaN, a span past kMaxSpan (an
 /// -inf included) or a bracket that straddles a float rounding boundary.
@@ -176,7 +176,7 @@ void certified_rows(const float* logits, std::size_t rows, std::size_t n,
     // The lanes past n hold exp(0) = 1; they become 0.
     if (tail != 0) {
       Vec4d& last = *reinterpret_cast<Vec4d*>(e_row + full);
-      last = (Vec4d)((Mask4d)last & live);
+      last = live ? last : Vec4d{};
     }
     Vec4d sum_even{};
     Vec4d sum_odd{};

@@ -16,6 +16,12 @@ struct LossResult {
 
 /// Computes mean cross-entropy of `logits` [B, C] against integer labels
 /// and writes d(loss)/d(logits) = (softmax - onehot)/B into `grad_logits`.
+/// Each probability is (float)std::exp(x - lse) with lse a double
+/// log-sum-exp, bit for bit: a vector kernel with one exp per logit
+/// certifies that float per row, and a row it cannot certify takes those
+/// expressions themselves (counted in the registry's
+/// nn.loss.fallback_rows). The mean loss may differ from the two-exp
+/// value in its last bits.
 LossResult softmax_cross_entropy(const tensor::Tensor& logits,
                                  std::span<const std::int32_t> labels,
                                  tensor::Tensor& grad_logits);

@@ -98,9 +98,9 @@ using Mask4d = long long __attribute__((vector_size(4 * sizeof(long long))));
   p = p * r + 1.0;
   // The shift's low 12 bits hold k mod 2^12; k + 1023 there is 2^k's
   // biased exponent, in [1, 1023] for x in [-708, 0].
-  // (A cast between same-size GCC vectors reinterprets the bits.)
-  const Mask4d two_k = ((Mask4d)shifted + 1023) << 52;
-  y = p * (Vec4d)two_k;
+  // (__builtin_bit_cast: std::bit_cast would return a vector by value.)
+  const Mask4d two_k = (__builtin_bit_cast(Mask4d, shifted) + 1023) << 52;
+  y = p * __builtin_bit_cast(Vec4d, two_k);
 }
 
 /// The Vec8 at any float address.
