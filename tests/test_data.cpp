@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "data/dataset.hpp"
 #include "data/distribution.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace skiptrain::data {
 namespace {
@@ -294,6 +296,98 @@ TEST(FemnistSynthetic, MoreHomogeneousThanCifar) {
   }
   mean_distinct /= static_cast<double>(distinct_femnist.size());
   EXPECT_GT(mean_distinct, 20.0);
+}
+
+// --- Bit pins of the synthetic builds ----------------------------------------
+// Generated from the serial one-stream build. Each case builds once on the
+// global pool and once inside a ScopedForceSerial scope; both must hash to
+// the pinned value, so the build's bits hold at any thread count. The odd
+// feature dims leave the Box-Muller cache holding a value across samples.
+
+class Fnv1a64 {
+ public:
+  template <typename T>
+  void add(std::span<const T> values) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+    for (std::size_t i = 0; i < values.size_bytes(); ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(const Dataset& dataset) {
+    add<float>(dataset.features.data());
+    add<std::int32_t>(dataset.labels);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// FNV-1a-64 of the training features and labels, every node's indices,
+/// and the validation and test splits, in that order.
+std::uint64_t data_hash(const FederatedData& data) {
+  Fnv1a64 hash;
+  hash.add(data.train);
+  for (const auto& indices : data.node_indices) {
+    hash.add<std::size_t>(indices);
+  }
+  hash.add(data.validation);
+  hash.add(data.test);
+  return hash.value();
+}
+
+template <typename Config, typename Build>
+void expect_bits(const Config& config, Build build, std::uint64_t expected) {
+  EXPECT_EQ(data_hash(build(config)), expected) << "global pool";
+  const util::ThreadPool::ScopedForceSerial serial;
+  EXPECT_EQ(data_hash(build(config)), expected) << "serial";
+}
+
+CifarSynConfig cifar_shape(std::size_t nodes, std::size_t per_node,
+                           std::size_t dim, std::size_t test_pool) {
+  CifarSynConfig config;
+  config.nodes = nodes;
+  config.samples_per_node = per_node;
+  config.feature_dim = dim;
+  config.test_pool = test_pool;
+  return config;
+}
+
+FemnistSynConfig femnist_shape(std::size_t nodes, std::size_t mean_samples,
+                               std::size_t dim, std::size_t test_pool) {
+  FemnistSynConfig config;
+  config.nodes = nodes;
+  config.mean_samples_per_node = mean_samples;
+  config.feature_dim = dim;
+  config.test_pool = test_pool;
+  return config;
+}
+
+// The benchmark's cnn_lenet data: 16 x 64 samples of 3x32x32, 400 eval.
+TEST(SyntheticBits, CifarLenetShape) {
+  expect_bits(cifar_shape(16, 64, 3072, 400), make_cifar_synthetic,
+              0x6bffbf5ca7881d71ULL);
+}
+
+TEST(SyntheticBits, CifarManySmallNodes) {
+  expect_bits(cifar_shape(1000, 8, 64, 400), make_cifar_synthetic,
+              0x2e12d0d593e8bf7cULL);
+}
+
+TEST(SyntheticBits, CifarOddDim) {
+  expect_bits(cifar_shape(8, 5, 63, 31), make_cifar_synthetic,
+              0x5c48cc95b48db141ULL);
+}
+
+TEST(SyntheticBits, FemnistSmall) {
+  expect_bits(femnist_shape(16, 60, 64, 400), make_femnist_synthetic,
+              0x9e3d7b0f475fe672ULL);
+}
+
+TEST(SyntheticBits, FemnistOddDim) {
+  expect_bits(femnist_shape(8, 7, 63, 31), make_femnist_synthetic,
+              0x08c39a91cfea7451ULL);
 }
 
 TEST(Distribution, RenderPlotSmoke) {
