@@ -9,8 +9,8 @@
 // gossip-form, exchange-codec, int8-encode, CRC32C and wire-frame,
 // fleet-checkpoint, scenario/harvest, kernel-layer GEMM, Conv2d,
 // GroupNorm, MaxPool, local-step
-// (whole and per part), softmax cross-entropy, 16-node full-round and 16-node fleet-evaluation
-// rows at a short min-time — the mode the CI Release job uses; the
+// (whole and per part), softmax cross-entropy, 16-node full-round, 16-node
+// fleet-evaluation and synthetic-build rows at a short min-time — the mode the CI Release job uses; the
 // GEMM/Conv/CRC/int8 and Gossip rows feed the bench regression gate
 // (tools/check_bench_regression.py).
 #include <benchmark/benchmark.h>
@@ -1255,6 +1255,55 @@ void BM_EvaluateFleet(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateFleet)->Arg(16);
 
+// The synthetic dataset build at the node-parallel workloads' data shapes:
+// cnn_lenet's (16 x 64 samples plus a 400-sample eval pool, 3072 features)
+// and fleet_10k's (10 000 x 8 plus 400, 64 features), on the global pool.
+// BM_SyntheticBuildSerial is the same build inside a ScopedForceSerial
+// scope, as a trial-parallel sweep runs it; the CI gate holds each pair's
+// ratio. Runs under --quick.
+data::CifarSynConfig synthetic_shape(std::size_t nodes,
+                                     std::size_t samples_per_node,
+                                     std::size_t feature_dim) {
+  data::CifarSynConfig config;
+  config.nodes = nodes;
+  config.samples_per_node = samples_per_node;
+  config.feature_dim = feature_dim;
+  config.test_pool = 400;
+  return config;
+}
+const data::CifarSynConfig kLenetData = synthetic_shape(16, 64, 3 * 32 * 32);
+const data::CifarSynConfig kFleetData = synthetic_shape(10000, 8, 64);
+
+void BM_SyntheticBuild(benchmark::State& state,
+                       const data::CifarSynConfig& config) {
+  for (auto _ : state) {
+    const data::FederatedData built = data::make_cifar_synthetic(config);
+    benchmark::DoNotOptimize(built.train.features.raw());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(config.nodes * config.samples_per_node +
+                                config.test_pool));
+}
+void BM_SyntheticBuildSerial(benchmark::State& state,
+                             const data::CifarSynConfig& config) {
+  const util::ThreadPool::ScopedForceSerial serial;
+  BM_SyntheticBuild(state, config);
+}
+// The build runs on pool workers: time it by the wall clock.
+BENCHMARK_CAPTURE(BM_SyntheticBuild, lenet, kLenetData)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SyntheticBuild, fleet, kFleetData)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SyntheticBuildSerial, lenet, kLenetData)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SyntheticBuildSerial, fleet, kFleetData)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 void BM_ShardPartition(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   std::vector<std::int32_t> labels(nodes * 200);
@@ -1315,7 +1364,7 @@ int main(int argc, char** argv) {
   }
   if (quick) {
     args.insert(args.begin() + 1,
-                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)((Sparse|Mlp)?(Blocked|Ref|Rows)|Mlp|Indexed)/|BM_Conv2d|BM_GroupNorm|BM_MaxPool|BM_Obs|BM_CrcFrame|BM_Crc32c|BM_Int8Encode|BM_FaultedGossip|BM_LocalSgdStep|BM_SoftmaxCE|BM_FullRound/16|BM_EvaluateFleet/16");
+                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)((Sparse|Mlp)?(Blocked|Ref|Rows)|Mlp|Indexed)/|BM_Conv2d|BM_GroupNorm|BM_MaxPool|BM_Obs|BM_CrcFrame|BM_Crc32c|BM_Int8Encode|BM_FaultedGossip|BM_LocalSgdStep|BM_SoftmaxCE|BM_FullRound/16|BM_EvaluateFleet/16|BM_SyntheticBuild");
     args.insert(args.begin() + 1, "--benchmark_min_time=0.05");
   }
   const bool has_out =

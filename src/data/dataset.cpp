@@ -5,13 +5,6 @@
 
 namespace skiptrain::data {
 
-tensor::Shape Dataset::sample_shape() const {
-  tensor::Shape shape = features.shape();
-  if (shape.empty()) return shape;
-  shape.erase(shape.begin());
-  return shape;
-}
-
 void Dataset::validate() const {
   if (features.rank() == 0 && size() != 0) {
     throw std::runtime_error("Dataset: features missing");
@@ -39,17 +32,6 @@ DatasetView DatasetView::whole(const Dataset* dataset) {
   std::vector<std::size_t> all(dataset->size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
   return DatasetView(dataset, std::move(all));
-}
-
-std::int32_t DatasetView::label(std::size_t i) const {
-  assert(i < indices_.size());
-  return dataset_->labels[indices_[i]];
-}
-
-std::span<const float> DatasetView::sample(std::size_t i) const {
-  assert(i < indices_.size());
-  const std::size_t d = dataset_->feature_dim();
-  return std::span<const float>(dataset_->features.raw() + indices_[i] * d, d);
 }
 
 namespace {

@@ -25,8 +25,6 @@ struct Dataset {
   std::size_t feature_dim() const {
     return size() == 0 ? 0 : features.numel() / size();
   }
-  /// Per-sample feature shape excluding the sample dimension.
-  tensor::Shape sample_shape() const;
 
   /// Throws std::runtime_error when internal invariants are violated
   /// (size mismatch, label out of range).
@@ -46,9 +44,6 @@ class DatasetView {
   bool empty() const { return indices_.empty(); }
   const Dataset& dataset() const { return *dataset_; }
   const std::vector<std::size_t>& indices() const { return indices_; }
-
-  std::int32_t label(std::size_t i) const;
-  std::span<const float> sample(std::size_t i) const;
 
   /// Assembles a mini-batch by sampling `batch_size` examples uniformly at
   /// random with replacement (the ξ_i ~ D_i draw of Algorithm 1, line 5).

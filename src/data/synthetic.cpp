@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <utility>
 
 #include "data/partition.hpp"
+#include "util/thread_pool.hpp"
 
 namespace skiptrain::data {
 
@@ -34,6 +37,43 @@ void emit_sample(util::Rng& rng, std::span<const float> prototypes,
   }
 }
 
+/// Normals per emission block: about a millisecond of Box–Muller, so even
+/// cnn_lenet's 1024 training samples of 3072 features split into dozens
+/// of blocks across the pool.
+constexpr std::size_t kNormalsPerBlock = std::size_t{1} << 16;
+
+/// Emits items [0, count) on the global pool, in blocks of whole items, with
+/// the bits of the serial loop `emit(stream, 0, count)`. `skip(rng, lo, hi)`
+/// must advance `rng` exactly as `emit(rng, lo, hi)` does, without computing
+/// its output (Rng::skip_normals). A serial pass runs it over every block,
+/// recording each block's start state and leaving `stream` where the serial
+/// loop would; each block is then emitted from its recorded state. Items
+/// weigh about `normals_per_item` normals, which sizes the blocks.
+template <typename Skip, typename Emit>
+void emit_in_blocks(util::Rng& stream, std::size_t count,
+                    std::size_t normals_per_item, Skip skip, Emit emit) {
+  const std::size_t per_block =
+      std::max<std::size_t>(1, kNormalsPerBlock / std::max<std::size_t>(
+                                                      1, normals_per_item));
+  const std::size_t blocks = (count + per_block - 1) / per_block;
+  const auto bounds = [&](std::size_t block) {
+    return std::pair{block * per_block,
+                     std::min(count, (block + 1) * per_block)};
+  };
+  std::vector<util::Rng::State> starts(blocks);
+  for (std::size_t block = 0; block < blocks; ++block) {
+    starts[block] = stream.state();
+    const auto [lo, hi] = bounds(block);
+    skip(stream, lo, hi);
+  }
+  util::ThreadPool::global().parallel_for(0, blocks, [&](std::size_t block) {
+    util::Rng rng;
+    rng.set_state(starts[block]);
+    const auto [lo, hi] = bounds(block);
+    emit(rng, lo, hi);
+  });
+}
+
 void apply_label_noise(util::Rng& rng, std::vector<std::int32_t>& labels,
                        std::size_t classes, double fraction) {
   if (fraction <= 0.0) return;
@@ -51,20 +91,33 @@ Dataset make_iid_pool(util::Rng& rng, std::span<const float> prototypes,
   pool.features = tensor::Tensor({count, dim});
   pool.labels.resize(count);
   pool.num_classes = classes;
-  std::vector<float> style(dim);
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto cls = static_cast<std::size_t>(rng.uniform_int(classes));
-    const float* style_ptr = nullptr;
-    if (style_sigma > 0.0) {
-      // Each evaluation sample comes from a fresh "writer", matching the
-      // IID test distribution the paper evaluates against.
-      rng.fill_normal(style, 0.0f, static_cast<float>(style_sigma));
-      style_ptr = style.data();
-    }
-    emit_sample(rng, prototypes, dim, cls, style_ptr,
-                pool.features.raw() + i * dim);
-    pool.labels[i] = static_cast<std::int32_t>(cls);
-  }
+  const std::size_t normals = style_sigma > 0.0 ? 2 * dim : dim;
+  emit_in_blocks(
+      rng, count, normals,
+      [&](util::Rng& block_rng, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          (void)block_rng.uniform_int(classes);
+          block_rng.skip_normals(normals);
+        }
+      },
+      [&](util::Rng& block_rng, std::size_t lo, std::size_t hi) {
+        std::vector<float> style(dim);
+        for (std::size_t i = lo; i < hi; ++i) {
+          const auto cls =
+              static_cast<std::size_t>(block_rng.uniform_int(classes));
+          const float* style_ptr = nullptr;
+          if (style_sigma > 0.0) {
+            // Each evaluation sample comes from a fresh "writer", matching
+            // the IID test distribution the paper evaluates against.
+            block_rng.fill_normal(style, 0.0f,
+                                  static_cast<float>(style_sigma));
+            style_ptr = style.data();
+          }
+          emit_sample(block_rng, prototypes, dim, cls, style_ptr,
+                      pool.features.raw() + i * dim);
+          pool.labels[i] = static_cast<std::int32_t>(cls);
+        }
+      });
   return pool;
 }
 
@@ -89,12 +142,20 @@ FederatedData make_cifar_synthetic(const CifarSynConfig& config) {
   out.train.features = tensor::Tensor({n, config.feature_dim});
   out.train.labels.resize(n);
   out.train.num_classes = config.num_classes;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t cls = i % config.num_classes;
-    emit_sample(train_rng, prototypes, config.feature_dim, cls, nullptr,
-                out.train.features.raw() + i * config.feature_dim);
-    out.train.labels[i] = static_cast<std::int32_t>(cls);
-  }
+  const std::size_t dim = config.feature_dim;
+  emit_in_blocks(
+      train_rng, n, dim,
+      [&](util::Rng& rng, std::size_t lo, std::size_t hi) {
+        rng.skip_normals((hi - lo) * dim);
+      },
+      [&](util::Rng& rng, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::size_t cls = i % config.num_classes;
+          emit_sample(rng, prototypes, dim, cls, nullptr,
+                      out.train.features.raw() + i * dim);
+          out.train.labels[i] = static_cast<std::int32_t>(cls);
+        }
+      });
   apply_label_noise(train_rng, out.train.labels, config.num_classes,
                     config.label_noise);
 
@@ -140,39 +201,58 @@ FederatedData make_femnist_synthetic(const FemnistSynConfig& config) {
 
   out.train.features = tensor::Tensor({total, config.feature_dim});
   out.train.labels.resize(total);
+
+  // Writer `node` holds the contiguous samples [first[node], first[node] +
+  // counts[node]).
+  std::vector<std::size_t> first(config.nodes);
   out.node_indices.resize(config.nodes);
-
-  std::vector<float> style(config.feature_dim);
-  std::size_t cursor = 0;
-  for (std::size_t node = 0; node < config.nodes; ++node) {
-    util::Rng rng = writer_rng.fork(node);
-    rng.fill_normal(style, 0.0f, static_cast<float>(config.writer_style_sigma));
-
-    // Near-homogeneous class mixture: every writer covers most classes
-    // (this is what keeps FEMNIST "mild" non-IID in the paper's Figure 7).
-    const std::vector<double> mixture =
-        dirichlet_weights(rng, config.class_mixture_alpha, config.num_classes);
-    std::vector<double> cumulative(mixture.size());
-    double acc = 0.0;
-    for (std::size_t c = 0; c < mixture.size(); ++c) {
-      acc += mixture[c];
-      cumulative[c] = acc;
-    }
-
-    out.node_indices[node].reserve(counts[node]);
-    for (std::size_t s = 0; s < counts[node]; ++s) {
-      const double u = rng.uniform();
-      const std::size_t cls = static_cast<std::size_t>(
-          std::lower_bound(cumulative.begin(), cumulative.end(), u) -
-          cumulative.begin());
-      const std::size_t clamped = std::min(cls, config.num_classes - 1);
-      emit_sample(rng, prototypes, config.feature_dim, clamped, style.data(),
-                  out.train.features.raw() + cursor * config.feature_dim);
-      out.train.labels[cursor] = static_cast<std::int32_t>(clamped);
-      out.node_indices[node].push_back(cursor);
-      ++cursor;
-    }
+  for (std::size_t node = 0, cursor = 0; node < config.nodes; ++node) {
+    first[node] = cursor;
+    out.node_indices[node].resize(counts[node]);
+    std::iota(out.node_indices[node].begin(), out.node_indices[node].end(),
+              cursor);
+    cursor += counts[node];
   }
+
+  // Every writer forks its own stream, so the writer stream only sizes
+  // the blocks: nothing to skip.
+  const std::size_t dim = config.feature_dim;
+  emit_in_blocks(
+      writer_rng, config.nodes, (config.mean_samples_per_node + 1) * dim,
+      [](util::Rng&, std::size_t, std::size_t) {},
+      [&](util::Rng&, std::size_t lo, std::size_t hi) {
+        std::vector<float> style(dim);
+        for (std::size_t node = lo; node < hi; ++node) {
+          util::Rng rng = writer_rng.fork(node);
+          rng.fill_normal(style, 0.0f,
+                          static_cast<float>(config.writer_style_sigma));
+
+          // Near-homogeneous class mixture: every writer covers most
+          // classes (this is what keeps FEMNIST "mild" non-IID in the
+          // paper's Figure 7).
+          const std::vector<double> mixture = dirichlet_weights(
+              rng, config.class_mixture_alpha, config.num_classes);
+          std::vector<double> cumulative(mixture.size());
+          double acc = 0.0;
+          for (std::size_t c = 0; c < mixture.size(); ++c) {
+            acc += mixture[c];
+            cumulative[c] = acc;
+          }
+
+          for (std::size_t s = first[node]; s < first[node] + counts[node];
+               ++s) {
+            const double u = rng.uniform();
+            const std::size_t cls = static_cast<std::size_t>(
+                std::lower_bound(cumulative.begin(), cumulative.end(), u) -
+                cumulative.begin());
+            const std::size_t clamped =
+                std::min(cls, config.num_classes - 1);
+            emit_sample(rng, prototypes, dim, clamped, style.data(),
+                        out.train.features.raw() + s * dim);
+            out.train.labels[s] = static_cast<std::int32_t>(clamped);
+          }
+        }
+      });
   apply_label_noise(writer_rng, out.train.labels, config.num_classes,
                     config.label_noise);
 

@@ -51,11 +51,16 @@ struct FemnistSynConfig {
 };
 
 /// Builds the synthetic CIFAR-10 workload with the 2-shard non-IID
-/// partition. Deterministic in `config.seed`.
+/// partition. Deterministic in `config.seed`, at any thread count: the
+/// samples are emitted in blocks on the global pool, each from the RNG
+/// state a serial pass records for it, so the bits are those of one
+/// serial stream.
 [[nodiscard]] FederatedData make_cifar_synthetic(const CifarSynConfig& config);
 
 /// Builds the synthetic FEMNIST workload with the natural per-writer
-/// partition. Deterministic in `config.seed`.
+/// partition. Deterministic in `config.seed`, at any thread count: each
+/// writer draws from its own forked stream, and writers are emitted in
+/// blocks on the global pool.
 [[nodiscard]] FederatedData make_femnist_synthetic(
     const FemnistSynConfig& config);
 

@@ -89,6 +89,24 @@ double Rng::normal() {
   return radius * std::cos(theta);
 }
 
+void Rng::skip_normals(std::uint64_t count) {
+  if (count != 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    --count;
+  }
+  if (count == 0) return;
+  // ceil(count / 2) pairs; all but the last only consume uniforms. u1 is
+  // rejected exactly when uniform() is 0, that is when the top 53 bits of
+  // its draw are 0.
+  for (std::uint64_t pair = 1; pair < (count + 1) / 2; ++pair) {
+    while ((next_u64() >> 11) == 0) {
+    }
+    next_u64();
+  }
+  normal();
+  if (count % 2 == 0) has_cached_normal_ = false;
+}
+
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }

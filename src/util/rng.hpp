@@ -70,6 +70,13 @@ class Rng {
   /// Normal with given mean / stddev.
   double normal(double mean, double stddev);
 
+  /// Advances the generator exactly as `count` normal() calls would, the
+  /// Box–Muller cache and the u1 <= 0 rejection included, and returns
+  /// nothing. Only the last pair it draws goes through log/sqrt/sin, so
+  /// the cached value matches too (state() reads it even when spent).
+  /// Lets a serial pass find where each block of a normal stream starts.
+  void skip_normals(std::uint64_t count);
+
   /// Fills `out` with i.i.d. N(mean, stddev) floats.
   void fill_normal(std::span<float> out, float mean, float stddev);
 

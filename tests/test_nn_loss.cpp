@@ -178,6 +178,53 @@ constexpr PinCase kPins[] = {
     {1, 1, 0, 0x543141da1ce21888ULL},   {3, 300, 2, 0xad633b0c2fa165bcULL},
 };
 
+/// The strict-`>` scan nn::argmax replaced, kept as its oracle.
+std::size_t scan_argmax(std::span<const float> row) {
+  std::size_t pred = 0;
+  for (std::size_t c = 1; c < row.size(); ++c) {
+    if (row[c] > row[pred]) pred = c;
+  }
+  return pred;
+}
+
+// Rows drawn from a small alphabet so ties, signed zeros, infinities and
+// NaNs (at c = 0 and past it) come up often, at widths around the 8-lane
+// vector and the 10 and 62 classes the workloads run, plus hand-built rows.
+TEST(Argmax, MatchesTheFirstMaximumScan) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<std::vector<float>> fixed = {
+      {nan},
+      {3.0f},
+      {nan, 5.0f, 7.0f},
+      {1.0f, nan, 7.0f, 7.0f},
+      {-0.0f, 0.0f, -0.0f},
+      {0.0f, -0.0f},
+      {-kInf, -kInf, -kInf},
+      {-kInf, kInf, kInf, nan},
+      {nan, nan, nan, nan, nan, nan, nan, nan, nan, nan},
+  };
+  for (const auto& row : fixed) {
+    EXPECT_EQ(argmax(row), scan_argmax(row));
+  }
+  const float alphabet[] = {nan,  -kInf, kInf, -0.0f, 0.0f,
+                            1.0f, -1.0f, 2.0f, 2.5f,  -3.0f};
+  util::Rng rng(31);
+  for (const std::size_t n : {1, 2, 7, 8, 9, 10, 15, 16, 17, 62}) {
+    std::vector<float> row(n);
+    for (int trial = 0; trial < 4000; ++trial) {
+      // Rare NaNs in half the trials, so most rows have a real maximum.
+      const std::size_t letters = trial % 2 == 0 ? 10 : 9;
+      for (float& v : row) {
+        v = alphabet[10 - letters + rng.uniform_int(letters)];
+      }
+      ASSERT_EQ(argmax(row), scan_argmax(row)) << "n " << n;
+      for (float& v : row) v = static_cast<float>(rng.normal());
+      ASSERT_EQ(argmax(row), scan_argmax(row)) << "n " << n;
+    }
+  }
+}
+
 TEST(LossBitPins, GradientAndAccuracyBits) {
   for (const PinCase& pin : kPins) {
     SCOPED_TRACE(testing::Message() << pin.batch << "x" << pin.classes);

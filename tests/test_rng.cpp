@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -94,6 +95,39 @@ TEST(Rng, NormalMomentsMatch) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.02);
   EXPECT_NEAR(sum_sq / n, 1.0, 0.03);
+}
+
+// skip_normals must leave the state, the cache flag and the cached value's
+// bits exactly where `count` normal() calls leave them. The second start
+// state makes the first draw 0 (s[1] == 0), so Box-Muller rejects u1 == 0.
+TEST(Rng, SkipNormalsMatchesNormalCalls) {
+  const Rng::State seeded = Rng(29).state();
+  const Rng::State rejecting{{0x1234, 0, 0x5678, 0x9abc}, 0.0, false};
+  for (const Rng::State& start : {seeded, rejecting}) {
+    for (const bool cached : {false, true}) {
+      for (const std::uint64_t count : {0, 1, 2, 3, 1535, 1536, 3072}) {
+        Rng::State from = start;
+        from.has_cached_normal = cached;
+        from.cached_normal = cached ? -0.75 : 0.5;
+        Rng called, skipped;
+        called.set_state(from);
+        skipped.set_state(from);
+        for (std::uint64_t i = 0; i < count; ++i) (void)called.normal();
+        skipped.skip_normals(count);
+        const Rng::State want = called.state();
+        const Rng::State got = skipped.state();
+        SCOPED_TRACE(::testing::Message() << "count " << count << " cached "
+                                          << cached << " s1 " << start.s[1]);
+        for (std::size_t w = 0; w < 4; ++w) EXPECT_EQ(got.s[w], want.s[w]);
+        EXPECT_EQ(got.has_cached_normal, want.has_cached_normal);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cached_normal),
+                  std::bit_cast<std::uint64_t>(want.cached_normal));
+      }
+    }
+  }
+  Rng zero_draw;
+  zero_draw.set_state(rejecting);
+  EXPECT_EQ(zero_draw.next_u64(), 0u);
 }
 
 TEST(Rng, NormalWithParams) {
