@@ -52,6 +52,14 @@ constexpr std::size_t kNormalsPerBlock = std::size_t{1} << 16;
 template <typename Skip, typename Emit>
 void emit_in_blocks(util::Rng& stream, std::size_t count,
                     std::size_t normals_per_item, Skip skip, Emit emit) {
+  util::ThreadPool& pool = util::ThreadPool::global();
+  // A pool that would run the blocks serially gains nothing from the
+  // advance pass: run the serial loop itself.
+  if (pool.size() <= 1 || util::ThreadPool::force_serial_active() ||
+      pool.on_worker_thread()) {
+    emit(stream, 0, count);
+    return;
+  }
   const std::size_t per_block =
       std::max<std::size_t>(1, kNormalsPerBlock / std::max<std::size_t>(
                                                       1, normals_per_item));
@@ -66,7 +74,7 @@ void emit_in_blocks(util::Rng& stream, std::size_t count,
     const auto [lo, hi] = bounds(block);
     skip(stream, lo, hi);
   }
-  util::ThreadPool::global().parallel_for(0, blocks, [&](std::size_t block) {
+  pool.parallel_for(0, blocks, [&](std::size_t block) {
     util::Rng rng;
     rng.set_state(starts[block]);
     const auto [lo, hi] = bounds(block);
