@@ -19,6 +19,7 @@
 #include "nn/model_zoo.hpp"
 #include "nn/pool.hpp"
 #include "nn/sequential.hpp"
+#include "obs/registry.hpp"
 #include "util/rng.hpp"
 
 namespace skiptrain::nn {
@@ -506,6 +507,216 @@ TEST(LayerBitPins, MaxPool2) {
                       0xd86d439613895db9, 0x43c166f0fab86ef0, 0xcbf29ce484222325},
                      {3, 9,
                       0xb2f1e4fba907bc7c, 0xa0de88cce97d4fcc, 0xcbf29ce484222325}});
+}
+
+/// A normal draw in which about 2 values in `zero_in` are exact zeros,
+/// +0.0 and -0.0 alike.
+std::vector<float> values_with_zeros(std::size_t count, std::uint64_t seed,
+                                     std::uint64_t zero_in) {
+  util::Rng rng(seed);
+  std::vector<float> values(count);
+  rng.fill_normal(values, 0.0f, 1.0f);
+  for (float& v : values) {
+    const std::uint64_t pick = rng.uniform_int(zero_in);
+    if (pick == 0) v = 0.0f;
+    if (pick == 1) v = -0.0f;
+  }
+  return values;
+}
+
+/// One bit pin of Linear(in, out) at one batch: the hashes of its output,
+/// of dW and db after two accumulating backward passes (the second without
+/// an input gradient), and of dX. A first layer (`hidden` false) sees
+/// features with a few exact ±0.0 and a ReLU-masked dY, about half +0.0; a
+/// later layer sees post-ReLU activations, about half +0.0, and a dense dY
+/// with a few ±0.0, as the compact models feed them.
+struct LinearPin {
+  std::size_t in;
+  std::size_t out;
+  std::size_t batch;
+  bool hidden;
+  std::uint64_t output;
+  std::uint64_t grad_w;
+  std::uint64_t grad_b;
+  std::uint64_t grad_input;
+};
+
+void expect_linear_pin(const LinearPin& pin) {
+  SCOPED_TRACE("Linear(" + std::to_string(pin.in) + "->" +
+               std::to_string(pin.out) + ") batch " +
+               std::to_string(pin.batch));
+  Linear layer(pin.in, pin.out);
+  const std::uint64_t seed = pin.batch * 100000 + pin.in * 100 + pin.out;
+  const std::vector<float> p = tied_signed_values(layer.parameters().size(), seed);
+  std::copy(p.begin(), p.end(), layer.parameters().begin());
+  std::fill(layer.gradients().begin(), layer.gradients().end(), 0.0f);
+
+  Tensor input({pin.batch, pin.in});
+  const std::vector<float> x = values_with_zeros(input.numel(), seed + 1, 32);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    input.at(i) = pin.hidden ? (x[i] > 0.0f ? x[i] : 0.0f) : x[i];
+  }
+  Tensor output({pin.batch, pin.out});
+  output.fill(std::numeric_limits<float>::quiet_NaN());  // never read
+  layer.forward(input, output);
+
+  Tensor grad_out(output.shape());
+  const std::vector<float> g = values_with_zeros(grad_out.numel(), seed + 2, 32);
+  util::Rng mask(seed + 3);
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    const bool masked = !pin.hidden && mask.uniform_int(2) == 0;
+    grad_out.at(i) = masked ? 0.0f : g[i];
+  }
+  Tensor grad_in(input.shape());
+  grad_in.fill(7.0f);  // the layer must overwrite, not accumulate
+  layer.backward(input, grad_out, grad_in);
+  Tensor no_input;
+  layer.backward(input, grad_out, no_input);
+
+  const std::span<const float> grads = layer.gradients();
+  const std::size_t weights = pin.in * pin.out;
+  const std::uint64_t got_output = fnv1a64(output.data());
+  const std::uint64_t got_grad_w = fnv1a64(grads.first(weights));
+  const std::uint64_t got_grad_b = fnv1a64(grads.subspan(weights));
+  const std::uint64_t got_grad_input = fnv1a64(grad_in.data());
+  EXPECT_EQ(got_output, pin.output) << std::hex << "output 0x" << got_output;
+  EXPECT_EQ(got_grad_w, pin.grad_w) << std::hex << "grad_w 0x" << got_grad_w;
+  EXPECT_EQ(got_grad_b, pin.grad_b) << std::hex << "grad_b 0x" << got_grad_b;
+  EXPECT_EQ(got_grad_input, pin.grad_input)
+      << std::hex << "grad_input 0x" << got_grad_input;
+}
+
+// The compact MLPs' layers (64->48->62 FEMNIST, 64->32->10 CIFAR) and
+// GN-LeNet's last one, at batches that send their GEMMs down the row, the
+// blocked and the reference paths; generated before the Linear epilogues
+// and the gemm_nt_rows pack moved, and any rewrite must keep every bit.
+TEST(LayerBitPins, Linear) {
+  const std::vector<LinearPin> pins = {
+      {64, 48, 4, false,
+       0x20af7e73fe676693, 0xf7252a5ef74cb2a9, 0x66bae35f518fea13,
+       0x5fbc2a261c95cdb5},
+      {64, 48, 16, false,
+       0x6091751fde934501, 0xc0ae8aa29978e6, 0xe01ac6196eefb4f7,
+       0x758cc6eed665d696},
+      {64, 48, 88, false,
+       0x5c52361e4baf32cb, 0x44fae4cae1c8ea5c, 0xb9052df1533e364c,
+       0x76a5bbff3d8295f1},
+      {64, 48, 256, false,
+       0xb1a71a3365b0720b, 0x27f338acba746f2c, 0xdbe78a507747518a,
+       0x7d63b6765254199e},
+      {48, 62, 4, true,
+       0x573564629e095c42, 0x15f51dfd4bce3564, 0x8033d2f7fdaa1e06,
+       0x2ae320761a6b0f76},
+      {48, 62, 16, true,
+       0x6fe0962cc80068ff, 0x301960667eefbe, 0x74976b112839ce83,
+       0xe4eaea095aaea5d5},
+      {48, 62, 88, true,
+       0x40c6ab265792ebf4, 0x8796a134296643d7, 0x5c1f20d6bf513b56,
+       0x184db80320e2e79c},
+      {48, 62, 256, true,
+       0x65050734210ff708, 0xb6d8796b863f32bd, 0x527babbe2a7a6b8,
+       0x2db8a95dab51387f},
+      {64, 32, 4, false,
+       0xab5cbb56e15da284, 0xba165fb9357ad772, 0xcc656bfe05d224,
+       0x188dc94b6763b92e},
+      {64, 32, 16, false,
+       0xc4c96735bbbc0ed, 0x6c047403c9a28eca, 0xad61dda6adddd909,
+       0x10763d02f3a62a08},
+      {64, 32, 88, false,
+       0xc7e23de5e2ec3d06, 0xc5f2502395fba091, 0xe235fa3ba5b23f2b,
+       0xbd8d69fb40318d81},
+      {64, 32, 256, false,
+       0xb4fb75b3980cb271, 0x36213d5423e32190, 0xd2e402e267b2668c,
+       0xb02fab9299b45e6},
+      {32, 10, 4, true,
+       0x650dc5bc445c7763, 0x8a55d67bcc1fbefe, 0x6e6fb9588929fde0,
+       0xdfd841b10ca99fd3},
+      {32, 10, 16, true,
+       0x4dc8219215c716ce, 0x7d087c713b9b47b0, 0x9ebf5f486dc4e3b3,
+       0xd344c555969be2ef},
+      {32, 10, 88, true,
+       0x43beb7b8950a113f, 0x4cbb4bae71445b7d, 0x4fbf6abe30314ca8,
+       0x54aead7037a9d16b},
+      {32, 10, 256, true,
+       0x6cf6e7b444b84ea2, 0x547bedfa15223d07, 0x747a1da056a48926,
+       0xee9698e8edfad166},
+      {1024, 10, 4, true,
+       0x63b5e28c6d629626, 0x5ed990cd802398a5, 0x7b4b0f97ce089a52,
+       0x478adac715751cab},
+      {1024, 10, 16, true,
+       0xf5bb12438f80aee6, 0xaa59f88eb12cf4f2, 0xda092a32e239c956,
+       0xb7f24d853274bce8},
+      {1024, 10, 88, true,
+       0xedc9613cb5347269, 0x73f6269324d84ad1, 0x35a4efabf63304b4,
+       0x919cc6be69e6365d},
+      {1024, 10, 256, true,
+       0x62df57fc4bc3d86e, 0x6a068cccbb3f46fe, 0x7051fb15d7cf946d,
+       0x66370ffc8c5cf83e},
+  };
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Snapshot before = obs::snapshot();
+  for (const LinearPin& pin : pins) expect_linear_pin(pin);
+  const obs::Snapshot after = obs::snapshot();
+  obs::set_enabled(was_enabled);
+  const auto delta = [&](const char* name) {
+    return after.counter_value(name) - before.counter_value(name);
+  };
+  // Every GEMM family runs under the pins.
+  const std::uint64_t rows = delta("gemm.rows_calls");
+  const std::uint64_t ref = delta("gemm.ref_calls");
+  EXPECT_GT(rows, 0u);
+  EXPECT_GT(ref, 0u);
+  EXPECT_GT(delta("gemm.calls"), rows + ref);
+}
+
+/// ReLU's forward and backward over tied ±0.0, NaN of both signs, ±inf and
+/// denormals, at lengths with and without a partial vector.
+TEST(LayerBitPins, ReLU) {
+  struct Pin {
+    std::size_t count;
+    std::uint64_t forward;
+    std::uint64_t backward;
+  };
+  const std::vector<Pin> pins = {
+      {5, 0xf655176d43ad960d, 0x3f6e169af9e7608a},
+      {8, 0xf0630d9b607c4fdd, 0xba050ee66ace369d},
+      {37, 0xb14a8902f63551f2, 0x84a615f22cc0e8b4},
+      {16 * 48, 0xa1f84ea79e5248c3, 0x7c8c715956b89c9d},
+      {88 * 32 + 3, 0x5ffae00737bc3b02, 0x7d4a77d0a1d748ec},
+  };
+  constexpr float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                                -std::numeric_limits<float>::quiet_NaN(),
+                                std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity(),
+                                std::numeric_limits<float>::denorm_min(),
+                                -1e-40f,
+                                0.0f,
+                                -0.0f};
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("ReLU count " + std::to_string(pin.count));
+    Tensor input({1, pin.count});
+    Tensor grad_out({1, pin.count});
+    const std::vector<float> x = tied_signed_values(pin.count, pin.count);
+    const std::vector<float> g = tied_signed_values(pin.count, pin.count + 1);
+    for (std::size_t i = 0; i < pin.count; ++i) {
+      input.at(i) = i % 3 == 0 ? kSpecial[(i / 3) % 8] : x[i];
+      grad_out.at(i) = i % 7 == 0 ? kSpecial[(i / 7 + 3) % 8] : g[i];
+    }
+    ReLU relu;
+    Tensor output(input.shape());
+    output.fill(7.0f);
+    relu.forward(input, output);
+    Tensor grad_in(input.shape());
+    grad_in.fill(7.0f);
+    relu.backward(input, grad_out, grad_in);
+    const std::uint64_t got_forward = fnv1a64(output.data());
+    const std::uint64_t got_backward = fnv1a64(grad_in.data());
+    EXPECT_EQ(got_forward, pin.forward)
+        << std::hex << "forward 0x" << got_forward;
+    EXPECT_EQ(got_backward, pin.backward)
+        << std::hex << "backward 0x" << got_backward;
+  }
 }
 
 TEST(SequentialTest, ParameterRoundTrip) {

@@ -182,6 +182,85 @@ TEST(Training, OptimizerResetStateClearsMomentum) {
   EXPECT_LT(loss, 1.0);
 }
 
+/// FNV-1a over the bit patterns of `values`.
+std::uint64_t fnv1a64(std::span<const float> values) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const float v : values) {
+    const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+/// A normal draw with exact +0.0 and -0.0 and denormals mixed in.
+void fill_with_specials(util::Rng& rng, std::span<float> values) {
+  rng.fill_normal(values, 0.0f, 1.0f);
+  for (float& v : values) {
+    switch (rng.uniform_int(16)) {
+      case 0: v = 0.0f; break;
+      case 1: v = -0.0f; break;
+      case 2: v = 1e-40f; break;
+      case 3: v = -3e-39f; break;
+      default: break;
+    }
+  }
+}
+
+// Generated from the one-pass scalar SgdOptimizer::step: three steps on a
+// compact FEMNIST MLP and on a Linear(5, 7) (a partial vector at the end
+// of the arena), each over fresh gradients, at plain SGD, with weight
+// decay, and with weight decay and momentum. Pins the parameters and the
+// momentum buffer after the third step (empty, FNV-1a's basis, without
+// momentum).
+TEST(SgdBits, StepKeepsEveryBit) {
+  struct Pin {
+    SgdOptions options;
+    std::uint64_t femnist_params;
+    std::uint64_t femnist_velocity;
+    std::uint64_t small_params;
+    std::uint64_t small_velocity;
+  };
+  const Pin pins[] = {
+      {{0.05f, 0.0f, 0.0f},
+       0xc62d21debde55cac, 0xcbf29ce484222325, 0x4239d0d73ed5c0f3,
+       0xcbf29ce484222325},
+      {{0.05f, 0.0f, 1e-3f},
+       0x50302c43363c1d1d, 0xcbf29ce484222325, 0xf4ccababb4500be7,
+       0xcbf29ce484222325},
+      {{0.05f, 0.9f, 1e-3f},
+       0x2135fe756ac45dc2, 0x9cdba9330a8d440d, 0x4b4b0531b57315d4,
+       0xcdc5c7cf1b262cfe},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("momentum " + std::to_string(pin.options.momentum) +
+                 " weight decay " + std::to_string(pin.options.weight_decay));
+    const auto run = [&](Sequential model, std::uint64_t seed,
+                         std::uint64_t want_params,
+                         std::uint64_t want_velocity) {
+      util::Rng rng(seed);
+      fill_with_specials(rng, model.parameter_arena());
+      SgdOptimizer opt(pin.options);
+      for (int step = 0; step < 3; ++step) {
+        fill_with_specials(rng, model.gradient_arena());
+        opt.step(model);
+      }
+      const std::uint64_t params = fnv1a64(model.parameter_arena());
+      const std::uint64_t velocity = fnv1a64(opt.velocity());
+      EXPECT_EQ(params, want_params) << std::hex << "params 0x" << params;
+      EXPECT_EQ(velocity, want_velocity)
+          << std::hex << "velocity 0x" << velocity;
+    };
+    run(make_compact_femnist_model(64), 41, pin.femnist_params,
+        pin.femnist_velocity);
+    Sequential small;
+    small.emplace<Linear>(5, 7);
+    run(std::move(small), 42, pin.small_params, pin.small_velocity);
+  }
+}
+
 /// The seed's full per-layer backward: every layer runs, layer 0's input
 /// gradient included, into fresh zeroed buffers. Returns the flat
 /// parameter gradients it accumulates from zero.
