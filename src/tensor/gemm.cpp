@@ -7,8 +7,7 @@
 //     fits L1 (the compact-MLP training and evaluation GEMMs): one C row in
 //     vector registers, A's zero multipliers compacted away per row;
 //   * blocked kernels, for larger zero-free shapes (the GN-LeNet
-//     convolutions and wide Linear layers), and for gemm_nt with a few
-//     rows over whole-vector columns;
+//     convolutions and wide Linear layers);
 //   * the seed reference loops, for what is left: small or degenerate
 //     shapes past the row kernels' reach, and for nn/tn an A that is a
 //     quarter or more zeros.
@@ -649,33 +648,53 @@ void rows_cacc(std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
-/// gemm_nt rows over bt, B transposed to [k, NV * 8]: a fresh dot per
-/// element (p ascending, no zero skip, as the reference dot loop), then
-/// combined as `beta * C + acc`, or stored alone for beta == 0.
+/// gemm_nt rows over bt, B transposed into NV slivers of kNR columns
+/// (sliver v holds row p of columns [v * 8, +8) at bt[(v * k + p) * 8],
+/// as gemm_nt_blocked packs its panels): a fresh dot per element (p
+/// ascending, no zero skip, as the reference dot loop), then combined as
+/// `beta * C + acc`, or stored alone for beta == 0. R rows at a time share
+/// each B load.
+template <std::size_t NV, std::size_t R>
+[[gnu::always_inline]] inline
+void rows_nt_block(std::size_t k, std::size_t n, const float* __restrict__ a,
+                   const float* __restrict__ bt, float* __restrict__ c,
+                   float beta) {
+  Vec8 acc[R][NV] = {};
+  for (std::size_t p = 0; p < k; ++p) {
+    float x[R];
+    for (std::size_t r = 0; r < R; ++r) x[r] = a[r * k + p];
+    const float* __restrict__ bp = bt + p * kNR;
+    for (std::size_t v = 0; v < NV; ++v) {
+      const Vec8 b = vec_at(bp + v * k * kNR);
+      for (std::size_t r = 0; r < R; ++r) acc[r][v] = acc[r][v] + x[r] * b;
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    float* __restrict__ ci = c + r * n;
+    if (beta != 0.0f) {
+      Vec8 old[NV];
+      load_row(old, ci, n);
+      for (std::size_t v = 0; v < NV; ++v) {
+        acc[r][v] = beta * old[v] + acc[r][v];
+      }
+    }
+    store_row(acc[r], ci, n);
+  }
+}
+
+/// Rows in pairs while two rows' accumulators fit the registers.
 template <std::size_t NV>
 [[gnu::always_inline]] inline
 void rows_nt(std::size_t m, std::size_t k, std::size_t n,
              const float* __restrict__ a, const float* __restrict__ bt,
              float* __restrict__ c, float beta) {
-  constexpr std::size_t w = NV * kLanes;
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* __restrict__ ai = a + i * k;
-    Vec8 acc[NV] = {};
-    for (std::size_t p = 0; p < k; ++p) {
-      const float x = ai[p];
-      const float* __restrict__ bp = bt + p * w;
-      for (std::size_t v = 0; v < NV; ++v) {
-        acc[v] = acc[v] + x * vec_at(bp + v * kLanes);
-      }
+  std::size_t i = 0;
+  if constexpr (NV <= 4) {
+    for (; i + 2 <= m; i += 2) {
+      rows_nt_block<NV, 2>(k, n, a + i * k, bt, c + i * n, beta);
     }
-    float* __restrict__ ci = c + i * n;
-    if (beta != 0.0f) {
-      Vec8 old[NV];
-      load_row(old, ci, n);
-      for (std::size_t v = 0; v < NV; ++v) acc[v] = beta * old[v] + acc[v];
-    }
-    store_row(acc, ci, n);
   }
+  for (; i < m; ++i) rows_nt_block<NV, 1>(k, n, a + i * k, bt, c + i * n, beta);
 }
 
 /// Calls body(std::integral_constant<NV>) for NV = ceil(n / 8), 1..8.
@@ -861,15 +880,12 @@ void gemm_nt_rows(std::size_t m, std::size_t k, std::size_t n,
          c.size() >= m * n);
   with_row_vecs(n, [&](auto nv) __attribute__((always_inline)) {
     constexpr std::size_t NV = decltype(nv)::value;
-    constexpr std::size_t w = NV * kLanes;
-    // B transpose pack: row p holds B[0..n)[p], then zero pad lanes (see
-    // pad_b_rows). The strided side is the loads, which issue faster than
-    // stores.
-    float* __restrict__ bt = t_scratch.b.ensure_floats(k * w);
-    for (std::size_t p = 0; p < k; ++p) {
-      float* __restrict__ row = bt + p * w;
-      for (std::size_t j = 0; j < n; ++j) row[j] = b[j * k + p];
-      std::fill(row + n, row + w, 0.0f);
+    // B transpose pack in 8 x 8 blocks, as gemm_nt_blocked packs its
+    // panels; the lanes past n are zero (see pad_b_rows).
+    float* __restrict__ bt = t_scratch.b.ensure_floats(k * NV * kNR);
+    for (std::size_t v = 0; v < NV; ++v) {
+      interleave_rows<kNR>(b.data() + v * kNR * k, k,
+                           std::min(kNR, n - v * kNR), k, bt + v * k * kNR);
     }
     rows_nt<NV>(m, k, n, a.data(), bt, c.data(), beta);
   });
@@ -934,15 +950,8 @@ void gemm_nt(std::size_t m, std::size_t k, std::size_t n,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c, float beta) {
   assert(a.size() >= m * k && b.size() >= n * k && c.size() >= m * n);
-  // A few rows over whole-vector columns, at a volume large enough for
-  // the blocked kernel: there the 4x8 tile beats or matches the row kernel
-  // (the forward's first layer on one pinned core: 2.3 against 3.2 us at
-  // 16x64x48, 2.5 against 2.3 us at 16x64x32), so those shapes keep the
-  // blocked path.
-  const bool stays_blocked =
-      m < 32 && n % kLanes == 0 && m * k * n >= kBlockedMinVolume;
   GemmPath path = GemmPath::kBlocked;
-  if (gemm_rows_fit(k, n) && !stays_blocked) {
+  if (gemm_rows_fit(k, n)) {
     path = GemmPath::kRows;
   } else if (k == 0 || n < 4 || k > 65536 || m * k * n < kBlockedMinVolume) {
     path = GemmPath::kRef;

@@ -36,8 +36,8 @@
 // and store only their live part, so no shape falls to a scalar loop;
 // a zero-padded row never sets its sliver's zero flag. The row kernels
 // hold one C row of up to 64 floats in vector registers and read an
-// L1-resident B (transposed for nt, padded to whole vectors where n is not
-// a multiple of 8).
+// L1-resident B (for nt transposed sliver-major, as the blocked kernels
+// pack it; padded to whole vectors where n is not a multiple of 8).
 //
 // ISA clones: every kernel is compiled twice, for avx2 and for baseline
 // x86-64, and the CPU picks the clone at load time (gemm_isa() names it).
@@ -125,9 +125,10 @@ void pack_indexed_b(const IndexedB& b, std::size_t pc, std::size_t jc,
 // ---------------------------------------------------------------------------
 // Register-row kernels without the dispatch. Each holds one C row in vector
 // registers and walks k in ascending order; gemm_nn_rows / gemm_tn_rows
-// visit only the row's nonzero A multipliers, gemm_nt_rows reads B through
-// a transposed copy. Require gemm_rows_fit(k, n); any k, m >= 0 and beta
-// (k == 0 applies beta to C, as the reference loops do).
+// visit only the row's nonzero A multipliers, gemm_nt_rows reads B
+// sliver-major: a transposed copy in 8-column slivers of k rows each, the
+// blocked kernels' B layout. Require gemm_rows_fit(k, n); any k, m >= 0
+// and beta (k == 0 applies beta to C, as the reference loops do).
 // ---------------------------------------------------------------------------
 
 /// True when the row kernels take (k, n): 1 <= n <= 64, k <= 256, and
