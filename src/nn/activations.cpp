@@ -3,7 +3,35 @@
 #include <cassert>
 #include <cmath>
 
+#include "util/isa.hpp"
+
 namespace skiptrain::nn {
+
+namespace {
+
+// The passes run as avx2 code on AVX2 hosts. GCC does not multiversion a
+// virtual function, so the Layer methods call these clones. Each element
+// takes one compare and one select in every clone.
+
+SKIPTRAIN_GEMM_CLONES
+void relu_forward(const float* in, float* out, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = in[i] > 0.0f ? in[i] : 0.0f;
+  }
+}
+
+SKIPTRAIN_GEMM_CLONES
+void relu_backward(const float* in, const float* gout, float* gin,
+                   std::size_t count) {
+  // Load unconditionally, then select: a load under the condition is
+  // control flow the vectorizer rejects.
+  for (std::size_t i = 0; i < count; ++i) {
+    const float g = gout[i];
+    gin[i] = in[i] > 0.0f ? g : 0.0f;
+  }
+}
+
+}  // namespace
 
 Shape ReLU::output_shape(const Shape& input_shape) const {
   return input_shape;
@@ -11,25 +39,14 @@ Shape ReLU::output_shape(const Shape& input_shape) const {
 
 void ReLU::forward(const Tensor& input, Tensor& output) {
   assert(input.numel() == output.numel());
-  const auto in = input.data();
-  const auto out = output.data();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = in[i] > 0.0f ? in[i] : 0.0f;
-  }
+  relu_forward(input.raw(), output.raw(), input.numel());
 }
 
 void ReLU::backward(const Tensor& input, const Tensor& grad_output,
                     Tensor& grad_input) {
   assert(input.numel() == grad_output.numel());
-  const auto in = input.data();
-  const auto gout = grad_output.data();
-  const auto gin = grad_input.data();
-  // Load unconditionally, then select: a load under the condition is
-  // control flow the vectorizer rejects.
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const float g = gout[i];
-    gin[i] = in[i] > 0.0f ? g : 0.0f;
-  }
+  relu_backward(input.raw(), grad_output.raw(), grad_input.raw(),
+                input.numel());
 }
 
 std::unique_ptr<Layer> ReLU::clone() const { return std::make_unique<ReLU>(); }

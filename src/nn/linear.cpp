@@ -3,8 +3,36 @@
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
+#include "util/isa.hpp"
 
 namespace skiptrain::nn {
+
+namespace {
+
+// The bias passes run as avx2 code on AVX2 hosts. GCC does not
+// multiversion a virtual function, so forward and backward call these
+// clones; each element takes the same one add in every clone.
+
+/// y[i][j] += b[j] over `rows` rows of `cols`.
+SKIPTRAIN_GEMM_CLONES
+void add_bias(float* y, const float* b, std::size_t rows, std::size_t cols) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    float* row = y + i * cols;
+    for (std::size_t j = 0; j < cols; ++j) row[j] += b[j];
+  }
+}
+
+/// db[j] += dy[i][j] for i ascending: the column sums of `rows` rows.
+SKIPTRAIN_GEMM_CLONES
+void add_column_sums(const float* dy, float* db, std::size_t rows,
+                     std::size_t cols) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* row = dy + i * cols;
+    for (std::size_t j = 0; j < cols; ++j) db[j] += row[j];
+  }
+}
+
+}  // namespace
 
 Linear::Linear(std::size_t in_features, std::size_t out_features)
     : ParamLayer(in_features * out_features + out_features),
@@ -30,10 +58,7 @@ void Linear::forward(const Tensor& input, Tensor& output) {
   const std::span<const float> b{params_.data() + in_ * out_, out_};
   // y[B, out] = x[B, in] * W[out, in]^T
   tensor::gemm_nt(batch, in_, out_, input.data(), w, output.data());
-  for (std::size_t i = 0; i < batch; ++i) {
-    float* row = output.raw() + i * out_;
-    for (std::size_t j = 0; j < out_; ++j) row[j] += b[j];
-  }
+  add_bias(output.raw(), b.data(), batch, out_);
 }
 
 void Linear::backward(const Tensor& input, const Tensor& grad_output,
@@ -47,10 +72,7 @@ void Linear::backward(const Tensor& input, const Tensor& grad_output,
   tensor::gemm_tn(out_, batch, in_, grad_output.data(), input.data(), grad_w,
                   /*beta=*/1.0f);
   // db += column sums of dY
-  for (std::size_t i = 0; i < batch; ++i) {
-    const float* row = grad_output.raw() + i * out_;
-    for (std::size_t j = 0; j < out_; ++j) grad_b[j] += row[j];
-  }
+  add_column_sums(grad_output.raw(), grad_b.data(), batch, out_);
   // dX[B, in] = dY[B, out] * W[out, in], unless not needed (empty).
   if (!grad_input.empty()) {
     tensor::gemm_nn(batch, out_, in_, grad_output.data(), w, grad_input.data());
