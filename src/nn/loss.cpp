@@ -155,19 +155,19 @@ void certified_rows(const float* logits, std::size_t rows, std::size_t n,
         -std::min(std::min(min_d[0], min_d[1]), std::min(min_d[2], min_d[3]));
   }
 
-  // Pass 2, the block's lanes in one stream: e_c = exp(d_c), two
-  // independent chains a step.
+  // Pass 2, the block's lanes in one stream: e_c = exp(d_c), four
+  // independent chains a step (the Horner chain is latency-bound), then
+  // two, then one.
   const std::size_t lanes = rows * width;
   std::size_t i = 0;
-  for (; i + 2 * kLanes <= lanes; i += 2 * kLanes) {
-    Vec4d* at = reinterpret_cast<Vec4d*>(e + i);
-    util::exp4d(at[0], at[0]);
-    util::exp4d(at[1], at[1]);
+  for (; i + 4 * kLanes <= lanes; i += 4 * kLanes) {
+    util::exp4d_n<4>(reinterpret_cast<Vec4d*>(e + i));
   }
-  if (i < lanes) {
-    Vec4d* at = reinterpret_cast<Vec4d*>(e + i);
-    util::exp4d(*at, *at);
+  if (i + 2 * kLanes <= lanes) {
+    util::exp4d_n<2>(reinterpret_cast<Vec4d*>(e + i));
+    i += 2 * kLanes;
   }
+  if (i < lanes) util::exp4d_n<1>(reinterpret_cast<Vec4d*>(e + i));
 
   // Pass 3, row by row: S, lse and the brackets of q_c; p_c * inv_batch
   // from the lower one.

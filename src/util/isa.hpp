@@ -28,17 +28,24 @@
 #define SKIPTRAIN_CODEC_CLONES \
   __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
 /// GEMM kernels (tensor/gemm.cpp), the gossip row reduction
-/// (graph/mixing.cpp), the GroupNorm and MaxPool kernels (nn/) and the
-/// training loss's certified row kernel (nn/loss.cpp). No
-/// x86-64-v4 clone: the kernels are written in 8-float vectors (Vec8), so
-/// one would add no width, and the float[4][8] tile loops the blocked GEMM
-/// had before ran 7-8x slower in it than in the avx2 clone.
+/// (graph/mixing.cpp), the GroupNorm and MaxPool kernels (nn/), the
+/// training loss's certified row kernel and argmax lanes (nn/loss.cpp),
+/// and the training step's elementwise passes: ReLU forward and backward
+/// (nn/activations.cpp), Linear's bias add and bias-gradient sums
+/// (nn/linear.cpp) and the SGD update (nn/optimizer.cpp). GCC does not
+/// multiversion a virtual function, so a Layer method calls a cloned free
+/// function instead of carrying the macro itself. No x86-64-v4 clone: the
+/// kernels are written in 8-float vectors (Vec8), so one would add no
+/// width, and the float[4][8] tile loops the blocked GEMM had before ran
+/// 7-8x slower in it than in the avx2 clone.
 #define SKIPTRAIN_GEMM_CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define SKIPTRAIN_ISA_CLONES 0
 #define SKIPTRAIN_CODEC_CLONES
 #define SKIPTRAIN_GEMM_CLONES
 #endif
+
+#include <cstddef>
 
 namespace skiptrain::util {
 
@@ -64,10 +71,13 @@ using Mask4 = int __attribute__((vector_size(4 * sizeof(int))));
 using Vec4d = double __attribute__((vector_size(4 * sizeof(double))));
 using Mask4d = long long __attribute__((vector_size(4 * sizeof(long long))));
 
-/// y = exp(x) in four double lanes, for x in [-708, 0]: the result is then
-/// a normal double within 2 * 2^-52 of exp(x), relative (the budget
-/// nn::softmax_cross_entropy certifies against; test_nn_loss sweeps it
-/// against expl). Outside that domain the result is unspecified.
+/// v[j] = exp(v[j]) in four double lanes, for N vectors at once and x in
+/// [-708, 0]: the result is then a normal double within 2 * 2^-52 of
+/// exp(x), relative (the budget nn::softmax_cross_entropy certifies
+/// against; test_nn_loss sweeps it against expl). Outside that domain the
+/// result is unspecified. Each step runs over all N vectors before the
+/// next, so N independent Horner chains are in flight; every lane takes
+/// the same operations whatever N is.
 ///
 /// x = k ln2 + r with k = round(x / ln2) by the 1.5 * 2^52 shift and a
 /// Cody-Waite split of ln2 whose high part has 32 bits, so k * kLn2Hi and
@@ -75,32 +85,47 @@ using Mask4d = long long __attribute__((vector_size(4 * sizeof(long long))));
 /// polynomial of degree 13 by Horner (truncation below 0.03 * 2^-52), and
 /// 2^k comes from the shifted value's low bits. Plain multiplies and adds
 /// only, with -ffp-contract=off: every clone gives the same bits.
-[[gnu::always_inline]] inline void exp4d(const Vec4d& x, Vec4d& y) {
+template <std::size_t N>
+[[gnu::always_inline]] inline void exp4d_n(Vec4d* v) {
   constexpr double kLog2e = 0x1.71547652b82fep0;
   constexpr double kShift = 0x1.8p52;
   constexpr double kLn2Hi = 0x1.62e42fee00000p-1;
   constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
-  const Vec4d shifted = x * kLog2e + kShift;
-  const Vec4d k = shifted - kShift;
-  const Vec4d r = (x - k * kLn2Hi) - k * kLn2Lo;
-  Vec4d p = r * (1.0 / 6227020800.0) + 1.0 / 479001600.0;
-  p = p * r + 1.0 / 39916800.0;
-  p = p * r + 1.0 / 3628800.0;
-  p = p * r + 1.0 / 362880.0;
-  p = p * r + 1.0 / 40320.0;
-  p = p * r + 1.0 / 5040.0;
-  p = p * r + 1.0 / 720.0;
-  p = p * r + 1.0 / 120.0;
-  p = p * r + 1.0 / 24.0;
-  p = p * r + 1.0 / 6.0;
-  p = p * r + 0.5;
-  p = p * r + 1.0;
-  p = p * r + 1.0;
-  // The shift's low 12 bits hold k mod 2^12; k + 1023 there is 2^k's
-  // biased exponent, in [1, 1023] for x in [-708, 0].
-  // (__builtin_bit_cast: std::bit_cast would return a vector by value.)
-  const Mask4d two_k = (__builtin_bit_cast(Mask4d, shifted) + 1023) << 52;
-  y = p * __builtin_bit_cast(Vec4d, two_k);
+  constexpr double kInvFactorial[] = {
+      1.0 / 479001600.0, 1.0 / 39916800.0, 1.0 / 3628800.0,
+      1.0 / 362880.0,    1.0 / 40320.0,    1.0 / 5040.0,
+      1.0 / 720.0,       1.0 / 120.0,      1.0 / 24.0,
+      1.0 / 6.0,         0.5,              1.0,
+      1.0};
+  Vec4d shifted[N];
+  Vec4d r[N];
+  Vec4d p[N];
+  for (std::size_t j = 0; j < N; ++j) {
+    shifted[j] = v[j] * kLog2e + kShift;
+    const Vec4d k = shifted[j] - kShift;
+    r[j] = (v[j] - k * kLn2Hi) - k * kLn2Lo;
+    p[j] = r[j] * (1.0 / 6227020800.0) + kInvFactorial[0];
+  }
+  for (std::size_t step = 1; step < 13; ++step) {
+    for (std::size_t j = 0; j < N; ++j) {
+      p[j] = p[j] * r[j] + kInvFactorial[step];
+    }
+  }
+  for (std::size_t j = 0; j < N; ++j) {
+    // The shift's low 12 bits hold k mod 2^12; k + 1023 there is 2^k's
+    // biased exponent, in [1, 1023] for x in [-708, 0].
+    // (__builtin_bit_cast: std::bit_cast would return a vector by value.)
+    const Mask4d two_k = (__builtin_bit_cast(Mask4d, shifted[j]) + 1023)
+                         << 52;
+    v[j] = p[j] * __builtin_bit_cast(Vec4d, two_k);
+  }
+}
+
+/// y = exp(x) in four double lanes: exp4d_n for one vector.
+[[gnu::always_inline]] inline void exp4d(const Vec4d& x, Vec4d& y) {
+  Vec4d v[1] = {x};
+  exp4d_n<1>(v);
+  y = v[0];
 }
 
 /// The Vec8 at any float address.
