@@ -81,11 +81,6 @@ double consensus_distance(std::span<const std::vector<float>> node_params) {
   });
 }
 
-double max_pairwise_distance(plane::ConstMatrixView node_params) {
-  return max_pairwise_impl(node_params.rows, node_params.dim,
-                           [&](std::size_t i) { return node_params.row(i); });
-}
-
 double max_pairwise_distance(std::span<const std::vector<float>> node_params) {
   check_not_ragged(node_params, "max_pairwise_distance");
   const std::size_t dim =

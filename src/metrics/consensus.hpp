@@ -22,7 +22,6 @@ namespace skiptrain::metrics {
 
 /// Largest pairwise L2 distance between any two node models. O(n²·d); use
 /// on small fleets or sampled subsets.
-[[nodiscard]] double max_pairwise_distance(plane::ConstMatrixView node_params);
 [[nodiscard]] double max_pairwise_distance(
     std::span<const std::vector<float>> node_params);
 

@@ -190,11 +190,6 @@ void Sequential::get_gradients(std::span<float> out) const {
   std::copy(gradients_.begin(), gradients_.end(), out.begin());
 }
 
-void Sequential::apply_parameter_delta(std::span<const float> delta) {
-  assert(delta.size() == num_parameters());
-  for (std::size_t i = 0; i < arena_.size(); ++i) arena_[i] -= delta[i];
-}
-
 Sequential Sequential::clone() const {
   Sequential copy;
   for (const auto& layer : layers_) copy.layers_.push_back(layer->clone());

@@ -118,10 +118,6 @@ class Sequential {
   /// Copies all gradients into one flat vector (ordered as parameters).
   void get_gradients(std::span<float> out) const;
 
-  /// Applies `update[i]` to parameter i: p -= update. Used by optimizers
-  /// operating on the flat view.
-  void apply_parameter_delta(std::span<const float> delta);
-
   /// Deep copy of layers and parameters. The copy owns both arenas, its
   /// gradients zeroed.
   [[nodiscard]] Sequential clone() const;

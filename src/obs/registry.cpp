@@ -148,18 +148,6 @@ void Gauge::set(std::int64_t value) const {
   }
 }
 
-void Gauge::add(std::int64_t delta) const {
-  if (!enabled()) return;
-  auto& cell = detail::registry().gauges[id_];
-  const std::int64_t value =
-      cell.value.fetch_add(delta, std::memory_order_relaxed) + delta;
-  std::int64_t seen = cell.max.load(std::memory_order_relaxed);
-  while (value > seen &&
-         !cell.max.compare_exchange_weak(seen, value,
-                                         std::memory_order_relaxed)) {
-  }
-}
-
 std::uint64_t HistogramValue::quantile_upper_bound(double q) const {
   if (count == 0) return 0;
   const double target = q * static_cast<double>(count);
@@ -241,31 +229,6 @@ Snapshot snapshot() {
     }
   }
   return snap;
-}
-
-void reset() {
-  auto& reg = detail::registry();
-  std::lock_guard lock(reg.mutex);
-  for (auto& v : reg.retired_counters) v = 0;
-  for (auto& v : reg.retired_hist_count) v = 0;
-  for (auto& v : reg.retired_hist_sum) v = 0;
-  for (auto& v : reg.retired_hist_max) v = 0;
-  for (auto& hist : reg.retired_hist_buckets) {
-    for (auto& v : hist) v = 0;
-  }
-  for (auto& cell : reg.gauges) {
-    cell.value.store(0, std::memory_order_relaxed);
-    cell.max.store(0, std::memory_order_relaxed);
-  }
-  for (detail::Shard* shard : reg.live_shards) {
-    for (auto& v : shard->counters) v.store(0, std::memory_order_relaxed);
-    for (auto& v : shard->hist_count) v.store(0, std::memory_order_relaxed);
-    for (auto& v : shard->hist_sum) v.store(0, std::memory_order_relaxed);
-    for (auto& v : shard->hist_max) v.store(0, std::memory_order_relaxed);
-    for (auto& hist : shard->hist_buckets) {
-      for (auto& v : hist) v.store(0, std::memory_order_relaxed);
-    }
-  }
 }
 
 }  // namespace skiptrain::obs

@@ -101,7 +101,6 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t value) const;
-  void add(std::int64_t delta) const;
 
   [[nodiscard]] std::size_t id() const { return id_; }
 
@@ -199,10 +198,5 @@ struct Snapshot {
 };
 
 [[nodiscard]] Snapshot snapshot();
-
-/// Zeroes every metric (live shards, retired totals, gauges) without
-/// forgetting registrations. For tests and per-run baselines; racing
-/// writers may leak a few in-flight increments into the fresh epoch.
-void reset();
 
 }  // namespace skiptrain::obs

@@ -62,13 +62,6 @@ std::span<float> Tensor::row(std::size_t r) {
   return std::span<float>(data_.data() + r * stride, stride);
 }
 
-std::span<const float> Tensor::row(std::size_t r) const {
-  assert(rank() >= 1 && shape_[0] > 0);
-  const std::size_t stride = numel() / shape_[0];
-  assert(r < shape_[0]);
-  return std::span<const float>(data_.data() + r * stride, stride);
-}
-
 void Tensor::fill(float value) {
   for (auto& v : data_) v = value;
 }

@@ -46,7 +46,6 @@ class Tensor {
   /// Row view for a rank>=2 tensor: the contiguous slice [row * stride,
   /// (row+1) * stride) where stride = numel / dim(0).
   std::span<float> row(std::size_t r);
-  std::span<const float> row(std::size_t r) const;
 
   void fill(float value);
   void zero() { fill(0.0f); }
