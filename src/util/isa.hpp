@@ -18,6 +18,8 @@
 // there; sanitizer builds therefore run, and instrument, the default clone.
 #pragma once
 
+#include <cstddef>
+
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
     !defined(__clang__) && !defined(__SANITIZE_ADDRESS__) &&        \
     !defined(__SANITIZE_THREAD__)
@@ -44,8 +46,6 @@
 #define SKIPTRAIN_CODEC_CLONES
 #define SKIPTRAIN_GEMM_CLONES
 #endif
-
-#include <cstddef>
 
 namespace skiptrain::util {
 

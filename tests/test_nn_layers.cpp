@@ -547,7 +547,8 @@ void expect_linear_pin(const LinearPin& pin) {
                std::to_string(pin.batch));
   Linear layer(pin.in, pin.out);
   const std::uint64_t seed = pin.batch * 100000 + pin.in * 100 + pin.out;
-  const std::vector<float> p = tied_signed_values(layer.parameters().size(), seed);
+  const std::vector<float> p =
+      tied_signed_values(layer.parameters().size(), seed);
   std::copy(p.begin(), p.end(), layer.parameters().begin());
   std::fill(layer.gradients().begin(), layer.gradients().end(), 0.0f);
 
@@ -561,7 +562,8 @@ void expect_linear_pin(const LinearPin& pin) {
   layer.forward(input, output);
 
   Tensor grad_out(output.shape());
-  const std::vector<float> g = values_with_zeros(grad_out.numel(), seed + 2, 32);
+  const std::vector<float> g =
+      values_with_zeros(grad_out.numel(), seed + 2, 32);
   util::Rng mask(seed + 3);
   for (std::size_t i = 0; i < g.size(); ++i) {
     const bool masked = !pin.hidden && mask.uniform_int(2) == 0;
