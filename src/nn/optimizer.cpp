@@ -6,8 +6,6 @@
 
 namespace skiptrain::nn {
 
-SgdOptimizer::SgdOptimizer(SgdOptions options) : options_(options) {}
-
 namespace {
 
 // The update runs as avx2 code on AVX2 hosts; each element takes the same
@@ -34,6 +32,8 @@ void sgd_momentum_update(float* __restrict__ p, const float* __restrict__ g,
 }
 
 }  // namespace
+
+SgdOptimizer::SgdOptimizer(SgdOptions options) : options_(options) {}
 
 void SgdOptimizer::step(Sequential& model) {
   const float lr = options_.learning_rate;
